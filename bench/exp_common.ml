@@ -16,42 +16,14 @@ module Err = Legion_rt.Err
 module System = Legion.System
 module Api = Legion.Api
 
-(* --- The benchmark application unit: a counter. --- *)
+(* --- The benchmark application unit: the standard counter. --- *)
 
-let counter_unit = "bench.counter"
-
-let counter_factory (_ctx : Runtime.ctx) : Impl.part =
-  let n = ref 0 in
-  let increment _ctx args _env k =
-    match args with
-    | [ Value.Int d ] ->
-        n := !n + d;
-        k (Ok (Value.Int !n))
-    | _ -> Impl.bad_args k "Increment expects one int"
-  in
-  let get _ctx args _env k =
-    match args with
-    | [] -> k (Ok (Value.Int !n))
-    | _ -> Impl.bad_args k "Get takes no arguments"
-  in
-  Impl.part
-    ~methods:[ ("Increment", increment); ("Get", get) ]
-    ~save:(fun () -> Value.Int !n)
-    ~restore:(fun v ->
-      match v with
-      | Value.Int i ->
-          n := i;
-          Ok ()
-      | _ -> Error "counter state must be an int")
-    counter_unit
-
-let register_units () = Impl.register counter_unit counter_factory
-
-let counter_idl = "interface Counter { Increment(d: int): int; Get(): int; }"
+let counter_unit = Legion_objects.Std_parts.counter_unit
+let register_units = Legion_objects.Std_parts.register_counter
 
 let make_counter_class sys ctx ?(name = "Counter") () =
   Api.derive_class_exn sys ctx ~parent:Well_known.legion_object ~name
-    ~units:[ counter_unit ] ~idl:counter_idl ()
+    ~units:[ counter_unit ] ~idl:Legion_objects.Std_parts.counter_idl ()
 
 (* --- Counter-registry snapshots: the §5 instrument. --- *)
 
@@ -91,23 +63,7 @@ let zipf_sampler prng ~n ~s =
 
 (* --- Table rendering. --- *)
 
-let print_table ~title ~header rows =
-  let all = header :: rows in
-  let ncols = List.length header in
-  let width c =
-    List.fold_left (fun acc row -> Stdlib.max acc (String.length (List.nth row c))) 0 all
-  in
-  let widths = List.init ncols width in
-  let pad c s = s ^ String.make (List.nth widths c - String.length s) ' ' in
-  let line ch =
-    "+" ^ String.concat "+" (List.map (fun w -> String.make (w + 2) ch) widths) ^ "+"
-  in
-  let render row =
-    "| " ^ String.concat " | " (List.mapi pad row) ^ " |"
-  in
-  Printf.printf "\n%s\n%s\n%s\n%s\n" title (line '-') (render header) (line '-');
-  List.iter (fun r -> print_endline (render r)) rows;
-  print_endline (line '-')
+let print_table = Legion_util.Table.print
 
 let fmt_ms t = Printf.sprintf "%.2f" (t *. 1000.0)
 let fmt_f f = Printf.sprintf "%.3f" f

@@ -1,335 +1,18 @@
-(* E16 — Overload: admission control, load shedding, circuit breakers.
-
-   A single serial-service object (one request at a time, fixed service
-   time) is driven by an open-loop arrival ramp that climbs from half
-   its measured saturation rate to 2.5x past it. Two boots of the same
-   system run the same schedule:
-
-     baseline   admission and breakers off: every arrival is delivered,
-                the serial queue grows without bound past the knee,
-                latencies blow through the retry windows, and at-least-
-                once retransmissions amplify the very load that caused
-                them — goodput collapses;
-
-     protected  per-object inflight/queue budgets shed the excess with
-                [Err.Overloaded] (carrying a retry_after hint), callers
-                back off by the hint, and a per-destination circuit
-                breaker fails the worst bursts fast. Accepted work still
-                completes: goodput holds a floor and the p99 of
-                successful calls stays bounded past the knee.
-
-   Gates (enforced here, run by CI):
-     (a) protected goodput at every step >= 2x saturation stays >= 70%
-         of the protected peak;
-     (b) protected p99 latency of successful calls past the knee stays
-         under a bound computed from the admission budget and retry
-         policy;
-     (c) the baseline collapses: its goodput at the final (2.5x) step
-         drops below half its own peak, or its past-knee p99 blows
-         through the same bound the protected run honours. *)
+(* E16 — overload: the Legion.Overload saturation sweep, baseline and
+   protected, gated on protected goodput and p99 past the knee and on
+   the baseline's collapse. *)
 
 open Exp_common
-module Network = Legion_net.Network
-module Recorder = Legion_obs.Recorder
-module Trace = Legion_obs.Trace
-module Script = Legion_sim.Script
-module Engine = Legion_sim.Engine
-module Breaker = Legion_rt.Breaker
-
-(* --- The bottleneck: a serial-service counter. --- *)
-
-let slow_counter_unit = "bench.slow_counter"
-let service_time = 0.02 (* one request at a time, 20 ms each *)
-
-let slow_counter_factory (ctx : Runtime.ctx) : Impl.part =
-  let eng = Runtime.sim ctx.Runtime.rt in
-  let n = ref 0 in
-  let busy_until = ref 0.0 in
-  (* The server is serial: each request occupies it for [service_time]
-     after every earlier request has drained. Replies are scheduled at
-     completion, so queue depth shows up as caller latency. *)
-  let serve k reply =
-    let start = Float.max (Engine.now eng) !busy_until in
-    let finish = start +. service_time in
-    busy_until := finish;
-    ignore (Engine.schedule_at eng ~time:finish (fun () -> k reply))
-  in
-  let increment _ctx args _env k =
-    match args with
-    | [ Value.Int d ] ->
-        n := !n + d;
-        serve k (Ok (Value.Int !n))
-    | _ -> Impl.bad_args k "Increment expects one int"
-  in
-  let get _ctx args _env k =
-    match args with
-    | [] -> serve k (Ok (Value.Int !n))
-    | _ -> Impl.bad_args k "Get takes no arguments"
-  in
-  Impl.part
-    ~methods:[ ("Increment", increment); ("Get", get) ]
-    ~save:(fun () -> Value.Int !n)
-    ~restore:(fun v ->
-      match v with
-      | Value.Int i ->
-          n := i;
-          Ok ()
-      | _ -> Error "counter state must be an int")
-    slow_counter_unit
-
-let slow_counter_idl =
-  "interface SlowCounter { Increment(d: int): int; Get(): int; }"
-
-(* --- Experiment shape. --- *)
-
-let rate_multipliers = [ 0.5; 1.0; 1.5; 2.0; 2.5 ]
-let step_width = 5.0
-let call_timeout = 1.5
-
-(* A tight retransmission policy so the end-to-end call budget — and
-   with it the honest latency ceiling — is small. Both runs share it:
-   the baseline's collapse must come from unbounded queueing and
-   retransmission amplification, not from a softer policy. *)
-let retry =
-  {
-    Legion_rt.Retry.max_attempts = 6;
-    attempt_timeout = 0.05;
-    multiplier = 2.0;
-    jitter = 0.1;
-  }
-
-let admission =
-  { Runtime.max_inflight = 4; max_queue = 16; retry_after_hint = service_time }
-
-let percentile xs p =
-  match List.sort compare xs with
-  | [] -> nan
-  | sorted ->
-      let n = List.length sorted in
-      let idx = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
-      List.nth sorted (max 0 (min (n - 1) idx))
-
-type step_row = {
-  rate : float;
-  issued : int;
-  ok : int;
-  failed : int;
-  p99 : float; (* of successful calls issued in this step; nan if none *)
-}
-
-type run_result = {
-  label : string;
-  steps : step_row list;
-  saturation : float;
-  sheds : int;
-  opens : int;
-  probes : int;
-  closes : int;
-  retries : int;
-  dropped : int;
-}
-
-let run_one ~protected =
-  let common = { Runtime.default_config with call_timeout; retry } in
-  let rt_config =
-    if protected then
-      {
-        common with
-        admission = Some admission;
-        breaker = Some Breaker.default_config;
-      }
-    else common
-  in
-  let sys =
-    System.boot ~seed:53L ~trace_capacity:500_000 ~rt_config
-      ~sites:[ ("a", 3); ("b", 3) ]
-      ()
-  in
-  Impl.register slow_counter_unit slow_counter_factory;
-  let ctx = System.client sys () in
-  let cls =
-    Api.derive_class_exn sys ctx ~parent:Well_known.legion_object
-      ~name:"SlowCounter" ~units:[ slow_counter_unit ] ~idl:slow_counter_idl ()
-  in
-  let obj = Api.create_object_exn sys ctx ~cls ~eager:true () in
-  ignore (Api.call sys ctx ~dst:obj ~meth:"Get" ~args:[]);
-  (* Measured saturation: a closed-loop client against a serial server
-     completes 1 / (service + rtt) calls per second. The open-loop ramp
-     is scaled off this observation, not off the configured constant. *)
-  let warm = 20 in
-  let t_warm = System.now sys in
-  for _ = 1 to warm do
-    ignore (Api.call sys ctx ~dst:obj ~meth:"Increment" ~args:[ Value.Int 1 ])
-  done;
-  let saturation = float_of_int warm /. (System.now sys -. t_warm) in
-  let sim = System.sim sys and obs = System.obs sys and rt = System.rt sys in
-  let net = System.net sys in
-  let mark = Recorder.total obs in
-  let sheds0 = Runtime.total_sheds rt in
-  let dropped0 = Network.messages_dropped net in
-  let steps = List.length rate_multipliers in
-  let rates = List.map (fun m -> m *. saturation) rate_multipliers in
-  let duration = float_of_int steps *. step_width in
-  let t0 = System.now sys in
-  let t_end = t0 +. duration in
-  let issued = Array.make steps 0
-  and ok = Array.make steps 0
-  and failed = Array.make steps 0
-  and latencies = Array.make steps [] in
-  Script.load_ramp sim ~start:t0 ~until:(t_end -. 1e-9) ~steps:(steps - 1)
-    ~rates (fun _seq ->
-      let t_issue = System.now sys in
-      let step =
-        min (steps - 1) (int_of_float ((t_issue -. t0) /. step_width))
-      in
-      issued.(step) <- issued.(step) + 1;
-      Runtime.invoke ctx ~max_rebinds:0 ~dst:obj ~meth:"Increment"
-        ~args:[ Value.Int 1 ]
-        (function
-          | Ok _ ->
-              ok.(step) <- ok.(step) + 1;
-              latencies.(step) <-
-                (System.now sys -. t_issue) :: latencies.(step)
-          | Error _ -> failed.(step) <- failed.(step) + 1));
-  System.run sys;
-  let events = Recorder.events_since obs mark in
-  let count p = Trace.count_of p events in
-  let rows =
-    List.mapi
-      (fun i rate ->
-        {
-          rate;
-          issued = issued.(i);
-          ok = ok.(i);
-          failed = failed.(i);
-          p99 = percentile latencies.(i) 99.0;
-        })
-      rates
-  in
-  {
-    label = (if protected then "protected" else "baseline");
-    steps = rows;
-    saturation;
-    sheds = Runtime.total_sheds rt - sheds0;
-    opens = count (Trace.breaker_open ());
-    probes = count (Trace.breaker_probe ());
-    closes = count (Trace.breaker_close ());
-    retries = count (Trace.retry ());
-    dropped = Network.messages_dropped net - dropped0;
-  }
-
-(* --- Gates. --- *)
-
-let goodput row = float_of_int row.ok /. step_width
-
-let peak_goodput r =
-  List.fold_left (fun acc row -> Float.max acc (goodput row)) 0.0 r.steps
-
-let past_knee r =
-  List.filter (fun row -> row.rate >= (2.0 *. r.saturation) -. 1e-9) r.steps
-
-(* A successful call — admitted after any number of sheds and hinted
-   backoffs — lives inside one call budget ([call_timeout]; the
-   workload pins [max_rebinds] to 0, so no fresh budgets are granted).
-   The slack covers binding resolution and the last reply's flight. *)
-let p99_bound = call_timeout +. 0.2
-
-let enforce ~baseline ~protected =
-  let peak = peak_goodput protected in
-  List.iter
-    (fun row ->
-      if goodput row < 0.7 *. peak then
-        failwith
-          (Printf.sprintf
-             "E16: protected goodput %.1f/s at %.1fx saturation fell below \
-              70%% of peak %.1f/s"
-             (goodput row) (row.rate /. protected.saturation) peak);
-      if (not (Float.is_nan row.p99)) && row.p99 > p99_bound then
-        failwith
-          (Printf.sprintf
-             "E16: protected p99 %.2f s at %.1fx saturation exceeds bound \
-              %.2f s"
-             row.p99
-             (row.rate /. protected.saturation)
-             p99_bound))
-    (past_knee protected);
-  if protected.sheds = 0 then
-    failwith "E16: the protected run never shed — the ramp missed the knee";
-  (* The baseline must actually collapse; otherwise the protection is
-     being measured against a workload that never needed it. *)
-  let base_peak = peak_goodput baseline in
-  let last r = List.nth r.steps (List.length r.steps - 1) in
-  let base_last = last baseline in
-  let base_p99_blown =
-    List.exists
-      (fun row -> (not (Float.is_nan row.p99)) && row.p99 > p99_bound)
-      (past_knee baseline)
-  in
-  if goodput base_last >= 0.5 *. base_peak && not base_p99_blown then
-    failwith
-      (Printf.sprintf
-         "E16: baseline failed to collapse (last-step goodput %.1f/s vs peak \
-          %.1f/s, p99 within bound)"
-         (goodput base_last) base_peak)
-
-(* --- Reporting. --- *)
-
-let rows_of r =
-  List.map
-    (fun row ->
-      [
-        r.label;
-        Printf.sprintf "%.1fx" (row.rate /. r.saturation);
-        Printf.sprintf "%.1f" row.rate;
-        fmt_i row.issued;
-        fmt_i row.ok;
-        fmt_i row.failed;
-        Printf.sprintf "%.1f" (goodput row);
-        (if Float.is_nan row.p99 then "-" else fmt_ms row.p99);
-      ])
-    r.steps
-
-let json_of r =
-  let step_json row =
-    Printf.sprintf
-      "{\"rate\":%.2f,\"issued\":%d,\"ok\":%d,\"failed\":%d,\"goodput\":%.2f,\
-       \"p99_ms\":%s}"
-      row.rate row.issued row.ok row.failed (goodput row)
-      (if Float.is_nan row.p99 then "null"
-       else Printf.sprintf "%.1f" (row.p99 *. 1000.0))
-  in
-  Printf.sprintf
-    "{\"label\":%S,\"saturation\":%.2f,\"sheds\":%d,\"breaker_opens\":%d,\
-     \"breaker_probes\":%d,\"breaker_closes\":%d,\"retries\":%d,\
-     \"messages_dropped\":%d,\"steps\":[%s]}"
-    r.label r.saturation r.sheds r.opens r.probes r.closes r.retries r.dropped
-    (String.concat "," (List.map step_json r.steps))
+module Overload = Legion.Overload
 
 let run () =
-  let baseline = run_one ~protected:false in
-  let protected = run_one ~protected:true in
-  print_table
-    ~title:
-      (Printf.sprintf
-         "E16  Open-loop saturation sweep (serial service %.0f ms, measured \
-          saturation %.1f/s, %.0f s per step)"
-         (service_time *. 1000.0) protected.saturation step_width)
-    ~header:
-      [ "run"; "offered"; "rate/s"; "issued"; "ok"; "failed"; "goodput/s"; "p99 ms" ]
-    (rows_of baseline @ rows_of protected);
-  Printf.printf
-    "\nbaseline:  %d sheds, %d retries, %d messages dropped\n"
-    baseline.sheds baseline.retries baseline.dropped;
-  Printf.printf
-    "protected: %d sheds, %d retries, %d dropped; breaker %d opens / %d \
-     probes / %d closes\n"
-    protected.sheds protected.retries protected.dropped protected.opens
-    protected.probes protected.closes;
-  enforce ~baseline ~protected;
+  let r = Overload.run Overload.default in
+  Overload.print r;
+  (match Overload.violations r with
+  | [] -> ()
+  | vs -> failwith (String.concat "\n" vs));
   Printf.printf
     "gates: goodput floor 70%% of peak past 2x, p99 under %.2f s, baseline \
      collapse -- all hold\n"
-    p99_bound;
-  write_bench_json ~file:"BENCH_E16.json"
-    (Printf.sprintf "{\"experiment\":\"e16\",\"p99_bound\":%.2f,\"runs\":[%s,%s]}"
-       p99_bound (json_of baseline) (json_of protected))
+    Overload.p99_bound;
+  write_bench_json ~file:"BENCH_E16.json" (Overload.to_json r)

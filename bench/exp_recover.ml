@@ -1,231 +1,20 @@
-(* E15 — Crash recovery: checkpoint interval sweep under power failure.
-
-   A non-infrastructure host power-fails mid-workload with the recovery
-   machinery armed: periodic Magistrate checkpoints (SweepCheckpoint),
-   heartbeat failure detection (Suspect -> ConfirmDead), class-driven
-   reactivation (NotifyDead -> Reactivate on a surviving host), and
-   epoch fencing of the zombie placements the power failure left
-   behind. The host reboots later; its superseded placements are reaped.
-
-   Three floors, each enforced per checkpoint interval:
-
-     (a) durability — every update acked before the last pre-crash
-         checkpoint of its object survives: a crash loses at most one
-         checkpoint interval of acked work;
-     (b) detection — ConfirmDead fires within
-         threshold * (heartbeat period + probe timeout) + slack of the
-         power failure, and MTTR (ConfirmDead -> first successful
-         post-recovery delivery, the rt.mttr histogram) stays bounded;
-     (c) fencing — zombie placements answer nothing after the crash
-         (their delivered-call counters stay flat) and every stale
-         placement is fenced. *)
+(* E15 — crash recovery swept over the checkpoint period: the
+   Legion.Recover scenario at 0.5, 1.0 and 2.0 s, each row gated on
+   durability, detection/MTTR and fencing. *)
 
 open Exp_common
-module Network = Legion_net.Network
-module Recorder = Legion_obs.Recorder
-module Trace = Legion_obs.Trace
-module Script = Legion_sim.Script
-module Event = Legion_obs.Event
-module Histogram = Legion_util.Stats.Histogram
-
-let n_objects = 8
-let call_timeout = 0.5
-let probe_timeout = call_timeout /. 10.0
-let hb_period = 0.25
-let threshold = 3
-let crash_after = 6.0
-let reboot_after = 4.0
-let duration = 16.0
-let workload_period = 0.1
-
-let run_one ~interval =
-  register_units ();
-  let sys =
-    System.boot ~seed:53L ~trace_capacity:500_000
-      ~rt_config:{ Runtime.default_config with call_timeout }
-      ~sites:[ ("a", 3); ("b", 3) ]
-      ()
-  in
-  let ctx = System.client sys () in
-  let cls = make_counter_class sys ctx () in
-  let objects =
-    Array.init n_objects (fun _ -> Api.create_object_exn sys ctx ~cls ~eager:true ())
-  in
-  Array.iter (fun o -> ignore (Api.call sys ctx ~dst:o ~meth:"Get" ~args:[])) objects;
-  let sim = System.sim sys
-  and net = System.net sys
-  and obs = System.obs sys
-  and rt = System.rt sys in
-  let mark = Recorder.total obs in
-  let t0 = System.now sys in
-  let t_end = t0 +. duration in
-  System.enable_recovery sys ~checkpoint_period:interval
-    ~heartbeat_period:hb_period ~threshold ~until:t_end ();
-  let infra = List.map (fun s -> List.hd s.System.net_hosts) (System.sites sys) in
-  let victim =
-    match List.filter (fun h -> not (List.mem h infra)) (Network.hosts net) with
-    | h :: _ -> h
-    | [] -> failwith "E15: no non-infrastructure host"
-  in
-  let t_crash = t0 +. crash_after in
-  (* Zombie bookkeeping: at the instant of the power failure, snapshot
-     every application placement stranded on the victim with its
-     delivered-call count. The epoch fence must keep those counts flat. *)
-  let zombies = ref [] in
-  Script.at sim ~time:t_crash (fun () ->
-      zombies :=
-        Runtime.procs_on_host rt victim
-        |> List.filter (fun p -> Runtime.proc_kind p = Well_known.kind_app)
-        |> List.map (fun p -> (p, Runtime.requests_of p));
-      Runtime.power_fail rt victim);
-  Script.at sim ~time:(t_crash +. reboot_after) (fun () ->
-      Network.set_host_up net victim true);
-  (* Open-loop workload; acks are recorded with their virtual time so
-     durability can be judged against per-object checkpoint times. *)
-  let acks = Array.make n_objects [] (* (ack time, value), newest first *) in
-  let prng = Prng.create ~seed:59L in
-  Script.every sim ~period:workload_period ~until:(t_end -. 1e-9) (fun () ->
-      let i = Prng.int prng n_objects in
-      Runtime.invoke ctx ~dst:objects.(i) ~meth:"Increment" ~args:[ Value.Int 1 ]
-        (function
-          | Ok (Value.Int n) -> acks.(i) <- (System.now sys, n) :: acks.(i)
-          | Ok _ | Error _ -> ()));
-  System.run sys;
-  let events = Recorder.events_since obs mark in
-  let count p = Trace.count_of p events in
-  let checkpoints = count (Trace.checkpoint ())
-  and suspects = count (Trace.suspect ())
-  and confirmed = count (Trace.confirm_dead ())
-  and reactivated = count (Trace.reactivate ())
-  and fenced = count (Trace.fence ()) in
-  (* (b) detection latency and MTTR. *)
-  let t_confirm =
-    match List.find_opt (Trace.confirm_dead ()) events with
-    | Some e -> e.Event.time
-    | None -> failwith "E15: host death was never confirmed"
-  in
-  let detect = t_confirm -. t_crash in
-  let detect_bound =
-    (float_of_int threshold *. (hb_period +. probe_timeout)) +. hb_period +. 0.5
-  in
-  if detect > detect_bound then
-    failwith
-      (Printf.sprintf "E15: detection took %.2f s (bound %.2f s)" detect
-         detect_bound);
-  let mttr = Recorder.latency obs ~component:"rt.mttr" in
-  (match mttr with
-  | None -> failwith "E15: no MTTR samples — recovery never completed"
-  | Some h ->
-      let worst = Histogram.percentile h 100.0 in
-      (* Worst-case first-delivery-after-recovery: one timed-out call
-         against the dead placement, a rebind, plus workload spacing;
-         bucket granularity rounds the histogram estimate up. *)
-      let bound = detect_bound +. (2.0 *. call_timeout) +. 3.0 in
-      if worst > bound then
-        failwith
-          (Printf.sprintf "E15: MTTR p100 %.2f s exceeds bound %.2f s" worst
-             bound));
-  (* (a) durability: for every object, whatever was acked before its
-     last pre-crash checkpoint must be visible now. The margin covers
-     acks that raced the SaveState capture across the wire. *)
-  let margin = 0.1 in
-  let lost = ref 0 in
-  Array.iteri
-    (fun i o ->
-      let last_ckpt =
-        List.fold_left
-          (fun acc e ->
-            match e.Event.kind with
-            | Event.Checkpoint { loid }
-              when Loid.equal loid o && e.Event.time <= t_crash ->
-                Float.max acc e.Event.time
-            | _ -> acc)
-          neg_infinity events
-      in
-      let floor_value =
-        List.fold_left
-          (fun acc (t, v) -> if t <= last_ckpt -. margin then max acc v else acc)
-          0 acks.(i)
-      in
-      match Api.call sys ctx ~dst:o ~meth:"Get" ~args:[] with
-      | Ok (Value.Int n) -> if n < floor_value then lost := !lost + (floor_value - n)
-      | Ok _ -> failwith "E15: bad Get reply"
-      | Error e ->
-          failwith
-            (Printf.sprintf "E15: object %d unreachable after recovery: %s" i
-               (Err.to_string e)))
-    objects;
-  if !lost > 0 then
-    failwith
-      (Printf.sprintf
-         "E15: %d acked updates from before the last checkpoint were lost" !lost);
-  (* (c) fencing: no zombie placement answered a call after the crash,
-     and every stale placement was fenced (on delivery or at reboot). *)
-  List.iter
-    (fun (p, before) ->
-      let after = Runtime.requests_of p in
-      if after <> before then
-        failwith
-          (Printf.sprintf
-             "E15: zombie %s answered %d calls after the power failure"
-             (Loid.to_string (Runtime.proc_loid p))
-             (after - before)))
-    !zombies;
-  let stale_zombies =
-    List.filter
-      (fun (p, _) ->
-        Runtime.proc_epoch p < Runtime.current_epoch rt (Runtime.proc_loid p))
-      !zombies
-  in
-  if reactivated > 0 && fenced = 0 then
-    failwith "E15: objects were reactivated but no stale placement was fenced";
-  if List.length stale_zombies > 0 && fenced < List.length stale_zombies then
-    failwith
-      (Printf.sprintf "E15: %d stale zombies but only %d fence events"
-         (List.length stale_zombies) fenced);
-  let mttr_p50 =
-    match mttr with Some h -> Histogram.percentile h 50.0 | None -> nan
-  in
-  [
-    Printf.sprintf "%.2f" interval;
-    fmt_i checkpoints;
-    fmt_i suspects;
-    fmt_i confirmed;
-    fmt_i reactivated;
-    fmt_i fenced;
-    Printf.sprintf "%.2f" detect;
-    Printf.sprintf "%.2f" mttr_p50;
-    fmt_i !lost;
-    fmt_i (List.length !zombies);
-  ]
+module Recover = Legion.Recover
 
 let run () =
-  let intervals = [ 0.5; 1.0; 2.0 ] in
-  let rows = List.map (fun interval -> run_one ~interval) intervals in
-  let row_json interval row =
-    match row with
-    | [ _; ckpts; suspects; confirmed; reactivated; fenced; detect; mttr; lost;
-        zombies ] ->
-        Printf.sprintf
-          "{\"interval\":%.2f,\"checkpoints\":%s,\"suspects\":%s,\
-           \"confirmed\":%s,\"reactivated\":%s,\"fenced\":%s,\"detect_s\":%s,\
-           \"mttr_p50_s\":%s,\"lost\":%s,\"zombies\":%s}"
-          interval ckpts suspects confirmed reactivated fenced detect mttr lost
-          zombies
-    | _ -> "{}"
+  let reports =
+    List.map
+      (fun checkpoint_period -> Recover.run { Recover.default with checkpoint_period })
+      [ 0.5; 1.0; 2.0 ]
   in
+  (match List.concat_map Recover.violations reports with
+  | [] -> ()
+  | vs -> failwith (String.concat "\n" vs));
   write_bench_json ~file:"BENCH_E15.json"
     (Printf.sprintf "{\"experiment\":\"e15\",\"rows\":[%s]}"
-       (String.concat "," (List.map2 row_json intervals rows)));
-  print_table
-    ~title:
-      (Printf.sprintf
-         "E15  Crash recovery vs checkpoint interval (power-fail at %.0f s, \
-          reboot +%.0f s, heartbeat %.2f s x %d)"
-         crash_after reboot_after hb_period threshold)
-    ~header:
-      [
-        "ckpt s"; "ckpts"; "suspects"; "confirmed"; "reactivated"; "fenced";
-        "detect s"; "mttr p50 s"; "lost"; "zombies";
-      ]
-    rows
+       (String.concat "," (List.map Recover.to_json reports)));
+  Recover.print_table reports

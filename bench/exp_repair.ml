@@ -1,317 +1,14 @@
-(* E17 — Self-healing replication: repair sweeps, quorum fencing, and
-   anti-entropy after a partition heal.
-
-   Part A (repair): a counter replicated r=3 with the Repair manager
-   armed; the current primary's host is crashed every few seconds while
-   an open-loop workload hammers the LOID. Floors enforced:
-
-     (a) availability — at least 99% of calls succeed across the kill
-         sweep (the failover walk plus instant watcher-driven repair
-         keep the LOID answering);
-     (b) healing — the replication factor is back at r before each
-         next kill, and every traced loss has a matching repair.
-
-   Part B (fencing + anti-entropy): a 5-member quorum group split 3/2.
-   With fencing, the minority's writes are rejected with the typed
-   No_quorum before anything is applied, and the heal-triggered
-   anti-entropy sweep drains divergence to zero — every member ends on
-   the majority state. The unfenced baseline shows why: its failed
-   minority writes still mutate the reachable minority members, and
-   the divergence survives the heal. *)
+(* E17 — self-healing replication: the Legion.Replicate kill sweep and
+   fenced/unfenced 3/2 split, gated on availability, repair, fencing and
+   anti-entropy. *)
 
 open Exp_common
-module Loid = Legion_naming.Loid
-module Address = Legion_naming.Address
-module Network = Legion_net.Network
-module Recorder = Legion_obs.Recorder
-module Trace = Legion_obs.Trace
-module Script = Legion_sim.Script
-module Opr = Legion_core.Opr
-module Group_part = Legion_repl.Group_part
-module Repair = Legion_repl.Repair
-
-(* --- Part A: replica-kill sweep with the repair manager armed --- *)
-
-let call_timeout = 0.4
-let kill_every = 4.0
-let n_kills = 3
-let duration = 18.0
-let workload_period = 0.05
-let r = 3
-
-let run_repair () =
-  register_units ();
-  let sys =
-    System.boot ~seed:29L ~trace_capacity:500_000
-      ~rt_config:{ Runtime.default_config with call_timeout }
-      ~sites:[ ("a", 3); ("b", 3); ("c", 3); ("d", 3) ]
-      ()
-  in
-  let ctx = System.client sys () in
-  let net = System.net sys
-  and rt = System.rt sys
-  and sim = System.sim sys
-  and obs = System.obs sys in
-  let cls = make_counter_class sys ctx () in
-  let loid = Api.create_object_exn sys ctx ~cls () in
-  let opr =
-    Opr.make ~kind:Well_known.kind_app
-      ~units:[ counter_unit; Well_known.unit_object ]
-      ()
-  in
-  let sites = System.sites sys in
-  let worker n (s : System.site) = List.nth s.System.net_hosts n in
-  let hosts = List.filteri (fun i _ -> i < r) (List.map (worker 1) sites) in
-  let pool = hosts @ List.map (worker 2) sites @ [ worker 1 (List.nth sites 3) ] in
-  let mgr =
-    match
-      Api.sync sys (fun k ->
-          Repair.deploy ~ctx ~net ~loid ~opr ~hosts ~pool
-            ~semantic:Address.Ordered_failover ~register_with:cls k)
-    with
-    | Ok m -> m
-    | Error e -> failwith ("E17: deploy: " ^ Err.to_string e)
-  in
-  let t0 = System.now sys in
-  let t_end = t0 +. duration in
-  Repair.start mgr ~period:0.3 ~until:t_end;
-  let mark = Recorder.total obs in
-  (* Crash the current primary every [kill_every] seconds, and sample
-     the replication factor just before each following kill. *)
-  let factor_samples = ref [] in
-  for i = 1 to n_kills do
-    let t_kill = t0 +. (float_of_int i *. kill_every) in
-    Script.at sim ~time:t_kill (fun () ->
-        match Repair.replica_hosts mgr with
-        | h :: _ -> Runtime.crash_host rt h
-        | [] -> ());
-    Script.at sim
-      ~time:(t_kill +. kill_every -. 0.5)
-      (fun () -> factor_samples := Repair.replica_count mgr :: !factor_samples)
-  done;
-  let ok = ref 0 and total = ref 0 in
-  Script.every sim ~period:workload_period ~until:(t_end -. 1e-9) (fun () ->
-      incr total;
-      Runtime.invoke ctx ~dst:loid ~meth:"Increment" ~args:[ Value.Int 1 ]
-        (function Ok _ -> incr ok | Error _ -> ()));
-  System.run sys;
-  let events = Recorder.events_since obs mark in
-  let lost = Trace.count_of (Trace.replica_lost ~loid ()) events in
-  let repaired = Trace.count_of (Trace.replica_repair ~loid ()) events in
-  let availability = float_of_int !ok /. float_of_int !total in
-  if availability < 0.99 then
-    failwith
-      (Printf.sprintf "E17: availability %.4f below the 0.99 floor (%d/%d)"
-         availability !ok !total);
-  List.iter
-    (fun f ->
-      if f <> r then
-        failwith
-          (Printf.sprintf
-             "E17: replication factor %d not restored to %d before the next kill"
-             f r))
-    !factor_samples;
-  if Repair.replica_count mgr <> r then
-    failwith
-      (Printf.sprintf "E17: final replication factor %d, wanted %d"
-         (Repair.replica_count mgr) r);
-  if lost < n_kills || repaired < n_kills then
-    failwith
-      (Printf.sprintf "E17: traced %d losses / %d repairs, expected %d each"
-         lost repaired n_kills);
-  ( [
-      fmt_i r;
-      fmt_i n_kills;
-      Printf.sprintf "%.2f%%" (100.0 *. availability);
-      fmt_i lost;
-      fmt_i repaired;
-      fmt_i (Repair.replica_count mgr);
-    ],
-    Printf.sprintf
-      "{\"r\":%d,\"kills\":%d,\"availability_pct\":%.2f,\"lost\":%d,\
-       \"repaired\":%d,\"final_factor\":%d,\"calls\":%d}"
-      r n_kills
-      (100.0 *. availability)
-      lost repaired (Repair.replica_count mgr) !total )
-
-(* --- Part B: 3/2 split, fenced vs unfenced quorum group --- *)
-
-let n_partition_writes = 5
-
-let run_partition ~fenced =
-  register_units ();
-  Group_part.register ();
-  let sys =
-    System.boot ~seed:31L ~trace_capacity:500_000
-      ~rt_config:{ Runtime.default_config with call_timeout = 0.5 }
-      ~sites:[ ("a", 3); ("b", 3); ("c", 3) ]
-      ()
-  in
-  let net = System.net sys and obs = System.obs sys in
-  let ctx = System.client sys () in
-  let ctx_min = System.client sys ~site:2 () in
-  let counter_cls = make_counter_class sys ctx () in
-  let group_cls =
-    Api.derive_class_exn sys ctx ~parent:Well_known.legion_object ~name:"Group"
-      ~units:[ Group_part.unit_name ] ()
-  in
-  let site n = System.site sys n in
-  let head s =
-    Api.create_object_exn sys ctx ~cls:group_cls ~eager:true
-      ~magistrate:(site s).System.magistrate ()
-  in
-  let g_maj = head 0 in
-  let g_min = head 2 in
-  let member s =
-    Api.create_object_exn sys ctx ~cls:counter_cls ~eager:true
-      ~magistrate:(site s).System.magistrate ()
-  in
-  let members = [ member 0; member 0; member 1; member 2; member 2 ] in
-  let minority = [ List.nth members 3; List.nth members 4 ] in
-  let configure g =
-    List.iter
-      (fun m ->
-        ignore
-          (Api.call_exn sys ctx ~dst:g ~meth:"AddMember"
-             ~args:[ Loid.to_value m ]))
-      members;
-    ignore
-      (Api.call_exn sys ctx ~dst:g ~meth:"SetMode" ~args:[ Value.Str "quorum" ]);
-    ignore
-      (Api.call_exn sys ctx ~dst:g ~meth:"SetFenced"
-         ~args:[ Value.Bool fenced ])
-  in
-  configure g_maj;
-  configure g_min;
-  let invoke_via c g args =
-    Api.call sys c ~dst:g ~meth:"Invoke"
-      ~args:[ Value.Str "Increment"; Value.List args ]
-  in
-  let value_via c m =
-    match Api.call_exn sys c ~dst:m ~meth:"Get" ~args:[] with
-    | Value.Int n -> n
-    | _ -> failwith "E17: bad Get reply"
-  in
-  (* Warm both heads' member bindings before the cut. *)
-  ignore (invoke_via ctx g_maj [ Value.Int 1 ]);
-  ignore (invoke_via ctx_min g_min [ Value.Int 1 ]);
-  System.run sys;
-  let v0_min = List.map (value_via ctx_min) minority in
-  Network.set_partitioned net 0 2 true;
-  Network.set_partitioned net 1 2 true;
-  let mark = Recorder.total obs in
-  let maj_ok = ref 0 and min_fenced = ref 0 and min_other = ref 0 in
-  for _ = 1 to n_partition_writes do
-    (match invoke_via ctx g_maj [ Value.Int 10 ] with
-    | Ok _ -> incr maj_ok
-    | Error _ -> ());
-    match invoke_via ctx_min g_min [ Value.Int 100 ] with
-    | Error (Err.No_quorum _) -> incr min_fenced
-    | Error _ -> incr min_other
-    | Ok _ -> incr min_other
-  done;
-  (* How far the fenced minority moved while cut off: zero means the
-     rejections really applied nothing. *)
-  let min_drift =
-    List.fold_left2
-      (fun acc m v0 -> acc + (value_via ctx_min m - v0))
-      0 minority v0_min
-  in
-  (* Heal with the anti-entropy watcher armed (fenced mode only — the
-     baseline shows what happens without the machinery). *)
-  if fenced then ignore (Repair.reconcile_on_heal ctx ~net ~groups:[ g_maj ]);
-  Network.set_partitioned net 0 2 false;
-  Network.set_partitioned net 1 2 false;
-  System.run sys;
-  let divergent_after =
-    if fenced then begin
-      (* One sweep to catch retransmission stragglers, then the next
-         must find nothing left to repair. *)
-      ignore (Api.call_exn sys ctx ~dst:g_maj ~meth:"Reconcile" ~args:[]);
-      match Api.call_exn sys ctx ~dst:g_maj ~meth:"Reconcile" ~args:[] with
-      | Value.Record fields -> (
-          match List.assoc_opt "divergent" fields with
-          | Some (Value.Int d) -> d
-          | _ -> failwith "E17: bad Reconcile reply")
-      | _ -> failwith "E17: bad Reconcile reply"
-    end
-    else -1
-  in
-  let final_values = List.map (value_via ctx) members in
-  let distinct =
-    List.length (List.sort_uniq compare final_values)
-  in
-  let events = Recorder.events_since obs mark in
-  let noquorum_events = Trace.count_of (Trace.no_quorum ~loid:g_min ()) events in
-  let reconciles = Trace.count_of (Trace.reconcile ~loid:g_maj ()) events in
-  if fenced then begin
-    if !min_fenced < n_partition_writes then
-      failwith
-        (Printf.sprintf "E17: only %d/%d minority writes fenced with No_quorum"
-           !min_fenced n_partition_writes);
-    if min_drift <> 0 then
-      failwith
-        (Printf.sprintf
-           "E17: fenced minority members drifted by %d during the partition"
-           min_drift);
-    if divergent_after <> 0 then
-      failwith
-        (Printf.sprintf "E17: %d members still divergent after anti-entropy"
-           divergent_after);
-    if distinct <> 1 then
-      failwith
-        (Printf.sprintf "E17: %d distinct member states survived the heal"
-           distinct);
-    if noquorum_events = 0 then failwith "E17: no NoQuorum event traced";
-    if reconciles = 0 then failwith "E17: no Reconcile event traced"
-  end
-  else begin
-    (* The point of the baseline: failed minority writes still mutated
-       their reachable members, and the divergence survives the heal. *)
-    if min_drift = 0 then
-      failwith "E17: unfenced baseline unexpectedly applied nothing";
-    if distinct < 2 then
-      failwith "E17: unfenced baseline unexpectedly converged"
-  end;
-  ( [
-      (if fenced then "fenced" else "unfenced");
-      fmt_i !maj_ok;
-      fmt_i !min_fenced;
-      fmt_i min_drift;
-      (if fenced then fmt_i divergent_after else "-");
-      fmt_i distinct;
-    ],
-    Printf.sprintf
-      "{\"mode\":%S,\"majority_commits\":%d,\"minority_fenced\":%d,\
-       \"minority_drift\":%d,\"divergent_after_ae\":%s,\"distinct_states\":%d,\
-       \"noquorum_events\":%d,\"reconciles\":%d}"
-      (if fenced then "fenced" else "unfenced")
-      !maj_ok !min_fenced min_drift
-      (if fenced then string_of_int divergent_after else "null")
-      distinct noquorum_events reconciles )
+module Replicate = Legion.Replicate
 
 let run () =
-  let repair_row, repair_json = run_repair () in
-  let fenced_row, fenced_json = run_partition ~fenced:true in
-  let loose_row, loose_json = run_partition ~fenced:false in
-  write_bench_json ~file:"BENCH_E17.json"
-    (Printf.sprintf
-       "{\"experiment\":\"e17\",\"repair\":%s,\"partition\":[%s,%s]}"
-       repair_json fenced_json loose_json);
-  print_table
-    ~title:
-      (Printf.sprintf
-         "E17a Replica repair under a kill sweep (r=%d, kill every %.0f s, %d \
-          kills)"
-         r kill_every n_kills)
-    ~header:[ "r"; "kills"; "availability"; "lost"; "repaired"; "final r" ]
-    [ repair_row ];
-  print_table
-    ~title:
-      (Printf.sprintf
-         "E17b Quorum fencing and anti-entropy across a 3/2 split (%d writes \
-          per side)"
-         n_partition_writes)
-    ~header:
-      [ "mode"; "maj commits"; "min fenced"; "min drift"; "divergent"; "states" ]
-    [ fenced_row; loose_row ]
+  let r = Replicate.run Replicate.default in
+  (match Replicate.violations r with
+  | [] -> ()
+  | vs -> failwith (String.concat "\n" vs));
+  write_bench_json ~file:"BENCH_E17.json" (Replicate.to_json r);
+  Replicate.print r

@@ -1,365 +1,35 @@
-(* E20 — Atomic multi-object invocations under fault schedules.
-
-   A fixed transactional workload (a mix of 2PC and saga transactions
-   over distinct participant pairs) runs under five schedules: clean,
-   participant crash, coordinator crash, site partition, and prepare-
-   lock contention (shed). After every schedule heals and the system
-   quiesces, atomicity is proved from the store histories alone, and
-   four gates are enforced per row:
-
-     (a) zero partial commits — no transaction leaves a Staged entry or
-         mixed Committed/Compensated marks, and no commit acknowledged
-         to the client is ever recorded compensated;
-     (b) zero orphaned prepare locks — every participant answers
-         TxnHeld with an empty optional;
-     (c) zero in-doubt transactions on any coordinator;
-     (d) in the coordinator-crash schedule, the durable commit decision
-         provably resumes: at least one Resume event is traced.
-
-   Each schedule is run twice under the same seed and the two reports
-   must be byte-identical — the E18/E19 determinism contract extended
-   to the transaction machinery. *)
+(* E20 — atomic multi-object invocations: the Legion.Txn scenario under
+   each of its five fault schedules, gated per row (no partial commits,
+   orphaned locks or in-doubt transactions; a Resume after the
+   coordinator crash). Each schedule runs twice and the two reports must
+   be byte-identical. LEGION_TRACE_SEED overrides the seed. *)
 
 open Exp_common
-module Network = Legion_net.Network
-module Recorder = Legion_obs.Recorder
-module Trace = Legion_obs.Trace
-module Persistent = Legion_store.Persistent
-module Participant = Legion_txn.Participant
-module Coordinator = Legion_txn.Coordinator
-
-let n_participants = 6
-let n_rounds = 30
-let call_timeout = 0.5
-
-let seed =
-  match Sys.getenv_opt "LEGION_TRACE_SEED" with
-  | Some s -> Int64.of_string s
-  | None -> 53L
-
-let schedules =
-  [ "clean"; "crash-participant"; "crash-coordinator"; "partition"; "shed" ]
-
-let host_of rt net loid =
-  List.find_opt
-    (fun h ->
-      List.exists
-        (fun p -> Loid.equal (Runtime.proc_loid p) loid)
-        (Runtime.procs_on_host rt h))
-    (Network.hosts net)
-
-let txn_step dst d =
-  Value.Record
-    [
-      ("dst", Loid.to_value dst);
-      ("meth", Value.Str "Increment");
-      ("args", Value.List [ Value.Int d ]);
-      ("cmeth", Value.Str "Increment");
-      ("cargs", Value.List [ Value.Int (-d) ]);
-    ]
-
-type outcome = {
-  submitted : int;
-  committed : int;
-  compensated : int;
-  resumes : int;
-  prepares : int;
-  crashes : int;
-  partitions : int;
-}
-
-let run_one schedule =
-  register_units ();
-  let sys =
-    System.boot ~seed ~trace_capacity:500_000
-      ~rt_config:
-        { Runtime.default_config with call_timeout; max_rebinds = 4 }
-      ~sites:[ ("a", 3); ("b", 3) ]
-      ()
-  in
-  let ctx = System.client sys () in
-  let net = System.net sys and rt = System.rt sys and obs = System.obs sys in
-  let part_cls =
-    Api.derive_class_exn sys ctx ~parent:Well_known.legion_object
-      ~name:"TxnCounter"
-      ~units:[ counter_unit; Participant.unit_name ]
-      ()
-  in
-  let coord_cls =
-    Api.derive_class_exn sys ctx ~parent:Well_known.legion_object
-      ~name:"TxnCoordinator" ~units:[ Coordinator.unit_name ] ()
-  in
-  let infra = List.map (fun s -> List.hd s.System.net_hosts) (System.sites sys) in
-  let participants =
-    Array.init n_participants (fun _ ->
-        Api.create_object_exn sys ctx ~cls:part_cls ~eager:true ())
-  in
-  (* The coordinator must live off the infrastructure hosts so the
-     coordinator-crash schedule can kill it without beheading the
-     Jurisdiction (magistrates are externally started, §4.2.1). *)
-  let coord = ref (Api.create_object_exn sys ctx ~cls:coord_cls ~eager:true ()) in
-  let attempts = ref 0 in
-  while
-    (match host_of rt net !coord with
-    | Some h -> List.mem h infra
-    | None -> true)
-    && !attempts < 16
-  do
-    incr attempts;
-    coord := Api.create_object_exn sys ctx ~cls:coord_cls ~eager:true ()
-  done;
-  let co = !coord in
-  let coord_host =
-    match host_of rt net co with
-    | Some h -> h
-    | None -> failwith "E20: coordinator placement not found"
-  in
-  (match
-     Api.call sys ctx ~dst:co ~meth:"Configure"
-       ~args:[ Value.Record [ ("store", Value.Str "a") ] ]
-   with
-  | Ok _ -> ()
-  | Error e -> failwith ("E20: Configure failed: " ^ Err.to_string e));
-  let t0 = System.now sys in
-  System.enable_recovery sys ~checkpoint_period:0.5 ~heartbeat_period:0.25
-    ~threshold:3
-    ~until:(t0 +. 200.0)
-    ();
-  System.run_for sys 2.0;
-  let mark = Recorder.total obs in
-  let prng = Prng.create ~seed:(Int64.add seed 5L) in
-  let submitted = ref [] and committed_acked = ref [] in
-  let crashes = ref 0 and partitions = ref 0 in
-  let submit ?(async = false) ?mode pair_i pair_j =
-    let mode =
-      match mode with
-      | Some m -> m
-      | None -> if Prng.bernoulli prng ~p:0.5 then "2pc" else "saga"
-    in
-    let d = 1 + Prng.int prng 5 in
-    let args =
-      [
-        Value.Str mode;
-        Value.List
-          [ txn_step participants.(pair_i) d; txn_step participants.(pair_j) d ];
-      ]
-    in
-    let on_reply = function
-      | Ok (Value.Str id) ->
-          submitted := id :: !submitted;
-          committed_acked := id :: !committed_acked
-      | Ok _ -> ()
-      | Error (Err.Txn_aborted { txn }) -> submitted := txn :: !submitted
-      | Error _ -> () (* outcome resolved from the histories *)
-    in
-    if async then Runtime.invoke ctx ~dst:co ~meth:"TxnRun" ~args on_reply
-    else on_reply (Api.call sys ctx ~dst:co ~meth:"TxnRun" ~args)
-  in
-  let crash_host h =
-    Runtime.power_fail rt h;
-    incr crashes;
-    ignore
-      (Legion_sim.Engine.schedule (System.sim sys) ~delay:6.0 (fun () ->
-           Network.set_host_up net h true))
-  in
-  for round = 1 to n_rounds do
-    (match schedule with
-    | "shed" ->
-        (* Contention: three overlapping transactions racing for the
-           same participant pair; prepare locks shed the losers, the
-           runtime's backoff retries them after the holder resolves. *)
-        submit ~async:true 0 1;
-        submit ~async:true 1 0;
-        submit ~async:true 0 1
-    | _ ->
-        let i = Prng.int prng n_participants in
-        let j =
-          (i + 1 + Prng.int prng (n_participants - 1)) mod n_participants
-        in
-        (* The coordinator-crash round must be a 2PC transaction: only
-           2PC has a Committing window (decision durable, acks pending)
-           for the crash to strand and recovery to resume; a saga at
-           this point is already fully applied. *)
-        if schedule = "crash-coordinator" && round = 10 then
-          submit ~mode:"2pc" i j
-        else submit i j);
-    (match schedule with
-    | "crash-participant" when round = 8 || round = 18 ->
-        let candidates =
-          List.filter
-            (fun h ->
-              (not (List.mem h infra))
-              && h <> coord_host && Network.host_is_up net h)
-            (Network.hosts net)
-        in
-        if candidates <> [] then
-          crash_host
-            (List.nth candidates (Prng.int prng (List.length candidates)))
-    | "crash-coordinator" when round = 10 ->
-        (* The synchronous submit above already acknowledged a commit;
-           killing the coordinator now leaves that decision only in its
-           durable WAL. Recovery must resume it (gate (d)). *)
-        crash_host coord_host
-    | "partition" when round = 10 || round = 20 ->
-        Network.set_partitioned net 0 1 true;
-        incr partitions;
-        ignore
-          (Legion_sim.Engine.schedule (System.sim sys) ~delay:2.0 (fun () ->
-               Network.set_partitioned net 0 1 false))
-    | _ -> ());
-    System.run_for sys 1.0
-  done;
-  (* Heal and drain: reactivations, TxnResume, redrives. *)
-  List.iter (fun h -> Network.set_host_up net h true) (Network.hosts net);
-  Network.set_partitioned net 0 1 false;
-  System.run_for sys 60.0;
-  System.run sys;
-  let events = Recorder.events_since obs mark in
-  let resumes = Trace.count_of (Trace.resume ()) events in
-  let prepares = Trace.count_of (Trace.prepare ()) events in
-  (* The E20 audit, from the store histories alone. *)
-  let store = (System.site sys 0).System.storage in
-  let marks_of id =
-    List.concat_map
-      (fun loid ->
-        List.filter_map
-          (fun (e : Persistent.History.entry) ->
-            if e.txn = Some id then Some e.mark else None)
-          (Persistent.history store ~loid))
-      (Persistent.history_loids store)
-  in
-  let all_ids =
-    List.sort_uniq String.compare
-      (!submitted
-      @ List.concat_map
-          (fun loid ->
-            List.filter_map
-              (fun (e : Persistent.History.entry) -> e.txn)
-              (Persistent.history store ~loid))
-          (Persistent.history_loids store))
-  in
-  let committed = ref 0 and compensated = ref 0 in
-  List.iter
-    (fun id ->
-      let marks = marks_of id in
-      if List.exists (fun m -> m = Persistent.Staged) marks then
-        failwith
-          (Printf.sprintf "E20/%s: txn %s left staged entries (partial commit)"
-             schedule id);
-      let c = List.exists (fun m -> m = Persistent.Committed) marks in
-      let x = List.exists (fun m -> m = Persistent.Compensated) marks in
-      if c && x then
-        failwith
-          (Printf.sprintf "E20/%s: txn %s has mixed marks (partial commit)"
-             schedule id);
-      if c then incr committed;
-      if x then incr compensated)
-    all_ids;
-  List.iter
-    (fun id ->
-      if List.exists (fun m -> m = Persistent.Compensated) (marks_of id) then
-        failwith
-          (Printf.sprintf
-             "E20/%s: acknowledged commit %s recorded as compensated" schedule
-             id))
-    !committed_acked;
-  (* Gate (b): no orphaned prepare locks. *)
-  Array.iteri
-    (fun i o ->
-      match Api.call sys ctx ~dst:o ~meth:"TxnHeld" ~args:[] with
-      | Ok (Value.List []) -> ()
-      | Ok (Value.List [ Value.Str t ]) ->
-          failwith
-            (Printf.sprintf "E20/%s: participant %d holds an orphaned lock (%s)"
-               schedule i t)
-      | Ok v ->
-          failwith
-            (Printf.sprintf "E20/%s: TxnHeld odd reply %s" schedule
-               (Value.to_string v))
-      | Error e ->
-          failwith
-            (Printf.sprintf "E20/%s: participant %d unreachable: %s" schedule i
-               (Err.to_string e)))
-    participants;
-  (* Gate (c): nothing in doubt on the (possibly reactivated)
-     coordinator. *)
-  (match Api.call sys ctx ~dst:co ~meth:"TxnStats" ~args:[] with
-  | Ok (Value.Record fields) -> (
-      match List.assoc_opt "indoubt" fields with
-      | Some (Value.Int 0) -> ()
-      | Some (Value.Int n) ->
-          failwith
-            (Printf.sprintf "E20/%s: %d transactions still in doubt" schedule n)
-      | _ -> failwith ("E20/" ^ schedule ^ ": TxnStats missing indoubt"))
-  | Ok v ->
-      failwith
-        (Printf.sprintf "E20/%s: TxnStats odd reply %s" schedule
-           (Value.to_string v))
-  | Error e ->
-      failwith
-        (Printf.sprintf "E20/%s: coordinator unreachable: %s" schedule
-           (Err.to_string e)));
-  (* Gate (d): the coordinator crash provably resumed from its WAL. *)
-  if schedule = "crash-coordinator" && resumes = 0 then
-    failwith "E20/crash-coordinator: no Resume traced after recovery";
-  {
-    submitted = List.length (List.sort_uniq String.compare !submitted);
-    committed = !committed;
-    compensated = !compensated;
-    resumes;
-    prepares;
-    crashes = !crashes;
-    partitions = !partitions;
-  }
-
-let row_json schedule (o : outcome) =
-  Printf.sprintf
-    "{\"schedule\":%S,\"acked\":%d,\"committed\":%d,\"compensated\":%d,\
-     \"resumes\":%d,\"prepares\":%d,\"crashes\":%d,\"partitions\":%d,\
-     \"in_doubt\":0,\"partial_commits\":0,\"orphaned_locks\":0}"
-    schedule o.submitted o.committed o.compensated o.resumes o.prepares
-    o.crashes o.partitions
+module Txn = Legion.Txn
 
 let run () =
-  let rows =
+  let seed =
+    match Sys.getenv_opt "LEGION_TRACE_SEED" with
+    | Some s -> Int64.of_string s
+    | None -> Txn.default.seed
+  in
+  let reports =
     List.map
       (fun schedule ->
-        (* Determinism gate: the same seed must reproduce the report
-           byte for byte. *)
-        let a = row_json schedule (run_one schedule) in
-        let b = row_json schedule (run_one schedule) in
-        if not (String.equal a b) then
+        let cfg = { Txn.default with seed; schedule } in
+        let a = Txn.run cfg in
+        let b = Txn.run cfg in
+        if not (String.equal (Txn.to_json a) (Txn.to_json b)) then
           failwith
             (Printf.sprintf "E20/%s: nondeterministic report\n  %s\n  %s"
-               schedule a b);
-        (schedule, a, run_one schedule))
-      schedules
+               (Txn.schedule_name schedule) (Txn.to_json a) (Txn.to_json b));
+        (match Txn.violations a with
+        | [] -> ()
+        | vs -> failwith (String.concat "\n" vs));
+        a)
+      Txn.schedules
   in
   write_bench_json ~file:"BENCH_E20.json"
     (Printf.sprintf "{\"experiment\":\"e20\",\"seed\":%Ld,\"rows\":[%s]}" seed
-       (String.concat "," (List.map (fun (_, j, _) -> j) rows)));
-  print_table
-    ~title:
-      (Printf.sprintf
-         "E20  Atomic multi-object invocations under fault schedules (%d \
-          rounds, seed %Ld; gates: 0 partial commits, 0 orphaned locks, 0 in \
-          doubt, byte-deterministic)"
-         n_rounds seed)
-    ~header:
-      [
-        "schedule"; "acked"; "committed"; "compensated"; "resumes"; "prepares";
-        "crashes"; "partitions";
-      ]
-    (List.map
-       (fun (s, _, o) ->
-         [
-           s;
-           fmt_i o.submitted;
-           fmt_i o.committed;
-           fmt_i o.compensated;
-           fmt_i o.resumes;
-           fmt_i o.prepares;
-           fmt_i o.crashes;
-           fmt_i o.partitions;
-         ])
-       rows)
+       (String.concat "," (List.map Txn.to_json reports)));
+  Txn.print_table reports

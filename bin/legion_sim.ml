@@ -9,30 +9,32 @@
               composed ledger/txn/group workload, audit exactly-once
               and atomicity invariants, shrink any failure to a
               replayable artifact; exits non-zero on a violation
-     overload drive a serial bottleneck past saturation and report
-              shedding and circuit-breaker activity
-     replicate run a self-healing replica set through a kill sweep and
-              a fenced network split, and report repair and
-              anti-entropy activity
+     recover  run the E15 crash-recovery scenario (power failure with
+              checkpoints, heartbeat detection and fencing armed)
+     overload run the E16 saturation sweep against a serial bottleneck,
+              unprotected and with admission control and breakers
+     replicate run the E17 replica kill sweep and fenced network split
      scale    run the E18 planetary-sweep kernels at a chosen scale,
               optionally emitting the deterministic JSON report
      elastic  run the E19 flash-crowd scenario (baseline or with the
               autonomic elasticity armed) and report the adaptation
-     txn      drive atomic multi-object invocations (2PC or sagas),
-              optionally crashing the coordinator mid-run, and audit
-              atomicity from the event-sourced version history
+     txn      run the E20 atomic-invocation scenario (2PC and sagas,
+              optionally crashing the coordinator) and audit atomicity
+              from the event-sourced version history
      tenants  run the E21 noisy-neighbor scenario (quiet and noisy
               arms) and gate on tenant isolation, shed attribution and
               denied bindings; exits non-zero on a gate violation
-     idl      parse an IDL file and echo the normalized interfaces *)
+     idl      parse an IDL file and echo the normalized interfaces
+
+   recover, overload, replicate and txn drive the same library scenarios
+   as the bench gates and exit non-zero exactly when a gate is violated. *)
 
 module Value = Legion_wire.Value
 module Loid = Legion_naming.Loid
+module Std_parts = Legion_objects.Std_parts
 module Counter = Legion_util.Counter
 module Prng = Legion_util.Prng
 module Network = Legion_net.Network
-module Impl = Legion_core.Impl
-module Opr = Legion_core.Opr
 module Well_known = Legion_core.Well_known
 module Runtime = Legion_rt.Runtime
 module Err = Legion_rt.Err
@@ -44,52 +46,45 @@ module System = Legion.System
 module Api = Legion.Api
 open Cmdliner
 
-(* --- shared fixture bits --- *)
+(* --- shared arguments --- *)
 
-let counter_unit = "cli.counter"
-
-let counter_factory (_ctx : Runtime.ctx) : Impl.part =
-  let n = ref 0 in
-  Impl.part
-    ~methods:
-      [
-        ( "Increment",
-          fun _ args _ k ->
-            match args with
-            | [ Value.Int d ] ->
-                n := !n + d;
-                k (Ok (Value.Int !n))
-            | _ -> Impl.bad_args k "Increment expects one int" );
-        ("Get", fun _ _ _ k -> k (Ok (Value.Int !n)));
-      ]
-    ~save:(fun () -> Value.Int !n)
-    ~restore:(fun v ->
-      match v with
-      | Value.Int i ->
-          n := i;
-          Ok ()
-      | _ -> Error "bad counter state")
-    counter_unit
-
-let parse_sites spec =
-  try
-    let parts = String.split_on_char ',' spec in
-    List.map
-      (fun p ->
-        match String.split_on_char ':' p with
-        | [ name; n ] -> (name, int_of_string n)
-        | [ name ] -> (name, 2)
-        | _ -> failwith "bad site spec")
-      parts
-  with _ -> failwith "site spec must look like  uva:4,doe:8"
+let counter_unit = Std_parts.counter_unit
 
 let boot_system ~sites ~seed =
-  Impl.register counter_unit counter_factory;
-  System.boot ~seed:(Int64.of_int seed) ~sites:(parse_sites sites) ()
+  Std_parts.register_counter ();
+  System.boot ~seed:(Int64.of_int seed) ~sites ()
+
+(* A topology is NAME:HOSTS[,NAME:HOSTS...]; a malformed entry is a
+   usage error that names it. *)
+let sites_conv =
+  let entry e =
+    match String.split_on_char ':' e with
+    | [ name; n ] when name <> "" -> (
+        match int_of_string_opt n with Some k when k > 0 -> Some (name, k) | _ -> None)
+    | _ -> None
+  in
+  let rec parse = function
+    | [] -> Ok []
+    | e :: rest -> (
+        match entry e with
+        | Some site -> Result.map (List.cons site) (parse rest)
+        | None ->
+            Error
+              (`Msg
+                 (Printf.sprintf
+                    "bad site entry %S: expected NAME:HOSTS with a non-empty \
+                     NAME and a positive integer HOSTS"
+                    e)))
+  in
+  let print ppf sites =
+    Format.pp_print_string ppf
+      (String.concat "," (List.map (fun (n, k) -> Printf.sprintf "%s:%d" n k) sites))
+  in
+  Arg.conv ((fun spec -> parse (String.split_on_char ',' spec)), print)
 
 let sites_arg =
   let doc = "Topology: comma-separated site:hosts pairs, e.g. uva:4,doe:8." in
-  Arg.(value & opt string "east:3,west:3" & info [ "sites" ] ~docv:"SPEC" ~doc)
+  Arg.(value & opt sites_conv [ ("east", 3); ("west", 3) ] & info [ "sites" ] ~docv:"SPEC" ~doc)
 
 let seed_arg =
   let doc = "PRNG seed; runs are deterministic per seed." in
@@ -689,544 +684,151 @@ let cmd_chaos =
       const run $ seed_arg $ schedules_arg $ rounds_arg $ replay_arg
       $ no_dedup_arg $ json_arg)
 
-(* --- overload --- *)
+(* --- gated scenarios: recover, overload, replicate, txn --- *)
+
+(* These subcommands run the library scenarios the E15/E16/E17/E20
+   bench gates run: the defaults are the gate's config, --json prints
+   the gate's JSON, and the exit code is non-zero exactly when a gate
+   is violated. *)
+let report ~json ~to_json ~print ~violations r =
+  if json then print_endline (to_json r) else print r;
+  match violations r with
+  | [] -> ()
+  | vs ->
+      flush stdout;
+      List.iter (Format.eprintf "violation: %s@.") vs;
+      exit 1
+
+let scenario_exits =
+  Cmd.Exit.info 1 ~doc:"when a gate of the scenario is violated."
+  :: Cmd.Exit.defaults
+
+let scenario_json_arg =
+  Arg.(value & flag & info [ "json" ]
+         ~doc:"Emit the gate's JSON report on stdout (same seed, same bytes).")
+
+let scenario_seed_arg default =
+  Arg.(value & opt int64 default & info [ "seed" ] ~docv:"N"
+         ~doc:"PRNG seed; runs are deterministic per seed.")
+
+let float_arg name ~docv ~doc default =
+  Arg.(value & opt float default & info [ name ] ~docv ~doc)
+
+let int_arg name ~docv ~doc default =
+  Arg.(value & opt int default & info [ name ] ~docv ~doc)
 
 let cmd_overload =
+  let module O = Legion.Overload in
+  let d = O.default in
   let rates_arg =
-    Arg.(value & opt string "0.5,1.0,1.5,2.0,2.5"
+    Arg.(non_empty & opt (list float) d.O.rates
          & info [ "rates" ] ~docv:"M0,M1,..."
              ~doc:"Offered-load ramp as multiples of the measured saturation \
                    rate, one step each.")
   in
   let step_arg =
-    Arg.(value & opt float 5.0
-         & info [ "step" ] ~docv:"S" ~doc:"Virtual seconds per ramp step.")
+    float_arg "step" ~docv:"S" ~doc:"Virtual seconds per ramp step." d.O.step
   in
   let service_arg =
-    Arg.(value & opt float 0.02
-         & info [ "service" ] ~docv:"S"
-             ~doc:"Service time of the serial bottleneck object.")
+    float_arg "service" ~docv:"S"
+      ~doc:"Service time of the serial bottleneck object." d.O.service
   in
-  let no_protection_arg =
-    Arg.(value & flag & info [ "no-protection" ]
-         ~doc:"Disable admission control and circuit breakers (the \
-               collapse baseline).")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ]
-         ~doc:"Emit the report as one JSON object (per-step goodput, shed \
-               and breaker counts, message totals, rt.mttr percentiles).")
-  in
-  let run sites seed rates step service no_protection json =
-    let slow_unit = "cli.slow_counter" in
-    let factory (ctx : Runtime.ctx) : Impl.part =
-      let eng = Runtime.sim ctx.Runtime.rt in
-      let n = ref 0 in
-      let busy_until = ref 0.0 in
-      let serve k reply =
-        let start = Float.max (Legion_sim.Engine.now eng) !busy_until in
-        busy_until := start +. service;
-        ignore
-          (Legion_sim.Engine.schedule_at eng ~time:!busy_until (fun () ->
-               k reply))
-      in
-      Impl.part
-        ~methods:
-          [
-            ( "Increment",
-              fun _ args _ k ->
-                match args with
-                | [ Value.Int d ] ->
-                    n := !n + d;
-                    serve k (Ok (Value.Int !n))
-                | _ -> Impl.bad_args k "Increment expects one int" );
-            ("Get", fun _ _ _ k -> serve k (Ok (Value.Int !n)));
-          ]
-        ~save:(fun () -> Value.Int !n)
-        ~restore:(fun v ->
-          match v with
-          | Value.Int i ->
-              n := i;
-              Ok ()
-          | _ -> Error "bad counter state")
-        slow_unit
-    in
-    Impl.register slow_unit factory;
-    let retry =
-      {
-        Legion_rt.Retry.max_attempts = 6;
-        attempt_timeout = 0.05;
-        multiplier = 2.0;
-        jitter = 0.1;
-      }
-    in
-    let rt_config =
-      let common = { Runtime.default_config with call_timeout = 1.5; retry } in
-      if no_protection then common
-      else
-        {
-          common with
-          admission =
-            Some
-              {
-                Runtime.max_inflight = 4;
-                max_queue = 16;
-                retry_after_hint = service;
-              };
-          breaker = Some Legion_rt.Breaker.default_config;
-        }
-    in
-    Impl.register counter_unit counter_factory;
-    let sys =
-      System.boot ~seed:(Int64.of_int seed) ~rt_config ~sites:(parse_sites sites) ()
-    in
-    let ctx = System.client sys () in
-    let cls =
-      Api.derive_class_exn sys ctx ~parent:Well_known.legion_object
-        ~name:"SlowCounter" ~units:[ slow_unit ] ()
-    in
-    let obj = Api.create_object_exn sys ctx ~cls ~eager:true () in
-    ignore (Api.call sys ctx ~dst:obj ~meth:"Get" ~args:[]);
-    let warm = 20 in
-    let t_warm = System.now sys in
-    for _ = 1 to warm do
-      ignore (Api.call sys ctx ~dst:obj ~meth:"Increment" ~args:[ Value.Int 1 ])
-    done;
-    let saturation = float_of_int warm /. (System.now sys -. t_warm) in
-    let multipliers =
-      List.map float_of_string (String.split_on_char ',' rates)
-    in
-    let steps = List.length multipliers in
-    if steps = 0 then failwith "--rates needs at least one value";
-    let sim = System.sim sys and obs = System.obs sys and rt = System.rt sys in
-    let net = System.net sys in
-    let mark = Recorder.total obs in
-    let t0 = System.now sys in
-    let t_end = t0 +. (float_of_int steps *. step) in
-    let issued = Array.make steps 0
-    and ok = Array.make steps 0
-    and failed = Array.make steps 0 in
-    Script.load_ramp sim ~start:t0 ~until:(t_end -. 1e-9)
-      ~steps:(max 1 (steps - 1))
-      ~rates:(List.map (fun m -> m *. saturation) multipliers)
-      (fun _ ->
-        let i =
-          min (steps - 1) (int_of_float ((System.now sys -. t0) /. step))
-        in
-        issued.(i) <- issued.(i) + 1;
-        Runtime.invoke ctx ~max_rebinds:0 ~dst:obj ~meth:"Increment"
-          ~args:[ Value.Int 1 ]
-          (function
-            | Ok _ -> ok.(i) <- ok.(i) + 1
-            | Error _ -> failed.(i) <- failed.(i) + 1));
-    System.run sys;
-    let events = Recorder.events_since obs mark in
-    let count p = Trace.count_of p events in
-    let sheds = Runtime.total_sheds rt in
-    let opens = count (Trace.breaker_open ())
-    and probes = count (Trace.breaker_probe ())
-    and closes = count (Trace.breaker_close ())
-    and retries = count (Trace.retry ()) in
-    let hist_json name h =
-      match h with
-      | None -> Printf.sprintf "\"%s\":{\"samples\":0}" name
-      | Some h ->
-          let module H = Legion_util.Stats.Histogram in
-          Printf.sprintf
-            "\"%s\":{\"samples\":%d,\"p50_ms\":%.1f,\"p90_ms\":%.1f,\"p99_ms\":%.1f}"
-            name (H.total h)
-            (1000.0 *. H.percentile h 50.0)
-            (1000.0 *. H.percentile h 90.0)
-            (1000.0 *. H.percentile h 99.0)
-    in
-    if json then begin
-      let step_json i m =
-        Printf.sprintf
-          "{\"offered\":%.2f,\"rate\":%.2f,\"issued\":%d,\"ok\":%d,\
-           \"failed\":%d,\"goodput\":%.2f}"
-          m (m *. saturation) issued.(i) ok.(i) failed.(i)
-          (float_of_int ok.(i) /. step)
-      in
-      let ih, is_, ws = Network.messages_by_tier net in
-      Format.printf
-        "{\"saturation\":%.2f,\"protected\":%b,\"steps\":[%s],\"sheds\":%d,\
-         \"breaker\":{\"opens\":%d,\"probes\":%d,\"closes\":%d},\"retries\":%d,\
-         %s,\"messages\":{\"intra_host\":%d,\"intra_site\":%d,\"wide_area\":%d,\
-         \"messages_dropped\":%d}}@."
-        saturation (not no_protection)
-        (String.concat "," (List.mapi step_json multipliers))
-        sheds opens probes closes retries
-        (hist_json "mttr" (Recorder.latency obs ~component:"rt.mttr"))
-        ih is_ ws
-        (Network.messages_dropped net)
-    end
-    else begin
-      Format.printf "measured saturation %.1f calls/s; protection %s@.@."
-        saturation
-        (if no_protection then "off" else "on");
-      Format.printf "%-8s %-8s %-8s %-8s %-10s@." "offered" "issued" "ok"
-        "failed" "goodput/s";
-      List.iteri
-        (fun i m ->
-          Format.printf "%-8s %-8d %-8d %-8d %-10.1f@."
-            (Printf.sprintf "%.1fx" m)
-            issued.(i) ok.(i) failed.(i)
-            (float_of_int ok.(i) /. step))
-        multipliers;
-      Format.printf
-        "@.%d sheds, %d retransmissions; breaker: %d opens, %d probes, %d \
-         closes; %d messages dropped@."
-        sheds retries opens probes closes
-        (Network.messages_dropped net)
-    end
+  let run seed rates step service json =
+    report ~json ~to_json:O.to_json ~print:O.print ~violations:O.violations
+      (O.run { O.seed; rates; step; service })
   in
   let info =
-    Cmd.info "overload"
+    Cmd.info "overload" ~exits:scenario_exits
       ~doc:
-        "Drive a serial-service object through an open-loop saturation ramp \
-         and report goodput, shedding, and circuit-breaker activity."
+        "Run the E16 overload scenario: drive a serial-service object through \
+         an open-loop saturation ramp, once unprotected and once with \
+         admission control and circuit breakers, and gate on goodput, p99 \
+         and the baseline's collapse."
   in
   Cmd.v info
     Term.(
-      const run $ sites_arg $ seed_arg $ rates_arg $ step_arg $ service_arg
-      $ no_protection_arg $ json_arg)
-
-(* --- recover --- *)
+      const run $ scenario_seed_arg d.O.seed $ rates_arg $ step_arg
+      $ service_arg $ scenario_json_arg)
 
 let cmd_recover =
-  let duration_arg =
-    Arg.(value & opt float 20.0
-         & info [ "duration" ] ~docv:"S" ~doc:"Virtual seconds of workload.")
-  in
-  let period_arg =
-    Arg.(value & opt float 0.1
-         & info [ "period" ] ~docv:"S" ~doc:"Seconds between calls (open loop).")
-  in
-  let checkpoint_arg =
-    Arg.(value & opt float 1.0
-         & info [ "checkpoint-period" ] ~docv:"S"
-             ~doc:"Seconds between Magistrate checkpoint sweeps.")
-  in
-  let heartbeat_arg =
-    Arg.(value & opt float 0.25
-         & info [ "heartbeat-period" ] ~docv:"S"
-             ~doc:"Seconds between Host Object heartbeat probes.")
-  in
-  let threshold_arg =
-    Arg.(value & opt int 3
-         & info [ "threshold" ] ~docv:"N"
-             ~doc:"Missed heartbeats before a host is confirmed dead.")
-  in
-  let crash_arg =
-    Arg.(value & opt float 5.0
-         & info [ "crash" ] ~docv:"T"
-             ~doc:"Power-fail a non-infrastructure host at T.")
-  in
-  let reboot_arg =
-    Arg.(value & opt float 5.0
-         & info [ "reboot-after" ] ~docv:"W"
-             ~doc:"Seconds after the crash at which the host reboots.")
-  in
-  let run sites seed duration period checkpoint_period heartbeat_period
-      threshold crash reboot_after =
-    let sys = boot_system ~sites ~seed in
-    let ctx = System.client sys () in
-    let cls =
-      Api.derive_class_exn sys ctx ~parent:Well_known.legion_object ~name:"Counter"
-        ~units:[ counter_unit ] ()
-    in
-    let n_objects = 8 in
-    let objs =
-      Array.init n_objects (fun _ -> Api.create_object_exn sys ctx ~cls ~eager:true ())
-    in
-    Array.iter (fun o -> ignore (Api.call sys ctx ~dst:o ~meth:"Get" ~args:[])) objs;
-    let sim = System.sim sys and net = System.net sys and obs = System.obs sys in
-    let mark = Recorder.total obs in
-    let t0 = System.now sys in
-    let t_end = t0 +. duration in
-    System.enable_recovery sys ~checkpoint_period ~heartbeat_period ~threshold
-      ~until:t_end ();
-    let infra = List.map (fun s -> List.hd s.System.net_hosts) (System.sites sys) in
-    let victim =
-      match List.filter (fun h -> not (List.mem h infra)) (Network.hosts net) with
-      | h :: _ -> h
-      | [] -> failwith "recover needs a non-infrastructure host (use site:2 or more)"
-    in
-    Script.at sim ~time:(t0 +. crash) (fun () ->
-        Runtime.power_fail (System.rt sys) victim);
-    Script.at sim ~time:(t0 +. crash +. reboot_after) (fun () ->
-        Network.set_host_up net victim true);
-    let acked = Array.make n_objects 0 in
-    let prng = Prng.create ~seed:(Int64.of_int (seed + 11)) in
-    Script.every sim ~period ~until:(t_end -. 1e-9) (fun () ->
-        let i = Prng.int prng n_objects in
-        Runtime.invoke ctx ~dst:objs.(i) ~meth:"Increment" ~args:[ Value.Int 1 ]
-          (function
-            | Ok (Value.Int n) -> acked.(i) <- max acked.(i) n
-            | Ok _ | Error _ -> ()));
-    System.run sys;
-    let events = Recorder.events_since obs mark in
-    let count p = Trace.count_of p events in
-    Format.printf "power-failed host %d at %.1f s, rebooted at %.1f s@." victim
-      crash (crash +. reboot_after);
-    Format.printf
-      "events: %d checkpoints, %d suspects, %d confirmed dead, %d reactivations, %d fenced@."
-      (count (Trace.checkpoint ()))
-      (count (Trace.suspect ()))
-      (count (Trace.confirm_dead ()))
-      (count (Trace.reactivate ()))
-      (count (Trace.fence ()));
-    let lost = ref 0 and checked = ref 0 in
-    Array.iteri
-      (fun i o ->
-        match Api.call sys ctx ~dst:o ~meth:"Get" ~args:[] with
-        | Ok (Value.Int n) ->
-            incr checked;
-            if n < acked.(i) then lost := !lost + (acked.(i) - n)
-        | Ok _ | Error _ -> ())
-      objs;
-    Format.printf "state: %d/%d objects answered; %d acked updates lost@."
-      !checked n_objects !lost;
-    (match Recorder.latency obs ~component:"rt.mttr" with
-    | Some h ->
-        Format.printf "mttr: %d samples, p50 %.2f s, p99 %.2f s@."
-          (Legion_util.Stats.Histogram.total h)
-          (Legion_util.Stats.Histogram.percentile h 50.0)
-          (Legion_util.Stats.Histogram.percentile h 99.0)
-    | None -> Format.printf "mttr: no samples@.")
+  let module R = Legion.Recover in
+  let d = R.default in
+  let run seed checkpoint_period heartbeat_period threshold crash_after
+      reboot_after duration period json =
+    report ~json ~to_json:R.to_json
+      ~print:(fun r -> R.print_table [ r ])
+      ~violations:R.violations
+      (R.run
+         {
+           R.seed;
+           checkpoint_period;
+           heartbeat_period;
+           threshold;
+           crash_after;
+           reboot_after;
+           duration;
+           period;
+         })
   in
   let info =
-    Cmd.info "recover"
+    Cmd.info "recover" ~exits:scenario_exits
       ~doc:
-        "Power-fail a host under an open-loop workload with checkpointing and \
-         heartbeat failure detection armed, and report detection events, lost \
-         updates, and MTTR."
+        "Run the E15 crash-recovery scenario: power-fail a host under an \
+         open-loop workload with checkpointing and heartbeat failure \
+         detection armed, and gate on lost updates, detection time, MTTR and \
+         fencing."
   in
   Cmd.v info
     Term.(
-      const run $ sites_arg $ seed_arg $ duration_arg $ period_arg
-      $ checkpoint_arg $ heartbeat_arg $ threshold_arg $ crash_arg $ reboot_arg)
-
-(* --- replicate --- *)
+      const run $ scenario_seed_arg d.R.seed
+      $ float_arg "checkpoint-period" ~docv:"S"
+          ~doc:"Seconds between Magistrate checkpoint sweeps."
+          d.R.checkpoint_period
+      $ float_arg "heartbeat-period" ~docv:"S"
+          ~doc:"Seconds between Host Object heartbeat probes."
+          d.R.heartbeat_period
+      $ int_arg "threshold" ~docv:"N"
+          ~doc:"Missed heartbeats before a host is confirmed dead."
+          d.R.threshold
+      $ float_arg "crash" ~docv:"T"
+          ~doc:"Power-fail a non-infrastructure host T seconds into the workload."
+          d.R.crash_after
+      $ float_arg "reboot-after" ~docv:"W"
+          ~doc:"Seconds after the crash at which the host reboots."
+          d.R.reboot_after
+      $ float_arg "duration" ~docv:"S" ~doc:"Virtual seconds of workload."
+          d.R.duration
+      $ float_arg "period" ~docv:"S" ~doc:"Seconds between calls (open loop)."
+          d.R.period
+      $ scenario_json_arg)
 
 let cmd_replicate =
-  let module Group_part = Legion_repl.Group_part in
-  let module Repair = Legion_repl.Repair in
-  let sites_arg =
-    let doc = "Topology: comma-separated site:hosts pairs, e.g. uva:4,doe:8." in
-    Arg.(
-      value
-      & opt string "east:4,west:4,south:4"
-      & info [ "sites" ] ~docv:"SPEC" ~doc)
-  in
-  let replicas_arg =
-    Arg.(value & opt int 3
-         & info [ "replicas" ] ~docv:"R" ~doc:"Replication factor.")
-  in
-  let kills_arg =
-    Arg.(value & opt int 2
-         & info [ "kills" ] ~docv:"N"
-             ~doc:"Hosts to crash, one every $(b,--kill-every) seconds.")
-  in
-  let kill_every_arg =
-    Arg.(value & opt float 4.0
-         & info [ "kill-every" ] ~docv:"S" ~doc:"Seconds between kills.")
-  in
-  let period_arg =
-    Arg.(value & opt float 0.05
-         & info [ "period" ] ~docv:"S" ~doc:"Seconds between calls (open loop).")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ]
-           ~doc:"Emit the repair and fencing reports as JSON on stdout.")
-  in
-  let run sites seed replicas kills kill_every period json =
-    (* Phase 1: kill sweep against an armed repair manager. *)
-    let sys = boot_system ~sites ~seed in
-    let ctx = System.client sys () in
-    let net = System.net sys
-    and rt = System.rt sys
-    and sim = System.sim sys
-    and obs = System.obs sys in
-    let cls =
-      Api.derive_class_exn sys ctx ~parent:Well_known.legion_object ~name:"Counter"
-        ~units:[ counter_unit ] ()
-    in
-    let loid = Api.create_object_exn sys ctx ~cls () in
-    let opr =
-      Opr.make ~kind:Well_known.kind_app
-        ~units:[ counter_unit; Well_known.unit_object ]
-        ()
-    in
-    (* Workers only — index 0 of each site hosts the infrastructure.
-       Round-robin across sites so replicas spread before they stack. *)
-    let site_list = System.sites sys in
-    let max_w =
-      List.fold_left (fun a s -> max a (List.length s.System.net_hosts)) 0
-        site_list
-    in
-    let workers =
-      List.concat
-        (List.init (max 0 (max_w - 1)) (fun i ->
-             List.filter_map
-               (fun s -> List.nth_opt s.System.net_hosts (i + 1))
-               site_list))
-    in
-    if List.length workers < replicas + kills then
-      failwith
-        (Printf.sprintf
-           "topology has %d worker hosts; need at least replicas + kills = %d"
-           (List.length workers) (replicas + kills));
-    let hosts = List.filteri (fun i _ -> i < replicas) workers in
-    let mgr =
-      match
-        Api.sync sys (fun k ->
-            Repair.deploy ~ctx ~net ~loid ~opr ~hosts ~pool:workers
-              ~semantic:Legion_naming.Address.Ordered_failover
-              ~register_with:cls k)
-      with
-      | Ok m -> m
-      | Error e -> failwith ("replicate: deploy: " ^ Err.to_string e)
-    in
-    let t0 = System.now sys in
-    let t_end = t0 +. (kill_every *. float_of_int (kills + 1)) in
-    Repair.start mgr ~period:(kill_every /. 8.0) ~until:t_end;
-    let mark = Recorder.total obs in
-    for i = 1 to kills do
-      Script.at sim ~time:(t0 +. (float_of_int i *. kill_every)) (fun () ->
-          match Repair.replica_hosts mgr with
-          | h :: _ -> Runtime.crash_host rt h
-          | [] -> ())
-    done;
-    let ok = ref 0 and total = ref 0 in
-    Script.every sim ~period ~until:(t_end -. 1e-9) (fun () ->
-        incr total;
-        Runtime.invoke ctx ~dst:loid ~meth:"Increment" ~args:[ Value.Int 1 ]
-          (function Ok _ -> incr ok | Error _ -> ()));
-    System.run sys;
-    let events = Recorder.events_since obs mark in
-    let lost = Trace.count_of (Trace.replica_lost ~loid ()) events in
-    let repaired = Trace.count_of (Trace.replica_repair ~loid ()) events in
-    let availability = 100.0 *. float_of_int !ok /. float_of_int !total in
-    (* Phase 2: fenced 3/2 split and heal on a fresh system. *)
-    Group_part.register ();
-    let sys2 = boot_system ~sites ~seed:(seed + 1) in
-    let n_sites = List.length (System.sites sys2) in
-    if n_sites < 2 then failwith "replicate needs at least two sites";
-    let minority_site = n_sites - 1 in
-    let ctx2 = System.client sys2 () in
-    let ctx_min = System.client sys2 ~site:minority_site () in
-    let counter_cls =
-      Api.derive_class_exn sys2 ctx2 ~parent:Well_known.legion_object
-        ~name:"Counter" ~units:[ counter_unit ] ()
-    in
-    let group_cls =
-      Api.derive_class_exn sys2 ctx2 ~parent:Well_known.legion_object
-        ~name:"Group" ~units:[ Group_part.unit_name ] ()
-    in
-    let pinned cls s =
-      Api.create_object_exn sys2 ctx2 ~cls ~eager:true
-        ~magistrate:(System.site sys2 s).System.magistrate ()
-    in
-    let g_maj = pinned group_cls 0 in
-    let g_min = pinned group_cls minority_site in
-    let members =
-      [
-        pinned counter_cls 0; pinned counter_cls 0; pinned counter_cls 0;
-        pinned counter_cls minority_site; pinned counter_cls minority_site;
-      ]
-    in
-    let configure g =
-      List.iter
-        (fun m ->
-          ignore
-            (Api.call_exn sys2 ctx2 ~dst:g ~meth:"AddMember"
-               ~args:[ Loid.to_value m ]))
-        members;
-      ignore
-        (Api.call_exn sys2 ctx2 ~dst:g ~meth:"SetMode"
-           ~args:[ Value.Str "quorum" ]);
-      ignore
-        (Api.call_exn sys2 ctx2 ~dst:g ~meth:"SetFenced"
-           ~args:[ Value.Bool true ])
-    in
-    configure g_maj;
-    configure g_min;
-    let invoke_via c g =
-      Api.call sys2 c ~dst:g ~meth:"Invoke"
-        ~args:[ Value.Str "Increment"; Value.List [ Value.Int 1 ] ]
-    in
-    ignore (invoke_via ctx2 g_maj);
-    ignore (invoke_via ctx_min g_min);
-    System.run sys2;
-    let net2 = System.net sys2 in
-    let cut p =
-      for i = 0 to minority_site - 1 do
-        Network.set_partitioned net2 i minority_site p
-      done
-    in
-    cut true;
-    let mark2 = Recorder.total (System.obs sys2) in
-    let maj_ok = ref 0 and min_fenced = ref 0 in
-    for _ = 1 to 3 do
-      (match invoke_via ctx2 g_maj with Ok _ -> incr maj_ok | Error _ -> ());
-      match invoke_via ctx_min g_min with
-      | Error (Err.No_quorum _) -> incr min_fenced
-      | _ -> ()
-    done;
-    ignore (Repair.reconcile_on_heal ctx2 ~net:net2 ~groups:[ g_maj ]);
-    cut false;
-    System.run sys2;
-    ignore (Api.call_exn sys2 ctx2 ~dst:g_maj ~meth:"Reconcile" ~args:[]);
-    let divergent =
-      match Api.call_exn sys2 ctx2 ~dst:g_maj ~meth:"Reconcile" ~args:[] with
-      | Value.Record fields -> (
-          match List.assoc_opt "divergent" fields with
-          | Some (Value.Int d) -> d
-          | _ -> -1)
-      | _ -> -1
-    in
-    let events2 = Recorder.events_since (System.obs sys2) mark2 in
-    let fenced_events = Trace.count_of (Trace.no_quorum ~loid:g_min ()) events2 in
-    let reconciles = Trace.count_of (Trace.reconcile ~loid:g_maj ()) events2 in
-    if json then
-      Printf.printf
-        "{\"repair\":{\"replicas\":%d,\"kills\":%d,\"availability_pct\":%.2f,\
-         \"calls\":%d,\"lost\":%d,\"repaired\":%d,\"final_factor\":%d},\
-         \"fencing\":{\"majority_commits\":%d,\"minority_fenced\":%d,\
-         \"noquorum_events\":%d,\"reconciles\":%d,\"divergent_after\":%d}}\n"
-        replicas kills availability !total lost repaired
-        (Repair.replica_count mgr) !maj_ok !min_fenced fenced_events reconciles
-        divergent
-    else begin
-      Format.printf
-        "kill sweep: %d replicas, %d kills — %.2f%% of %d calls answered@."
-        replicas kills availability !total;
-      Format.printf
-        "repair: %d replicas lost, %d repaired; replication factor back at %d@."
-        lost repaired
-        (Repair.replica_count mgr);
-      Format.printf
-        "fencing: %d/3 majority writes committed, %d/3 minority writes \
-         refused with NoQuorum (%d events)@."
-        !maj_ok !min_fenced fenced_events;
-      Format.printf
-        "anti-entropy: %d reconcile sweeps after the heal; %d members still \
-         divergent@."
-        reconciles divergent
-    end
+  let module R = Legion.Replicate in
+  let d = R.default in
+  let run seed replicas kills kill_every period json =
+    report ~json ~to_json:R.to_json ~print:R.print ~violations:R.violations
+      (R.run { R.seed; replicas; kills; kill_every; period })
   in
   let info =
-    Cmd.info "replicate"
+    Cmd.info "replicate" ~exits:scenario_exits
       ~doc:
-        "Run a self-healing replica set through a host-kill sweep, then a \
-         fenced quorum group through a network split and heal, and report \
-         availability, repair, fencing, and anti-entropy activity."
+        "Run the E17 self-healing replication scenario: a replica set through \
+         a host-kill sweep, then a fenced and an unfenced quorum group through \
+         a network split and heal, and gate on availability, repair, fencing \
+         and anti-entropy."
   in
   Cmd.v info
     Term.(
-      const run $ sites_arg $ seed_arg $ replicas_arg $ kills_arg
-      $ kill_every_arg $ period_arg $ json_arg)
+      const run $ scenario_seed_arg d.R.seed
+      $ int_arg "replicas" ~docv:"R" ~doc:"Replication factor (at most 4)."
+          d.R.replicas
+      $ int_arg "kills" ~docv:"N"
+          ~doc:"Hosts to crash, one every $(b,--kill-every) seconds." d.R.kills
+      $ float_arg "kill-every" ~docv:"S" ~doc:"Seconds between kills."
+          d.R.kill_every
+      $ float_arg "period" ~docv:"S" ~doc:"Seconds between calls (open loop)."
+          d.R.period
+      $ scenario_json_arg)
 
 (* --- idl --- *)
 
@@ -1361,15 +963,11 @@ let cmd_elastic =
 (* --- txn --- *)
 
 let cmd_txn =
-  let module Persistent = Legion_store.Persistent in
-  let module Participant = Legion_txn.Participant in
-  let module Coordinator = Legion_txn.Coordinator in
-  let rounds_arg =
-    Arg.(value & opt int 20
-         & info [ "rounds" ] ~docv:"N" ~doc:"Transactions to submit.")
-  in
+  let module T = Legion.Txn in
+  let d = T.default in
   let mode_arg =
-    Arg.(value & opt (enum [ ("2pc", `Two_phase); ("saga", `Saga); ("mix", `Mix) ]) `Mix
+    Arg.(value
+         & opt (enum [ ("mix", T.Mix); ("2pc", T.Two_phase); ("saga", T.Saga) ]) d.T.mode
          & info [ "mode" ] ~docv:"MODE"
              ~doc:"Commit protocol: $(b,2pc), $(b,saga), or a seeded $(b,mix).")
   in
@@ -1377,207 +975,30 @@ let cmd_txn =
     Arg.(value & flag
          & info [ "crash-coordinator" ]
              ~doc:
-               "Power-fail the coordinator's host right after a commit \
-                decision is acknowledged mid-run; recovery must resume the \
-                durable decision.")
+               "Run E20's crash-coordinator schedule: power-fail the \
+                coordinator's host right after round 10's 2PC commit is \
+                acknowledged; recovery must resume the durable decision.")
   in
-  let json_arg =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:
-               "Emit the deterministic report as JSON on stdout (same seed, \
-                same bytes) and nothing else.")
-  in
-  let run sites seed rounds mode crash json =
-    let sys = boot_system ~sites ~seed in
-    let ctx = System.client sys () in
-    let rt = System.rt sys and net = System.net sys and obs = System.obs sys in
-    let store_name = fst (List.hd (parse_sites sites)) in
-    let part_cls =
-      Api.derive_class_exn sys ctx ~parent:Well_known.legion_object
-        ~name:"TxnCounter"
-        ~units:[ counter_unit; Participant.unit_name ]
-        ()
-    in
-    let coord_cls =
-      Api.derive_class_exn sys ctx ~parent:Well_known.legion_object
-        ~name:"TxnCoordinator" ~units:[ Coordinator.unit_name ] ()
-    in
-    let infra = List.map (fun s -> List.hd s.System.net_hosts) (System.sites sys) in
-    let participants =
-      Array.init 6 (fun _ -> Api.create_object_exn sys ctx ~cls:part_cls ~eager:true ())
-    in
-    (* The coordinator must be crashable without beheading its site's
-       externally-started infrastructure (§4.2.1). *)
-    let co, coord_host =
-      let rec pick n =
-        if n = 0 then failwith "no coordinator landed off-infrastructure"
-        else
-          let co = Api.create_object_exn sys ctx ~cls:coord_cls ~eager:true () in
-          match Runtime.find_proc rt co with
-          | Some p when not (List.mem (Runtime.proc_host p) infra) ->
-              (co, Runtime.proc_host p)
-          | _ -> pick (n - 1)
-      in
-      pick 16
-    in
-    (match
-       Api.call sys ctx ~dst:co ~meth:"Configure"
-         ~args:[ Value.Record [ ("store", Value.Str store_name) ] ]
-     with
-    | Ok _ -> ()
-    | Error e -> failwith ("Configure failed: " ^ Err.to_string e));
-    let t0 = System.now sys in
-    System.enable_recovery sys ~checkpoint_period:0.5 ~heartbeat_period:0.25
-      ~threshold:3
-      ~until:(t0 +. float_of_int rounds +. 120.0)
-      ();
-    System.run_for sys 2.0;
-    let mark = Recorder.total obs in
-    let prng = Prng.create ~seed:(Int64.of_int (seed + 29)) in
-    let acked = ref 0 and aborted = ref 0 and errors = ref 0 in
-    for round = 1 to rounds do
-      let mode_s =
-        match mode with
-        | `Two_phase -> "2pc"
-        | `Saga -> "saga"
-        | `Mix ->
-            (* The crash round must be 2PC: only 2PC has a Committing
-               window for the crash to strand and recovery to resume. *)
-            if crash && round = (rounds / 2) + 1 then "2pc"
-            else if Prng.bernoulli prng ~p:0.5 then "2pc"
-            else "saga"
-      in
-      let i = Prng.int prng (Array.length participants) in
-      let j = (i + 1 + Prng.int prng 5) mod Array.length participants in
-      let d = 1 + Prng.int prng 5 in
-      let step dst delta =
-        Value.Record
-          [
-            ("dst", Loid.to_value dst);
-            ("meth", Value.Str "Increment");
-            ("args", Value.List [ Value.Int delta ]);
-            ("cmeth", Value.Str "Increment");
-            ("cargs", Value.List [ Value.Int (-delta) ]);
-          ]
-      in
-      (match
-         Api.call sys ctx ~dst:co ~meth:"TxnRun"
-           ~args:
-             [
-               Value.Str mode_s;
-               Value.List
-                 [ step participants.(i) d; step participants.(j) d ];
-             ]
-       with
-      | Ok _ -> incr acked
-      | Error (Err.Txn_aborted _) -> incr aborted
-      | Error _ -> incr errors);
-      if crash && round = (rounds / 2) + 1 then begin
-        Runtime.power_fail rt coord_host;
-        ignore
-          (Legion_sim.Engine.schedule (System.sim sys) ~delay:6.0 (fun () ->
-               Network.set_host_up net coord_host true))
-      end;
-      System.run_for sys 1.0
-    done;
-    System.run_for sys 30.0;
-    System.run sys;
-    let events = Recorder.events_since obs mark in
-    let count p = Trace.count_of p events in
-    (* The E20 audit: atomicity proved from the version history alone. *)
-    let store = (System.site sys 0).System.storage in
-    let staged = ref 0 and mixed = ref 0 in
-    let committed = ref 0 and compensated = ref 0 in
-    let ids =
-      List.sort_uniq String.compare
-        (List.concat_map
-           (fun loid ->
-             List.filter_map
-               (fun (e : Persistent.History.entry) -> e.txn)
-               (Persistent.history store ~loid))
-           (Persistent.history_loids store))
-    in
-    List.iter
-      (fun id ->
-        let marks =
-          List.concat_map
-            (fun loid ->
-              List.filter_map
-                (fun (e : Persistent.History.entry) ->
-                  if e.txn = Some id then Some e.mark else None)
-                (Persistent.history store ~loid))
-            (Persistent.history_loids store)
-        in
-        if List.exists (fun m -> m = Persistent.Staged) marks then incr staged;
-        let c = List.exists (fun m -> m = Persistent.Committed) marks in
-        let x = List.exists (fun m -> m = Persistent.Compensated) marks in
-        if c && x then incr mixed;
-        if c then incr committed;
-        if x then incr compensated)
-      ids;
-    let orphaned =
-      Array.fold_left
-        (fun acc o ->
-          match Api.call sys ctx ~dst:o ~meth:"TxnHeld" ~args:[] with
-          | Ok (Value.List []) -> acc
-          | _ -> acc + 1)
-        0 participants
-    in
-    let indoubt =
-      match Api.call sys ctx ~dst:co ~meth:"TxnStats" ~args:[] with
-      | Ok (Value.Record fields) -> (
-          match List.assoc_opt "indoubt" fields with
-          | Some (Value.Int n) -> n
-          | _ -> -1)
-      | _ -> -1
-    in
-    if json then
-      Printf.printf
-        "{\"seed\":%d,\"rounds\":%d,\"acked\":%d,\"aborted\":%d,\"errors\":%d,\
-         \"committed\":%d,\"compensated\":%d,\"staged_residue\":%d,\
-         \"mixed_marks\":%d,\"orphaned_locks\":%d,\"in_doubt\":%d,\
-         \"resumes\":%d,\"prepares\":%d,\"compensations\":%d}\n"
-        seed rounds !acked !aborted !errors !committed !compensated !staged
-        !mixed orphaned indoubt
-        (count (Trace.resume ()))
-        (count (Trace.prepare ()))
-        (count (Trace.compensate ()))
-    else begin
-      Format.printf "%d rounds: %d commits acked, %d aborted, %d errors@."
-        rounds !acked !aborted !errors;
-      Format.printf
-        "events: %d prepares, %d commits, %d aborts, %d compensations, %d \
-         resumes@."
-        (count (Trace.prepare ()))
-        (count (Trace.txn_commit ()))
-        (count (Trace.txn_abort ()))
-        (count (Trace.compensate ()))
-        (count (Trace.resume ()));
-      Format.printf
-        "history audit: %d txns committed, %d compensated, %d staged residue, \
-         %d mixed marks@."
-        !committed !compensated !staged !mixed;
-      Format.printf "locks: %d orphaned; coordinator in doubt: %d@." orphaned
-        indoubt;
-      if !staged > 0 || !mixed > 0 || orphaned > 0 || indoubt <> 0 then begin
-        Format.printf "ATOMICITY VIOLATION@.";
-        exit 1
-      end
-      else Format.printf "atomicity holds: no partial commits@."
-    end
+  let run seed rounds mode crash json =
+    let schedule = if crash then T.Crash_coordinator else T.Clean in
+    report ~json ~to_json:T.to_json
+      ~print:(fun r -> T.print_table [ r ])
+      ~violations:T.violations
+      (T.run { T.seed; rounds; schedule; mode })
   in
   let info =
-    Cmd.info "txn"
+    Cmd.info "txn" ~exits:scenario_exits
       ~doc:
-        "Drive atomic multi-object invocations (2PC or saga with typed \
-         compensations) through a coordinator, optionally power-failing it \
-         mid-run, and audit atomicity from the event-sourced version history."
+        "Run the E20 atomic-invocation scenario: 2PC and saga transactions \
+         through a coordinator, optionally power-failing it mid-run, then \
+         audit atomicity from the event-sourced version history and probe \
+         for orphaned locks and in-doubt transactions."
   in
   Cmd.v info
     Term.(
-      const run $ sites_arg $ seed_arg $ rounds_arg $ mode_arg $ crash_arg
-      $ json_arg)
+      const run $ scenario_seed_arg d.T.seed
+      $ int_arg "rounds" ~docv:"N" ~doc:"Transaction rounds." d.T.rounds
+      $ mode_arg $ crash_arg $ scenario_json_arg)
 
 (* --- tenants --- *)
 

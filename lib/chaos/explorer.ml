@@ -12,13 +12,13 @@ module Well_known = Legion_core.Well_known
 module Runtime = Legion_rt.Runtime
 module Err = Legion_rt.Err
 module Network = Legion_net.Network
-module Persistent = Legion_store.Persistent
 module Participant = Legion_txn.Participant
 module Coordinator = Legion_txn.Coordinator
 module Group_part = Legion_repl.Group_part
 module Engine = Legion_sim.Engine
 module System = Legion.System
 module Api = Legion.Api
+module Txn = Legion.Txn
 
 (* --- The probe application: a non-idempotent ledger. ---------------
 
@@ -128,24 +128,6 @@ let ops_per_round = 4
 let call_timeout = 0.5
 let revive_delay = 6.0
 
-let txn_step dst d =
-  Value.Record
-    [
-      ("dst", Loid.to_value dst);
-      ("meth", Value.Str "Increment");
-      ("args", Value.List [ Value.Int d ]);
-      ("cmeth", Value.Str "Increment");
-      ("cargs", Value.List [ Value.Int (-d) ]);
-    ]
-
-let host_of rt net loid =
-  List.find_opt
-    (fun h ->
-      List.exists
-        (fun p -> Loid.equal (Runtime.proc_loid p) loid)
-        (Runtime.procs_on_host rt h))
-    (Network.hosts net)
-
 let run ?(dedup = true) (sch : Schedule.t) =
   register_units ();
   let sys =
@@ -201,20 +183,7 @@ let run ?(dedup = true) (sch : Schedule.t) =
   in
   (* Keep the coordinator off the infrastructure hosts (same reasoning
      as E20: a crash action must not behead the Jurisdiction). *)
-  let coord =
-    ref (Api.create_object_exn sys ctx ~cls:coord_cls ~eager:true ())
-  in
-  let attempts = ref 0 in
-  while
-    (match host_of rt net !coord with
-    | Some h -> List.mem h infra
-    | None -> true)
-    && !attempts < 16
-  do
-    incr attempts;
-    coord := Api.create_object_exn sys ctx ~cls:coord_cls ~eager:true ()
-  done;
-  let coord = !coord in
+  let coord, _ = Txn.create_coordinator sys ctx ~cls:coord_cls in
   (match
      Api.call sys ctx ~dst:coord ~meth:"Configure"
        ~args:[ Value.Record [ ("store", Value.Str "a") ] ]
@@ -324,7 +293,7 @@ let run ?(dedup = true) (sch : Schedule.t) =
         [
           Value.Str mode;
           Value.List
-            [ txn_step participants.(i) d; txn_step participants.(j) d ];
+            [ Txn.step participants.(i) d; Txn.step participants.(j) d ];
         ]
       (function
         | Ok (Value.Str id) ->
@@ -412,62 +381,14 @@ let run ?(dedup = true) (sch : Schedule.t) =
   List.iter (fun (op, n) -> violate "op %s applied %d times" op n) doubles;
   (* --- Audit 2: transactional atomicity from the store histories
      (the E20 gates, reported instead of raised). *)
-  let store = (System.site sys 0).System.storage in
-  let marks_of id =
-    List.concat_map
-      (fun loid ->
-        List.filter_map
-          (fun (e : Persistent.History.entry) ->
-            if e.txn = Some id then Some e.mark else None)
-          (Persistent.history store ~loid))
-      (Persistent.history_loids store)
+  let atomicity =
+    Txn.audit (System.site sys 0).System.storage ~submitted:!submitted
+      ~acked:!txns_acked
   in
-  let all_ids =
-    List.sort_uniq String.compare
-      (!submitted
-      @ List.concat_map
-          (fun loid ->
-            List.filter_map
-              (fun (e : Persistent.History.entry) -> e.txn)
-              (Persistent.history store ~loid))
-          (Persistent.history_loids store))
-  in
-  let committed = ref 0 and compensated = ref 0 in
-  List.iter
-    (fun id ->
-      let marks = marks_of id in
-      if List.exists (fun m -> m = Persistent.Staged) marks then
-        violate "txn %s left staged entries" id;
-      let c = List.exists (fun m -> m = Persistent.Committed) marks in
-      let x = List.exists (fun m -> m = Persistent.Compensated) marks in
-      if c && x then violate "txn %s has mixed commit/compensate marks" id;
-      if c then incr committed;
-      if x then incr compensated)
-    all_ids;
-  List.iter
-    (fun id ->
-      if List.exists (fun m -> m = Persistent.Compensated) (marks_of id) then
-        violate "acknowledged commit %s recorded as compensated" id)
-    (List.sort_uniq String.compare !txns_acked);
+  List.iter (violate "%s") atomicity.Txn.violations;
   (* --- Audit 3: no orphaned prepare locks, nothing in doubt. *)
-  Array.iteri
-    (fun i p ->
-      match Api.call sys ctx ~dst:p ~meth:"TxnHeld" ~args:[] with
-      | Ok (Value.List []) -> ()
-      | Ok (Value.List (Value.Str t :: _)) ->
-          violate "participant %d holds an orphaned lock (%s)" i t
-      | Ok v -> violate "participant %d odd TxnHeld reply %s" i (Value.to_string v)
-      | Error e ->
-          violate "participant %d dead after heal: %s" i (Err.to_string e))
-    participants;
-  (match Api.call sys ctx ~dst:coord ~meth:"TxnStats" ~args:[] with
-  | Ok (Value.Record fields) -> (
-      match List.assoc_opt "indoubt" fields with
-      | Some (Value.Int 0) -> ()
-      | Some (Value.Int n) -> violate "%d transactions still in doubt" n
-      | _ -> violate "TxnStats missing indoubt")
-  | Ok v -> violate "odd TxnStats reply %s" (Value.to_string v)
-  | Error e -> violate "coordinator dead after heal: %s" (Err.to_string e));
+  List.iter (violate "%s") (Txn.held_locks sys ctx participants);
+  List.iter (violate "%s") (Txn.in_doubt sys ctx coord);
   (* --- Audit 4: no split-brain drift on the fenced group. *)
   let member_values =
     Array.to_list
@@ -504,8 +425,8 @@ let run ?(dedup = true) (sch : Schedule.t) =
     double_applies = List.length doubles;
     dedup_hits = Runtime.dedup_hits rt;
     txns_acked = List.length (List.sort_uniq String.compare !txns_acked);
-    txns_committed = !committed;
-    txns_compensated = !compensated;
+    txns_committed = atomicity.Txn.committed;
+    txns_compensated = atomicity.Txn.compensated;
     group_acked = !group_acked;
     duplicated = Network.messages_duplicated net;
     reordered = Network.messages_reordered net;

@@ -8,7 +8,6 @@ module Cache = Legion_naming.Cache
 module Prng = Legion_util.Prng
 module Sampler = Legion_util.Sampler
 module Counter = Legion_util.Counter
-module Impl = Legion_core.Impl
 module Well_known = Legion_core.Well_known
 module Runtime = Legion_rt.Runtime
 module Err = Legion_rt.Err
@@ -79,45 +78,16 @@ type kernel = {
 type report = { cfg : config; kernels : kernel list; total_events : int }
 
 (* ------------------------------------------------------------------ *)
-(* Fixture: the counter application unit (the same minimal stateful
-   object every suite uses; duplicated here because bench/test helpers
-   are not linkable from the library).                                 *)
+(* Fixture: the standard counter, one class per kernel.                *)
 
-let counter_unit = "planet.counter"
-
-let counter_factory (_ctx : Runtime.ctx) : Impl.part =
-  let n = ref 0 in
-  let increment _ctx args _env k =
-    match args with
-    | [ Value.Int d ] ->
-        n := !n + d;
-        k (Ok (Value.Int !n))
-    | _ -> Impl.bad_args k "Increment expects one int"
-  in
-  let get _ctx args _env k =
-    match args with
-    | [] -> k (Ok (Value.Int !n))
-    | _ -> Impl.bad_args k "Get takes no arguments"
-  in
-  Impl.part
-    ~methods:[ ("Increment", increment); ("Get", get) ]
-    ~save:(fun () -> Value.Int !n)
-    ~restore:(fun v ->
-      match v with
-      | Value.Int i ->
-          n := i;
-          Ok ()
-      | _ -> Error "counter state must be an int")
-    counter_unit
-
-let counter_idl = "interface Counter { Increment(d: int): int; Get(): int; }"
+module Std_parts = Legion_objects.Std_parts
 
 let make_counter_class sys ctx ?(name = "PlanetCounter") () =
   Api.derive_class_exn sys ctx ~parent:Well_known.legion_object ~name
-    ~units:[ counter_unit ] ~idl:counter_idl ()
+    ~units:[ Std_parts.counter_unit ] ~idl:Std_parts.counter_idl ()
 
 let boot cfg ~seed_off =
-  Impl.register counter_unit counter_factory;
+  Std_parts.register_counter ();
   let sites =
     List.init cfg.sites (fun i -> (Printf.sprintf "s%d" i, cfg.hosts_per_site))
   in

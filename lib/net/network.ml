@@ -81,7 +81,6 @@ type t = {
   mutable delay_spikes : spike list;
   mutable partitions : (site_id * site_id) list;
   mutable tap : (src:host_id -> dst:host_id -> Value.t -> unit) option;
-  mutable host_watcher : (host_id -> up:bool -> unit) option;
   mutable watcher_seq : int;
   mutable host_watchers : (int * (host_id -> up:bool -> unit)) list;
   mutable partition_watchers :
@@ -187,7 +186,6 @@ let create ~sim ~prng ?(latency = default_latency) ?obs () =
     delay_spikes = [];
     partitions = [];
     tap = None;
-    host_watcher = None;
     watcher_seq = 0;
     host_watchers = [];
     partition_watchers = [];
@@ -274,12 +272,7 @@ let set_host_up t h up =
   check_host t h;
   let was = t.host_tbl.(h).up in
   t.host_tbl.(h).up <- up;
-  if was <> up then begin
-    (match t.host_watcher with None -> () | Some f -> f h ~up);
-    List.iter (fun (_, f) -> f h ~up) t.host_watchers
-  end
-
-let set_host_watcher t f = t.host_watcher <- f
+  if was <> up then List.iter (fun (_, f) -> f h ~up) t.host_watchers
 
 let next_watcher_id t =
   t.watcher_seq <- t.watcher_seq + 1;

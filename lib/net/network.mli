@@ -63,17 +63,13 @@ val site_name : t -> site_id -> string
 val set_host_up : t -> host_id -> bool -> unit
 val host_is_up : t -> host_id -> bool
 
-val set_host_watcher : t -> (host_id -> up:bool -> unit) option -> unit
-(** Observe host up/down {e transitions} (calls that do not change the
-    state fire nothing). The runtime installs one to reap fenced zombie
-    placements when a crashed host reboots. [None] removes it. *)
-
 val add_host_watcher : t -> (host_id -> up:bool -> unit) -> watcher
-(** Append an additional transition watcher without disturbing the one
-    installed through {!set_host_watcher} (the runtime's zombie reaper).
-    The replica-set repair machinery uses this to notice replica hosts
-    going down and coming back. Watchers fire in registration order;
-    deregister with {!remove_watcher}. *)
+(** Observe host up/down {e transitions} (calls that do not change the
+    state fire nothing). The runtime registers one to reap fenced zombie
+    placements when a crashed host reboots; the replica-set repair
+    machinery uses others to notice replica hosts going down and coming
+    back. Watchers fire in registration order; deregister with
+    {!remove_watcher}. *)
 
 val remove_watcher : t -> watcher -> unit
 (** Deregister a watcher added with {!add_host_watcher} or

@@ -2,11 +2,72 @@ module Value = Legion_wire.Value
 module Runtime = Legion_rt.Runtime
 module Err = Legion_rt.Err
 module Impl = Legion_core.Impl
+module Engine = Legion_sim.Engine
 
+let counter_unit = "legion.std.counter"
+let serial_counter_unit = "legion.std.serial_counter"
 let file_unit = "legion.std.file"
 let kv_unit = "legion.std.kv"
 let queue_unit = "legion.std.queue"
 let barrier_unit = "legion.std.barrier"
+
+(* --- Counter --- *)
+
+(* [serve k reply] answers every method: at once for the plain counter,
+   behind the serial server's queue for the bottleneck variant. *)
+let counter_part ~serve unit_name : Impl.part =
+  let n = ref 0 in
+  let increment _ctx args _env k =
+    match args with
+    | [ Value.Int d ] ->
+        n := !n + d;
+        serve k (Ok (Value.Int !n))
+    | _ -> Impl.bad_args k "Increment expects one int"
+  in
+  let get _ctx args _env k =
+    match args with
+    | [] -> serve k (Ok (Value.Int !n))
+    | _ -> Impl.bad_args k "Get takes no arguments"
+  in
+  let reset _ctx args _env k =
+    match args with
+    | [] ->
+        n := 0;
+        serve k Impl.ok_unit
+    | _ -> Impl.bad_args k "Reset takes no arguments"
+  in
+  Impl.part
+    ~methods:[ ("Increment", increment); ("Get", get); ("Reset", reset) ]
+    ~save:(fun () -> Value.Int !n)
+    ~restore:(fun v ->
+      match v with
+      | Value.Int i ->
+          n := i;
+          Ok ()
+      | _ -> Error "counter state must be an int")
+    unit_name
+
+let counter_factory (_ctx : Runtime.ctx) =
+  counter_part ~serve:(fun k reply -> k reply) counter_unit
+
+(* One request at a time, [service] seconds each, after every earlier
+   request has drained: replies are scheduled at completion, so queue
+   depth shows up as caller latency. *)
+let serial_counter_factory ~service (ctx : Runtime.ctx) =
+  let eng = Runtime.sim ctx.Runtime.rt in
+  let busy_until = ref 0.0 in
+  let serve k reply =
+    let finish = Float.max (Engine.now eng) !busy_until +. service in
+    busy_until := finish;
+    ignore (Engine.schedule_at eng ~time:finish (fun () -> k reply))
+  in
+  counter_part ~serve serial_counter_unit
+
+let counter_idl = "interface Counter { Increment(d: int): int; Get(): int; }"
+let register_counter () = Impl.register counter_unit counter_factory
+
+let register_serial_counter ~service =
+  Impl.register serial_counter_unit (serial_counter_factory ~service)
 
 (* --- File --- *)
 
@@ -414,6 +475,7 @@ let tspace_idl =
    TryRd(p: list<any>): list<any>; Size(): int; Flush(): int; }"
 
 let register () =
+  register_counter ();
   Impl.register file_unit file_factory;
   Impl.register kv_unit kv_factory;
   Impl.register queue_unit queue_factory;

@@ -8,6 +8,21 @@
     migrate and replicate like everything else — all state round-trips
     through SaveState/RestoreState.
 
+    {2 Counter ("legion.std.counter")}
+
+    The canonical minimal stateful object, shared by the experiments,
+    the CLI and the tests:
+    - [Increment(d: int): int] — adds [d], returns the new value
+    - [Get(): int]
+    - [Reset(): unit]
+
+    {2 Serial counter ("legion.std.serial_counter")}
+
+    The same counter behind a serial server: one request at a time, a
+    fixed service time each, replies deferred to completion — the
+    bottleneck object of the overload experiments. Register it with
+    {!register_serial_counter}, which fixes the service time.
+
     {2 File ("legion.std.file")}
 
     A versioned byte container (the "remote files and data" of §1):
@@ -93,6 +108,8 @@
     through deactivation; pending [In]/[Rd] continuations do not (same
     caveat as the lock). *)
 
+val counter_unit : string
+val serial_counter_unit : string
 val file_unit : string
 val kv_unit : string
 val queue_unit : string
@@ -101,7 +118,17 @@ val lock_unit : string
 val tspace_unit : string
 
 val register : unit -> unit
-(** Install all four units in the {!Legion_core.Impl} registry. *)
+(** Install the counter, file, kv, queue, barrier, lock and tuple-space
+    units in the {!Legion_core.Impl} registry. *)
+
+val register_counter : unit -> unit
+
+val register_serial_counter : service:float -> unit
+(** Install the serial counter with a [service]-second service time,
+    replacing any earlier registration. *)
+
+val counter_idl : string
+(** [Increment] and [Get]; [Reset] is implemented but undeclared. *)
 
 val file_idl : string
 val kv_idl : string

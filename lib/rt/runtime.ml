@@ -265,8 +265,8 @@ let create ~sim ~net ~registry ~prng ?(config = default_config) ?obs () =
       dedup_hits = 0;
     }
   in
-  Network.set_host_watcher net
-    (Some (fun h ~up -> if up then reap_rebooted rt h));
+  ignore
+    (Network.add_host_watcher net (fun h ~up -> if up then reap_rebooted rt h));
   rt
 
 let sim rt = rt.sim

@@ -1,52 +1,15 @@
-(* Shared fixtures for the test suites: a "counter" application unit and
+(* Shared fixtures for the test suites: the standard counter unit and
    small boot configurations. *)
 
 module Value = Legion_wire.Value
 module Loid = Legion_naming.Loid
-module Impl = Legion_core.Impl
-module Runtime = Legion_rt.Runtime
 
-let counter_unit = "test.counter"
+let counter_unit = Legion_objects.Std_parts.counter_unit
+let register_counter_unit = Legion_objects.Std_parts.register_counter
 
+(* The standard counter's IDL, plus its undeclared-by-default Reset. *)
 let counter_idl =
   "interface Counter { Increment(d: int): int; Get(): int; Reset(); }"
-
-(* A counter object: the canonical minimal stateful Legion object. Its
-   state round-trips through SaveState/RestoreState so it survives
-   deactivation and migration. *)
-let counter_factory (_ctx : Runtime.ctx) : Impl.part =
-  let n = ref 0 in
-  let increment _ctx args _env k =
-    match args with
-    | [ Value.Int d ] ->
-        n := !n + d;
-        k (Ok (Value.Int !n))
-    | _ -> Impl.bad_args k "Increment expects one int"
-  in
-  let get _ctx args _env k =
-    match args with
-    | [] -> k (Ok (Value.Int !n))
-    | _ -> Impl.bad_args k "Get takes no arguments"
-  in
-  let reset _ctx args _env k =
-    match args with
-    | [] ->
-        n := 0;
-        k Impl.ok_unit
-    | _ -> Impl.bad_args k "Reset takes no arguments"
-  in
-  Impl.part
-    ~methods:[ ("Increment", increment); ("Get", get); ("Reset", reset) ]
-    ~save:(fun () -> Value.Int !n)
-    ~restore:(fun v ->
-      match v with
-      | Value.Int i ->
-          n := i;
-          Ok ()
-      | _ -> Error "counter state must be an int")
-    counter_unit
-
-let register_counter_unit () = Impl.register counter_unit counter_factory
 
 let boot_two_sites ?seed ?rt_config ?object_cache_capacity () =
   register_counter_unit ();

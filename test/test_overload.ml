@@ -5,12 +5,10 @@
    graceful degradation in the Binding Agent (serving a stale-but-valid
    cached binding instead of forwarding to an overloaded class). *)
 
-module Engine = Legion_sim.Engine
 module Network = Legion_net.Network
 module Value = Legion_wire.Value
 module Loid = Legion_naming.Loid
 module Binding = Legion_naming.Binding
-module Impl = Legion_core.Impl
 module Runtime = Legion_rt.Runtime
 module Retry = Legion_rt.Retry
 module Breaker = Legion_rt.Breaker
@@ -127,45 +125,17 @@ let test_breaker_saturated_rejections () =
         (retry_after <= 0.4 +. 1e-9)
   | _ -> Alcotest.fail "expected Reject"
 
-(* --- a serial-service unit: deferred replies make budgets visible --- *)
+(* --- the serial counter: deferred replies make budgets visible --- *)
 
-let slow_unit = "test.slow_counter"
 let slow_service = 0.2
 
-let slow_factory (ctx : Runtime.ctx) : Impl.part =
-  let eng = Runtime.sim ctx.Runtime.rt in
-  let n = ref 0 in
-  let busy_until = ref 0.0 in
-  let serve k reply =
-    let start = Float.max (Engine.now eng) !busy_until in
-    busy_until := start +. slow_service;
-    ignore (Engine.schedule_at eng ~time:!busy_until (fun () -> k reply))
-  in
-  let increment _ctx args _env k =
-    match args with
-    | [ Value.Int d ] ->
-        n := !n + d;
-        serve k (Ok (Value.Int !n))
-    | _ -> Impl.bad_args k "Increment expects one int"
-  in
-  Impl.part
-    ~methods:[ ("Increment", increment) ]
-    ~save:(fun () -> Value.Int !n)
-    ~restore:(fun v ->
-      match v with
-      | Value.Int i ->
-          n := i;
-          Ok ()
-      | _ -> Error "bad state")
-    slow_unit
-
 let boot_slow ?rt_config () =
-  Impl.register slow_unit slow_factory;
+  Legion_objects.Std_parts.register_serial_counter ~service:slow_service;
   let sys = boot_two_sites ~seed ?rt_config () in
   let ctx = System.client sys () in
   let cls =
     Api.derive_class_exn sys ctx ~parent:Legion_core.Well_known.legion_object
-      ~name:"SlowCounter" ~units:[ slow_unit ]
+      ~name:"SlowCounter" ~units:[ Legion_objects.Std_parts.serial_counter_unit ]
       ~idl:"interface SlowCounter { Increment(d: int): int; }" ()
   in
   let obj = Api.create_object_exn sys ctx ~cls ~eager:true () in

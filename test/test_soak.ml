@@ -269,7 +269,7 @@ let test_recovery_churn () =
    Staged residue and no transaction with mixed marks — and no
    participant is left holding an orphaned prepare lock. Outcomes are
    protocol-shaped, so the boot seed is swept (LEGION_TRACE_SEED). *)
-module Persistent = Legion_store.Persistent
+module Txn = Legion.Txn
 module Participant = Legion_txn.Participant
 module Coordinator = Legion_txn.Coordinator
 module Err = Legion_rt.Err
@@ -336,16 +336,6 @@ let test_txn_churn () =
   let submitted = ref [] in
   let committed_ids = ref [] in
   let crashes = ref 0 and partitions = ref 0 in
-  let step dst d =
-    Value.Record
-      [
-        ("dst", Loid.to_value dst);
-        ("meth", Value.Str "Increment");
-        ("args", Value.List [ Value.Int d ]);
-        ("cmeth", Value.Str "Increment");
-        ("cargs", Value.List [ Value.Int (-d) ]);
-      ]
-  in
   for round = 1 to n_txn_rounds do
     (* One transaction per round: random coordinator, mode, and two
        distinct participants. *)
@@ -355,7 +345,8 @@ let test_txn_churn () =
     let mode = if Prng.bernoulli prng ~p:0.5 then "2pc" else "saga" in
     let d = 1 + Prng.int prng 5 in
     Runtime.invoke ctx ~dst:co ~meth:"TxnRun"
-      ~args:[ Value.Str mode; Value.List [ step objects.(i) d; step objects.(j) d ] ]
+      ~args:
+        [ Value.Str mode; Value.List [ Txn.step objects.(i) d; Txn.step objects.(j) d ] ]
       (function
         | Ok (Value.Str id) ->
             submitted := id :: !submitted;
@@ -410,70 +401,21 @@ let test_txn_churn () =
   Alcotest.(check bool) "dedup cache absorbed duplicates" true
     (Runtime.dedup_hits rt > 0);
   Alcotest.(check bool) "transactions resolved" true (!submitted <> []);
-  (* The E20 audit, from the store histories alone. *)
-  let store = (System.site sys 0).System.storage in
-  let marks_of id =
-    List.concat_map
-      (fun loid ->
-        List.filter_map
-          (fun (e : Persistent.History.entry) ->
-            if e.txn = Some id then Some e.mark else None)
-          (Persistent.history store ~loid))
-      (Persistent.history_loids store)
-  in
-  let all_ids =
-    List.sort_uniq String.compare
-      (!submitted
-      @ List.concat_map
-          (fun loid ->
-            List.filter_map
-              (fun (e : Persistent.History.entry) -> e.txn)
-              (Persistent.history store ~loid))
-          (Persistent.history_loids store))
-  in
-  List.iter
-    (fun id ->
-      let marks = marks_of id in
-      let staged = List.filter (fun m -> m = Persistent.Staged) marks in
-      if staged <> [] then
-        Alcotest.failf "txn %s left %d staged entries (partial commit)" id
-          (List.length staged);
-      let committed = List.exists (fun m -> m = Persistent.Committed) marks in
-      let compensated =
-        List.exists (fun m -> m = Persistent.Compensated) marks
-      in
-      if committed && compensated then
-        Alcotest.failf "txn %s has mixed marks (partial commit)" id)
-    all_ids;
-  (* A commit acknowledged to the client is never recorded rolled back. *)
-  List.iter
-    (fun id ->
-      if List.exists (fun m -> m = Persistent.Compensated) (marks_of id) then
-        Alcotest.failf "acknowledged commit %s recorded as compensated" id)
-    !committed_ids;
-  (* No orphaned prepare locks anywhere. *)
-  Array.iteri
-    (fun i o ->
-      match Api.call sys ctx ~dst:o ~meth:"TxnHeld" ~args:[] with
-      | Ok (Value.List []) -> ()
-      | Ok (Value.List [ Value.Str t ]) ->
-          Alcotest.failf "participant %d still holds a lock for %s" i t
-      | Ok v -> Alcotest.failf "TxnHeld: odd reply %s" (Value.to_string v)
-      | Error e ->
-          Alcotest.failf "participant %d unreachable: %s" i (Err.to_string e))
-    objects;
+  (* The E20 audit, from the store histories alone: no staged residue,
+     no mixed marks, and no acknowledged commit recorded rolled back. *)
+  Alcotest.(check (list string))
+    "every transaction all-committed or all-compensated" []
+    (Txn.audit (System.site sys 0).System.storage ~submitted:!submitted
+       ~acked:!committed_ids)
+      .Txn.violations;
+  Alcotest.(check (list string)) "no orphaned prepare locks" []
+    (Txn.held_locks sys ctx objects);
   (* No transaction remains in doubt on any live coordinator. *)
   Array.iteri
     (fun i co ->
-      match Api.call sys ctx ~dst:co ~meth:"TxnStats" ~args:[] with
-      | Ok (Value.Record fields) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "coordinator %d has nothing in doubt" i)
-            true
-            (List.assoc_opt "indoubt" fields = Some (Value.Int 0))
-      | Ok v -> Alcotest.failf "TxnStats: odd reply %s" (Value.to_string v)
-      | Error e ->
-          Alcotest.failf "coordinator %d unreachable: %s" i (Err.to_string e))
+      Alcotest.(check (list string))
+        (Printf.sprintf "coordinator %d has nothing in doubt" i)
+        [] (Txn.in_doubt sys ctx co))
     coords
 
 let () =

@@ -425,16 +425,9 @@ let test_coordinator_crash_resumes_commit () =
   let infra = List.map (fun s -> List.hd s.System.net_hosts) (System.sites sys) in
   (* A coordinator on a crashable (non-infrastructure) host. *)
   let co, victim =
-    let rec pick n =
-      if n = 0 then Alcotest.fail "no coordinator landed off-infrastructure"
-      else
-        let co = Api.create_object_exn sys ctx ~cls:coord_cls ~eager:true () in
-        match Runtime.find_proc rt co with
-        | Some p when not (List.mem (Runtime.proc_host p) infra) ->
-            (co, Runtime.proc_host p)
-        | _ -> pick (n - 1)
-    in
-    pick 8
+    match Legion.Txn.create_coordinator sys ctx ~cls:coord_cls with
+    | co, Some h when not (List.mem h infra) -> (co, h)
+    | _ -> Alcotest.fail "no coordinator landed off-infrastructure"
   in
   (* Participants on hosts that survive the crash. *)
   let a, b =
@@ -703,6 +696,41 @@ let test_named_blobs () =
 
 (* --- watcher deregistration: the cut/heal leak regression --- *)
 
+(* The shared E20 audit must be able to fail: a hand-built history with
+   one fault of each kind yields exactly one violation per fault, and
+   the same history without them yields none. *)
+let test_audit_detects_faults () =
+  let s = mk_store () in
+  let write txn objs mark =
+    List.iter
+      (fun i ->
+        ignore (Persistent.put ~txn s ~loid:(loid_of i) "blob");
+        Option.iter (Persistent.mark_txn s ~loid:(loid_of i) ~txn) mark)
+      objs
+  in
+  write "t-commit" [ 1; 2 ] (Some Persistent.Committed);
+  write "t-abort" [ 1; 2 ] (Some Persistent.Compensated);
+  let audit ~acked =
+    Legion.Txn.audit s ~submitted:[ "t-commit"; "t-abort" ] ~acked
+  in
+  let clean = audit ~acked:[ "t-commit" ] in
+  Alcotest.(check (list string)) "clean history" [] clean.Legion.Txn.violations;
+  Alcotest.(check (pair int int)) "outcomes counted" (1, 1)
+    (clean.Legion.Txn.committed, clean.Legion.Txn.compensated);
+  (* Fault 1: a staged entry nobody resolved. Fault 2: one transaction
+     committed on one LOID and compensated on another. Fault 3: an
+     acknowledged commit recorded as compensated. *)
+  write "t-staged" [ 3 ] None;
+  write "t-mixed" [ 1 ] (Some Persistent.Committed);
+  write "t-mixed" [ 2 ] (Some Persistent.Compensated);
+  Alcotest.(check (list string)) "one violation per fault"
+    [
+      "txn t-mixed has mixed commit/compensate marks (partial commit)";
+      "txn t-staged left staged entries (partial commit)";
+      "acknowledged commit t-abort recorded as compensated";
+    ]
+    (audit ~acked:[ "t-commit"; "t-abort" ]).Legion.Txn.violations
+
 let () =
   Alcotest.run "txn"
     [
@@ -739,5 +767,10 @@ let () =
           Alcotest.test_case "WAL blobs ride beside version files" `Quick
             test_named_blobs;
           QCheck_alcotest.to_alcotest history_prune_prop;
+        ] );
+      ( "audit",
+        [
+          Alcotest.test_case "one violation per fault, none when clean"
+            `Quick test_audit_detects_faults;
         ] );
     ]

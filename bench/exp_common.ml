@@ -77,6 +77,14 @@ let write_bench_json ~file json =
       output_char oc '\n');
   Printf.printf "wrote %s\n" file
 
+(* A gate's verdict: each violation on stderr, and exit 1 if any. *)
+let gate = function
+  | [] -> ()
+  | vs ->
+      flush stdout;
+      List.iter prerr_endline vs;
+      exit 1
+
 (* --- Timing one synchronous call in virtual time. --- *)
 
 let timed_call sys ctx ~dst ~meth ~args =

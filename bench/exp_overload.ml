@@ -8,9 +8,7 @@ module Overload = Legion.Overload
 let run () =
   let r = Overload.run Overload.default in
   Overload.print r;
-  (match Overload.violations r with
-  | [] -> ()
-  | vs -> failwith (String.concat "\n" vs));
+  gate (Overload.violations r);
   Printf.printf
     "gates: goodput floor 70%% of peak past 2x, p99 under %.2f s, baseline \
      collapse -- all hold\n"

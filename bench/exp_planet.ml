@@ -7,42 +7,20 @@
    tables) fails the harness instead of silently making every future
    sweep slower. Writes BENCH_E18.json.
 
-   Environment knobs (CI smoke runs use these):
-     E18_PROFILE=smoke|full        pick the base config (default full)
-     E18_OBJECTS / E18_CALLS / E18_QUEUE_EVENTS / E18_SITES /
-     E18_HOSTS_PER_SITE            override individual sizes
-     E18_MIN_QUEUE_EPS             raw queue kernel floor (events/sec)
-     E18_MIN_EPS                   whole-sweep floor (events/sec)
-     E18_MAX_RSS_MB                peak-RSS ceiling *)
+   E18_PROFILE=smoke picks the CI-sized config and its floors (default
+   full); `legion-sim scale` runs the same kernels at any size. *)
 
 open Exp_common
 module Planet = Legion.Planet
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( match int_of_string_opt s with Some v -> v | None -> default)
-  | None -> default
+(* The config and its wall-clock floors (raw queue kernel, whole sweep,
+   events/s) for each profile. *)
+let profile () =
+  match Sys.getenv_opt "E18_PROFILE" with
+  | Some "smoke" -> (Planet.smoke, 100_000.0, 50_000.0)
+  | _ -> (Planet.default, 300_000.0, 10_000.0)
 
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match float_of_string_opt s with Some v -> v | None -> default)
-  | None -> default
-
-let config () =
-  let base =
-    match Sys.getenv_opt "E18_PROFILE" with
-    | Some "smoke" -> Planet.smoke
-    | _ -> Planet.default
-  in
-  {
-    base with
-    Planet.objects = env_int "E18_OBJECTS" base.Planet.objects;
-    calls = env_int "E18_CALLS" base.Planet.calls;
-    queue_events = env_int "E18_QUEUE_EVENTS" base.Planet.queue_events;
-    sites = env_int "E18_SITES" base.Planet.sites;
-    hosts_per_site = env_int "E18_HOSTS_PER_SITE" base.Planet.hosts_per_site;
-  }
+let max_rss_mb = 8192.0
 
 (* Peak RSS in MiB from /proc/self/status (Linux); None elsewhere. *)
 let peak_rss_mb () =
@@ -61,7 +39,7 @@ let peak_rss_mb () =
         scan ())
 
 let run () =
-  let cfg = config () in
+  let cfg, min_queue_eps, min_eps = profile () in
   let t0 = Unix.gettimeofday () in
   let tq0 = t0 in
   let queue_wall = ref 0.0 in
@@ -81,28 +59,7 @@ let run () =
   in
   let eps = float_of_int report.Planet.total_events /. Float.max 1e-9 wall in
   let rss = peak_rss_mb () in
-  let min_queue_eps = env_float "E18_MIN_QUEUE_EPS" 300_000.0 in
-  let min_eps = env_float "E18_MIN_EPS" 10_000.0 in
-  let max_rss_mb = env_float "E18_MAX_RSS_MB" 8192.0 in
-  print_table
-    ~title:
-      (Printf.sprintf
-         "E18  Planetary sweep (%d sites x %d hosts, %d objects, %d raw queue \
-          events)"
-         cfg.Planet.sites cfg.Planet.hosts_per_site cfg.Planet.objects
-         cfg.Planet.queue_events)
-    ~header:[ "kernel"; "events"; "virt clock"; "msgs"; "drops"; "digest" ]
-    (List.map
-       (fun k ->
-         [
-           k.Planet.k_name;
-           fmt_i k.Planet.k_events;
-           Printf.sprintf "%.3f" k.Planet.k_clock;
-           fmt_i k.Planet.k_msgs;
-           fmt_i k.Planet.k_drops;
-           string_of_int k.Planet.k_digest;
-         ])
-       report.Planet.kernels);
+  Planet.print report;
   Printf.printf
     "total: %d events in %.1f s wall = %.0f events/s (queue kernel %.0f/s); \
      peak RSS %s MB\n"
@@ -118,22 +75,16 @@ let run () =
       min_queue_eps min_eps max_rss_mb
   in
   write_bench_json ~file:"BENCH_E18.json" json;
-  let failures = ref [] in
-  if queue_eps < min_queue_eps then
-    failures :=
-      Printf.sprintf "queue kernel %.0f events/s < floor %.0f" queue_eps
-        min_queue_eps
-      :: !failures;
-  if eps < min_eps then
-    failures :=
-      Printf.sprintf "sweep %.0f events/s < floor %.0f" eps min_eps :: !failures;
-  (match rss with
-  | Some m when m > max_rss_mb ->
-      failures :=
-        Printf.sprintf "peak RSS %.0f MB > ceiling %.0f MB" m max_rss_mb
-        :: !failures
-  | _ -> ());
-  if !failures <> [] then begin
-    List.iter (Printf.eprintf "E18 gate failed: %s\n") !failures;
-    exit 1
-  end
+  let fail_if cond fmt =
+    Printf.ksprintf (fun m -> if cond then [ "E18: " ^ m ] else []) fmt
+  in
+  gate
+    (fail_if (queue_eps < min_queue_eps)
+       "queue kernel %.0f events/s < floor %.0f" queue_eps min_queue_eps
+    @ fail_if (eps < min_eps) "sweep %.0f events/s < floor %.0f" eps min_eps
+    @
+    match rss with
+    | Some m ->
+        fail_if (m > max_rss_mb) "peak RSS %.0f MB > ceiling %.0f MB" m
+          max_rss_mb
+    | None -> [])

@@ -11,9 +11,7 @@ let run () =
       (fun checkpoint_period -> Recover.run { Recover.default with checkpoint_period })
       [ 0.5; 1.0; 2.0 ]
   in
-  (match List.concat_map Recover.violations reports with
-  | [] -> ()
-  | vs -> failwith (String.concat "\n" vs));
+  gate (List.concat_map Recover.violations reports);
   write_bench_json ~file:"BENCH_E15.json"
     (Printf.sprintf "{\"experiment\":\"e15\",\"rows\":[%s]}"
        (String.concat "," (List.map Recover.to_json reports)));

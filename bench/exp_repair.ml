@@ -7,8 +7,6 @@ module Replicate = Legion.Replicate
 
 let run () =
   let r = Replicate.run Replicate.default in
-  (match Replicate.violations r with
-  | [] -> ()
-  | vs -> failwith (String.concat "\n" vs));
+  gate (Replicate.violations r);
   write_bench_json ~file:"BENCH_E17.json" (Replicate.to_json r);
   Replicate.print r

@@ -1,147 +1,12 @@
-(* E21 — noisy neighbor under per-tenant quotas and fair queuing (§2.4).
-
-   Runs the Legion.Tenants scenario twice with the same seed — quiet
-   (every tenant inside its budget) and noisy (mallory driven at 10x
-   its token budget) — and gates on tenant isolation: the offender's
-   overload must not move any well-behaved tenant's p99 by more than a
-   bound, every shed must be attributed to the offender (none
-   unattributed), and the unauthorized principal must be answered
-   Denied at GetBinding in both arms, never receiving a binding. A
-   third noisy run checks seed-determinism byte-for-byte. Writes
-   BENCH_E21.json.
-
-   Environment knobs (CI smoke runs use these):
-     E21_SEED               scenario seed (default 42)
-     E21_MAX_P99_SHIFT_MS   per-tenant |noisy - quiet| p99 ceiling (25.0)
-     E21_MAX_ERRORS         non-shed error budget per well-behaved lane (0) *)
+(* E21 — noisy neighbor under per-tenant quotas and fair queuing
+   (§2.4): the Legion.Tenants gate, quiet vs noisy plus a determinism
+   re-run. Writes BENCH_E21.json. *)
 
 open Exp_common
 module Tenants = Legion.Tenants
 
-let env_i64 name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match Int64.of_string_opt s with Some v -> v | None -> default)
-  | None -> default
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match float_of_string_opt s with Some v -> v | None -> default)
-  | None -> default
-
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( match int_of_string_opt s with Some v -> v | None -> default)
-  | None -> default
-
-let lane_rows tag (r : Tenants.report) =
-  List.map
-    (fun (l : Tenants.lane) ->
-      [
-        tag;
-        l.Tenants.tenant;
-        fmt_i l.Tenants.sent;
-        fmt_i l.Tenants.oks;
-        fmt_i l.Tenants.quota_shed;
-        fmt_i l.Tenants.errors;
-        Printf.sprintf "%.2f" l.Tenants.p50_ms;
-        Printf.sprintf "%.2f" l.Tenants.p99_ms;
-      ])
-    r.Tenants.lanes
-
 let run () =
-  let seed = env_i64 "E21_SEED" 42L in
-  let max_shift = env_float "E21_MAX_P99_SHIFT_MS" 25.0 in
-  let max_errors = env_int "E21_MAX_ERRORS" 0 in
-  let quiet = Tenants.run_scenario ~seed ~noisy:false () in
-  let noisy = Tenants.run_scenario ~seed ~noisy:true () in
-  let noisy' = Tenants.run_scenario ~seed ~noisy:true () in
-  let deterministic =
-    String.equal (Tenants.scenario_json noisy) (Tenants.scenario_json noisy')
-  in
-  print_table
-    ~title:
-      (Printf.sprintf "E21  noisy neighbor, seed %Ld (mallory 10x budget)"
-         seed)
-    ~header:
-      [ "run"; "tenant"; "sent"; "ok"; "shed"; "errors"; "p50 ms"; "p99 ms" ]
-    (lane_rows "quiet" quiet @ lane_rows "noisy" noisy);
-  let p99 r name =
-    match Tenants.find_lane r name with
-    | Some l -> l.Tenants.p99_ms
-    | None -> nan
-  in
-  let shifts =
-    List.map
-      (fun name -> (name, Float.abs (p99 noisy name -. p99 quiet name)))
-      Tenants.well_behaved
-  in
-  let worst_shift = List.fold_left (fun a (_, s) -> Float.max a s) 0.0 shifts in
-  Printf.printf
-    "worst well-behaved p99 shift %.2f ms (ceiling %.1f); noisy sheds %d \
-     (offender %d, unattributed %d); eve denied %d/%d, bindings %d; \
-     deterministic: %b\n"
-    worst_shift max_shift noisy.Tenants.shed_events
-    noisy.Tenants.shed_by_offender noisy.Tenants.shed_unattributed
-    noisy.Tenants.eve_denied noisy.Tenants.eve_probes
-    noisy.Tenants.eve_bindings deterministic;
-  let json =
-    Printf.sprintf
-      "{\"seed\": %Ld, \"quiet\": %s, \"noisy\": %s, \"worst_p99_shift_ms\": \
-       %.4f, \"deterministic\": %b, \"gates\": {\"max_p99_shift_ms\": %.1f, \
-       \"max_errors\": %d}}"
-      seed
-      (Tenants.scenario_json quiet)
-      (Tenants.scenario_json noisy)
-      worst_shift deterministic max_shift max_errors
-  in
-  write_bench_json ~file:"BENCH_E21.json" json;
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  if not deterministic then
-    fail "tenants report not byte-deterministic for seed %Ld" seed;
-  List.iter
-    (fun (name, s) ->
-      if s > max_shift then
-        fail "%s p99 moved %.2f ms under the noisy neighbor (ceiling %.1f)"
-          name s max_shift)
-    shifts;
-  if noisy.Tenants.shed_events < 1 then
-    fail "noisy run never shed: the offender was not over budget";
-  if noisy.Tenants.shed_by_offender <> noisy.Tenants.shed_events then
-    fail "%d of %d sheds not attributed to the offender"
-      (noisy.Tenants.shed_events - noisy.Tenants.shed_by_offender)
-      noisy.Tenants.shed_events;
-  if noisy.Tenants.shed_unattributed <> 0 then
-    fail "%d sheds carried no tenant tag" noisy.Tenants.shed_unattributed;
-  List.iter
-    (fun r ->
-      let tag = if r.Tenants.noisy then "noisy" else "quiet" in
-      if r.Tenants.eve_probes < 1 then fail "%s run: eve never probed" tag;
-      if r.Tenants.eve_denied <> r.Tenants.eve_probes then
-        fail "%s run: only %d of %d eve probes answered Denied" tag
-          r.Tenants.eve_denied r.Tenants.eve_probes;
-      if r.Tenants.eve_bindings <> 0 then
-        fail "%s run: eve resolved a binding %d times" tag
-          r.Tenants.eve_bindings;
-      if r.Tenants.deny_by_eve < r.Tenants.eve_probes then
-        fail "%s run: only %d Deny events attributed to eve for %d probes" tag
-          r.Tenants.deny_by_eve r.Tenants.eve_probes;
-      List.iter
-        (fun name ->
-          match Tenants.find_lane r name with
-          | None -> fail "%s run: lane %s missing" tag name
-          | Some l ->
-              if l.Tenants.quota_shed > 0 then
-                fail "%s run: well-behaved %s saw %d quota sheds" tag name
-                  l.Tenants.quota_shed;
-              if l.Tenants.errors > max_errors then
-                fail "%s run: %s saw %d errors (budget %d)" tag name
-                  l.Tenants.errors max_errors)
-        Tenants.well_behaved)
-    [ quiet; noisy ];
-  if !failures <> [] then begin
-    List.iter (Printf.eprintf "E21 gate failed: %s\n") !failures;
-    exit 1
-  end
+  let r = Tenants.run Tenants.default in
+  Tenants.print r;
+  write_bench_json ~file:"BENCH_E21.json" (Tenants.to_json r);
+  gate (Tenants.violations r)

@@ -4,11 +4,11 @@
      boot     bring a system up, print its inventory, run idle
      drive    run a synthetic workload and report per-component load
      trace    run one binding resolution with full message accounting
+     soak     run a chaos workload and check every object survives
      faults   run an open-loop workload under a scripted fault schedule
-     chaos    run seeded adversarial schedules (E22) against the
-              composed ledger/txn/group workload, audit exactly-once
-              and atomicity invariants, shrink any failure to a
-              replayable artifact; exits non-zero on a violation
+     chaos    run the E22 gate: seeded adversarial schedules against the
+              composed ledger/txn/group workload, plus the dedup on/off
+              pair; --replay FILE re-runs one shrunk artifact
      recover  run the E15 crash-recovery scenario (power failure with
               checkpoints, heartbeat detection and fencing armed)
      overload run the E16 saturation sweep against a serial bottleneck,
@@ -16,18 +16,15 @@
      replicate run the E17 replica kill sweep and fenced network split
      scale    run the E18 planetary-sweep kernels at a chosen scale,
               optionally emitting the deterministic JSON report
-     elastic  run the E19 flash-crowd scenario (baseline or with the
-              autonomic elasticity armed) and report the adaptation
+     elastic  run the E19 flash-crowd gate, static and elastic
      txn      run the E20 atomic-invocation scenario (2PC and sagas,
               optionally crashing the coordinator) and audit atomicity
               from the event-sourced version history
-     tenants  run the E21 noisy-neighbor scenario (quiet and noisy
-              arms) and gate on tenant isolation, shed attribution and
-              denied bindings; exits non-zero on a gate violation
+     tenants  run the E21 noisy-neighbor gate, quiet and noisy
      idl      parse an IDL file and echo the normalized interfaces
 
-   recover, overload, replicate and txn drive the same library scenarios
-   as the bench gates and exit non-zero exactly when a gate is violated. *)
+   The gated subcommands drive the same library code as the bench gates
+   and exit non-zero exactly when a gate is violated. *)
 
 module Value = Legion_wire.Value
 module Loid = Legion_naming.Loid
@@ -89,6 +86,39 @@ let sites_arg =
 let seed_arg =
   let doc = "PRNG seed; runs are deterministic per seed." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc)
+
+(* --- gated scenarios --- *)
+
+(* chaos, recover, overload, replicate, elastic, txn and tenants run the
+   library gates the bench runs: the defaults are the gate's config,
+   --json prints the gate's JSON, and the exit code is non-zero exactly
+   when a gate is violated. *)
+let report ~json ~to_json ~print ~violations r =
+  if json then print_endline (to_json r) else print r;
+  match violations r with
+  | [] -> ()
+  | vs ->
+      flush stdout;
+      List.iter (Format.eprintf "violation: %s@.") vs;
+      exit 1
+
+let scenario_exits =
+  Cmd.Exit.info 1 ~doc:"when a gate of the scenario is violated."
+  :: Cmd.Exit.defaults
+
+let scenario_json_arg =
+  Arg.(value & flag & info [ "json" ]
+         ~doc:"Emit the gate's JSON report on stdout (same seed, same bytes).")
+
+let scenario_seed_arg default =
+  Arg.(value & opt int64 default & info [ "seed" ] ~docv:"N"
+         ~doc:"PRNG seed; runs are deterministic per seed.")
+
+let float_arg name ~docv ~doc default =
+  Arg.(value & opt float default & info [ name ] ~docv ~doc)
+
+let int_arg name ~docv ~doc default =
+  Arg.(value & opt int default & info [ name ] ~docv ~doc)
 
 (* --- boot --- *)
 
@@ -337,9 +367,41 @@ let cmd_soak =
 
 (* --- faults --- *)
 
+(* Fault-schedule values: a malformed or out-of-range value is a usage
+   error that names its option. *)
+let checked what ok s =
+  match float_of_string_opt s with
+  | Some x when ok x -> Ok x
+  | _ -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
+
+let parse_probability =
+  checked "a probability in [0,1]" (fun p -> p >= 0.0 && p <= 1.0)
+
+let float_conv parse = Arg.conv (parse, Format.pp_print_float)
+let probability = float_conv parse_probability
+let positive = float_conv (checked "a positive number" (fun x -> x > 0.0))
+
+let seconds =
+  float_conv
+    (checked "a non-negative number of seconds" (fun x ->
+         Float.is_finite x && x >= 0.0))
+
+let ramp =
+  let rec parse = function
+    | [] -> Ok []
+    | p :: rest ->
+        Result.bind (parse_probability p) (fun p ->
+            Result.map (List.cons p) (parse rest))
+  in
+  let print =
+    Format.(
+      pp_print_list ~pp_sep:(fun ppf () -> pp_print_char ppf ',') pp_print_float)
+  in
+  Arg.conv ((fun spec -> parse (String.split_on_char ',' spec)), print)
+
 let cmd_faults =
   let ramp_arg =
-    Arg.(value & opt string "0,0.01,0.05,0.2,0"
+    Arg.(value & opt ramp [ 0.0; 0.01; 0.05; 0.2; 0.0 ]
          & info [ "ramp" ] ~docv:"P0,P1,..."
              ~doc:"Drop-rate ramp: the values are stepped through evenly over the run.")
   in
@@ -348,11 +410,11 @@ let cmd_faults =
          & info [ "duration" ] ~docv:"S" ~doc:"Virtual seconds of workload.")
   in
   let period_arg =
-    Arg.(value & opt float 0.05
+    Arg.(value & opt positive 0.05
          & info [ "period" ] ~docv:"S" ~doc:"Seconds between calls (open loop).")
   in
   let partition_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some (pair ~sep:':' seconds seconds)) None
          & info [ "partition" ] ~docv:"T:W"
              ~doc:"Partition the first two sites from T for W seconds.")
   in
@@ -362,33 +424,28 @@ let cmd_faults =
              ~doc:"Crash a non-infrastructure host at T; it reboots 5 s later.")
   in
   let duplicate_arg =
-    Arg.(value & opt float 0.0
+    Arg.(value & opt probability 0.0
          & info [ "duplicate" ] ~docv:"P"
              ~doc:"Probability that a delivered message is delivered twice.")
   in
   let corrupt_arg =
-    Arg.(value & opt float 0.0
+    Arg.(value & opt probability 0.0
          & info [ "corrupt" ] ~docv:"P"
              ~doc:"Probability that a payload is byte-mutated in flight \
                    (dropped at the receiver by the integrity check).")
   in
   let reorder_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some (pair ~sep:':' probability seconds)) None
          & info [ "reorder" ] ~docv:"P:W"
              ~doc:"Hold back messages with probability P for up to W extra \
                    seconds, letting later traffic overtake them.")
-  in
-  let parse_window spec =
-    match String.split_on_char ':' spec with
-    | [ t; w ] -> (float_of_string t, float_of_string w)
-    | _ -> failwith "window spec must look like  8.0:2.0"
   in
   let json_arg =
     Arg.(value & flag & info [ "json" ]
          ~doc:"Emit the report as one JSON object (goodput windows, retry \
                counters, per-cause drop split, MTTR percentiles).")
   in
-  let run sites seed ramp duration period partition crash duplicate corrupt
+  let run sites seed values duration period partition crash duplicate corrupt
       reorder json =
     let sys = boot_system ~sites ~seed in
     let ctx = System.client sys () in
@@ -403,9 +460,6 @@ let cmd_faults =
     Array.iter (fun o -> ignore (Api.call sys ctx ~dst:o ~meth:"Get" ~args:[])) objs;
     let sim = System.sim sys and net = System.net sys and obs = System.obs sys in
     let mark = Recorder.total obs in
-    let values =
-      List.map float_of_string (String.split_on_char ',' ramp)
-    in
     let steps = max 1 (List.length values - 1) in
     let t0 = System.now sys in
     let t_end = t0 +. duration in
@@ -415,13 +469,10 @@ let cmd_faults =
     if corrupt > 0.0 then Network.set_corrupt_rate net corrupt;
     (match reorder with
     | None -> ()
-    | Some spec ->
-        let rate, window = parse_window spec in
-        Network.set_reorder net ~rate ~window);
+    | Some (rate, window) -> Network.set_reorder net ~rate ~window);
     (match partition with
     | None -> ()
-    | Some spec ->
-        let t, w = parse_window spec in
+    | Some (t, w) ->
         let sites = System.sites sys in
         if List.length sites < 2 then failwith "--partition needs two sites";
         let a = (List.nth sites 0).System.site_id
@@ -570,152 +621,70 @@ let cmd_faults =
 let cmd_chaos =
   let module Schedule = Legion_chaos.Schedule in
   let module Explorer = Legion_chaos.Explorer in
-  let schedules_arg =
-    Arg.(value & opt int 25
-         & info [ "schedules" ] ~docv:"N"
-             ~doc:"Seeded schedules to generate and run (ignored with \
-                   $(b,--replay)).")
-  in
-  let rounds_arg =
-    Arg.(value & opt int 16
-         & info [ "rounds" ] ~docv:"N" ~doc:"Workload rounds per schedule.")
-  in
+  let d = Explorer.default in
   let replay_arg =
     Arg.(value & opt (some file) None
          & info [ "replay" ] ~docv:"FILE"
              ~doc:"Replay one schedule from its serialized artifact instead \
-                   of generating a fleet.")
+                   of running the gate.")
   in
-  let no_dedup_arg =
-    Arg.(value & flag & info [ "no-dedup" ]
-         ~doc:"Disable the runtime's exactly-once dedup cache (a \
-               duplication-heavy schedule is then expected to detect double \
-               applies).")
+  let replay ~json file =
+    let text = In_channel.with_open_text file In_channel.input_all in
+    match Schedule.of_string text with
+    | Error msg ->
+        Format.eprintf "%s: %s@." file msg;
+        exit 2
+    | Ok sch ->
+        let o = Explorer.run_schedule sch in
+        if json then print_endline (Explorer.outcome_json sch o)
+        else begin
+          Format.printf "%a@." Schedule.pp sch;
+          Format.printf
+            "ledger: %d acked, %d recorded, %d double applies, %d dedup hits@."
+            o.Explorer.ledger_acked o.Explorer.ledger_recorded
+            o.Explorer.double_applies o.Explorer.dedup_hits;
+          Format.printf
+            "txns: %d acked, %d committed, %d compensated; group: %d acked@."
+            o.Explorer.txns_acked o.Explorer.txns_committed
+            o.Explorer.txns_compensated o.Explorer.group_acked;
+          Format.printf
+            "adversary: %d duplicated, %d reordered, %d corrupted, %d \
+             dropped (%d by corruption), %d crashes@."
+            o.Explorer.duplicated o.Explorer.reordered o.Explorer.corrupted
+            o.Explorer.dropped o.Explorer.drops_corrupt o.Explorer.crashes;
+          if Explorer.failed o then
+            List.iter (Format.printf "violation: %s@.") o.Explorer.violations
+          else Format.printf "all invariants held@."
+        end;
+        if Explorer.failed o then exit 1
   in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ]
-         ~doc:"Emit one JSON report row per schedule.")
-  in
-  (* A failing schedule is shrunk to a locally minimal replayable
-     artifact; the exit code is the gate. *)
-  let artifact = "E22_FAILING_SCHEDULE.txt" in
-  let fail_schedule ~dedup ~json sch rep =
-    let min_sch, min_rep = Explorer.shrink ~dedup sch rep in
-    Out_channel.with_open_text artifact (fun oc ->
-        output_string oc (Schedule.to_string min_sch));
-    if json then
-      print_endline (Explorer.report_json min_sch min_rep)
-    else begin
-      Format.printf "schedule (seed %Ld) violated invariants:@."
-        sch.Schedule.seed;
-      List.iter (Format.printf "  %s@.") min_rep.Explorer.violations;
-      Format.printf
-        "minimized to %d steps; replay with  legion-sim chaos --replay %s@."
-        (List.length min_sch.Schedule.steps)
-        artifact
-    end;
-    exit 1
-  in
-  let run seed schedules rounds replay no_dedup json =
-    let dedup = not no_dedup in
-    match replay with
-    | Some file -> (
-        let text = In_channel.with_open_text file In_channel.input_all in
-        match Schedule.of_string text with
-        | Error msg ->
-            Format.eprintf "%s: %s@." file msg;
-            exit 2
-        | Ok sch ->
-            let rep = Explorer.run ~dedup sch in
-            if json then print_endline (Explorer.report_json sch rep)
-            else begin
-              Format.printf "%a@." Schedule.pp sch;
-              Format.printf
-                "ledger: %d acked, %d recorded, %d double applies, %d dedup \
-                 hits@."
-                rep.Explorer.ledger_acked rep.Explorer.ledger_recorded
-                rep.Explorer.double_applies rep.Explorer.dedup_hits;
-              Format.printf
-                "txns: %d acked, %d committed, %d compensated; group: %d \
-                 acked@."
-                rep.Explorer.txns_acked rep.Explorer.txns_committed
-                rep.Explorer.txns_compensated rep.Explorer.group_acked;
-              Format.printf
-                "adversary: %d duplicated, %d reordered, %d corrupted, %d \
-                 dropped (%d by corruption), %d crashes@."
-                rep.Explorer.duplicated rep.Explorer.reordered
-                rep.Explorer.corrupted rep.Explorer.dropped
-                rep.Explorer.drops_corrupt rep.Explorer.crashes;
-              if rep.Explorer.violations = [] then
-                Format.printf "all invariants held@."
-              else
-                List.iter
-                  (Format.printf "violation: %s@.")
-                  rep.Explorer.violations
-            end;
-            if Explorer.failed rep then exit 1)
+  let run seed schedules rounds replay_file json =
+    match replay_file with
+    | Some file -> replay ~json file
     | None ->
-        let base = Int64.of_int seed in
-        for i = 1 to schedules do
-          let sch =
-            Schedule.generate ~rounds ~seed:(Int64.add base (Int64.of_int i)) ()
-          in
-          let rep = Explorer.run ~dedup sch in
-          if json then print_endline (Explorer.report_json sch rep)
-          else
-            Format.printf "schedule %3d/%d (seed %Ld): %s@." i schedules
-              sch.Schedule.seed
-              (if Explorer.failed rep then "FAIL" else "ok");
-          if Explorer.failed rep then fail_schedule ~dedup ~json sch rep
-        done;
-        if not json then
-          Format.printf "%d schedules, zero invariant violations@." schedules
+        let r = Explorer.run { Explorer.seed; schedules; rounds } in
+        Explorer.write_artifact r;
+        report ~json ~to_json:Explorer.to_json ~print:Explorer.print
+          ~violations:Explorer.violations r
   in
   let info =
-    Cmd.info "chaos"
+    Cmd.info "chaos" ~exits:scenario_exits
       ~doc:
-        "Run seeded adversarial fault schedules against the composed ledger + \
-         transaction + fenced-group workload and audit exactly-once and \
-         atomicity invariants (E22). A failing schedule is shrunk to a \
-         replayable artifact and the command exits non-zero."
+        "Run the E22 chaos gate: a fleet of seeded adversarial fault \
+         schedules against the composed ledger + transaction + fenced-group \
+         workload, each run twice, then a duplication-heavy schedule with \
+         the dedup cache on and off. A failing schedule is shrunk to a \
+         replayable artifact."
   in
   Cmd.v info
     Term.(
-      const run $ seed_arg $ schedules_arg $ rounds_arg $ replay_arg
-      $ no_dedup_arg $ json_arg)
-
-(* --- gated scenarios: recover, overload, replicate, txn --- *)
-
-(* These subcommands run the library scenarios the E15/E16/E17/E20
-   bench gates run: the defaults are the gate's config, --json prints
-   the gate's JSON, and the exit code is non-zero exactly when a gate
-   is violated. *)
-let report ~json ~to_json ~print ~violations r =
-  if json then print_endline (to_json r) else print r;
-  match violations r with
-  | [] -> ()
-  | vs ->
-      flush stdout;
-      List.iter (Format.eprintf "violation: %s@.") vs;
-      exit 1
-
-let scenario_exits =
-  Cmd.Exit.info 1 ~doc:"when a gate of the scenario is violated."
-  :: Cmd.Exit.defaults
-
-let scenario_json_arg =
-  Arg.(value & flag & info [ "json" ]
-         ~doc:"Emit the gate's JSON report on stdout (same seed, same bytes).")
-
-let scenario_seed_arg default =
-  Arg.(value & opt int64 default & info [ "seed" ] ~docv:"N"
-         ~doc:"PRNG seed; runs are deterministic per seed.")
-
-let float_arg name ~docv ~doc default =
-  Arg.(value & opt float default & info [ name ] ~docv ~doc)
-
-let int_arg name ~docv ~doc default =
-  Arg.(value & opt int default & info [ name ] ~docv ~doc)
+      const run $ scenario_seed_arg d.Explorer.seed
+      $ int_arg "schedules" ~docv:"N"
+          ~doc:"Seeded schedules in the fleet (ignored with $(b,--replay))."
+          d.Explorer.schedules
+      $ int_arg "rounds" ~docv:"N" ~doc:"Workload rounds per fleet schedule."
+          d.Explorer.rounds
+      $ replay_arg $ scenario_json_arg)
 
 let cmd_overload =
   let module O = Legion.Overload in
@@ -830,135 +799,65 @@ let cmd_replicate =
           d.R.period
       $ scenario_json_arg)
 
-(* --- idl --- *)
-
 (* --- scale --- *)
 
 let cmd_scale =
-  let objects_arg =
-    let doc = "Cache-kernel object population." in
-    Arg.(value & opt int 20_000 & info [ "objects" ] ~docv:"N" ~doc)
-  in
-  let calls_arg =
-    let doc = "Cache-kernel invocation count." in
-    Arg.(value & opt int 20_000 & info [ "calls" ] ~docv:"N" ~doc)
-  in
-  let scale_sites_arg =
-    let doc = "Number of sites." in
-    Arg.(value & opt int 8 & info [ "sites" ] ~docv:"N" ~doc)
-  in
-  let hosts_arg =
-    let doc = "Hosts per site." in
-    Arg.(value & opt int 8 & info [ "hosts-per-site" ] ~docv:"N" ~doc)
-  in
-  let queue_arg =
-    let doc = "Raw calendar-queue kernel event budget." in
-    Arg.(value & opt int 1_000_000 & info [ "queue-events" ] ~docv:"N" ~doc)
-  in
-  let json_arg =
-    let doc =
-      "Emit the deterministic report as JSON on stdout (same seed, same \
-       bytes) and nothing else."
-    in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
+  let module P = Legion.Planet in
+  let d = P.smoke in
   let run seed objects calls sites hosts_per_site queue_events json =
     let cfg =
-      {
-        Legion.Planet.smoke with
-        Legion.Planet.seed = Int64.of_int seed;
-        sites;
-        hosts_per_site;
-        objects;
-        calls;
-        queue_events;
-      }
+      { d with P.seed; sites; hosts_per_site; objects; calls; queue_events }
     in
-    if json then
-      print_string (Legion.Planet.to_json (Legion.Planet.run cfg))
+    if json then print_string (P.to_json (P.run cfg))
     else begin
-      let progress msg = Format.printf "  %s@." msg in
       let c0 = Sys.time () in
-      let report = Legion.Planet.run ~progress cfg in
+      let report = P.run ~progress:(Printf.printf "  %s\n%!") cfg in
       let cpu = Sys.time () -. c0 in
-      Format.printf "@.%-8s %10s %12s %10s %8s@." "kernel" "events"
-        "virt clock" "msgs" "drops";
-      List.iter
-        (fun k ->
-          Format.printf "%-8s %10d %12.3f %10d %8d@." k.Legion.Planet.k_name
-            k.Legion.Planet.k_events k.Legion.Planet.k_clock
-            k.Legion.Planet.k_msgs k.Legion.Planet.k_drops)
-        report.Legion.Planet.kernels;
-      Format.printf "@.%d events total, %.1f s cpu (%.0f events/s)@."
-        report.Legion.Planet.total_events cpu
-        (float_of_int report.Legion.Planet.total_events /. Float.max 1e-9 cpu)
+      P.print report;
+      Printf.printf "%d events total, %.1f s cpu (%.0f events/s)\n"
+        report.P.total_events cpu
+        (float_of_int report.P.total_events /. Float.max 1e-9 cpu)
     end
   in
   let info =
     Cmd.info "scale"
       ~doc:
         "Run the E18 planetary sweep kernels (queue, cache, tree, clone) at a \
-         configurable scale."
+         configurable scale; the defaults are E18's smoke profile."
   in
   Cmd.v info
     Term.(
-      const run $ seed_arg $ objects_arg $ calls_arg $ scale_sites_arg
-      $ hosts_arg $ queue_arg $ json_arg)
+      const run $ scenario_seed_arg d.P.seed
+      $ int_arg "objects" ~docv:"N" ~doc:"Cache-kernel object population."
+          d.P.objects
+      $ int_arg "calls" ~docv:"N" ~doc:"Cache-kernel invocation count."
+          d.P.calls
+      $ int_arg "sites" ~docv:"N" ~doc:"Number of sites." d.P.sites
+      $ int_arg "hosts-per-site" ~docv:"N" ~doc:"Hosts per site."
+          d.P.hosts_per_site
+      $ int_arg "queue-events" ~docv:"N"
+          ~doc:"Raw calendar-queue kernel event budget." d.P.queue_events
+      $ scenario_json_arg)
 
 (* --- elastic --- *)
 
 let cmd_elastic =
-  let baseline_arg =
-    Arg.(
-      value & flag
-      & info [ "baseline" ]
-          ~doc:
-            "Run without the elastic machinery (the static comparison run).")
-  in
-  let json_arg =
-    let doc =
-      "Emit the deterministic report as JSON on stdout (same seed, same \
-       bytes) and nothing else."
-    in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let run seed baseline json =
-    let r =
-      Legion.Elastic.run_scenario ~seed:(Int64.of_int seed)
-        ~elastic:(not baseline) ()
-    in
-    if json then print_string (Legion.Elastic.scenario_json r ^ "\n")
-    else begin
-      Format.printf "E19 flash crowd, %s@."
-        (if r.Legion.Elastic.elastic then "elastic" else "baseline");
-      Format.printf
-        "%d arrivals: %d work calls (%d ok), %d creates acked, %d sheds, %d \
-         errors@."
-        r.Legion.Elastic.arrivals r.Legion.Elastic.works r.Legion.Elastic.oks
-        r.Legion.Elastic.created r.Legion.Elastic.sheds
-        r.Legion.Elastic.errors;
-      Format.printf
-        "latency: p50 %.2f ms, p99 %.2f ms; settled flash window: p50 %.2f \
-         ms, p99 %.2f ms@."
-        r.Legion.Elastic.p50_ms r.Legion.Elastic.p99_ms
-        r.Legion.Elastic.flash_p50_ms r.Legion.Elastic.flash_p99_ms;
-      Format.printf
-        "max per-host share %.1f%%; %d clones, %d merges, %d migrations, %d \
-         splits%s@."
-        (100.0 *. r.Legion.Elastic.max_host_share)
-        r.Legion.Elastic.clones r.Legion.Elastic.merges
-        r.Legion.Elastic.moves r.Legion.Elastic.splits
-        (if r.Legion.Elastic.retier then "; agent tree re-tiered" else "")
-    end
+  let module E = Legion.Elastic in
+  let run seed json =
+    report ~json ~to_json:E.to_json ~print:E.print ~violations:E.violations
+      (E.run { E.seed })
   in
   let info =
-    Cmd.info "elastic"
+    Cmd.info "elastic" ~exits:scenario_exits
       ~doc:
-        "Run the E19 flash-crowd scenario and report how the autonomic \
-         machinery (class cloning, object migration, Jurisdiction splitting) \
-         absorbed it."
+        "Run the E19 flash-crowd gate: the scenario once static and once with \
+         the autonomic machinery (class cloning, object migration, \
+         Jurisdiction splitting, agent re-tiering) armed, and gate on the \
+         settled-flash latency, the hottest host's share and every \
+         adaptation firing."
   in
-  Cmd.v info Term.(const run $ seed_arg $ baseline_arg $ json_arg)
+  Cmd.v info
+    Term.(const run $ scenario_seed_arg E.default.E.seed $ scenario_json_arg)
 
 (* --- txn --- *)
 
@@ -1003,123 +902,22 @@ let cmd_txn =
 (* --- tenants --- *)
 
 let cmd_tenants =
-  let module Tenants = Legion.Tenants in
-  let baseline_arg =
-    Arg.(
-      value & flag
-      & info [ "baseline" ]
-          ~doc:
-            "Run and report only the quiet arm (every tenant inside its \
-             budget); no gates are evaluated.")
-  in
-  let json_arg =
-    let doc =
-      "Emit the deterministic report as JSON on stdout (same seed, same \
-       bytes) and nothing else."
-    in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let max_shift = 25.0 in
-  let print_lanes (r : Tenants.report) =
-    List.iter
-      (fun (l : Tenants.lane) ->
-        Format.printf
-          "  %-8s %5d sent, %5d ok, %5d shed, %3d errors; p50 %.2f ms, p99 \
-           %.2f ms@."
-          l.Tenants.tenant l.Tenants.sent l.Tenants.oks l.Tenants.quota_shed
-          l.Tenants.errors l.Tenants.p50_ms l.Tenants.p99_ms)
-      r.Tenants.lanes
-  in
-  let run seed baseline json =
-    let seed = Int64.of_int seed in
-    if baseline then begin
-      let r = Tenants.run_scenario ~seed ~noisy:false () in
-      if json then print_string (Tenants.scenario_json r ^ "\n")
-      else begin
-        Format.printf "E21 noisy neighbor, quiet arm@.";
-        print_lanes r
-      end
-    end
-    else begin
-      let quiet = Tenants.run_scenario ~seed ~noisy:false () in
-      let noisy = Tenants.run_scenario ~seed ~noisy:true () in
-      let noisy' = Tenants.run_scenario ~seed ~noisy:true () in
-      let deterministic =
-        String.equal (Tenants.scenario_json noisy)
-          (Tenants.scenario_json noisy')
-      in
-      let p99 r name =
-        match Tenants.find_lane r name with
-        | Some l -> l.Tenants.p99_ms
-        | None -> nan
-      in
-      let worst_shift =
-        List.fold_left
-          (fun acc name ->
-            Float.max acc (Float.abs (p99 noisy name -. p99 quiet name)))
-          0.0 Tenants.well_behaved
-      in
-      let attributed =
-        noisy.Tenants.shed_events >= 1
-        && noisy.Tenants.shed_by_offender = noisy.Tenants.shed_events
-        && noisy.Tenants.shed_unattributed = 0
-      in
-      let denied r =
-        r.Tenants.eve_probes >= 1
-        && r.Tenants.eve_denied = r.Tenants.eve_probes
-        && r.Tenants.eve_bindings = 0
-        && r.Tenants.deny_by_eve >= r.Tenants.eve_probes
-      in
-      let clean r =
-        List.for_all
-          (fun name ->
-            match Tenants.find_lane r name with
-            | Some l -> l.Tenants.quota_shed = 0 && l.Tenants.errors = 0
-            | None -> false)
-          Tenants.well_behaved
-      in
-      let ok =
-        deterministic && worst_shift <= max_shift && attributed
-        && denied quiet && denied noisy && clean quiet && clean noisy
-      in
-      if json then
-        Format.printf
-          "{\"seed\": %Ld, \"quiet\": %s, \"noisy\": %s, \
-           \"worst_p99_shift_ms\": %.4f, \"max_p99_shift_ms\": %.1f, \
-           \"deterministic\": %b, \"gates_ok\": %b}@."
-          seed
-          (Tenants.scenario_json quiet)
-          (Tenants.scenario_json noisy)
-          worst_shift max_shift deterministic ok
-      else begin
-        Format.printf "E21 noisy neighbor (quiet arm)@.";
-        print_lanes quiet;
-        Format.printf "E21 noisy neighbor (noisy arm: mallory at 10x budget)@.";
-        print_lanes noisy;
-        Format.printf
-          "worst well-behaved p99 shift %.2f ms (ceiling %.1f)@." worst_shift
-          max_shift;
-        Format.printf
-          "noisy sheds %d: %d attributed to %s, %d unattributed@."
-          noisy.Tenants.shed_events noisy.Tenants.shed_by_offender
-          Tenants.offender noisy.Tenants.shed_unattributed;
-        Format.printf "eve: %d/%d probes denied, %d bindings resolved@."
-          noisy.Tenants.eve_denied noisy.Tenants.eve_probes
-          noisy.Tenants.eve_bindings;
-        Format.printf "deterministic: %b; gates: %s@." deterministic
-          (if ok then "pass" else "FAIL")
-      end;
-      if not ok then exit 1
-    end
+  let module T = Legion.Tenants in
+  let run seed json =
+    report ~json ~to_json:T.to_json ~print:T.print ~violations:T.violations
+      (T.run { T.seed })
   in
   let info =
-    Cmd.info "tenants"
+    Cmd.info "tenants" ~exits:scenario_exits
       ~doc:
-        "Run the E21 noisy-neighbor scenario (quiet and noisy arms, same \
-         seed) and gate on tenant isolation, shed attribution and denied \
-         bindings; exits non-zero on a gate violation."
+        "Run the E21 noisy-neighbor gate: the scenario quiet and noisy (same \
+         seed), and gate on tenant isolation, shed attribution and denied \
+         bindings."
   in
-  Cmd.v info Term.(const run $ seed_arg $ baseline_arg $ json_arg)
+  Cmd.v info
+    Term.(const run $ scenario_seed_arg T.default.T.seed $ scenario_json_arg)
+
+(* --- idl --- *)
 
 let cmd_idl =
   let file_arg =

@@ -1,5 +1,5 @@
-(* Autonomic elasticity: arming the self-managing loops, plus the
-   shared E19 flash-crowd scenario.
+(* Autonomic elasticity: arming the self-managing loops, plus the E19
+   flash-crowd scenario and its gate.
 
    [enable] wires three mechanisms the paper leaves to policy code:
    - §5.2.2 class cloning made automatic: each supervised class gets an
@@ -13,10 +13,10 @@
      lookup demand at the site agents re-tiers them under a root layer
      once the flat arrangement is saturated.
 
-   [run_scenario] is the deterministic flash-crowd experiment shared by
-   bench E19, the [legion-sim elastic] subcommand and the regression
-   tests: a two-site Legion where the whole object population lives in
-   the east Jurisdiction and a flash crowd lands from the west. *)
+   [run] is the E19 gate the bench, [legion-sim elastic] and the tests
+   share: a two-site Legion where the whole object population lives in
+   the east Jurisdiction and a flash crowd lands from the west, run
+   static and armed. *)
 
 module Value = Legion_wire.Value
 module Loid = Legion_naming.Loid
@@ -37,47 +37,36 @@ module Sched_part = Legion_sched.Sched_part
 module Recorder = Legion_obs.Recorder
 module Trace = Legion_obs.Trace
 module Stats = Legion_util.Stats
+module Std_parts = Legion_objects.Std_parts
 module Prng = Legion_util.Prng
 
-type config = {
-  class_admission : Runtime.admission;
-  clone_period : float;
-  clone_hi : float;
-  clone_sustain : int;
-  clone_grow_rate : float;
-  clone_lo_rate : float;
-  clone_merge_sustain : int;
-  max_clones : int;
-  rebalance_period : float;
-  hot_calls : int;
-  split_objects : int;
-  spares_per_site : int;
-  retier_fanout : int;
-  retier_lookups : int;
-}
+(* The control loops' settings. *)
 
-let default_config =
-  {
-    (* Generous on purpose: the class is also the control hub —
-       NotifyMagistrates, binding refreshes and the clone handshakes all
-       land here, and shedding those wedges migrations half-done. The
-       cloning trigger rides the demand rate, not budget exhaustion. *)
-    class_admission =
-      { Runtime.max_inflight = 16; max_queue = 64; retry_after_hint = 0.05 };
-    clone_period = 2.0;
-    clone_hi = 0.5;
-    clone_sustain = 2;
-    clone_grow_rate = 15.0;
-    clone_lo_rate = 8.0;
-    clone_merge_sustain = 3;
-    max_clones = 2;
-    rebalance_period = 2.0;
-    hot_calls = 12;
-    split_objects = 200;
-    spares_per_site = 1;
-    retier_fanout = 2;
-    retier_lookups = 60;
-  }
+(* Budget stamped on each supervised class object, making its load
+   factor a meaningful cloning signal. Generous on purpose: the class
+   is also the control hub — NotifyMagistrates, binding refreshes and
+   the clone handshakes all land here, and shedding those wedges
+   migrations half-done. The cloning trigger rides the demand rate, not
+   budget exhaustion. *)
+let class_admission =
+  { Runtime.max_inflight = 16; max_queue = 64; retry_after_hint = 0.05 }
+
+let clone_period = 2.0 (* StartElastic sampling period *)
+let clone_hi = 0.5 (* load factor past which a sample counts hot *)
+let clone_sustain = 2 (* consecutive hot samples before cloning *)
+
+(* Creates per period per clone that keep the ring growing (and, with
+   no clones yet, the per-period demand that bootstraps it). *)
+let clone_grow_rate = 15.0
+let clone_lo_rate = 8.0 (* demand per clone below which it cools *)
+let clone_merge_sustain = 3 (* cool periods before a clone retires *)
+let max_clones = 2
+let rebalance_period = 2.0 (* rebalancer wakeup period *)
+let hot_calls = 12 (* fresh per-period calls that make an object hot *)
+let split_objects = 200 (* Jurisdiction size that triggers a split *)
+let spares_per_site = 1 (* spare Magistrates per site (shared storage) *)
+let retier_fanout = 2 (* combining-tree fanout when re-tiering *)
+let retier_lookups = 60 (* per-period agent lookups that trigger it *)
 
 type enabled = { rebalancer : Loid.t; retier_fired : unit -> bool }
 
@@ -180,7 +169,7 @@ let retier_now t ~fanout =
 (* Watch the per-period lookup demand reaching the site Binding Agents;
    once a period serves [retier_lookups] or more, the flat arrangement
    is saturated — re-tier exactly once. *)
-let retier_watch t ~cfg ~until =
+let retier_watch t ~until =
   let rt = System.rt t in
   let eng = System.sim t in
   let fired = ref false in
@@ -200,35 +189,35 @@ let retier_watch t ~cfg ~until =
              let now_rq = agent_requests () in
              let delta = now_rq - !last in
              last := now_rq;
-             if delta >= cfg.retier_lookups then begin
+             if delta >= retier_lookups then begin
                fired := true;
-               retier_now t ~fanout:cfg.retier_fanout
+               retier_now t ~fanout:retier_fanout
              end
-             else tick (time +. cfg.rebalance_period)))
+             else tick (time +. rebalance_period)))
   in
-  tick (Engine.now eng +. cfg.rebalance_period);
+  tick (Engine.now eng +. rebalance_period);
   fun () -> !fired
 
-let enable t ctx ~classes ~until ?(cfg = default_config) () =
+let enable t ctx ~classes ~until =
   let rt = System.rt t in
   (* Supervised classes: an admission budget (the load-factor signal
      StartElastic samples) and the autonomic cloning loop. *)
   List.iter
     (fun cls ->
       (match Runtime.find_proc rt cls with
-      | Some p -> Runtime.set_admission p (Some cfg.class_admission)
+      | Some p -> Runtime.set_admission p (Some class_admission)
       | None -> ());
       let v =
         Value.Record
           [
-            ("period", Value.Float cfg.clone_period);
+            ("period", Value.Float clone_period);
             ("until", Value.Float until);
-            ("hi", Value.Float cfg.clone_hi);
-            ("sustain", Value.Int cfg.clone_sustain);
-            ("grow_rate", Value.Float cfg.clone_grow_rate);
-            ("lo_rate", Value.Float cfg.clone_lo_rate);
-            ("merge_sustain", Value.Int cfg.clone_merge_sustain);
-            ("max_clones", Value.Int cfg.max_clones);
+            ("hi", Value.Float clone_hi);
+            ("sustain", Value.Int clone_sustain);
+            ("grow_rate", Value.Float clone_grow_rate);
+            ("lo_rate", Value.Float clone_lo_rate);
+            ("merge_sustain", Value.Int clone_merge_sustain);
+            ("max_clones", Value.Int max_clones);
           ]
       in
       ignore (Api.call_exn t ctx ~dst:cls ~meth:"StartElastic" ~args:[ v ]))
@@ -238,7 +227,7 @@ let enable t ctx ~classes ~until ?(cfg = default_config) () =
     List.concat
       (List.mapi
          (fun i s ->
-           List.init cfg.spares_per_site (fun j ->
+           List.init spares_per_site (fun j ->
                (provision_spare t ctx ~site:i ~ordinal:j, s.System.site_id)))
          (System.sites t))
   in
@@ -263,55 +252,21 @@ let enable t ctx ~classes ~until ?(cfg = default_config) () =
       [
         ("magistrates", Value.List (List.map mag_entry mags));
         ("spares", Value.List (List.map mag_entry spares));
-        ("hot_calls", Value.Int cfg.hot_calls);
-        ("split_objects", Value.Int cfg.split_objects);
+        ("hot_calls", Value.Int hot_calls);
+        ("split_objects", Value.Int split_objects);
       ]
   in
   ignore (Api.call_exn t ctx ~dst:rebalancer ~meth:"Configure" ~args:[ conf ]);
   ignore
     (Api.call_exn t ctx ~dst:rebalancer ~meth:"StartRebalance"
-       ~args:[ Value.Float cfg.rebalance_period; Value.Float until ]);
-  let retier_fired = retier_watch t ~cfg ~until in
+       ~args:[ Value.Float rebalance_period; Value.Float until ]);
+  let retier_fired = retier_watch t ~until in
   { rebalancer; retier_fired }
 
 (* ------------------------------------------------------------------ *)
-(* The shared flash-crowd scenario (E19).                              *)
+(* The E19 flash-crowd scenario.                                       *)
 
-(* The scenario's application unit: [Work(d)] holds an inflight slot
-   for [d] virtual seconds, so demand shows up in admission load and in
-   the caller's latency. *)
-let work_unit = "legion.elastic.work"
-let work_idl = "interface ElasticWorker { Work(d: float): int; }"
-
-let work_factory (_ctx : Runtime.ctx) : Impl.part =
-  let served = ref 0 in
-  let work wctx args _env k =
-    match args with
-    | [ Value.Float d ] when d >= 0.0 ->
-        incr served;
-        let eng = Runtime.sim wctx.Runtime.rt in
-        let n = !served in
-        ignore
-          (Engine.schedule_at eng ~time:(Engine.now eng +. d) (fun () ->
-               k (Ok (Value.Int n))))
-    | _ -> Impl.bad_args k "Work expects one non-negative float"
-  in
-  Impl.part
-    ~methods:[ ("Work", work) ]
-    ~save:(fun () -> Value.Int !served)
-    ~restore:(fun v ->
-      match v with
-      | Value.Int n ->
-          served := n;
-          Ok ()
-      | _ -> Error "work state must be an int")
-    work_unit
-
-let register_units () = Impl.register work_unit work_factory
-
-type report = {
-  elastic : bool;
-  seed : int64;
+type arm = {
   arrivals : int;
   works : int;
   oks : int;
@@ -342,7 +297,7 @@ let scenario_profile =
     diurnal_amplitude = 0.25;
     diurnal_period = 60.0;
     flashes = [];
-    (* The flash is attached in [run_scenario], where absolute times
+    (* The flash is attached in [run_arm], where absolute times
        are known (the virtual clock is not 0 after bootstrap). *)
   }
 
@@ -363,9 +318,8 @@ let async_create ctx ~cls ~hints k =
 
 let pct stats p = if Stats.is_empty stats then 0.0 else Stats.percentile stats p
 
-let run_scenario ?(seed = 7L) ~elastic () =
-  register_units ();
-  let cfg = default_config in
+let run_arm ~seed ~elastic =
+  Std_parts.register_worker ();
   let sys =
     System.boot ~seed
       ~rt_config:
@@ -383,7 +337,8 @@ let run_scenario ?(seed = 7L) ~elastic () =
   let ctx = System.client sys () in
   let cls =
     Api.derive_class_exn sys ctx ~parent:Well_known.legion_object
-      ~name:"ElasticWorker" ~units:[ work_unit ] ~idl:work_idl ()
+      ~name:"ElasticWorker" ~units:[ Std_parts.worker_unit ]
+      ~idl:Std_parts.worker_idl ()
   in
   (* The whole population is deliberately placed in the east
      Jurisdiction: the imbalance the elastic machinery must discover. *)
@@ -395,7 +350,7 @@ let run_scenario ?(seed = 7L) ~elastic () =
   let flash_at = start +. scenario_flash_at in
   let until = start +. scenario_horizon in
   let enabled =
-    if elastic then Some (enable sys ctx ~classes:[ cls ] ~until ~cfg ())
+    if elastic then Some (enable sys ctx ~classes:[ cls ] ~until)
     else None
   in
   let mark = Recorder.total (System.obs sys) in
@@ -422,15 +377,6 @@ let run_scenario ?(seed = 7L) ~elastic () =
             ];
         };
     }
-  in
-  let dbg = Sys.getenv_opt "LEGION_ELASTIC_DEBUG" <> None in
-  let err_tally : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let note_err where e =
-    if dbg then begin
-      let key = Printf.sprintf "%s: %s" where (Err.to_string e) in
-      Hashtbl.replace err_tally key
-        (1 + Option.value ~default:0 (Hashtbl.find_opt err_tally key))
-    end
   in
   let arrivals = ref 0 in
   let works = ref 0 in
@@ -465,12 +411,8 @@ let run_scenario ?(seed = 7L) ~elastic () =
       async_create c ~cls ~hints:create_hints (fun r ->
           match r with
           | Ok _ -> incr created
-          | Error (Err.Overloaded _ as e) ->
-              incr sheds;
-              note_err "create" e
-          | Error e ->
-              incr errors;
-              note_err "create" e)
+          | Error (Err.Overloaded _) -> incr sheds
+          | Error _ -> incr errors)
     else begin
       incr works;
       let t0 = Engine.now eng in
@@ -491,12 +433,8 @@ let run_scenario ?(seed = 7L) ~elastic () =
                   Hashtbl.replace host_served h
                     (1 + Option.value ~default:0 (Hashtbl.find_opt host_served h))
               | None -> ())
-          | Error (Err.Overloaded _ as e) ->
-              incr sheds;
-              note_err "work" e
-          | Error e ->
-              incr errors;
-              note_err "work" e)
+          | Error (Err.Overloaded _) -> incr sheds
+          | Error _ -> incr errors)
     end
   in
   let prng = Prng.create ~seed:(Int64.logxor seed 0x9e3779b97f4a7c15L) in
@@ -508,12 +446,8 @@ let run_scenario ?(seed = 7L) ~elastic () =
     if total_served = 0 then 0.0
     else float_of_int max_served /. float_of_int total_served
   in
-  if dbg then
-    Hashtbl.iter (fun k n -> Printf.eprintf "  [dbg] %5d  %s\n%!" n k) err_tally;
   let evs = Recorder.events_since (System.obs sys) mark in
   {
-    elastic;
-    seed;
     arrivals = !arrivals;
     works = !works;
     oks = !oks;
@@ -533,13 +467,119 @@ let run_scenario ?(seed = 7L) ~elastic () =
       (match enabled with Some e -> e.retier_fired () | None -> false);
   }
 
-let scenario_json r =
+(* ------------------------------------------------------------------ *)
+(* The E19 gate.                                                       *)
+
+type config = { seed : int64 }
+
+let default = { seed = 42L }
+
+type report = {
+  cfg : config;
+  baseline : arm;
+  elastic : arm;
+  deterministic : bool;
+}
+
+let max_flash_p50_ratio = 0.5
+let max_share_ratio = 0.85
+let max_errors = 0
+
+let arm_json ~seed ~elastic a =
   Printf.sprintf
     "{\"elastic\": %b, \"seed\": %Ld, \"arrivals\": %d, \"works\": %d, \
      \"oks\": %d, \"sheds\": %d, \"errors\": %d, \"created\": %d, \
      \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"flash_p50_ms\": %.3f, \
      \"flash_p99_ms\": %.3f, \"max_host_share\": %.4f, \"clones\": %d, \
      \"merges\": %d, \"moves\": %d, \"splits\": %d, \"retier\": %b}"
-    r.elastic r.seed r.arrivals r.works r.oks r.sheds r.errors r.created
-    r.p50_ms r.p99_ms r.flash_p50_ms r.flash_p99_ms r.max_host_share r.clones
-    r.merges r.moves r.splits r.retier
+    elastic seed a.arrivals a.works a.oks a.sheds a.errors a.created
+    a.p50_ms a.p99_ms a.flash_p50_ms a.flash_p99_ms a.max_host_share a.clones
+    a.merges a.moves a.splits a.retier
+
+let run cfg =
+  let baseline = run_arm ~seed:cfg.seed ~elastic:false in
+  let elastic = run_arm ~seed:cfg.seed ~elastic:true in
+  let again = run_arm ~seed:cfg.seed ~elastic:true in
+  let json = arm_json ~seed:cfg.seed ~elastic:true in
+  {
+    cfg;
+    baseline;
+    elastic;
+    deterministic = String.equal (json elastic) (json again);
+  }
+
+let flash_ratio r = r.elastic.flash_p50_ms /. r.baseline.flash_p50_ms
+let share_ratio r = r.elastic.max_host_share /. r.baseline.max_host_share
+
+let violations r =
+  let violations = ref [] in
+  let violate fmt =
+    Printf.ksprintf (fun m -> violations := ("E19: " ^ m) :: !violations) fmt
+  in
+  let b = r.baseline and e = r.elastic in
+  if not r.deterministic then
+    violate "elastic report not byte-deterministic for seed %Ld" r.cfg.seed;
+  if flash_ratio r > max_flash_p50_ratio then
+    violate
+      "flash p50 ratio %.3f > ceiling %.2f (elastic %.2f ms, baseline %.2f ms)"
+      (flash_ratio r) max_flash_p50_ratio e.flash_p50_ms b.flash_p50_ms;
+  if share_ratio r > max_share_ratio then
+    violate "host-share ratio %.3f > ceiling %.2f" (share_ratio r)
+      max_share_ratio;
+  if e.errors > max_errors then
+    violate "elastic run saw %d errors (budget %d)" e.errors max_errors;
+  if b.errors > max_errors then
+    violate "baseline run saw %d errors (budget %d)" b.errors max_errors;
+  if e.clones < 1 then violate "elastic run never cloned";
+  if e.merges < 1 then violate "elastic run never merged a clone back";
+  if e.moves < 1 then violate "elastic run never migrated an object";
+  if e.splits < 1 then violate "elastic run never split a Jurisdiction";
+  if not e.retier then violate "agent tree never re-tiered";
+  if b.clones + b.merges + b.moves + b.splits <> 0 || b.retier then
+    violate "baseline run adapted; the control is contaminated";
+  List.rev !violations
+
+let to_json r =
+  Printf.sprintf
+    "{\"seed\": %Ld, \"baseline\": %s, \"elastic\": %s, \"flash_p50_ratio\": \
+     %.4f, \"share_ratio\": %.4f, \"deterministic\": %b, \"gates\": \
+     {\"max_flash_p50_ratio\": %.2f, \"max_share_ratio\": %.2f, \
+     \"max_errors\": %d}}"
+    r.cfg.seed
+    (arm_json ~seed:r.cfg.seed ~elastic:false r.baseline)
+    (arm_json ~seed:r.cfg.seed ~elastic:true r.elastic)
+    (flash_ratio r) (share_ratio r) r.deterministic max_flash_p50_ratio
+    max_share_ratio max_errors
+
+let print r =
+  let row label a =
+    [
+      label;
+      string_of_int a.arrivals;
+      Printf.sprintf "%d/%d" a.oks a.works;
+      string_of_int a.sheds;
+      string_of_int a.errors;
+      Printf.sprintf "%.2f" a.flash_p50_ms;
+      Printf.sprintf "%.2f" a.flash_p99_ms;
+      Printf.sprintf "%.1f%%" (100.0 *. a.max_host_share);
+      Printf.sprintf "%d/%d/%d/%d" a.clones a.merges a.moves a.splits;
+      (if a.retier then "yes" else "no");
+    ]
+  in
+  Legion_util.Table.print
+    ~title:
+      (Printf.sprintf
+         "E19  Zipf flash crowd, seed %Ld (settled flash window, flash-site \
+          callers)"
+         r.cfg.seed)
+    ~header:
+      [
+        "run"; "arrivals"; "ok"; "sheds"; "errors"; "fl p50 ms"; "fl p99 ms";
+        "max host"; "cl/mg/mv/sp"; "retier";
+      ]
+    [ row "baseline" r.baseline; row "elastic" r.elastic ];
+  Printf.printf
+    "flash p50 ratio %.3f (ceiling %.2f); host-share ratio %.3f (ceiling \
+     %.2f); deterministic: %b\n"
+    (flash_ratio r) max_flash_p50_ratio (share_ratio r) max_share_ratio
+    r.deterministic

@@ -8,42 +8,14 @@
     invoke each mechanism when its signal trips, with no operator in
     the loop.
 
-    {!run_scenario} is the deterministic flash-crowd experiment the
-    E19 bench, the [legion-sim elastic] subcommand and the regression
-    tests share: a two-site Legion whose entire object population
-    starts in one Jurisdiction, hit by a Zipf-skewed diurnal workload
-    and a flash crowd arriving from the other site. *)
+    {!run} is the E19 gate the bench, the [legion-sim elastic]
+    subcommand and the regression tests share: a two-site Legion whose
+    entire object population starts in one Jurisdiction, hit by a
+    Zipf-skewed diurnal workload and a flash crowd arriving from the
+    other site, once static and once with the machinery armed. *)
 
 module Loid := Legion_naming.Loid
 module Runtime := Legion_rt.Runtime
-
-type config = {
-  class_admission : Runtime.admission;
-      (** Budget stamped on each supervised class object, making its
-          load factor a meaningful cloning signal. *)
-  clone_period : float;  (** StartElastic sampling period. *)
-  clone_hi : float;  (** Load factor past which a sample counts hot. *)
-  clone_sustain : int;  (** Consecutive hot samples before cloning. *)
-  clone_grow_rate : float;
-      (** Creates per period per clone that keep the ring growing (and,
-          with no clones yet, the per-period demand that bootstraps
-          it). *)
-  clone_lo_rate : float;  (** Demand per clone below which it cools. *)
-  clone_merge_sustain : int;  (** Cool periods before a clone retires. *)
-  max_clones : int;
-  rebalance_period : float;  (** Rebalancer wakeup period. *)
-  hot_calls : int;
-      (** Fresh per-period calls that make an object migration-hot. *)
-  split_objects : int;
-      (** Jurisdiction size past which half is transferred to a spare. *)
-  spares_per_site : int;
-      (** Spare Magistrates provisioned per site (shared storage). *)
-  retier_fanout : int;  (** Combining-tree fanout when re-tiering. *)
-  retier_lookups : int;
-      (** Per-period Binding Agent lookups that trigger re-tiering. *)
-}
-
-val default_config : config
 
 type enabled = {
   rebalancer : Loid.t;  (** The rebalancing Scheduling Agent. *)
@@ -56,23 +28,19 @@ val enable :
   Runtime.ctx ->
   classes:Loid.t list ->
   until:float ->
-  ?cfg:config ->
-  unit ->
   enabled
 (** Arm the elastic machinery until absolute virtual time [until]:
     budget each class in [classes] and start its §5.2.2 cloning loop;
-    provision [spares_per_site] spare Magistrates per site; derive and
+    provision a spare Magistrate per site; derive and
     start a ["legion.sched.rebalance"] Scheduling Agent supervising
     every Jurisdiction; and watch Binding Agent demand for re-tiering.
     Only the arming handshakes are simulated here — the loops fire
     during subsequent runs. @raise Api.Call_failed / Failure when an
     arming step is refused. *)
 
-(** {1 The shared flash-crowd scenario} *)
+(** {1 The E19 gate} *)
 
-type report = {
-  elastic : bool;
-  seed : int64;
+type arm = {
   arrivals : int;  (** Open-loop arrivals generated. *)
   works : int;  (** Work calls issued (arrivals minus churn creates). *)
   oks : int;
@@ -94,21 +62,38 @@ type report = {
   splits : int;
   retier : bool;  (** Whether the agent tree re-tiered. *)
 }
+(** One run of the flash-crowd scenario: two sites of three hosts, 16
+    objects all placed in the east Jurisdiction, a Zipf(1.2) diurnal
+    workload at 40 arrivals/s with a 6x flash crowd from the west
+    between t+20 and t+40, every eighth arrival an instantiation
+    request. *)
 
-val run_scenario : ?seed:int64 -> elastic:bool -> unit -> report
-(** Run the flash-crowd scenario: two sites of three hosts, 16 objects
-    all placed in the east Jurisdiction, a Zipf(1.2) diurnal workload
-    at 40 arrivals/s with a 6x flash crowd from the west between t+20
-    and t+40, every eighth arrival an instantiation request. With
-    [elastic] false nothing adapts (the baseline); with it true,
-    {!enable} runs first. Fully deterministic: the same [seed] yields
-    a byte-identical {!scenario_json}. *)
+type config = { seed : int64 }
 
-val scenario_json : report -> string
-(** One-line JSON rendering of a report (no trailing newline). *)
+val default : config
+(** The E19 gate: seed 42. *)
 
-val work_unit : string
-(** The scenario's application unit (a [Work(d)] service that holds an
-    inflight slot for [d] virtual seconds); exposed for tests. *)
+type report = {
+  cfg : config;
+  baseline : arm;  (** Nothing adapts. *)
+  elastic : arm;  (** {!enable} armed first. *)
+  deterministic : bool;
+      (** A second elastic run reproduced the first byte for byte. *)
+}
 
-val register_units : unit -> unit
+val run : config -> report
+(** Run the baseline arm, the elastic arm and the elastic arm again.
+    Deterministic: the same config yields a byte-identical {!to_json}. *)
+
+val violations : report -> string list
+(** The E19 gates, one line per breach: determinism; the elastic
+    settled-flash p50 at most 0.5x the baseline's and its max host share
+    at most 0.85x; no errors in either arm; every adaptation (clone,
+    merge, migration, split, re-tier) fired in the elastic arm, and none
+    in the baseline. Empty iff every gate holds. *)
+
+val to_json : report -> string
+(** The BENCH_E19.json document (no trailing newline). *)
+
+val print : report -> unit
+(** The E19 table (both arms) and the ratio line. *)

@@ -406,3 +406,23 @@ let to_json r =
   Buffer.add_string b
     (Printf.sprintf "], \"total_events\": %d}" r.total_events);
   Buffer.contents b
+
+let print r =
+  Legion_util.Table.print
+    ~title:
+      (Printf.sprintf
+         "E18  Planetary sweep (%d sites x %d hosts, %d objects, %d raw queue \
+          events)"
+         r.cfg.sites r.cfg.hosts_per_site r.cfg.objects r.cfg.queue_events)
+    ~header:[ "kernel"; "events"; "virt clock"; "msgs"; "drops"; "digest" ]
+    (List.map
+       (fun k ->
+         [
+           k.k_name;
+           string_of_int k.k_events;
+           Printf.sprintf "%.3f" k.k_clock;
+           string_of_int k.k_msgs;
+           string_of_int k.k_drops;
+           string_of_int k.k_digest;
+         ])
+       r.kernels)

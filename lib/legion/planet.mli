@@ -4,7 +4,7 @@
     k-ary Binding Agent trees, E4 class cloning) at planetary scale —
     10⁵–10⁶ objects over 10³+ hosts — plus a raw calendar-queue kernel
     that pushes the simulator core itself past 10⁷ events. The sweep is
-    shared by [bench/exp_planet] (which adds wall-clock and RSS gates),
+    shared by E18 in the bench (which adds wall-clock and RSS gates),
     the [legion-sim scale] subcommand, and the determinism regression
     test.
 
@@ -57,3 +57,7 @@ val run : ?progress:(string -> unit) -> config -> report
 
 val to_json : report -> string
 (** Deterministic JSON rendering: same seed, same bytes. *)
+
+val print : report -> unit
+(** The E18 table: one row per kernel (events, virtual clock, messages,
+    drops, trace digest). *)

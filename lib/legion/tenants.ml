@@ -1,4 +1,4 @@
-(* Multi-tenant hardening: the shared E21 noisy-neighbor scenario.
+(* Multi-tenant hardening: the E21 noisy-neighbor scenario and its gate.
 
    The runtime's tenancy layer (Legion_rt.Tenant + the deficit-round-
    robin admission lanes in Legion_rt.Runtime) keys budgets off the
@@ -19,44 +19,12 @@ module Policy = Legion_sec.Policy
 module Runtime = Legion_rt.Runtime
 module Err = Legion_rt.Err
 module Tenant = Legion_rt.Tenant
-module Impl = Legion_core.Impl
 module Well_known = Legion_core.Well_known
 module Recorder = Legion_obs.Recorder
 module Event = Legion_obs.Event
 module Ustats = Legion_util.Stats
 module Prng = Legion_util.Prng
-
-(* The application unit: [Work(d)] holds an inflight slot for [d]
-   virtual seconds, so concurrent demand contends for the workers'
-   admission slots and queuing shows up in caller latency. *)
-let work_unit = "legion.tenants.work"
-let work_idl = "interface TenantWorker { Work(d: float): int; }"
-
-let work_factory (_ctx : Runtime.ctx) : Impl.part =
-  let served = ref 0 in
-  let work wctx args _env k =
-    match args with
-    | [ Value.Float d ] when d >= 0.0 ->
-        incr served;
-        let eng = Runtime.sim wctx.Runtime.rt in
-        let n = !served in
-        ignore
-          (Engine.schedule_at eng ~time:(Engine.now eng +. d) (fun () ->
-               k (Ok (Value.Int n))))
-    | _ -> Impl.bad_args k "Work expects one non-negative float"
-  in
-  Impl.part
-    ~methods:[ ("Work", work) ]
-    ~save:(fun () -> Value.Int !served)
-    ~restore:(fun v ->
-      match v with
-      | Value.Int n ->
-          served := n;
-          Ok ()
-      | _ -> Error "work state must be an int")
-    work_unit
-
-let register_units () = Impl.register work_unit work_factory
+module Std_parts = Legion_objects.Std_parts
 
 (* ------------------------------------------------------------------ *)
 (* Scenario shape.                                                     *)
@@ -71,9 +39,7 @@ type lane = {
   p99_ms : float;
 }
 
-type report = {
-  noisy : bool;
-  seed : int64;
+type arm = {
   lanes : lane list;  (** alpha, beta, gamma, mallory — fixed order. *)
   shed_events : int;  (** [Shed] events in the scenario window. *)
   shed_by_offender : int;  (** ... attributed to mallory. *)
@@ -112,8 +78,8 @@ let arrivals_of ~seed ~salt ~rate ~start ~until =
   in
   gen start []
 
-let run_scenario ?(seed = 7L) ~noisy () =
-  register_units ();
+let run_arm ~seed ~noisy =
+  Std_parts.register_worker ();
   let sys =
     System.boot ~seed
       ~rt_config:
@@ -128,7 +94,8 @@ let run_scenario ?(seed = 7L) ~noisy () =
   let admin = System.client sys () in
   let cls =
     Api.derive_class_exn sys admin ~parent:Well_known.legion_object
-      ~name:"TenantWorker" ~units:[ work_unit ] ~idl:work_idl ()
+      ~name:"TenantWorker" ~units:[ Std_parts.worker_unit ]
+      ~idl:Std_parts.worker_idl ()
   in
   let workers =
     Array.init scenario_workers (fun _ ->
@@ -202,10 +169,7 @@ let run_scenario ?(seed = 7L) ~noisy () =
                        match r with
                        | Ok _ ->
                            incr oks;
-                           let dt = Engine.now eng -. t0 in
-                           Ustats.add lat dt;
-                           Recorder.observe_tenant (System.obs sys)
-                             ~tenant:name dt
+                           Ustats.add lat (Engine.now eng -. t0)
                        | Error (Err.Quota_exceeded _ | Err.Overloaded _) ->
                            incr quota
                        | Error _ -> incr errors))))
@@ -269,8 +233,6 @@ let run_scenario ?(seed = 7L) ~noisy () =
       measured
   in
   {
-    noisy;
-    seed;
     lanes;
     shed_events = !shed_events;
     shed_by_offender = !shed_by_offender;
@@ -282,21 +244,143 @@ let run_scenario ?(seed = 7L) ~noisy () =
     eve_bindings = !eve_bindings;
   }
 
+(* ------------------------------------------------------------------ *)
+(* The E21 gate.                                                       *)
+
+type config = { seed : int64 }
+
+let default = { seed = 42L }
+
+type report = { cfg : config; quiet : arm; noisy : arm; deterministic : bool }
+
+let max_p99_shift_ms = 25.0
+let max_errors = 0
+
 let lane_json l =
   Printf.sprintf
     "{\"tenant\": \"%s\", \"sent\": %d, \"oks\": %d, \"quota_shed\": %d, \
      \"errors\": %d, \"p50_ms\": %.3f, \"p99_ms\": %.3f}"
     l.tenant l.sent l.oks l.quota_shed l.errors l.p50_ms l.p99_ms
 
-let scenario_json r =
+let arm_json ~seed ~noisy a =
   Printf.sprintf
     "{\"noisy\": %b, \"seed\": %Ld, \"lanes\": [%s], \"shed_events\": %d, \
      \"shed_by_offender\": %d, \"shed_unattributed\": %d, \"deny_events\": \
      %d, \"deny_by_eve\": %d, \"eve_probes\": %d, \"eve_denied\": %d, \
      \"eve_bindings\": %d}"
-    r.noisy r.seed
-    (String.concat ", " (List.map lane_json r.lanes))
-    r.shed_events r.shed_by_offender r.shed_unattributed r.deny_events
-    r.deny_by_eve r.eve_probes r.eve_denied r.eve_bindings
+    noisy seed
+    (String.concat ", " (List.map lane_json a.lanes))
+    a.shed_events a.shed_by_offender a.shed_unattributed a.deny_events
+    a.deny_by_eve a.eve_probes a.eve_denied a.eve_bindings
 
-let find_lane r name = List.find_opt (fun l -> String.equal l.tenant name) r.lanes
+let run cfg =
+  let quiet = run_arm ~seed:cfg.seed ~noisy:false in
+  let noisy = run_arm ~seed:cfg.seed ~noisy:true in
+  let again = run_arm ~seed:cfg.seed ~noisy:true in
+  let json = arm_json ~seed:cfg.seed ~noisy:true in
+  { cfg; quiet; noisy; deterministic = String.equal (json noisy) (json again) }
+
+let find_lane a name =
+  List.find_opt (fun l -> String.equal l.tenant name) a.lanes
+
+(* Each well-behaved tenant's |noisy - quiet| p99, nan if a lane is
+   missing (the lane check reports that). *)
+let shifts r =
+  let p99 a name =
+    match find_lane a name with Some l -> l.p99_ms | None -> nan
+  in
+  List.map
+    (fun name -> (name, Float.abs (p99 r.noisy name -. p99 r.quiet name)))
+    well_behaved
+
+let worst_shift r =
+  List.fold_left (fun a (_, s) -> Float.max a s) 0.0 (shifts r)
+
+let violations r =
+  let violations = ref [] in
+  let violate fmt =
+    Printf.ksprintf (fun m -> violations := ("E21: " ^ m) :: !violations) fmt
+  in
+  let n = r.noisy in
+  if not r.deterministic then
+    violate "tenants report not byte-deterministic for seed %Ld" r.cfg.seed;
+  List.iter
+    (fun (name, s) ->
+      if s > max_p99_shift_ms then
+        violate "%s p99 moved %.2f ms under the noisy neighbor (ceiling %.1f)"
+          name s max_p99_shift_ms)
+    (shifts r);
+  if n.shed_events < 1 then
+    violate "noisy run never shed: the offender was not over budget";
+  if n.shed_by_offender <> n.shed_events then
+    violate "%d of %d sheds not attributed to the offender"
+      (n.shed_events - n.shed_by_offender)
+      n.shed_events;
+  if n.shed_unattributed <> 0 then
+    violate "%d sheds carried no tenant tag" n.shed_unattributed;
+  List.iter
+    (fun (tag, a) ->
+      if a.eve_probes < 1 then violate "%s run: eve never probed" tag;
+      if a.eve_denied <> a.eve_probes then
+        violate "%s run: only %d of %d eve probes answered Denied" tag
+          a.eve_denied a.eve_probes;
+      if a.eve_bindings <> 0 then
+        violate "%s run: eve resolved a binding %d times" tag a.eve_bindings;
+      if a.deny_by_eve < a.eve_probes then
+        violate "%s run: only %d Deny events attributed to eve for %d probes"
+          tag a.deny_by_eve a.eve_probes;
+      List.iter
+        (fun name ->
+          match find_lane a name with
+          | None -> violate "%s run: lane %s missing" tag name
+          | Some l ->
+              if l.quota_shed > 0 then
+                violate "%s run: well-behaved %s saw %d quota sheds" tag name
+                  l.quota_shed;
+              if l.errors > max_errors then
+                violate "%s run: %s saw %d errors (budget %d)" tag name
+                  l.errors max_errors)
+        well_behaved)
+    [ ("quiet", r.quiet); ("noisy", r.noisy) ];
+  List.rev !violations
+
+let to_json r =
+  Printf.sprintf
+    "{\"seed\": %Ld, \"quiet\": %s, \"noisy\": %s, \"worst_p99_shift_ms\": \
+     %.4f, \"deterministic\": %b, \"gates\": {\"max_p99_shift_ms\": %.1f, \
+     \"max_errors\": %d}}"
+    r.cfg.seed
+    (arm_json ~seed:r.cfg.seed ~noisy:false r.quiet)
+    (arm_json ~seed:r.cfg.seed ~noisy:true r.noisy)
+    (worst_shift r) r.deterministic max_p99_shift_ms max_errors
+
+let print r =
+  let rows tag a =
+    List.map
+      (fun l ->
+        [
+          tag;
+          l.tenant;
+          string_of_int l.sent;
+          string_of_int l.oks;
+          string_of_int l.quota_shed;
+          string_of_int l.errors;
+          Printf.sprintf "%.2f" l.p50_ms;
+          Printf.sprintf "%.2f" l.p99_ms;
+        ])
+      a.lanes
+  in
+  Legion_util.Table.print
+    ~title:
+      (Printf.sprintf "E21  noisy neighbor, seed %Ld (mallory 10x budget)"
+         r.cfg.seed)
+    ~header:
+      [ "run"; "tenant"; "sent"; "ok"; "shed"; "errors"; "p50 ms"; "p99 ms" ]
+    (rows "quiet" r.quiet @ rows "noisy" r.noisy);
+  let n = r.noisy in
+  Printf.printf
+    "worst well-behaved p99 shift %.2f ms (ceiling %.1f); noisy sheds %d \
+     (offender %d, unattributed %d); eve denied %d/%d, bindings %d; \
+     deterministic: %b\n"
+    (worst_shift r) max_p99_shift_ms n.shed_events n.shed_by_offender
+    n.shed_unattributed n.eve_denied n.eve_probes n.eve_bindings r.deterministic

@@ -6,8 +6,8 @@
     objects queue per tenant under deficit round robin, and the class
     machinery judges its binding policy before handing out bindings.
 
-    {!run_scenario} is the deterministic experiment the E21 bench, the
-    [legion-sim tenants] subcommand and the regression tests share:
+    {!run} is the E21 gate the bench, the [legion-sim tenants]
+    subcommand and the regression tests share:
     four registered tenants drive a pool of budgeted workers; in the
     {e noisy} arm one of them ([mallory]) is driven at 10x its token
     budget, and in both arms an unauthorized principal ([eve]) probes
@@ -29,9 +29,7 @@ type lane = {
   p99_ms : float;
 }
 
-type report = {
-  noisy : bool;
-  seed : int64;
+type arm = {
   lanes : lane list;  (** alpha, beta, gamma, mallory — fixed order. *)
   shed_events : int;  (** [Shed] events in the scenario window. *)
   shed_by_offender : int;  (** ... attributed to mallory. *)
@@ -42,29 +40,41 @@ type report = {
   eve_denied : int;  (** Probes answered [Err.Denied] (gate: all). *)
   eve_bindings : int;  (** Probes that got through (gate: 0). *)
 }
+(** One run of the scenario: two sites of three hosts, two budgeted
+    workers (one inflight slot, 8 ms service) in the east Jurisdiction;
+    alpha, beta and gamma each drive 20 Poisson arrivals/s for 30
+    virtual seconds under ample budgets; mallory holds a 25 calls/s
+    token budget and drives 20/s in the quiet arm, 250/s in the noisy
+    one; eve, on the west site, probes every 500 ms against a class
+    whose binding policy ([Allow_responsible]) excludes her. *)
 
-val offender : string
-(** ["mallory"]. *)
+type config = { seed : int64 }
 
-val well_behaved : string list
-(** [["alpha"; "beta"; "gamma"]]. *)
+val default : config
+(** The E21 gate: seed 42. *)
 
-val run_scenario : ?seed:int64 -> noisy:bool -> unit -> report
-(** Run the scenario: two sites of three hosts, two budgeted workers
-    (one inflight slot, 8 ms service) in the east Jurisdiction; alpha,
-    beta and gamma each drive 20 Poisson arrivals/s for 30 virtual
-    seconds under ample budgets; mallory holds a 25 calls/s token
-    budget and drives 20/s when quiet, 250/s when [noisy]; eve, on the
-    west site, probes every 500 ms against a class whose binding
-    policy ([Allow_responsible]) excludes her. Fully deterministic:
-    the same [seed] yields a byte-identical {!scenario_json}. *)
+type report = {
+  cfg : config;
+  quiet : arm;
+  noisy : arm;
+  deterministic : bool;
+      (** A second noisy run reproduced the first byte for byte. *)
+}
 
-val scenario_json : report -> string
-(** One-line JSON rendering of a report (no trailing newline). *)
+val run : config -> report
+(** Run the quiet arm, the noisy arm and the noisy arm again.
+    Deterministic: the same config yields a byte-identical {!to_json}. *)
 
-val find_lane : report -> string -> lane option
+val violations : report -> string list
+(** The E21 gates, one line per breach: determinism; each well-behaved
+    tenant's p99 moved at most 25 ms; the noisy arm shed, every shed
+    attributed to mallory and none untagged; and in both arms eve
+    probed, was denied on every probe with a [Deny] event each and
+    never got a binding, and the well-behaved lanes saw no quota sheds
+    and no errors. Empty iff every gate holds. *)
 
-val work_unit : string
-(** The scenario's application unit, exposed for tests. *)
+val to_json : report -> string
+(** The BENCH_E21.json document (no trailing newline). *)
 
-val register_units : unit -> unit
+val print : report -> unit
+(** The E21 table (both arms, one row per lane) and the summary line. *)

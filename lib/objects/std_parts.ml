@@ -69,6 +69,40 @@ let register_counter () = Impl.register counter_unit counter_factory
 let register_serial_counter ~service =
   Impl.register serial_counter_unit (serial_counter_factory ~service)
 
+(* --- Worker --- *)
+
+let worker_unit = "legion.std.worker"
+let worker_idl = "interface Worker { Work(d: float): int; }"
+
+(* [Work(d)] replies [d] virtual seconds later, holding its admission
+   slot meanwhile, so demand shows up in admission load and in the
+   caller's latency. *)
+let worker_factory (_ctx : Runtime.ctx) : Impl.part =
+  let served = ref 0 in
+  let work wctx args _env k =
+    match args with
+    | [ Value.Float d ] when d >= 0.0 ->
+        incr served;
+        let eng = Runtime.sim wctx.Runtime.rt in
+        let n = !served in
+        ignore
+          (Engine.schedule_at eng ~time:(Engine.now eng +. d) (fun () ->
+               k (Ok (Value.Int n))))
+    | _ -> Impl.bad_args k "Work expects one non-negative float"
+  in
+  Impl.part
+    ~methods:[ ("Work", work) ]
+    ~save:(fun () -> Value.Int !served)
+    ~restore:(fun v ->
+      match v with
+      | Value.Int n ->
+          served := n;
+          Ok ()
+      | _ -> Error "work state must be an int")
+    worker_unit
+
+let register_worker () = Impl.register worker_unit worker_factory
+
 (* --- File --- *)
 
 let file_factory (_ctx : Runtime.ctx) : Impl.part =

@@ -23,6 +23,13 @@
     bottleneck object of the overload experiments. Register it with
     {!register_serial_counter}, which fixes the service time.
 
+    {2 Worker ("legion.std.worker")}
+
+    A service with a duration: [Work(d: float): int] replies [d]
+    virtual seconds later (with the number of calls served so far),
+    holding an admission slot meanwhile — the workload object of the
+    elasticity (E19) and noisy-neighbor (E21) scenarios.
+
     {2 File ("legion.std.file")}
 
     A versioned byte container (the "remote files and data" of §1):
@@ -129,6 +136,10 @@ val register_serial_counter : service:float -> unit
 
 val counter_idl : string
 (** [Increment] and [Get]; [Reset] is implemented but undeclared. *)
+
+val worker_unit : string
+val worker_idl : string
+val register_worker : unit -> unit
 
 val file_idl : string
 val kv_idl : string

@@ -8,7 +8,6 @@ type t = {
   mutable enabled : bool;
   lat_buckets : float array;
   lat : (string, Ustats.Histogram.h) Hashtbl.t;
-  tstats : Stats.t;  (* per-tenant attribution, fed from tagged events *)
 }
 
 (* Log-spaced 10µs .. 10s: spans the network's three latency tiers
@@ -27,22 +26,12 @@ let create ?(capacity = 65536) ?(latency_buckets = default_latency_buckets)
     enabled = true;
     lat_buckets = Array.copy latency_buckets;
     lat = Hashtbl.create 16;
-    tstats = Stats.create ~buckets:latency_buckets ();
   }
 
 let emit t ?host ?site kind =
   if t.enabled then begin
     t.buf.(t.total mod t.capacity) <- Some { Event.time = t.clock (); host; site; kind };
-    t.total <- t.total + 1;
-    (* Tenant-tagged admission events also feed the attribution table,
-       so gates read counters instead of re-walking the ring (which may
-       have overwritten the oldest events). *)
-    match kind with
-    | Event.Admit { tenant = Some tn; queued; _ } ->
-        Stats.note_admit t.tstats ~tenant:tn ~queued
-    | Event.Shed { tenant = Some tn; _ } -> Stats.note_shed t.tstats ~tenant:tn
-    | Event.Deny { tenant; _ } -> Stats.note_deny t.tstats ~tenant
-    | _ -> ()
+    t.total <- t.total + 1
   end
 
 let total t = t.total
@@ -77,9 +66,6 @@ let observe t ~component x =
         h
   in
   Ustats.Histogram.add h x
-
-let tenant_stats t = t.tstats
-let observe_tenant t ~tenant x = Stats.observe t.tstats ~tenant x
 
 let latency t ~component = Hashtbl.find_opt t.lat component
 

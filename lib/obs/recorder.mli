@@ -60,13 +60,3 @@ val latency : t -> component:string -> Legion_util.Stats.Histogram.h option
 
 val latencies : t -> (string * Legion_util.Stats.Histogram.h) list
 (** All component histograms, sorted by component name. *)
-
-(** {1 Per-tenant attribution} *)
-
-val tenant_stats : t -> Stats.t
-(** The recorder's tenant-attribution table. {!emit} feeds it
-    automatically from tenant-tagged [Admit]/[Shed]/[Deny] events;
-    latency samples go through {!observe_tenant}. *)
-
-val observe_tenant : t -> tenant:string -> float -> unit
-(** Record one per-tenant end-to-end latency sample (virtual seconds). *)

@@ -191,46 +191,35 @@ let test_schedule_parse_errors () =
 
 (* --- explorer --- *)
 
-let mini_dup_heavy =
-  {
-    Schedule.seed = 31337L;
-    workload = Schedule.Uniform;
-    rounds = 12;
-    steps =
-      [
-        { Schedule.at = 1; action = Schedule.Duplicate 0.4 };
-        { Schedule.at = 1; action = Schedule.Drop 0.08 };
-        { Schedule.at = 6; action = Schedule.Reorder (0.3, 0.02) };
-      ];
-  }
+let mini_dup_heavy = Explorer.dup_heavy ~seed:31337L
 
 let test_explorer_deterministic () =
   let sch = Schedule.generate ~rounds:8 ~seed:70707L () in
-  let a = Explorer.report_json sch (Explorer.run sch) in
-  let b = Explorer.report_json sch (Explorer.run sch) in
+  let a = Explorer.outcome_json sch (Explorer.run_schedule sch) in
+  let b = Explorer.outcome_json sch (Explorer.run_schedule sch) in
   Alcotest.(check string) "same seed, byte-identical report" a b
 
 let test_explorer_dedup_halves () =
-  let on = Explorer.run ~dedup:true mini_dup_heavy in
+  let on = Explorer.run_schedule ~dedup:true mini_dup_heavy in
   Alcotest.(check (list string)) "dedup ON holds the invariants" []
     on.Explorer.violations;
   Alcotest.(check bool) "dedup ON absorbed duplicates" true
     (on.Explorer.dedup_hits > 0);
-  let off = Explorer.run ~dedup:false mini_dup_heavy in
+  let off = Explorer.run_schedule ~dedup:false mini_dup_heavy in
   Alcotest.(check bool) "dedup OFF detects double applies" true
     (off.Explorer.double_applies > 0)
 
 let test_shrinker () =
   (* A passing schedule is returned unchanged. *)
   let sch = Schedule.generate ~rounds:8 ~seed:70707L () in
-  let rep = Explorer.run sch in
+  let rep = Explorer.run_schedule sch in
   Alcotest.(check (list string)) "baseline passes" [] rep.Explorer.violations;
   let sch', _ = Explorer.shrink sch rep in
   Alcotest.(check bool) "passing schedule not shrunk" true
     (Schedule.equal sch sch');
   (* A failing one (dedup off under duplication) shrinks to a smaller
      schedule that still fails. *)
-  let off = Explorer.run ~dedup:false mini_dup_heavy in
+  let off = Explorer.run_schedule ~dedup:false mini_dup_heavy in
   Alcotest.(check bool) "dup-heavy fails without dedup" true
     (Explorer.failed off);
   let min_sch, min_rep = Explorer.shrink ~dedup:false mini_dup_heavy off in

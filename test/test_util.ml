@@ -1,9 +1,9 @@
-(* Unit and property tests for Legion_util: PRNG, statistics, heap and
-   counters. *)
+(* Unit and property tests for Legion_util: PRNG, statistics and
+   counters, plus the binary heap (test/heap.ml) that serves as the
+   calendar queue's oracle. *)
 
 module Prng = Legion_util.Prng
 module Stats = Legion_util.Stats
-module Heap = Legion_util.Heap
 module Counter = Legion_util.Counter
 
 (* --- Prng --- *)

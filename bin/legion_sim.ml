@@ -87,6 +87,37 @@ let seed_arg =
   let doc = "PRNG seed; runs are deterministic per seed." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc)
 
+(* Numeric values: a malformed or out-of-range value is a usage error
+   that names its option. *)
+let checked of_string what ok s =
+  match of_string s with
+  | Some x when ok x -> Ok x
+  | _ -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
+
+let parse_probability =
+  checked float_of_string_opt "a probability in [0,1]" (fun p ->
+      p >= 0.0 && p <= 1.0)
+
+let float_conv parse = Arg.conv (parse, Format.pp_print_float)
+let probability = float_conv parse_probability
+
+let positive =
+  float_conv
+    (checked float_of_string_opt "a positive number" (fun x -> x > 0.0))
+
+let seconds =
+  float_conv
+    (checked float_of_string_opt "a non-negative number of seconds" (fun x ->
+         Float.is_finite x && x >= 0.0))
+
+let int_conv what ok =
+  Arg.conv (checked int_of_string_opt what ok, Format.pp_print_int)
+
+let positive_int = int_conv "a positive integer" (fun n -> n > 0)
+
+let arg c name ~docv ~doc default =
+  Arg.(value & opt c default & info [ name ] ~docv ~doc)
+
 (* --- gated scenarios --- *)
 
 (* chaos, recover, overload, replicate, elastic, txn and tenants run the
@@ -113,12 +144,6 @@ let scenario_json_arg =
 let scenario_seed_arg default =
   Arg.(value & opt int64 default & info [ "seed" ] ~docv:"N"
          ~doc:"PRNG seed; runs are deterministic per seed.")
-
-let float_arg name ~docv ~doc default =
-  Arg.(value & opt float default & info [ name ] ~docv ~doc)
-
-let int_arg name ~docv ~doc default =
-  Arg.(value & opt int default & info [ name ] ~docv ~doc)
 
 (* --- boot --- *)
 
@@ -148,10 +173,10 @@ let cmd_boot =
 
 let cmd_drive =
   let objects_arg =
-    Arg.(value & opt int 32 & info [ "objects" ] ~docv:"N" ~doc:"Objects to create.")
+    arg positive_int "objects" ~docv:"N" ~doc:"Objects to create." 32
   in
   let calls_arg =
-    Arg.(value & opt int 1000 & info [ "calls" ] ~docv:"N" ~doc:"Invocations to issue.")
+    arg positive_int "calls" ~docv:"N" ~doc:"Invocations to issue." 1000
   in
   let tree_arg =
     Arg.(value & opt int 0 & info [ "tree" ] ~docv:"K"
@@ -294,11 +319,11 @@ let cmd_trace =
 
 let cmd_soak =
   let rounds_arg =
-    Arg.(value & opt int 300 & info [ "rounds" ] ~docv:"N" ~doc:"Workload rounds.")
+    arg positive_int "rounds" ~docv:"N" ~doc:"Workload rounds." 300
   in
   let chaos_arg =
-    Arg.(value & opt float 0.03 & info [ "chaos" ] ~docv:"P"
-           ~doc:"Per-round probability of a host crash (with reboot).")
+    arg probability "chaos" ~docv:"P"
+      ~doc:"Per-round probability of a host crash (with reboot)." 0.03
   in
   let run sites seed rounds chaos =
     let sys = boot_system ~sites ~seed in
@@ -310,9 +335,7 @@ let cmd_soak =
     let n_objects = 16 in
     let objs = Array.init n_objects (fun _ -> Api.create_object_exn sys ctx ~cls ()) in
     let prng = Prng.create ~seed:(Int64.of_int (seed + 99)) in
-    let infra =
-      List.map (fun s -> List.hd s.System.net_hosts) (System.sites sys)
-    in
+    let infra = System.infra_hosts sys in
     let ok = ref 0 and failed = ref 0 and crashes = ref 0 in
     for _ = 1 to rounds do
       let target = objs.(Prng.int prng n_objects) in
@@ -366,25 +389,6 @@ let cmd_soak =
   Cmd.v info Term.(const run $ sites_arg $ seed_arg $ rounds_arg $ chaos_arg)
 
 (* --- faults --- *)
-
-(* Fault-schedule values: a malformed or out-of-range value is a usage
-   error that names its option. *)
-let checked what ok s =
-  match float_of_string_opt s with
-  | Some x when ok x -> Ok x
-  | _ -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
-
-let parse_probability =
-  checked "a probability in [0,1]" (fun p -> p >= 0.0 && p <= 1.0)
-
-let float_conv parse = Arg.conv (parse, Format.pp_print_float)
-let probability = float_conv parse_probability
-let positive = float_conv (checked "a positive number" (fun x -> x > 0.0))
-
-let seconds =
-  float_conv
-    (checked "a non-negative number of seconds" (fun x ->
-         Float.is_finite x && x >= 0.0))
 
 let ramp =
   let rec parse = function
@@ -448,160 +452,167 @@ let cmd_faults =
   let run sites seed values duration period partition crash duplicate corrupt
       reorder json =
     let sys = boot_system ~sites ~seed in
-    let ctx = System.client sys () in
-    let cls =
-      Api.derive_class_exn sys ctx ~parent:Well_known.legion_object ~name:"Counter"
-        ~units:[ counter_unit ] ()
-    in
-    let n_objects = 16 in
-    let objs =
-      Array.init n_objects (fun _ -> Api.create_object_exn sys ctx ~cls ~eager:true ())
-    in
-    Array.iter (fun o -> ignore (Api.call sys ctx ~dst:o ~meth:"Get" ~args:[])) objs;
     let sim = System.sim sys and net = System.net sys and obs = System.obs sys in
-    let mark = Recorder.total obs in
-    let steps = max 1 (List.length values - 1) in
-    let t0 = System.now sys in
-    let t_end = t0 +. duration in
-    Script.ramp sim ~start:t0 ~until:t_end ~steps ~values
-      (Network.set_drop_rate net);
-    if duplicate > 0.0 then Network.set_duplicate_rate net duplicate;
-    if corrupt > 0.0 then Network.set_corrupt_rate net corrupt;
-    (match reorder with
-    | None -> ()
-    | Some (rate, window) -> Network.set_reorder net ~rate ~window);
-    (match partition with
-    | None -> ()
-    | Some (t, w) ->
-        let sites = System.sites sys in
-        if List.length sites < 2 then failwith "--partition needs two sites";
-        let a = (List.nth sites 0).System.site_id
-        and b = (List.nth sites 1).System.site_id in
-        Script.pulse sim ~start:(t0 +. t) ~width:w
-          ~on:(fun () -> Network.set_partitioned net a b true)
-          ~off:(fun () -> Network.set_partitioned net a b false));
-    (match crash with
-    | None -> ()
-    | Some t ->
-        let infra = List.map (fun s -> List.hd s.System.net_hosts) (System.sites sys) in
-        let victim =
-          match List.filter (fun h -> not (List.mem h infra)) (Network.hosts net) with
-          | h :: _ -> h
-          | [] -> failwith "--crash needs a non-infrastructure host"
-        in
-        Script.at sim ~time:(t0 +. t) (fun () ->
-            Runtime.crash_host (System.rt sys) victim);
-        Script.at sim ~time:(t0 +. t +. 5.0) (fun () ->
-            Network.set_host_up net victim true));
-    (* The open-loop workload: outcomes are bucketed by issue time so
-       goodput can be read per ramp step. *)
-    let step_width = duration /. float_of_int steps in
-    let issued = Array.make steps 0 and ok = Array.make steps 0 in
-    let giveup_errors = ref 0 in
-    let prng = Prng.create ~seed:(Int64.of_int (seed + 7)) in
-    Script.every sim ~period ~until:(t_end -. 1e-9) (fun () ->
-        let step =
-          min (steps - 1)
-            (int_of_float ((System.now sys -. t0) /. step_width))
-        in
-        issued.(step) <- issued.(step) + 1;
-        let target = objs.(Prng.int prng n_objects) in
-        Runtime.invoke ctx ~dst:target ~meth:"Increment" ~args:[ Value.Int 1 ]
-          (function
-            | Ok _ -> ok.(step) <- ok.(step) + 1
-            | Error _ -> incr giveup_errors));
-    System.run sys;
-    let events = Recorder.events_since obs mark in
-    let retries = Trace.count_of (Trace.retry ()) events in
-    let giveups = Trace.count_of (Trace.giveup ()) events in
-    let cancels = Trace.count_of (Trace.cancel ()) events in
-    let hist_json name h =
-      match h with
-      | None -> Printf.sprintf "\"%s\":{\"samples\":0}" name
-      | Some h ->
-          let module H = Legion_util.Stats.Histogram in
-          Printf.sprintf
-            "\"%s\":{\"samples\":%d,\"p50_ms\":%.1f,\"p90_ms\":%.1f,\"p99_ms\":%.1f}"
-            name (H.total h)
-            (1000.0 *. H.percentile h 50.0)
-            (1000.0 *. H.percentile h 90.0)
-            (1000.0 *. H.percentile h 99.0)
+    let infra = System.infra_hosts sys in
+    let workers =
+      List.filter (fun h -> not (List.mem h infra)) (Network.hosts net)
     in
-    if json then begin
-      let window_json i v =
-        Printf.sprintf
-          "{\"from\":%.2f,\"to\":%.2f,\"drop\":%.3f,\"issued\":%d,\"ok\":%d}"
-          (float_of_int i *. step_width)
-          (float_of_int (i + 1) *. step_width)
-          v issued.(i) ok.(i)
-      in
-      let windows =
-        List.filteri (fun i _ -> i < steps) values
-        |> List.mapi window_json |> String.concat ","
-      in
-      let ih, is_, ws = Network.messages_by_tier net in
-      let causes = Network.drop_causes net in
-      Format.printf
-        "{\"windows\":[%s],\"retries\":%d,\"giveups\":%d,\"cancels\":%d,\
-         \"failed\":%d,\"sheds\":%d,%s,%s,\"messages\":{\"intra_host\":%d,\
-         \"intra_site\":%d,\"wide_area\":%d,\"messages_dropped\":%d,\
-         \"duplicated\":%d,\"reordered\":%d,\"corrupted\":%d},\
-         \"drops\":{\"by_rate\":%d,\"by_down_host\":%d,\"by_partition\":%d,\
-         \"by_no_receiver\":%d,\"by_corruption\":%d}}@."
-        windows retries giveups cancels !giveup_errors
-        (Runtime.total_sheds (System.rt sys))
-        (hist_json "recovery" (Recorder.latency obs ~component:"rt.recovery"))
-        (hist_json "mttr" (Recorder.latency obs ~component:"rt.mttr"))
-        ih is_ ws
-        (Network.messages_dropped net)
-        (Network.messages_duplicated net)
-        (Network.messages_reordered net)
-        (Network.messages_corrupted net)
-        causes.Network.by_rate causes.Network.by_down_host
-        causes.Network.by_partition causes.Network.by_no_receiver
-        causes.Network.by_corruption
-    end
+    (* Topology conflicts are usage errors too. *)
+    if partition <> None && List.length sites < 2 then
+      `Error (true, "--partition needs two sites")
+    else if crash <> None && workers = [] then
+      `Error
+        (true, "--crash needs a non-infrastructure host (a site with 2+ hosts)")
     else begin
-      Format.printf "%-10s %-10s %-8s %-8s %-8s@." "window s" "drop" "issued" "ok" "goodput";
-      List.iteri
-        (fun i v ->
-          if i < steps then
-            Format.printf "%4.1f-%-5.1f %-10.2f %-8d %-8d %5.1f%%@."
-              (float_of_int i *. step_width)
-              (float_of_int (i + 1) *. step_width)
-              v issued.(i) ok.(i)
-              (if issued.(i) = 0 then 100.0
-               else 100.0 *. float_of_int ok.(i) /. float_of_int issued.(i)))
-        values;
-      Format.printf
-        "@.%d retransmissions, %d exhausted budgets, %d cancelled calls; %d calls failed@."
-        retries giveups cancels !giveup_errors;
-      let hist_line name h =
-        match h with
-        | Some h ->
-            Format.printf "%s: %d samples, p50 %.0f ms, p99 %.0f ms@." name
-              (Legion_util.Stats.Histogram.total h)
-              (1000.0 *. Legion_util.Stats.Histogram.percentile h 50.0)
-              (1000.0 *. Legion_util.Stats.Histogram.percentile h 99.0)
-        | None -> Format.printf "%s: no samples@." name
+      let ctx = System.client sys () in
+      let cls =
+        Api.derive_class_exn sys ctx ~parent:Well_known.legion_object ~name:"Counter"
+          ~units:[ counter_unit ] ()
       in
-      hist_line "recovery latency" (Recorder.latency obs ~component:"rt.recovery");
-      hist_line "mttr" (Recorder.latency obs ~component:"rt.mttr");
-      let ih, is_, ws = Network.messages_by_tier net in
-      Format.printf "messages: %d intra-host, %d intra-site, %d wide-area (%d dropped)@."
-        ih is_ ws
-        (Network.messages_dropped net);
-      let dup = Network.messages_duplicated net
-      and reord = Network.messages_reordered net
-      and corr = Network.messages_corrupted net in
-      if dup + reord + corr > 0 then
-        Format.printf "adversary: %d duplicated, %d reordered, %d corrupted@."
-          dup reord corr;
-      let c = Network.drop_causes net in
-      Format.printf
-        "drops: %d rate, %d down host, %d partition, %d no receiver, %d corruption@."
-        c.Network.by_rate c.Network.by_down_host c.Network.by_partition
-        c.Network.by_no_receiver c.Network.by_corruption
+      let n_objects = 16 in
+      let objs =
+        Array.init n_objects (fun _ -> Api.create_object_exn sys ctx ~cls ~eager:true ())
+      in
+      Array.iter (fun o -> ignore (Api.call sys ctx ~dst:o ~meth:"Get" ~args:[])) objs;
+      let mark = Recorder.total obs in
+      let steps = max 1 (List.length values - 1) in
+      let t0 = System.now sys in
+      let t_end = t0 +. duration in
+      Script.ramp sim ~start:t0 ~until:t_end ~steps ~values
+        (Network.set_drop_rate net);
+      if duplicate > 0.0 then Network.set_duplicate_rate net duplicate;
+      if corrupt > 0.0 then Network.set_corrupt_rate net corrupt;
+      (match reorder with
+      | None -> ()
+      | Some (rate, window) -> Network.set_reorder net ~rate ~window);
+      (match partition with
+      | None -> ()
+      | Some (t, w) ->
+          let sites = System.sites sys in
+          let a = (List.nth sites 0).System.site_id
+          and b = (List.nth sites 1).System.site_id in
+          Script.pulse sim ~start:(t0 +. t) ~width:w
+            ~on:(fun () -> Network.set_partitioned net a b true)
+            ~off:(fun () -> Network.set_partitioned net a b false));
+      (match crash with
+      | None -> ()
+      | Some t ->
+          let victim = List.hd workers in
+          Script.at sim ~time:(t0 +. t) (fun () ->
+              Runtime.crash_host (System.rt sys) victim);
+          Script.at sim ~time:(t0 +. t +. 5.0) (fun () ->
+              Network.set_host_up net victim true));
+      (* The open-loop workload: outcomes are bucketed by issue time so
+         goodput can be read per ramp step. *)
+      let step_width = duration /. float_of_int steps in
+      let issued = Array.make steps 0 and ok = Array.make steps 0 in
+      let giveup_errors = ref 0 in
+      let prng = Prng.create ~seed:(Int64.of_int (seed + 7)) in
+      Script.every sim ~period ~until:(t_end -. 1e-9) (fun () ->
+          let step =
+            min (steps - 1)
+              (int_of_float ((System.now sys -. t0) /. step_width))
+          in
+          issued.(step) <- issued.(step) + 1;
+          let target = objs.(Prng.int prng n_objects) in
+          Runtime.invoke ctx ~dst:target ~meth:"Increment" ~args:[ Value.Int 1 ]
+            (function
+              | Ok _ -> ok.(step) <- ok.(step) + 1
+              | Error _ -> incr giveup_errors));
+      System.run sys;
+      let events = Recorder.events_since obs mark in
+      let retries = Trace.count_of (Trace.retry ()) events in
+      let giveups = Trace.count_of (Trace.giveup ()) events in
+      let cancels = Trace.count_of (Trace.cancel ()) events in
+      let hist_json name h =
+        match h with
+        | None -> Printf.sprintf "\"%s\":{\"samples\":0}" name
+        | Some h ->
+            let module H = Legion_util.Stats.Histogram in
+            Printf.sprintf
+              "\"%s\":{\"samples\":%d,\"p50_ms\":%.1f,\"p90_ms\":%.1f,\"p99_ms\":%.1f}"
+              name (H.total h)
+              (1000.0 *. H.percentile h 50.0)
+              (1000.0 *. H.percentile h 90.0)
+              (1000.0 *. H.percentile h 99.0)
+      in
+      if json then begin
+        let window_json i v =
+          Printf.sprintf
+            "{\"from\":%.2f,\"to\":%.2f,\"drop\":%.3f,\"issued\":%d,\"ok\":%d}"
+            (float_of_int i *. step_width)
+            (float_of_int (i + 1) *. step_width)
+            v issued.(i) ok.(i)
+        in
+        let windows =
+          List.filteri (fun i _ -> i < steps) values
+          |> List.mapi window_json |> String.concat ","
+        in
+        let ih, is_, ws = Network.messages_by_tier net in
+        let causes = Network.drop_causes net in
+        Format.printf
+          "{\"windows\":[%s],\"retries\":%d,\"giveups\":%d,\"cancels\":%d,\
+           \"failed\":%d,\"sheds\":%d,%s,%s,\"messages\":{\"intra_host\":%d,\
+           \"intra_site\":%d,\"wide_area\":%d,\"messages_dropped\":%d,\
+           \"duplicated\":%d,\"reordered\":%d,\"corrupted\":%d},\
+           \"drops\":{\"by_rate\":%d,\"by_down_host\":%d,\"by_partition\":%d,\
+           \"by_no_receiver\":%d,\"by_corruption\":%d}}@."
+          windows retries giveups cancels !giveup_errors
+          (Runtime.total_sheds (System.rt sys))
+          (hist_json "recovery" (Recorder.latency obs ~component:"rt.recovery"))
+          (hist_json "mttr" (Recorder.latency obs ~component:"rt.mttr"))
+          ih is_ ws
+          (Network.messages_dropped net)
+          (Network.messages_duplicated net)
+          (Network.messages_reordered net)
+          (Network.messages_corrupted net)
+          causes.Network.by_rate causes.Network.by_down_host
+          causes.Network.by_partition causes.Network.by_no_receiver
+          causes.Network.by_corruption
+      end
+      else begin
+        Format.printf "%-10s %-10s %-8s %-8s %-8s@." "window s" "drop" "issued" "ok" "goodput";
+        List.iteri
+          (fun i v ->
+            if i < steps then
+              Format.printf "%4.1f-%-5.1f %-10.2f %-8d %-8d %5.1f%%@."
+                (float_of_int i *. step_width)
+                (float_of_int (i + 1) *. step_width)
+                v issued.(i) ok.(i)
+                (if issued.(i) = 0 then 100.0
+                 else 100.0 *. float_of_int ok.(i) /. float_of_int issued.(i)))
+          values;
+        Format.printf
+          "@.%d retransmissions, %d exhausted budgets, %d cancelled calls; %d calls failed@."
+          retries giveups cancels !giveup_errors;
+        let hist_line name h =
+          match h with
+          | Some h ->
+              Format.printf "%s: %d samples, p50 %.0f ms, p99 %.0f ms@." name
+                (Legion_util.Stats.Histogram.total h)
+                (1000.0 *. Legion_util.Stats.Histogram.percentile h 50.0)
+                (1000.0 *. Legion_util.Stats.Histogram.percentile h 99.0)
+          | None -> Format.printf "%s: no samples@." name
+        in
+        hist_line "recovery latency" (Recorder.latency obs ~component:"rt.recovery");
+        hist_line "mttr" (Recorder.latency obs ~component:"rt.mttr");
+        let ih, is_, ws = Network.messages_by_tier net in
+        Format.printf "messages: %d intra-host, %d intra-site, %d wide-area (%d dropped)@."
+          ih is_ ws
+          (Network.messages_dropped net);
+        let dup = Network.messages_duplicated net
+        and reord = Network.messages_reordered net
+        and corr = Network.messages_corrupted net in
+        if dup + reord + corr > 0 then
+          Format.printf "adversary: %d duplicated, %d reordered, %d corrupted@."
+            dup reord corr;
+        let c = Network.drop_causes net in
+        Format.printf
+          "drops: %d rate, %d down host, %d partition, %d no receiver, %d corruption@."
+          c.Network.by_rate c.Network.by_down_host c.Network.by_partition
+          c.Network.by_no_receiver c.Network.by_corruption
+      end;
+      `Ok ()
     end
   in
   let info =
@@ -612,9 +623,10 @@ let cmd_faults =
   in
   Cmd.v info
     Term.(
-      const run $ sites_arg $ seed_arg $ ramp_arg $ duration_arg $ period_arg
-      $ partition_arg $ crash_arg $ duplicate_arg $ corrupt_arg $ reorder_arg
-      $ json_arg)
+      ret
+        (const run $ sites_arg $ seed_arg $ ramp_arg $ duration_arg $ period_arg
+       $ partition_arg $ crash_arg $ duplicate_arg $ corrupt_arg $ reorder_arg
+       $ json_arg))
 
 (* --- chaos --- *)
 
@@ -679,11 +691,11 @@ let cmd_chaos =
   Cmd.v info
     Term.(
       const run $ scenario_seed_arg d.Explorer.seed
-      $ int_arg "schedules" ~docv:"N"
+      $ arg positive_int "schedules" ~docv:"N"
           ~doc:"Seeded schedules in the fleet (ignored with $(b,--replay))."
           d.Explorer.schedules
-      $ int_arg "rounds" ~docv:"N" ~doc:"Workload rounds per fleet schedule."
-          d.Explorer.rounds
+      $ arg positive_int "rounds" ~docv:"N"
+          ~doc:"Workload rounds per fleet schedule." d.Explorer.rounds
       $ replay_arg $ scenario_json_arg)
 
 let cmd_overload =
@@ -696,10 +708,10 @@ let cmd_overload =
                    rate, one step each.")
   in
   let step_arg =
-    float_arg "step" ~docv:"S" ~doc:"Virtual seconds per ramp step." d.O.step
+    arg positive "step" ~docv:"S" ~doc:"Virtual seconds per ramp step." d.O.step
   in
   let service_arg =
-    float_arg "service" ~docv:"S"
+    arg positive "service" ~docv:"S"
       ~doc:"Service time of the serial bottleneck object." d.O.service
   in
   let run seed rates step service json =
@@ -750,24 +762,24 @@ let cmd_recover =
   Cmd.v info
     Term.(
       const run $ scenario_seed_arg d.R.seed
-      $ float_arg "checkpoint-period" ~docv:"S"
+      $ arg positive "checkpoint-period" ~docv:"S"
           ~doc:"Seconds between Magistrate checkpoint sweeps."
           d.R.checkpoint_period
-      $ float_arg "heartbeat-period" ~docv:"S"
+      $ arg positive "heartbeat-period" ~docv:"S"
           ~doc:"Seconds between Host Object heartbeat probes."
           d.R.heartbeat_period
-      $ int_arg "threshold" ~docv:"N"
+      $ arg positive_int "threshold" ~docv:"N"
           ~doc:"Missed heartbeats before a host is confirmed dead."
           d.R.threshold
-      $ float_arg "crash" ~docv:"T"
+      $ arg Arg.float "crash" ~docv:"T"
           ~doc:"Power-fail a non-infrastructure host T seconds into the workload."
           d.R.crash_after
-      $ float_arg "reboot-after" ~docv:"W"
+      $ arg Arg.float "reboot-after" ~docv:"W"
           ~doc:"Seconds after the crash at which the host reboots."
           d.R.reboot_after
-      $ float_arg "duration" ~docv:"S" ~doc:"Virtual seconds of workload."
+      $ arg Arg.float "duration" ~docv:"S" ~doc:"Virtual seconds of workload."
           d.R.duration
-      $ float_arg "period" ~docv:"S" ~doc:"Seconds between calls (open loop)."
+      $ arg positive "period" ~docv:"S" ~doc:"Seconds between calls (open loop)."
           d.R.period
       $ scenario_json_arg)
 
@@ -789,13 +801,14 @@ let cmd_replicate =
   Cmd.v info
     Term.(
       const run $ scenario_seed_arg d.R.seed
-      $ int_arg "replicas" ~docv:"R" ~doc:"Replication factor (at most 4)."
-          d.R.replicas
-      $ int_arg "kills" ~docv:"N"
+      $ arg
+          (int_conv "a replication factor in 1..4" (fun r -> r >= 1 && r <= 4))
+          "replicas" ~docv:"R" ~doc:"Replication factor (1 to 4)." d.R.replicas
+      $ arg Arg.int "kills" ~docv:"N"
           ~doc:"Hosts to crash, one every $(b,--kill-every) seconds." d.R.kills
-      $ float_arg "kill-every" ~docv:"S" ~doc:"Seconds between kills."
+      $ arg positive "kill-every" ~docv:"S" ~doc:"Seconds between kills."
           d.R.kill_every
-      $ float_arg "period" ~docv:"S" ~doc:"Seconds between calls (open loop)."
+      $ arg positive "period" ~docv:"S" ~doc:"Seconds between calls (open loop)."
           d.R.period
       $ scenario_json_arg)
 
@@ -828,14 +841,14 @@ let cmd_scale =
   Cmd.v info
     Term.(
       const run $ scenario_seed_arg d.P.seed
-      $ int_arg "objects" ~docv:"N" ~doc:"Cache-kernel object population."
-          d.P.objects
-      $ int_arg "calls" ~docv:"N" ~doc:"Cache-kernel invocation count."
+      $ arg positive_int "objects" ~docv:"N"
+          ~doc:"Cache-kernel object population." d.P.objects
+      $ arg positive_int "calls" ~docv:"N" ~doc:"Cache-kernel invocation count."
           d.P.calls
-      $ int_arg "sites" ~docv:"N" ~doc:"Number of sites." d.P.sites
-      $ int_arg "hosts-per-site" ~docv:"N" ~doc:"Hosts per site."
+      $ arg positive_int "sites" ~docv:"N" ~doc:"Number of sites." d.P.sites
+      $ arg positive_int "hosts-per-site" ~docv:"N" ~doc:"Hosts per site."
           d.P.hosts_per_site
-      $ int_arg "queue-events" ~docv:"N"
+      $ arg positive_int "queue-events" ~docv:"N"
           ~doc:"Raw calendar-queue kernel event budget." d.P.queue_events
       $ scenario_json_arg)
 
@@ -896,7 +909,7 @@ let cmd_txn =
   Cmd.v info
     Term.(
       const run $ scenario_seed_arg d.T.seed
-      $ int_arg "rounds" ~docv:"N" ~doc:"Transaction rounds." d.T.rounds
+      $ arg positive_int "rounds" ~docv:"N" ~doc:"Transaction rounds." d.T.rounds
       $ mode_arg $ crash_arg $ scenario_json_arg)
 
 (* --- tenants --- *)

@@ -168,9 +168,7 @@ let run_schedule ?(dedup = true) (sch : Schedule.t) =
     Api.derive_class_exn sys ctx ~parent:Well_known.legion_object
       ~name:"ChaosGroup" ~units:[ Group_part.unit_name ] ()
   in
-  let infra =
-    List.map (fun s -> List.hd s.System.net_hosts) (System.sites sys)
-  in
+  let infra = System.infra_hosts sys in
   let work_hosts =
     List.filter (fun h -> not (List.mem h infra)) (Network.hosts net)
   in

@@ -51,7 +51,6 @@ let resume_method_for units =
   List.find_map (fun u -> Hashtbl.find_opt resume_hooks u) units
 
 let ok_unit : Runtime.reply = Ok Value.Unit
-let reply_err k e = k (Error e)
 let bad_args k msg = k (Error (Err.Bad_args msg))
 
 (* Methods every composite answers natively. MayI, Iam and Ping must

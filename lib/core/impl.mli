@@ -94,5 +94,4 @@ val activate :
 (** {1 Reply helpers used across unit implementations} *)
 
 val ok_unit : Runtime.reply
-val reply_err : (Runtime.reply -> unit) -> Err.t -> unit
 val bad_args : (Runtime.reply -> unit) -> string -> unit

@@ -841,7 +841,8 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                       k
                         (Error
                            (Err.Refused
-                              "persistent representation not visible from this                                jurisdiction"))
+                              "persistent representation not visible from this \
+                               jurisdiction"))
                     else begin
                       (match find_record loid with
                       | Some record -> record.opa <- Some opa

@@ -1,34 +1,10 @@
-module Loid = Legion_naming.Loid
 module Runtime = Legion_rt.Runtime
-module Impl = Legion_core.Impl
-module Opr = Legion_core.Opr
-module Well_known = Legion_core.Well_known
-module Agent_part = Legion_binding.Agent_part
 
 type t = {
   roots : Runtime.proc list;
   levels : Runtime.proc list list;
   leaves : Runtime.proc list;
 }
-
-let spawn_agent sys ~parent ~host =
-  let loid =
-    System.fresh_instance_loid sys ~of_class:Well_known.legion_binding_agent
-  in
-  let state =
-    Agent_part.state_value ?parent ~legion_class:(System.legion_class_binding sys)
-      ()
-  in
-  let opr =
-    Opr.make
-      ~states:[ (Agent_part.unit_name, state) ]
-      ~kind:Well_known.kind_binding_agent
-      ~units:[ Agent_part.unit_name; Well_known.unit_object ]
-      ()
-  in
-  match Impl.activate (System.rt sys) ~host ~loid opr with
-  | Ok proc -> proc
-  | Error msg -> failwith ("Tree.build: " ^ msg)
 
 let build sys ~hosts ~fanout ~levels ~n_leaves =
   if fanout <= 0 then invalid_arg "Tree.build: fanout must be positive";
@@ -44,7 +20,7 @@ let build sys ~hosts ~fanout ~levels ~n_leaves =
   in
   if levels = 0 then begin
     let roots =
-      List.init n_leaves (fun _ -> spawn_agent sys ~parent:None ~host:(next_host ()))
+      List.init n_leaves (fun _ -> System.start_agent sys (next_host ()))
     in
     { roots; levels = [ roots ]; leaves = roots }
   end
@@ -58,15 +34,14 @@ let build sys ~hosts ~fanout ~levels ~n_leaves =
     done;
     let layers = Array.make (levels + 1) [] in
     layers.(0) <-
-      List.init widths.(0) (fun _ -> spawn_agent sys ~parent:None ~host:(next_host ()));
+      List.init widths.(0) (fun _ -> System.start_agent sys (next_host ()));
     for l = 1 to levels do
       let parents = Array.of_list layers.(l - 1) in
       layers.(l) <-
         List.init widths.(l) (fun i ->
             let parent = parents.(i / fanout) in
-            spawn_agent sys
-              ~parent:(Some (Runtime.address_of parent))
-              ~host:(next_host ()))
+            System.start_agent sys ~parent:(Runtime.address_of parent)
+              (next_host ()))
     done;
     let levels_list = Array.to_list layers in
     { roots = layers.(0); levels = levels_list; leaves = layers.(levels) }

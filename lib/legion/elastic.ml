@@ -23,16 +23,10 @@ module Loid = Legion_naming.Loid
 module Address = Legion_naming.Address
 module Engine = Legion_sim.Engine
 module Script = Legion_sim.Script
-module Network = Legion_net.Network
-module Env = Legion_sec.Env
 module Runtime = Legion_rt.Runtime
 module Err = Legion_rt.Err
-module Impl = Legion_core.Impl
-module Opr = Legion_core.Opr
 module Well_known = Legion_core.Well_known
 module C = Legion_core.Convert
-module Agent_part = Legion_binding.Agent_part
-module Magistrate_part = Legion_jur.Magistrate_part
 module Sched_part = Legion_sched.Sched_part
 module Recorder = Legion_obs.Recorder
 module Trace = Legion_obs.Trace
@@ -70,101 +64,21 @@ let retier_lookups = 60 (* per-period agent lookups that trigger it *)
 
 type enabled = { rebalancer : Loid.t; retier_fired : unit -> bool }
 
-(* A spare Magistrate parked on the site, sharing its storage (§2.2
-   non-disjoint Jurisdictions) so a later [TransferObjects] moves
-   responsibility without moving bytes. Like [System.split_jurisdiction]
-   minus the transfer: the rebalancer decides later whether it is ever
-   needed. *)
-let provision_spare t ctx ~site:site_idx ~ordinal =
-  let s = System.site t site_idx in
-  let name = Printf.sprintf "%s.spare%d" s.System.site_name ordinal in
-  Magistrate_part.register_storage name s.System.storage;
-  let mag =
-    System.fresh_instance_loid t ~of_class:Well_known.legion_magistrate
+(* A spare Magistrate parked on the site: the rebalancer decides later
+   whether it is ever needed. *)
+let provision_spare t ctx ~site ~ordinal =
+  let s = System.site t site in
+  let proc =
+    System.start_magistrate t ~site
+      ~name:(Printf.sprintf "%s.spare%d" s.System.site_name ordinal)
+      ~hosts:s.System.host_objects
   in
-  let state =
-    Magistrate_part.state_value ~hosts:s.System.host_objects ~jurisdiction:name
-      ()
-  in
-  let opr =
-    Opr.make
-      ~states:[ (Magistrate_part.unit_name, state) ]
-      ~binding_agent:s.System.agent_address ~kind:Well_known.kind_magistrate
-      ~units:[ Magistrate_part.unit_name; Well_known.unit_object ]
-      ()
-  in
-  let rt = System.rt t in
-  let host = List.nth s.System.net_hosts (List.length s.System.net_hosts - 1) in
-  (match Impl.activate rt ~host ~loid:mag opr with
-  | Ok _ -> ()
-  | Error msg -> failwith ("Elastic.provision_spare: " ^ msg));
-  (match Runtime.find_proc rt mag with
-  | None -> failwith "Elastic.provision_spare: magistrate did not start"
-  | Some proc ->
-      ignore
-        (Api.call_exn t ctx ~dst:Well_known.legion_magistrate
-           ~meth:"RegisterInstance"
-           ~args:
-             [ Loid.to_value mag; Address.to_value (Runtime.address_of proc) ]));
+  let mag = Runtime.proc_loid proc in
+  ignore
+    (Api.call_exn t ctx ~dst:Well_known.legion_magistrate
+       ~meth:"RegisterInstance"
+       ~args:[ Loid.to_value mag; Address.to_value (Runtime.address_of proc) ]);
   mag
-
-(* Build the §5.2.2 combining tree without blocking: the root layer is
-   spawned directly and the SetParent fan-out runs asynchronously, so
-   this is callable from inside an engine callback (where
-   [System.arrange_agent_tree]'s internal [Engine.run] must not be). *)
-let retier_now t ~fanout =
-  let rt = System.rt t in
-  let sites = System.sites t in
-  let sites_arr = Array.of_list sites in
-  let n_roots = (Array.length sites_arr + fanout - 1) / fanout in
-  let roots =
-    List.init n_roots (fun i ->
-        let covered = sites_arr.(i * fanout) in
-        let loid =
-          System.fresh_instance_loid t
-            ~of_class:Well_known.legion_binding_agent
-        in
-        let state =
-          Agent_part.state_value ~legion_class:(System.legion_class_binding t)
-            ()
-        in
-        let opr =
-          Opr.make
-            ~states:[ (Agent_part.unit_name, state) ]
-            ~kind:Well_known.kind_binding_agent
-            ~units:[ Agent_part.unit_name; Well_known.unit_object ]
-            ()
-        in
-        match
-          Impl.activate rt ~host:(List.hd covered.System.net_hosts) ~loid opr
-        with
-        | Ok proc -> proc
-        | Error msg -> failwith ("Elastic.retier: " ^ msg))
-  in
-  let driver_loid =
-    System.fresh_instance_loid t ~of_class:Well_known.legion_object
-  in
-  let driver =
-    Runtime.spawn rt
-      ~host:(List.hd (List.hd sites).System.net_hosts)
-      ~loid:driver_loid ~kind:Well_known.kind_client
-      ~handler:(fun _ _ k -> k (Error (Err.Refused "retier driver")))
-      ()
-  in
-  let ctx = { Runtime.rt; self = driver } in
-  let pending = ref (List.length sites) in
-  List.iteri
-    (fun i s ->
-      let root = List.nth roots (i / fanout) in
-      Runtime.invoke_address ctx ~address:s.System.agent_address
-        ~dst:(Loid.make ~class_id:0L ~class_specific:0L ())
-        ~meth:"SetParent"
-        ~args:[ Value.List [ Address.to_value (Runtime.address_of root) ] ]
-        ~env:(Env.of_self driver_loid)
-        (fun _ ->
-          decr pending;
-          if !pending = 0 then Runtime.kill rt driver))
-    sites
 
 (* Watch the per-period lookup demand reaching the site Binding Agents;
    once a period serves [retier_lookups] or more, the flat arrangement
@@ -191,7 +105,7 @@ let retier_watch t ~until =
              last := now_rq;
              if delta >= retier_lookups then begin
                fired := true;
-               retier_now t ~fanout:retier_fanout
+               System.wire_agent_tree t ~fanout:retier_fanout ignore
              end
              else tick (time +. rebalance_period)))
   in

@@ -82,7 +82,7 @@ let run cfg =
   System.enable_recovery sys ~checkpoint_period:cfg.checkpoint_period
     ~heartbeat_period:cfg.heartbeat_period ~threshold:cfg.threshold
     ~until:t_end ();
-  let infra = List.map (fun s -> List.hd s.System.net_hosts) (System.sites sys) in
+  let infra = System.infra_hosts sys in
   let victim = List.find (fun h -> not (List.mem h infra)) (Network.hosts net) in
   let t_crash = t0 +. cfg.crash_after in
   (* Zombie bookkeeping: at the instant of the power failure, snapshot

@@ -165,6 +165,20 @@ let parse_idl src =
 let abstract_flags =
   { Class_part.abstract = true; private_ = false; fixed = false }
 
+(* Start an infrastructure object "from the shell" (§4.2.1): an OPR of
+   one implementation unit plus LegionObject's, activated on [host]. *)
+let start rt ~host ~loid ?binding_agent ~kind (unit_name, state) =
+  let opr =
+    Opr.make ~states:[ (unit_name, state) ] ?binding_agent ~kind
+      ~units:[ unit_name; Well_known.unit_object ]
+      ()
+  in
+  match Impl.activate rt ~host ~loid opr with
+  | Ok proc -> proc
+  | Error msg ->
+      failwith
+        (Printf.sprintf "cannot start %s %s: %s" kind (Loid.to_string loid) msg)
+
 let boot ?(seed = 42L) ?latency ?rt_config ?agent_cache_capacity
     ?object_cache_capacity ?trace_capacity ~sites:site_spec () =
   if site_spec = [] then invalid_arg "System.boot: no sites";
@@ -247,20 +261,14 @@ let boot ?(seed = 42L) ?latency ?rt_config ?agent_cache_capacity
     List.map
       (fun (_name, _sid, hosts) ->
         let loid = fresh Well_known.legion_binding_agent in
-        let state =
-          Agent_part.state_value ?capacity:agent_cache_capacity
-            ~legion_class:legion_class_binding ()
-        in
-        let opr =
-          Opr.make
-            ~states:[ (Agent_part.unit_name, state) ]
+        let proc =
+          start rt ~host:(List.hd hosts) ~loid
             ~kind:Well_known.kind_binding_agent
-            ~units:[ Agent_part.unit_name; Well_known.unit_object ]
-            ()
+            ( Agent_part.unit_name,
+              Agent_part.state_value ?capacity:agent_cache_capacity
+                ~legion_class:legion_class_binding () )
         in
-        match Impl.activate rt ~host:(List.hd hosts) ~loid opr with
-        | Ok proc -> (loid, proc, Runtime.address_of proc)
-        | Error msg -> failwith ("bootstrap: binding agent: " ^ msg))
+        (loid, proc, Runtime.address_of proc))
       site_hosts
   in
   let agent_address_of_site i =
@@ -308,16 +316,10 @@ let boot ?(seed = 42L) ?latency ?rt_config ?agent_cache_capacity
           List.map
             (fun h ->
               let loid = fresh Well_known.legion_host in
-              let opr =
-                Opr.make
-                  ~states:[ (Host_part.unit_name, Host_part.state_value ()) ]
-                  ~binding_agent:agent_addr ~kind:Well_known.kind_host
-                  ~units:[ Host_part.unit_name; Well_known.unit_object ]
-                  ()
-              in
-              match Impl.activate rt ~host:h ~loid opr with
-              | Ok proc -> (loid, proc)
-              | Error msg -> failwith ("bootstrap: host object: " ^ msg))
+              ( loid,
+                start rt ~host:h ~loid ~binding_agent:agent_addr
+                  ~kind:Well_known.kind_host
+                  (Host_part.unit_name, Host_part.state_value ()) ))
             hosts
         in
         (name, sid, hosts, host_objs))
@@ -325,7 +327,7 @@ let boot ?(seed = 42L) ?latency ?rt_config ?agent_cache_capacity
   in
 
   (* --- Per-site Jurisdictions: storage + Magistrate. --- *)
-  let sites =
+  let site_mags =
     List.mapi
       (fun i (name, sid, hosts, host_objs) ->
         let storage =
@@ -339,34 +341,28 @@ let boot ?(seed = 42L) ?latency ?rt_config ?agent_cache_capacity
         in
         Magistrate_part.register_storage name storage;
         let mag_loid = fresh Well_known.legion_magistrate in
-        let agent_addr = agent_address_of_site i in
-        let state =
-          Magistrate_part.state_value ~hosts:(List.map fst host_objs)
-            ~jurisdiction:name ()
-        in
-        let opr =
-          Opr.make
-            ~states:[ (Magistrate_part.unit_name, state) ]
-            ~binding_agent:agent_addr ~kind:Well_known.kind_magistrate
-            ~units:[ Magistrate_part.unit_name; Well_known.unit_object ]
-            ()
-        in
-        (match Impl.activate rt ~host:(List.hd hosts) ~loid:mag_loid opr with
-        | Ok _ -> ()
-        | Error msg -> failwith ("bootstrap: magistrate: " ^ msg));
         let agent_loid, _, agent_address = List.nth agents i in
-        {
-          site_id = sid;
-          site_name = name;
-          net_hosts = hosts;
-          host_objects = List.map fst host_objs;
-          magistrate = mag_loid;
-          agent = agent_loid;
-          agent_address;
-          storage;
-        })
+        let mag =
+          start rt ~host:(List.hd hosts) ~loid:mag_loid
+            ~binding_agent:agent_address ~kind:Well_known.kind_magistrate
+            ( Magistrate_part.unit_name,
+              Magistrate_part.state_value ~hosts:(List.map fst host_objs)
+                ~jurisdiction:name () )
+        in
+        ( {
+            site_id = sid;
+            site_name = name;
+            net_hosts = hosts;
+            host_objects = List.map fst host_objs;
+            magistrate = mag_loid;
+            agent = agent_loid;
+            agent_address;
+            storage;
+          },
+          mag ))
       sites_hosts_objs
   in
+  let sites = List.map fst site_mags in
 
   let t =
     {
@@ -419,7 +415,7 @@ let boot ?(seed = 42L) ?latency ?rt_config ?agent_cache_capacity
     core_procs;
   (* Host objects, magistrates and agents register with their classes. *)
   List.iter2
-    (fun s (_, _, _, host_objs) ->
+    (fun (s, mag) (_, _, _, host_objs) ->
       List.iter
         (fun (loid, proc) ->
           expect "register host object"
@@ -427,20 +423,12 @@ let boot ?(seed = 42L) ?latency ?rt_config ?agent_cache_capacity
                [ Loid.to_value loid; Address.to_value (Runtime.address_of proc) ]))
         host_objs;
       expect "register magistrate"
-        (fun k ->
-          match Runtime.find_proc rt s.magistrate with
-          | None -> k (Error (Err.Internal "magistrate proc missing"))
-          | Some proc ->
-              call Well_known.legion_magistrate "RegisterInstance"
-                [
-                  Loid.to_value s.magistrate;
-                  Address.to_value (Runtime.address_of proc);
-                ]
-                k);
+        (call Well_known.legion_magistrate "RegisterInstance"
+           [ Loid.to_value s.magistrate; Address.to_value (Runtime.address_of mag) ]);
       expect "register binding agent"
         (call Well_known.legion_binding_agent "RegisterInstance"
            [ Loid.to_value s.agent; Address.to_value s.agent_address ]))
-    sites sites_hosts_objs;
+    site_mags sites_hosts_objs;
   (* Default placement for new classes and instances: all magistrates. *)
   let defaults =
     Value.Record
@@ -456,6 +444,57 @@ let boot ?(seed = 42L) ?latency ?rt_config ?agent_cache_capacity
   Runtime.kill rt boot_proc;
   t
 
+let infra_hosts t = List.map (fun s -> List.hd s.net_hosts) t.sites
+
+let client t ?(site = 0) () =
+  let s = List.nth t.sites site in
+  let loid = fresh_instance_loid t ~of_class:Well_known.legion_object in
+  let proc =
+    Runtime.spawn t.rt
+      ~host:(List.hd s.net_hosts)
+      ~loid ~kind:Well_known.kind_client
+      ~binding_agent:s.agent_address
+      ~handler:(fun _ _ k -> k (Error (Err.Refused "client object")))
+      ()
+  in
+  { Runtime.rt = t.rt; self = proc }
+
+(* Retire an operator action's client and fail loudly on the errors its
+   calls reported. *)
+let retire t ctx ~what failures =
+  Runtime.kill t.rt ctx.Runtime.self;
+  if failures <> [] then failwith (what ^ ": " ^ String.concat "; " failures)
+
+(* An operator action: [act] issues its calls from a fresh client on
+   [site], reporting each error through its second argument; the calls
+   run to quiescence before the client is retired. *)
+let operate t ?site ~what act =
+  let ctx = client t ?site () in
+  let failures = ref [] in
+  act ctx (fun msg -> failures := msg :: !failures);
+  Engine.run t.sim;
+  retire t ctx ~what !failures
+
+let check fail = function Ok _ -> () | Error e -> fail (Err.to_string e)
+
+let start_agent t ?parent host =
+  let loid = fresh_instance_loid t ~of_class:Well_known.legion_binding_agent in
+  start t.rt ~host ~loid ~kind:Well_known.kind_binding_agent
+    ( Agent_part.unit_name,
+      Agent_part.state_value ?parent ~legion_class:t.legion_class_binding () )
+
+let start_magistrate t ~site:site_idx ~name ~hosts =
+  let s = List.nth t.sites site_idx in
+  (* Shared storage (§2.2 non-disjoint Jurisdictions): OPAs stay valid,
+     so a transfer moves responsibility, not bytes. *)
+  Magistrate_part.register_storage name s.storage;
+  let loid = fresh_instance_loid t ~of_class:Well_known.legion_magistrate in
+  start t.rt
+    ~host:(List.nth s.net_hosts (List.length s.net_hosts - 1))
+    ~loid ~binding_agent:s.agent_address ~kind:Well_known.kind_magistrate
+    ( Magistrate_part.unit_name,
+      Magistrate_part.state_value ~hosts ~jurisdiction:name () )
+
 let grow_site t ~site:site_idx ?host_class ~n () =
   let s = List.nth t.sites site_idx in
   let host_class = Option.value ~default:Well_known.legion_host host_class in
@@ -470,247 +509,127 @@ let grow_site t ~site:site_idx ?host_class ~n () =
     List.map
       (fun h ->
         let loid = fresh_instance_loid t ~of_class:host_class in
-        let opr =
-          Opr.make
-            ~states:[ (Host_part.unit_name, Host_part.state_value ()) ]
-            ~binding_agent:s.agent_address ~kind:Well_known.kind_host
-            ~units:[ Host_part.unit_name; Well_known.unit_object ]
-            ()
-        in
-        match Impl.activate t.rt ~host:h ~loid opr with
-        | Ok proc -> (loid, proc)
-        | Error msg -> failwith ("grow_site: host object: " ^ msg))
+        ( loid,
+          start t.rt ~host:h ~loid ~binding_agent:s.agent_address
+            ~kind:Well_known.kind_host
+            (Host_part.unit_name, Host_part.state_value ()) ))
       new_hosts
   in
   (* ...and contacts its class and the Jurisdiction's Magistrate. *)
-  let driver = fresh_instance_loid t ~of_class:Well_known.legion_object in
-  let proc =
-    Runtime.spawn t.rt
-      ~host:(List.hd s.net_hosts)
-      ~loid:driver ~kind:Well_known.kind_client ~binding_agent:s.agent_address
-      ~handler:(fun _ _ k -> k (Error (Err.Refused "grow driver")))
-      ()
-  in
-  let ctx = { Runtime.rt = t.rt; self = proc } in
-  let failures = ref [] in
-  List.iter
-    (fun (loid, hproc) ->
-      Runtime.invoke ctx ~dst:host_class ~meth:"RegisterInstance"
-        ~args:[ Loid.to_value loid; Address.to_value (Runtime.address_of hproc) ]
-        (fun r ->
-          match r with
-          | Ok _ ->
-              Runtime.invoke ctx ~dst:s.magistrate ~meth:"AddHost"
-                ~args:[ Loid.to_value loid ] (fun r ->
-                  match r with
-                  | Ok _ -> ()
-                  | Error e -> failures := Err.to_string e :: !failures)
-          | Error e -> failures := Err.to_string e :: !failures))
-    host_objs;
-  Engine.run t.sim;
-  Runtime.kill t.rt proc;
-  (match !failures with
-  | [] -> ()
-  | fs -> failwith ("grow_site: " ^ String.concat "; " fs));
+  operate t ~site:site_idx ~what:"grow_site" (fun ctx fail ->
+      List.iter
+        (fun (loid, hproc) ->
+          Runtime.invoke ctx ~dst:host_class ~meth:"RegisterInstance"
+            ~args:
+              [ Loid.to_value loid; Address.to_value (Runtime.address_of hproc) ]
+            (function
+              | Ok _ ->
+                  Runtime.invoke ctx ~dst:s.magistrate ~meth:"AddHost"
+                    ~args:[ Loid.to_value loid ] (check fail)
+              | Error e -> fail (Err.to_string e)))
+        host_objs);
   List.map fst host_objs
 
-let arrange_agent_tree t ~fanout =
-  if fanout <= 0 then invalid_arg "System.arrange_agent_tree: fanout";
-  let sites_arr = Array.of_list t.sites in
-  let n_sites = Array.length sites_arr in
-  let n_roots = (n_sites + fanout - 1) / fanout in
-  (* Spawn the root agents directly, like bootstrap does. *)
+let wire_agent_tree t ~fanout k =
+  if fanout <= 0 then invalid_arg "System.wire_agent_tree: fanout";
+  let sites = Array.of_list t.sites in
+  let n_roots = (Array.length sites + fanout - 1) / fanout in
   let roots =
-    List.init n_roots (fun i ->
-        let covered = sites_arr.(i * fanout) in
-        let loid = fresh_instance_loid t ~of_class:Well_known.legion_binding_agent in
-        let state =
-          Legion_binding.Agent_part.state_value
-            ~legion_class:t.legion_class_binding ()
-        in
-        let opr =
-          Opr.make
-            ~states:[ (Legion_binding.Agent_part.unit_name, state) ]
-            ~kind:Well_known.kind_binding_agent
-            ~units:[ Legion_binding.Agent_part.unit_name; Well_known.unit_object ]
-            ()
-        in
-        match
-          Impl.activate t.rt ~host:(List.hd covered.net_hosts) ~loid opr
-        with
-        | Ok proc -> proc
-        | Error msg -> failwith ("arrange_agent_tree: " ^ msg))
+    Array.init n_roots (fun i ->
+        start_agent t (List.hd sites.(i * fanout).net_hosts))
   in
   (* Point every site agent at its root via SetParent. *)
-  let driver_loid = fresh_instance_loid t ~of_class:Well_known.legion_object in
-  let driver =
-    Runtime.spawn t.rt
-      ~host:(List.hd (List.hd t.sites).net_hosts)
-      ~loid:driver_loid ~kind:Well_known.kind_client
-      ~handler:(fun _ _ k -> k (Error (Err.Refused "tree driver")))
-      ()
-  in
-  let ctx = { Runtime.rt = t.rt; self = driver } in
-  let failures = ref [] in
-  List.iteri
+  let ctx = client t () in
+  let pending = ref (Array.length sites) and failures = ref [] in
+  Array.iteri
     (fun i s ->
-      let root = List.nth roots (i / fanout) in
       Runtime.invoke_address ctx ~address:s.agent_address
         ~dst:(Loid.make ~class_id:0L ~class_specific:0L ())
         ~meth:"SetParent"
-        ~args:[ Value.List [ Address.to_value (Runtime.address_of root) ] ]
-        ~env:(Env.of_self driver_loid)
+        ~args:
+          [ Value.List [ Address.to_value (Runtime.address_of roots.(i / fanout)) ] ]
+        ~env:(Env.of_self (Runtime.proc_loid ctx.Runtime.self))
         (fun r ->
-          match r with
-          | Ok _ -> ()
-          | Error e -> failures := Err.to_string e :: !failures))
-    t.sites;
-  Engine.run t.sim;
-  Runtime.kill t.rt driver;
-  match !failures with
-  | [] -> ()
-  | fs -> failwith ("arrange_agent_tree: " ^ String.concat "; " fs)
+          check (fun msg -> failures := msg :: !failures) r;
+          decr pending;
+          if !pending = 0 then begin
+            Runtime.kill t.rt ctx.Runtime.self;
+            k !failures
+          end))
+    sites
 
-let client t ?(site = 0) () =
-  let s = List.nth t.sites site in
-  let loid = fresh_instance_loid t ~of_class:Legion_core.Well_known.legion_object in
-  let proc =
-    Runtime.spawn t.rt
-      ~host:(List.hd s.net_hosts)
-      ~loid ~kind:Legion_core.Well_known.kind_client
-      ~binding_agent:s.agent_address
-      ~handler:(fun _ _ k -> k (Error (Err.Refused "client object")))
-      ()
-  in
-  { Runtime.rt = t.rt; self = proc }
+let arrange_agent_tree t ~fanout =
+  let failures = ref [] in
+  wire_agent_tree t ~fanout (fun fs -> failures := fs);
+  Engine.run t.sim;
+  if !failures <> [] then
+    failwith ("arrange_agent_tree: " ^ String.concat "; " !failures)
 
 let split_jurisdiction t ~site:site_idx =
   let s = List.nth t.sites site_idx in
-  (* The new Jurisdiction shares the site's storage (§2.2 non-disjoint
-     storage): OPAs stay valid, so transfers move responsibility, not
-     bytes. *)
-  let new_name = Printf.sprintf "%s.split%Ld" s.site_name t.next_ext in
-  Magistrate_part.register_storage new_name s.storage;
   let n_hosts = List.length s.host_objects in
-  let their_hosts =
-    List.filteri (fun i _ -> i >= n_hosts / 2) s.host_objects
+  let mag =
+    start_magistrate t ~site:site_idx
+      ~name:(Printf.sprintf "%s.split%Ld" s.site_name t.next_ext)
+      ~hosts:(List.filteri (fun i _ -> i >= n_hosts / 2) s.host_objects)
   in
-  let mag_loid = fresh_instance_loid t ~of_class:Well_known.legion_magistrate in
-  let state =
-    Magistrate_part.state_value ~hosts:their_hosts ~jurisdiction:new_name ()
-  in
-  let opr =
-    Opr.make
-      ~states:[ (Magistrate_part.unit_name, state) ]
-      ~binding_agent:s.agent_address ~kind:Well_known.kind_magistrate
-      ~units:[ Magistrate_part.unit_name; Well_known.unit_object ]
-      ()
-  in
-  (match
-     Impl.activate t.rt ~host:(List.nth s.net_hosts (List.length s.net_hosts - 1))
-       ~loid:mag_loid opr
-   with
-  | Ok _ -> ()
-  | Error msg -> failwith ("split_jurisdiction: " ^ msg));
+  let mag_loid = Runtime.proc_loid mag in
   (* Register the new magistrate and transfer half the objects. *)
-  let driver_loid = fresh_instance_loid t ~of_class:Well_known.legion_object in
-  let driver =
-    Runtime.spawn t.rt
-      ~host:(List.hd s.net_hosts)
-      ~loid:driver_loid ~kind:Well_known.kind_client
-      ~binding_agent:s.agent_address
-      ~handler:(fun _ _ k -> k (Error (Err.Refused "split driver")))
-      ()
-  in
-  let ctx = { Runtime.rt = t.rt; self = driver } in
-  let failure = ref None in
   let transferred = ref (-1) in
-  (match Runtime.find_proc t.rt mag_loid with
-  | None -> failwith "split_jurisdiction: magistrate did not start"
-  | Some proc ->
+  operate t ~site:site_idx ~what:"split_jurisdiction" (fun ctx fail ->
       Runtime.invoke ctx ~dst:Well_known.legion_magistrate
         ~meth:"RegisterInstance"
-        ~args:[ Loid.to_value mag_loid; Address.to_value (Runtime.address_of proc) ]
-        (fun r ->
-          match r with
-          | Error e -> failure := Some (Err.to_string e)
+        ~args:
+          [ Loid.to_value mag_loid; Address.to_value (Runtime.address_of mag) ]
+        (function
+          | Error e -> fail (Err.to_string e)
           | Ok _ ->
               (* Count, then transfer half. *)
               Runtime.invoke ctx ~dst:s.magistrate ~meth:"ListObjects" ~args:[]
-                (fun r ->
-                  match r with
-                  | Error e -> failure := Some (Err.to_string e)
+                (function
+                  | Error e -> fail (Err.to_string e)
                   | Ok (Value.List objs) ->
                       let half = (List.length objs + 1) / 2 in
                       Runtime.invoke ctx ~dst:s.magistrate ~meth:"TransferObjects"
                         ~args:[ Loid.to_value mag_loid; Value.Int half ]
-                        (fun r ->
-                          match r with
+                        (function
                           | Ok (Value.Int n) -> transferred := n
-                          | Ok _ -> failure := Some "bad TransferObjects reply"
-                          | Error e -> failure := Some (Err.to_string e))
-                  | Ok _ -> failure := Some "bad ListObjects reply")));
-  Engine.run t.sim;
-  Runtime.kill t.rt driver;
-  (match !failure with
-  | Some msg -> failwith ("split_jurisdiction: " ^ msg)
-  | None -> ());
+                          | Ok _ -> fail "bad TransferObjects reply"
+                          | Error e -> fail (Err.to_string e))
+                  | Ok _ -> fail "bad ListObjects reply")));
   if !transferred < 0 then failwith "split_jurisdiction: transfer did not complete";
   mag_loid
 
 let checkpoint_all t =
-  let driver_loid = fresh_instance_loid t ~of_class:Well_known.legion_object in
-  let driver =
-    Runtime.spawn t.rt
-      ~host:(List.hd (List.hd t.sites).net_hosts)
-      ~loid:driver_loid ~kind:Well_known.kind_client
-      ~binding_agent:(List.hd t.sites).agent_address
-      ~handler:(fun _ _ k -> k (Error (Err.Refused "checkpoint driver")))
-      ()
-  in
-  let ctx = { Runtime.rt = t.rt; self = driver } in
   let swept = ref 0 in
-  List.iter
-    (fun s ->
-      Runtime.invoke ctx ~dst:s.magistrate ~meth:"SweepIdle"
-        ~args:[ Value.Float 0.0 ]
-        (fun r ->
-          match r with
-          | Ok (Value.Int n) -> swept := !swept + n
-          | Ok _ | Error _ -> ()))
-    t.sites;
-  Engine.run t.sim;
-  Runtime.kill t.rt driver;
+  operate t ~what:"checkpoint_all" (fun ctx _ ->
+      List.iter
+        (fun s ->
+          Runtime.invoke ctx ~dst:s.magistrate ~meth:"SweepIdle"
+            ~args:[ Value.Float 0.0 ]
+            (function
+              | Ok (Value.Int n) -> swept := !swept + n
+              | Ok _ | Error _ -> ()))
+        t.sites);
   !swept
 
 let enable_recovery t ?(checkpoint_period = 1.0) ?(heartbeat_period = 0.25)
     ?(threshold = 3) ~until () =
-  let driver_loid = fresh_instance_loid t ~of_class:Well_known.legion_object in
-  let driver =
-    Runtime.spawn t.rt
-      ~host:(List.hd (List.hd t.sites).net_hosts)
-      ~loid:driver_loid ~kind:Well_known.kind_client
-      ~binding_agent:(List.hd t.sites).agent_address
-      ~handler:(fun _ _ k -> k (Error (Err.Refused "recovery driver")))
-      ()
-  in
-  let ctx = { Runtime.rt = t.rt; self = driver } in
+  let ctx = client t () in
   let pending = ref 0 in
-  let failure = ref None in
-  let start meth args s =
+  let failures = ref [] in
+  let arm meth args s =
     incr pending;
     Runtime.invoke ctx ~dst:s.magistrate ~meth ~args (fun r ->
         decr pending;
-        match r with
-        | Ok _ -> ()
-        | Error e -> failure := Some (Err.to_string e))
+        check (fun msg -> failures := msg :: !failures) r)
   in
   List.iter
     (fun s ->
-      start "StartCheckpointing"
+      arm "StartCheckpointing"
         [ Value.Float checkpoint_period; Value.Float until ]
         s;
-      start "StartHeartbeat"
+      arm "StartHeartbeat"
         [ Value.Float heartbeat_period; Value.Int threshold; Value.Float until ]
         s)
     t.sites;
@@ -721,10 +640,7 @@ let enable_recovery t ?(checkpoint_period = 1.0) ?(heartbeat_period = 0.25)
   while !pending > 0 && !budget > 0 && Engine.step t.sim do
     decr budget
   done;
-  Runtime.kill t.rt driver;
-  (match !failure with
-  | Some msg -> failwith ("enable_recovery: " ^ msg)
-  | None -> ());
+  retire t ctx ~what:"enable_recovery" !failures;
   if !pending > 0 then failwith "enable_recovery: magistrates did not reply"
 
 let run t = Engine.run t.sim

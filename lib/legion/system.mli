@@ -75,6 +75,45 @@ val fresh_instance_loid : t -> of_class:Loid.t -> Loid.t
     also used by tests). Draws from a high range ([2^32 + n]) so it
     never collides with class-allocated sequence numbers. *)
 
+val infra_hosts : t -> Legion_net.Network.host_id list
+(** The first host of each site, in site order. It carries the site's
+    Binding Agent and Magistrate (site 0's also the core classes), which
+    are started from outside Legion and never reactivate elsewhere, so
+    fault injection spares these hosts. *)
+
+val client : t -> ?site:int -> unit -> Runtime.ctx
+(** Spawn a client process (a minimal Legion object wired to the site's
+    Binding Agent) and return its context for issuing invocations. *)
+
+(** {1 Starting infrastructure from the shell}
+
+    Every externally-started object — bootstrap's Binding Agents, Host
+    Objects and Magistrates, and those the operator actions below add
+    later — is one OPR of its unit plus LegionObject's, activated
+    directly on a host. @raise Failure if the activation fails. *)
+
+val start_agent :
+  t -> ?parent:Address.t -> Legion_net.Network.host_id -> Runtime.proc
+(** Start a Binding Agent (seeded with LegionClass's binding, forwarding
+    to [parent] if given) on a host. It is not registered with its
+    class. *)
+
+val start_magistrate :
+  t -> site:int -> name:string -> hosts:Loid.t list -> Runtime.proc
+(** Start a Magistrate for a new Jurisdiction [name] over [hosts] on the
+    site's last host. It shares the site's storage (§2.2 non-disjoint
+    Jurisdictions), so a later [TransferObjects] moves responsibility
+    without moving bytes. The caller registers it with LegionMagistrate. *)
+
+val wire_agent_tree : t -> fanout:int -> (string list -> unit) -> unit
+(** The non-blocking half of {!arrange_agent_tree}: start the root
+    layer and send every site agent its SetParent, then return at once;
+    the continuation receives the refused SetParents (empty on success)
+    once all have replied. Callable from inside an engine callback.
+    @raise Invalid_argument if [fanout <= 0]. *)
+
+(** {1 Operator actions} *)
+
 val grow_site :
   t -> site:int -> ?host_class:Loid.t -> n:int -> unit -> Loid.t list
 (** Expand a Jurisdiction at run time: add [n] simulated hosts to the
@@ -96,10 +135,6 @@ val arrange_agent_tree : t -> fanout:int -> unit
     Idempotent only in effect (calling twice builds a second root
     layer). @raise Invalid_argument if [fanout <= 0]; @raise Failure if
     a root cannot be spawned or a SetParent is refused. *)
-
-val client : t -> ?site:int -> unit -> Runtime.ctx
-(** Spawn a client process (a minimal Legion object wired to the site's
-    Binding Agent) and return its context for issuing invocations. *)
 
 val split_jurisdiction : t -> site:int -> Loid.t
 (** §2.2: "if a Jurisdiction's resources impose a substantial load on

@@ -29,9 +29,6 @@ let step dst d =
       ("cargs", Value.List [ Value.Int (-d) ]);
     ]
 
-let infra_hosts sys =
-  List.map (fun s -> List.hd s.System.net_hosts) (System.sites sys)
-
 let host_of sys loid =
   let rt = System.rt sys in
   List.find_opt
@@ -42,7 +39,7 @@ let host_of sys loid =
     (Network.hosts (System.net sys))
 
 let create_coordinator sys ctx ~cls =
-  let infra = infra_hosts sys in
+  let infra = System.infra_hosts sys in
   let rec place attempts =
     let co = Api.create_object_exn sys ctx ~cls ~eager:true () in
     match host_of sys co with
@@ -166,12 +163,13 @@ type report = {
   partial : string list;
   orphaned : string list;
   doubt : string list;
+  deterministic : bool;  (* a re-run gave the same [to_json] *)
 }
 
 let n_participants = 6
 let call_timeout = 0.5
 
-let run cfg =
+let run_once cfg =
   Std_parts.register_counter ();
   let sys =
     System.boot ~seed:cfg.seed ~trace_capacity:500_000
@@ -191,7 +189,7 @@ let run cfg =
     Api.derive_class_exn sys ctx ~parent:Well_known.legion_object
       ~name:"TxnCoordinator" ~units:[ Coordinator.unit_name ] ()
   in
-  let infra = infra_hosts sys in
+  let infra = System.infra_hosts sys in
   let participants =
     Array.init n_participants (fun _ ->
         Api.create_object_exn sys ctx ~cls:part_cls ~eager:true ())
@@ -327,6 +325,7 @@ let run cfg =
     partial = a.violations;
     orphaned;
     doubt;
+    deterministic = true;
   }
 
 let violations r =
@@ -335,9 +334,14 @@ let violations r =
       [ "no Resume traced after recovery" ]
     else []
   in
+  let rerun =
+    if r.deterministic then []
+    else
+      [ Printf.sprintf "report not byte-deterministic for seed %Ld" r.cfg.seed ]
+  in
   List.map
     (Printf.sprintf "E20/%s: %s" (schedule_name r.cfg.schedule))
-    (r.setup @ r.partial @ r.orphaned @ r.doubt @ resumed)
+    (r.setup @ r.partial @ r.orphaned @ r.doubt @ resumed @ rerun)
 
 let to_json r =
   Printf.sprintf
@@ -348,6 +352,10 @@ let to_json r =
     r.submitted r.committed r.compensated r.resumes r.prepares r.crashes
     r.partitions (List.length r.doubt) (List.length r.partial)
     (List.length r.orphaned)
+
+let run cfg =
+  let r = run_once cfg in
+  { r with deterministic = String.equal (to_json r) (to_json (run_once cfg)) }
 
 let print_table = function
   | [] -> ()

@@ -81,13 +81,14 @@ val default : config
 type report
 
 val run : config -> report
-(** Two sites of three hosts with the recovery machinery armed.
-    Deterministic: the same config yields a byte-identical {!to_json}. *)
+(** Two sites of three hosts with the recovery machinery armed. The
+    scenario runs twice: the same config must yield a byte-identical
+    {!to_json}. *)
 
 val violations : report -> string list
 (** The E20 gates: no partial commits, no orphaned locks, nothing in
-    doubt, and under [Crash_coordinator] at least one [Resume]. Empty
-    iff every gate holds. *)
+    doubt, under [Crash_coordinator] at least one [Resume], and a
+    byte-identical re-run. Empty iff every gate holds. *)
 
 val to_json : report -> string
 (** One BENCH_E20.json row; [in_doubt], [partial_commits] and

@@ -85,7 +85,7 @@ type t = {
   mutable host_watchers : (int * (host_id -> up:bool -> unit)) list;
   mutable partition_watchers :
     (int * (site_id -> site_id -> cut:bool -> unit)) list;
-  mutable obs : Recorder.t option;
+  obs : Recorder.t option;
   mutable sent : int;
   mutable bytes : int;
   mutable dropped : int;
@@ -214,7 +214,6 @@ let create ~sim ~prng ?(latency = default_latency) ?obs () =
   Legion_sim.Engine.set_dispatch sim (deliver_token t);
   t
 
-let sim t = t.sim
 
 let add_site t ~name =
   if t.n_sites = Array.length t.sites then begin
@@ -264,10 +263,6 @@ let host_name t h =
   check_host t h;
   t.host_tbl.(h).h_name
 
-let site_name t s =
-  if s < 0 || s >= t.n_sites then invalid_arg "Network: bad site id";
-  t.sites.(s)
-
 let set_host_up t h up =
   check_host t h;
   let was = t.host_tbl.(h).up in
@@ -308,19 +303,16 @@ let set_drop_rate t r =
   check_rate "Network.set_drop_rate" r;
   t.drop_rate <- r
 
-let drop_rate t = t.drop_rate
 
 let set_duplicate_rate t r =
   check_rate "Network.set_duplicate_rate" r;
   t.duplicate_rate <- r
 
-let duplicate_rate t = t.duplicate_rate
 
 let set_corrupt_rate t r =
   check_rate "Network.set_corrupt_rate" r;
   t.corrupt_rate <- r
 
-let corrupt_rate t = t.corrupt_rate
 
 let set_reorder t ~rate ~window =
   check_rate "Network.set_reorder: rate" rate;
@@ -329,7 +321,6 @@ let set_reorder t ~rate ~window =
   t.reorder_rate <- rate;
   t.reorder_window <- window
 
-let reorder t = (t.reorder_rate, t.reorder_window)
 
 let set_delay_spike t ~a ~b ~factor ~until_ =
   if a < 0 || a >= t.n_sites || b < 0 || b >= t.n_sites then
@@ -390,8 +381,6 @@ let latency_between t a b =
   else t.latency.inter_site
 
 let set_tap t tap = t.tap <- tap
-let set_obs t obs = t.obs <- obs
-let obs t = t.obs
 
 (* Grab a pooled in-flight slot; returns its token. *)
 let alloc_delivery ?raw t ~src ~dst payload =

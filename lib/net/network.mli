@@ -43,8 +43,6 @@ val create :
     ([Send], then exactly one of [Deliver]/[Drop]) plus a ["net.delay"]
     latency sample per scheduled delivery. *)
 
-val sim : t -> Legion_sim.Engine.t
-
 (** {1 Topology} *)
 
 val add_site : t -> name:string -> site_id
@@ -56,7 +54,6 @@ val hosts : t -> host_id list
 val hosts_of_site : t -> site_id -> host_id list
 val site_of : t -> host_id -> site_id
 val host_name : t -> host_id -> string
-val site_name : t -> site_id -> string
 
 (** {1 Failure injection} *)
 
@@ -86,9 +83,6 @@ val set_drop_rate : t -> float -> unit
 (** Fraction of messages lost uniformly at random; default [0.].
     @raise Invalid_argument on NaN or a value outside [0,1]. *)
 
-val drop_rate : t -> float
-(** The currently configured uniform loss fraction. *)
-
 (** {2 Adversarial faults}
 
     Beyond loss, a real internet duplicates, reorders, delays, and
@@ -105,8 +99,6 @@ val set_duplicate_rate : t -> float -> unit
     makes the network itself produce them.
     @raise Invalid_argument on NaN or a value outside [0,1]. *)
 
-val duplicate_rate : t -> float
-
 val set_reorder : t -> rate:float -> window:float -> unit
 (** With probability [rate], hold a transmission back by an extra
     uniform draw from [0, window) seconds beyond its modelled latency —
@@ -114,9 +106,6 @@ val set_reorder : t -> rate:float -> window:float -> unit
     of [0.] or a [window] of [0.] disables it.
     @raise Invalid_argument on a NaN/out-of-range rate or a negative or
     non-finite window. *)
-
-val reorder : t -> float * float
-(** The configured (rate, window). *)
 
 val set_corrupt_rate : t -> float -> unit
 (** Probability that a transmitted message's payload is serialised
@@ -126,8 +115,6 @@ val set_corrupt_rate : t -> float -> unit
     fail-closed drop ([Drop] with reason [Corrupted]) — never an
     exception, never a garbled delivery.
     @raise Invalid_argument on NaN or a value outside [0,1]. *)
-
-val corrupt_rate : t -> float
 
 val set_delay_spike :
   t -> a:site_id -> b:site_id -> factor:float -> until_:float -> unit
@@ -171,11 +158,6 @@ val send : t -> src:host_id -> dst:host_id -> Legion_wire.Value.t -> unit
 val set_tap : t -> (src:host_id -> dst:host_id -> Legion_wire.Value.t -> unit) option -> unit
 (** Observe every send attempt (before loss/partition filtering) —
     protocol debugging and test instrumentation. [None] removes it. *)
-
-val set_obs : t -> Legion_obs.Recorder.t option -> unit
-(** Attach or detach the structured-event recorder after creation. *)
-
-val obs : t -> Legion_obs.Recorder.t option
 
 val latency_between : t -> host_id -> host_id -> float
 (** Mean one-way latency (jitter excluded). *)

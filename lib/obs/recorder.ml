@@ -6,17 +6,15 @@ type t = {
   buf : Event.t option array;
   mutable total : int;
   mutable enabled : bool;
-  lat_buckets : float array;
   lat : (string, Ustats.Histogram.h) Hashtbl.t;
 }
 
 (* Log-spaced 10µs .. 10s: spans the network's three latency tiers
    (5µs/0.5ms/40ms one-way) through multi-hop resolution chains. *)
-let default_latency_buckets =
+let latency_buckets =
   [| 1e-5; 3e-5; 1e-4; 3e-4; 1e-3; 3e-3; 1e-2; 3e-2; 0.1; 0.3; 1.0; 3.0; 10.0 |]
 
-let create ?(capacity = 65536) ?(latency_buckets = default_latency_buckets)
-    ~clock () =
+let create ?(capacity = 65536) ~clock () =
   if capacity <= 0 then invalid_arg "Recorder.create: capacity must be positive";
   {
     clock;
@@ -24,7 +22,6 @@ let create ?(capacity = 65536) ?(latency_buckets = default_latency_buckets)
     buf = Array.make capacity None;
     total = 0;
     enabled = true;
-    lat_buckets = Array.copy latency_buckets;
     lat = Hashtbl.create 16;
   }
 
@@ -61,7 +58,7 @@ let observe t ~component x =
     match Hashtbl.find_opt t.lat component with
     | Some h -> h
     | None ->
-        let h = Ustats.Histogram.create ~buckets:t.lat_buckets in
+        let h = Ustats.Histogram.create ~buckets:latency_buckets in
         Hashtbl.add t.lat component h;
         h
   in

@@ -8,17 +8,12 @@
 
 type t
 
-val create :
-  ?capacity:int ->
-  ?latency_buckets:float array ->
-  clock:(unit -> float) ->
-  unit ->
-  t
-(** [capacity] (default 65536) bounds retained events.
-    [latency_buckets] are the {!Legion_util.Stats.Histogram} upper
-    bounds used for every component histogram (default: log-spaced
-    10µs…10s, sized for the simulated network's three latency tiers).
-    [clock] supplies virtual time (pass [fun () -> Engine.now sim]).
+val create : ?capacity:int -> clock:(unit -> float) -> unit -> t
+(** [capacity] (default 65536) bounds retained events. Every component
+    histogram uses log-spaced {!Legion_util.Stats.Histogram} upper
+    bounds from 10µs to 10s, sized for the simulated network's three
+    latency tiers. [clock] supplies virtual time (pass
+    [fun () -> Engine.now sim]).
     @raise Invalid_argument when [capacity <= 0]. *)
 
 val emit : t -> ?host:int -> ?site:int -> Event.kind -> unit

@@ -15,7 +15,6 @@ type ('k, 'v) t = {
   tbl : ('k, ('k, 'v) node) Hashtbl.t;
   mutable head : ('k, 'v) node option;  (* most recently used *)
   mutable tail : ('k, 'v) node option;  (* least recently used *)
-  mutable evictions : int;
 }
 
 let create ~capacity =
@@ -25,12 +24,7 @@ let create ~capacity =
     tbl = Hashtbl.create (min capacity 64);
     head = None;
     tail = None;
-    evictions = 0;
   }
-
-let length t = Hashtbl.length t.tbl
-let capacity t = t.capacity
-let evictions t = t.evictions
 
 let unlink t n =
   (match n.n_prev with
@@ -74,8 +68,7 @@ let set t k v =
         | None -> ()
         | Some lru ->
             unlink t lru;
-            Hashtbl.remove t.tbl lru.n_key;
-            t.evictions <- t.evictions + 1
+            Hashtbl.remove t.tbl lru.n_key
       end;
       let n = { n_key = k; n_val = v; n_prev = None; n_next = None } in
       Hashtbl.replace t.tbl k n;

@@ -18,9 +18,3 @@ val set : ('k, 'v) t -> 'k -> 'v -> unit
 
 val remove : ('k, 'v) t -> 'k -> unit
 (** Idempotent removal. *)
-
-val length : ('k, 'v) t -> int
-val capacity : ('k, 'v) t -> int
-
-val evictions : ('k, 'v) t -> int
-(** Entries pushed out by capacity pressure since creation. *)

@@ -58,16 +58,18 @@ type dedup_entry = {
   mutable de_reply : reply option;
 }
 
-(* Per-tenant wait lanes under deficit round robin (DRR). When the
-   runtime serves a tenant registry, a budgeted process parks excess
-   arrivals in one bounded lane per tenant instead of the single shared
-   FIFO, and freed inflight slots are granted by cycling the ring of
-   backlogged lanes: each visit tops a lane's deficit up by its tenant's
-   weight and serves whole calls while the deficit lasts, so service is
+(* Admission wait lanes under deficit round robin (DRR). A budgeted
+   process parks excess arrivals in a bounded lane: one per tenant when
+   the runtime serves a tenant registry, otherwise one anonymous
+   weight-1 lane shared by every caller, which DRR serves in arrival
+   order. Freed inflight slots are granted by cycling the ring of
+   backlogged lanes: each visit tops a lane's deficit up by its weight
+   and serves whole calls while the deficit lasts, so service is
    weight-proportional and one flooding tenant can neither displace
    other tenants' queued calls nor monopolise the dispatch order. *)
 type lane = {
-  l_tenant : Tenant.tenant;
+  l_tenant : Tenant.tenant option;  (* None = the anonymous lane *)
+  l_weight : float;
   l_q : (call * (reply -> unit)) Queue.t;
   mutable l_deficit : float;
   mutable l_linked : bool;  (* currently a member of the ring *)
@@ -87,8 +89,7 @@ type proc = {
   mutable epoch : int;  (* incarnation this placement belongs to *)
   cache : Cache.t;
   counter : Counter.t;
-  queue : (call * (reply -> unit)) Queue.t;  (* admission wait queue *)
-  mutable drr : drr option;  (* per-tenant lanes; replaces [queue] when tenancy is on *)
+  mutable drr : drr option;  (* admission wait lanes, made on first park *)
   mutable admission : admission option;
   mutable inflight : int;  (* handlers started, reply not yet sent *)
   mutable live : bool;
@@ -173,15 +174,13 @@ let kill rt proc =
   if proc.live then begin
     proc.live <- false;
     emit rt ~host:proc.host (Event.Deactivate { loid = proc.loid });
-    (* Calls parked in the admission queue will never run; answer them
+    (* Calls parked in the admission lanes will never run; answer them
        rather than leaving their callers to time out. *)
     let answer_parked (_call, reply_to) =
       ignore
         (Engine.schedule rt.sim ~delay:0.0 (fun () ->
              reply_to (Error Err.No_such_object)))
     in
-    Queue.iter answer_parked proc.queue;
-    Queue.clear proc.queue;
     (match proc.drr with
     | Some d ->
         (* Ring order is the deterministic flush order for the lanes. *)
@@ -416,9 +415,7 @@ let breaker_note rt ~at_host ~dst_host outcome =
 (* ------------------------------------------------------------------ *)
 (* Delivery and admission control.                                     *)
 
-let queue_depth proc =
-  Queue.length proc.queue
-  + match proc.drr with Some d -> d.d_count | None -> 0
+let queue_depth proc = match proc.drr with Some d -> d.d_count | None -> 0
 
 let overload_hint a ~queued =
   let fill = float_of_int queued /. float_of_int (max 1 a.max_queue) in
@@ -469,13 +466,22 @@ let drr_of proc =
       proc.drr <- Some d;
       d
 
+(* [""] keys the anonymous lane: {!Tenant.register} rejects it as a
+   tenant name. *)
 let lane_of d tn =
-  let key = Tenant.name tn in
+  let key = match tn with Some tn -> Tenant.name tn | None -> "" in
   match Hashtbl.find_opt d.d_lanes key with
   | Some lane -> lane
   | None ->
+      let weight = match tn with Some tn -> Tenant.weight tn | None -> 1 in
       let lane =
-        { l_tenant = tn; l_q = Queue.create (); l_deficit = 0.0; l_linked = false }
+        {
+          l_tenant = tn;
+          l_weight = float_of_int weight;
+          l_q = Queue.create ();
+          l_deficit = 0.0;
+          l_linked = false;
+        }
       in
       Hashtbl.add d.d_lanes key lane;
       lane
@@ -486,7 +492,7 @@ let lane_of d tn =
 let link_lane d lane =
   if not lane.l_linked then begin
     lane.l_linked <- true;
-    lane.l_deficit <- float_of_int (Tenant.weight lane.l_tenant);
+    lane.l_deficit <- lane.l_weight;
     Queue.add lane d.d_ring
   end
 
@@ -494,7 +500,7 @@ let link_lane d lane =
    the inflight slot (and the tenant's, when tenancy is on); the wrapped
    reply continuation releases both and pulls the next queued call in,
    so the budget is conserved even if a handler replies synchronously. *)
-let rec deliver_call rt proc ~queued ?tn call reply_to =
+let rec deliver_call rt proc ~queued ~tn call reply_to =
   proc.counter |> Counter.incr;
   proc.last_delivery <- Engine.now rt.sim;
   rt.delivered <- rt.delivered + 1;
@@ -527,27 +533,9 @@ let rec deliver_call rt proc ~queued ?tn call reply_to =
   proc.handler { rt; self = proc } call reply_once
 
 and drain_queue rt proc =
-  match proc.admission with
-  | Some a when proc.inflight < a.max_inflight -> (
-      match proc.drr with
-      | Some d -> drain_drr rt proc a d
-      | None -> drain_fifo rt proc a)
+  match (proc.admission, proc.drr) with
+  | Some a, Some d when proc.inflight < a.max_inflight -> drain_drr rt proc d
   | _ -> ()
-
-and drain_fifo rt proc _a =
-  if not (Queue.is_empty proc.queue) then begin
-    (* Reserve the freed slot now, dispatch from a fresh event so the
-       reply that released it finishes unwinding first. *)
-    let call, reply_to = Queue.pop proc.queue in
-    proc.inflight <- proc.inflight + 1;
-    ignore
-      (Engine.schedule rt.sim ~delay:0.0 (fun () ->
-           if proc.live then deliver_call rt proc ~queued:true call reply_to
-           else begin
-             proc.inflight <- proc.inflight - 1;
-             reply_to (Error Err.No_such_object)
-           end))
-  end
 
 (* Grant the freed slot under deficit round robin: walk the ring, topping
    deficits up by one weight-quantum per rotation, and serve the first
@@ -555,9 +543,10 @@ and drain_fifo rt proc _a =
    deficit) until the quantum is spent, then rotates to the tail; empty
    lanes leave the ring. The bound covers one full recharge rotation —
    every backlogged lane gains >= 1 deficit per pass, so a servable head
-   is always reached within it. *)
-and drain_drr rt proc a d =
-  ignore a;
+   is always reached within it. The slot is reserved now and the call
+   dispatched from a fresh event, so the reply that released it
+   finishes unwinding first. *)
+and drain_drr rt proc d =
   let rec pick rounds =
     if rounds = 0 || Queue.is_empty d.d_ring then None
     else
@@ -578,8 +567,7 @@ and drain_drr rt proc a d =
         Some (lane.l_tenant, entry)
       end
       else begin
-        lane.l_deficit <-
-          lane.l_deficit +. float_of_int (Tenant.weight lane.l_tenant);
+        lane.l_deficit <- lane.l_deficit +. lane.l_weight;
         ignore (Queue.pop d.d_ring);
         Queue.add lane d.d_ring;
         pick (rounds - 1)
@@ -589,13 +577,13 @@ and drain_drr rt proc a d =
   | None -> ()
   | Some (tn, (call, reply_to)) ->
       proc.inflight <- proc.inflight + 1;
-      Tenant.begin_call tn;
+      Option.iter Tenant.begin_call tn;
       ignore
         (Engine.schedule rt.sim ~delay:0.0 (fun () ->
              if proc.live then deliver_call rt proc ~queued:true ~tn call reply_to
              else begin
                proc.inflight <- proc.inflight - 1;
-               Tenant.end_call tn;
+               Option.iter Tenant.end_call tn;
                reply_to (Error Err.No_such_object)
              end))
 
@@ -606,70 +594,64 @@ let note_caller rt proc ~src_host =
     | Some n -> (site, n + 1) :: List.remove_assoc site proc.caller_sites
     | None -> (site, 1) :: proc.caller_sites)
 
+(* Take a free slot directly — only when no lane is backlogged, so
+   arrivals never overtake queued calls — or park in the caller's lane.
+   A full tenant lane sheds [Quota_exceeded], the anonymous lane
+   [Overloaded]. *)
+let park_or_admit rt proc a tn call reply_to =
+  let backlogged =
+    match proc.drr with Some d -> not (Queue.is_empty d.d_ring) | None -> false
+  in
+  if proc.inflight < a.max_inflight && not backlogged then begin
+    proc.inflight <- proc.inflight + 1;
+    Option.iter Tenant.begin_call tn;
+    deliver_call rt proc ~queued:false ~tn call reply_to
+  end
+  else
+    let d = drr_of proc in
+    let lane = lane_of d tn in
+    if Queue.length lane.l_q < a.max_queue then begin
+      Queue.add (call, reply_to) lane.l_q;
+      d.d_count <- d.d_count + 1;
+      link_lane d lane;
+      (* A slot may be free when the caller's own lane was backlogged;
+         grant it through the scheduler so lane order, not arrival
+         order, decides. *)
+      if proc.inflight < a.max_inflight then drain_queue rt proc
+    end
+    else
+      match tn with
+      | None -> shed_call rt proc ~meth:call.meth reply_to
+      | Some tn ->
+          quota_shed rt proc tn ~meth:call.meth
+            ~retry_after:(overload_hint a ~queued:(Queue.length lane.l_q))
+            reply_to
+
 let admit_call rt proc call reply_to =
-  match proc.admission with
-  | Some a -> (
-      match rt.tenants with
-      | Some reg ->
-          (* Tenanted admission: charge the caller's budgets first (a
-             failed charge is a shed attributed to that tenant), then
-             either take a free slot directly — only when no lane is
-             backlogged, so arrivals never overtake queued tenants — or
-             park in the tenant's own bounded lane. *)
-          let tn = Tenant.of_env reg call.env in
-          let nowt = Engine.now rt.sim in
-          if not (Tenant.try_take tn ~now:nowt) then
-            quota_shed rt proc tn ~meth:call.meth
-              ~retry_after:(Tenant.retry_hint tn ~now:nowt)
-              reply_to
-          else if not (Tenant.inflight_ok tn) then
-            quota_shed rt proc tn ~meth:call.meth ~retry_after:a.retry_after_hint
-              reply_to
-          else
-            let d = drr_of proc in
-            if proc.inflight < a.max_inflight && Queue.is_empty d.d_ring then begin
-              proc.inflight <- proc.inflight + 1;
-              Tenant.begin_call tn;
-              deliver_call rt proc ~queued:false ~tn call reply_to
-            end
-            else
-              let lane = lane_of d tn in
-              if Queue.length lane.l_q < a.max_queue then begin
-                Queue.add (call, reply_to) lane.l_q;
-                d.d_count <- d.d_count + 1;
-                link_lane d lane;
-                (* A slot may be free when the tenant's own lane was
-                   backlogged; grant it through the scheduler so lane
-                   order, not arrival order, decides. *)
-                if proc.inflight < a.max_inflight then drain_queue rt proc
-              end
-              else
-                quota_shed rt proc tn ~meth:call.meth
-                  ~retry_after:(overload_hint a ~queued:(Queue.length lane.l_q))
-                  reply_to
-      | None ->
-          if proc.inflight >= a.max_inflight then
-            if Queue.length proc.queue < a.max_queue then
-              Queue.add (call, reply_to) proc.queue
-            else shed_call rt proc ~meth:call.meth reply_to
-          else begin
-            proc.inflight <- proc.inflight + 1;
-            deliver_call rt proc ~queued:false call reply_to
-          end)
-  | None ->
+  match (proc.admission, rt.tenants) with
+  | None, _ ->
       proc.inflight <- proc.inflight + 1;
-      deliver_call rt proc ~queued:false call reply_to
+      deliver_call rt proc ~queued:false ~tn:None call reply_to
+  | Some a, None -> park_or_admit rt proc a None call reply_to
+  | Some a, Some reg ->
+      (* Tenanted admission charges the caller's budgets first: a failed
+         charge is a shed attributed to that tenant. *)
+      let tn = Tenant.of_env reg call.env in
+      let nowt = Engine.now rt.sim in
+      if not (Tenant.try_take tn ~now:nowt) then
+        quota_shed rt proc tn ~meth:call.meth
+          ~retry_after:(Tenant.retry_hint tn ~now:nowt)
+          reply_to
+      else if not (Tenant.inflight_ok tn) then
+        quota_shed rt proc tn ~meth:call.meth ~retry_after:a.retry_after_hint
+          reply_to
+      else park_or_admit rt proc a (Some tn) call reply_to
 
 (* ------------------------------------------------------------------ *)
 (* Tenancy: registry plumbing and part-facing enforcement helpers.     *)
 
 let set_tenants rt reg = rt.tenants <- reg
 let tenants rt = rt.tenants
-
-let tenant_label rt env =
-  match rt.tenants with
-  | None -> Tenant.fallback_name
-  | Some reg -> Tenant.name (Tenant.of_env reg env)
 
 (* Parts that gate expensive methods by tenant budget (a class charging
    Create) use the same bucket, shed accounting and error shape as the
@@ -693,9 +675,7 @@ let note_deny rt proc ~meth ~env =
     match rt.tenants with
     | None -> Tenant.fallback_name
     | Some reg ->
-        let tn = Tenant.of_env reg env in
-        Tenant.note_denied tn;
-        Tenant.name tn
+        Tenant.name (Tenant.of_env reg env)
   in
   emit rt ~host:proc.host (Event.Deny { loid = proc.loid; meth; tenant });
   tenant
@@ -851,7 +831,6 @@ let spawn rt ~host ~loid ~kind ?epoch ?cache_capacity ?binding_agent ?admission
       epoch;
       cache;
       counter;
-      queue = Queue.create ();
       drr = None;
       admission;
       inflight = 0;
@@ -1266,30 +1245,11 @@ let invoke ctx ?timeout ?max_rebinds ~dst ~meth ~args ?env k =
               attempt binding rebind_budget)
 
 (* ------------------------------------------------------------------ *)
-(* Tracing.                                                            *)
-
-let describe_message payload =
-  match decode_incoming payload with
-  | In_call { id; src_loid; dst_loid; call; _ } ->
-      Some
-        (Printf.sprintf "call#%d %s -> %s.%s/%d" id (Loid.to_string src_loid)
-           (Loid.to_string dst_loid) call.meth (List.length call.args))
-  | In_reply { id; reply = Ok _ } -> Some (Printf.sprintf "reply#%d ok" id)
-  | In_reply { id; reply = Error e } ->
-      Some (Printf.sprintf "reply#%d error: %s" id (Err.to_string e))
-  | In_bounce { id; err; _ } ->
-      Some (Printf.sprintf "bounce#%d %s" id (Err.to_string err))
-  | In_garbage _ -> None
-
-(* ------------------------------------------------------------------ *)
 (* Accounting.                                                         *)
 
 let total_calls_delivered rt = rt.delivered
 let total_sheds rt = rt.sheds
 let dedup_hits rt = rt.dedup_hits
-
-let dedup_stats rt =
-  Option.map (fun c -> (Dedup.length c, Dedup.evictions c)) rt.dedup
 let requests_of p = Counter.value p.counter
 let caller_sites p = p.caller_sites
 

@@ -246,12 +246,13 @@ val binding_agent : proc -> Address.t option
 
     A budgeted object ([admission] set at spawn or via
     {!set_admission}) executes at most [max_inflight] calls at once;
-    arrivals beyond that park in a FIFO queue of at most [max_queue],
+    arrivals beyond that park in a wait lane of at most [max_queue],
     and anything further is {e shed}: answered immediately with
     [Err.Overloaded] (a [Shed] event) instead of being allowed to rot
-    until timeout. Admitted calls emit [Admit]. Queued calls dispatch
-    in order as inflight slots free up. The caller's comm layer treats
-    [Overloaded] as retryable backpressure (see {!invoke}). *)
+    until timeout. Admitted calls emit [Admit]. With no tenant registry
+    armed every caller shares one anonymous lane, whose calls dispatch
+    in arrival order as inflight slots free up. The caller's comm layer
+    treats [Overloaded] as retryable backpressure (see {!invoke}). *)
 
 val set_admission : proc -> admission option -> unit
 val admission_of : proc -> admission option
@@ -260,7 +261,7 @@ val inflight : proc -> int
 (** Calls currently executing (handler started, reply pending). *)
 
 val queued_calls : proc -> int
-(** Calls parked in the admission queue. *)
+(** Calls parked in the admission lanes. *)
 
 val load_factor : proc -> float
 (** [(inflight + queued) / (max_inflight + max_queue)] — [0.] when
@@ -278,8 +279,8 @@ val shed_reply : t -> proc -> meth:string -> Err.t
 (** {1 Tenancy}
 
     Arming a {!Tenant.t} registry ({!set_tenants}) switches every
-    budgeted process from the shared FIFO to {e per-tenant} wait lanes
-    scheduled by deficit round robin: a call's tenant is derived from
+    budgeted process from the anonymous lane to {e per-tenant} wait
+    lanes scheduled by deficit round robin: a call's tenant is derived from
     its environment's Responsible Agent ([Env.responsible], §2.4), its
     token-bucket and inflight budgets are charged at admission (a failed
     charge is shed with the retryable [Err.Quota_exceeded], attributed
@@ -287,15 +288,13 @@ val shed_reply : t -> proc -> meth:string -> Err.t
     granted weight-proportionally across backlogged lanes, each bounded
     by [max_queue] — so a flooding tenant exhausts only its own lane and
     budget while everyone else's queue depth and dispatch share are
-    preserved. With no registry armed the admission path is byte-for-
-    byte the pre-tenancy FIFO behaviour. *)
+    preserved. The anonymous lane is the same mechanism with one
+    weight-1 lane: deficit round robin over a single lane serves it in
+    arrival order, and a full anonymous lane sheds [Err.Overloaded]
+    with an untagged [Shed] event. *)
 
 val set_tenants : t -> Tenant.t option -> unit
 val tenants : t -> Tenant.t option
-
-val tenant_label : t -> Env.t -> string
-(** The tenant name the registry attributes the environment to
-    ({!Tenant.fallback_name} when unregistered or no registry). *)
 
 val charge_quota : t -> proc -> meth:string -> env:Env.t -> (unit, Err.t) result
 (** Charge one call against the caller's tenant rate budget from inside
@@ -394,13 +393,6 @@ val invoke_binding :
   unit
 (** [invoke_address] on the binding's address and LOID. *)
 
-(** {1 Tracing} *)
-
-val describe_message : Value.t -> string option
-(** Render a wire message (as seen by a {!Legion_net.Network.set_tap}
-    observer) as a one-line human-readable protocol event: the Fig. 17
-    sequences become visible. [None] for non-runtime payloads. *)
-
 (** {1 Accounting} *)
 
 val total_calls_delivered : t -> int
@@ -411,10 +403,6 @@ val total_sheds : t -> int
 val dedup_hits : t -> int
 (** Duplicate call deliveries absorbed or replayed by the exactly-once
     cache ([0] when [dedup_capacity] is [None]). *)
-
-val dedup_stats : t -> (int * int) option
-(** (live entries, LRU evictions) of the dedup cache; [None] when
-    disabled. *)
 
 val requests_of : proc -> int
 (** Method calls delivered to this instance. *)

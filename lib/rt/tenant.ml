@@ -20,7 +20,6 @@ type tenant = {
   mutable inflight : int;  (* admitted calls not yet replied, registry-wide *)
   mutable admitted : int;
   mutable shed : int;
-  mutable denied : int;
 }
 
 type t = {
@@ -41,7 +40,6 @@ let make_tenant ~name budget =
     inflight = 0;
     admitted = 0;
     shed = 0;
-    denied = 0;
   }
 
 let create () =
@@ -54,6 +52,7 @@ let create () =
 
 let register t ~name ~responsible ?(weight = 1) ?(max_inflight = 0)
     ?(rate = 0.0) ?burst () =
+  if name = "" then invalid_arg "Tenant.register: empty name";
   let burst =
     match burst with
     | Some b -> Float.max 1.0 b
@@ -89,7 +88,6 @@ let budget tenant = tenant.budget
 let inflight tenant = tenant.inflight
 let admitted tenant = tenant.admitted
 let shed_count tenant = tenant.shed
-let denied_count tenant = tenant.denied
 
 (* --- token bucket (virtual time; deterministic) --- *)
 
@@ -130,4 +128,3 @@ let begin_call tenant =
 
 let end_call tenant = tenant.inflight <- max 0 (tenant.inflight - 1)
 let note_shed tenant = tenant.shed <- tenant.shed + 1
-let note_denied tenant = tenant.denied <- tenant.denied + 1

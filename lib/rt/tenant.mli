@@ -47,7 +47,8 @@ val register :
     no rate limit; [burst] defaults to a quarter-second of [rate] (and
     is clamped to >= 1). Registering an existing [name] under a new
     [responsible] LOID keeps the tenant's counters — one principal may
-    present several Responsible Agents. *)
+    present several Responsible Agents.
+    @raise Invalid_argument if [name] is empty. *)
 
 val find : t -> name:string -> tenant option
 val of_env : t -> Legion_sec.Env.t -> tenant
@@ -66,7 +67,6 @@ val budget : tenant -> budget
 val inflight : tenant -> int
 val admitted : tenant -> int
 val shed_count : tenant -> int
-val denied_count : tenant -> int
 
 (** {1 Budget mechanics} — called by the runtime's admission path and by
     parts that shed by policy (a class charging [Create]). *)
@@ -87,4 +87,3 @@ val begin_call : tenant -> unit
 
 val end_call : tenant -> unit
 val note_shed : tenant -> unit
-val note_denied : tenant -> unit

@@ -51,8 +51,6 @@ let variance t =
     let m = t.sum /. n in
     Float.max 0.0 ((t.sum_sq /. n) -. (m *. m))
 
-let stddev t = sqrt (variance t)
-
 let min t =
   if t.len = 0 then invalid_arg "Stats.min: empty";
   t.mn

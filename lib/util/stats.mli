@@ -27,8 +27,6 @@ val mean : t -> float
 val variance : t -> float
 (** Population variance; [0.] when fewer than two samples. *)
 
-val stddev : t -> float
-
 val min : t -> float
 (** Smallest sample seen.
     @raise Invalid_argument ["Stats.min: empty"] when no sample has been

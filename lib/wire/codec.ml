@@ -65,8 +65,6 @@ let encode v =
   encode_into buf v;
   Buffer.contents buf
 
-let encoded_size v = Value.size_bytes v
-
 exception Malformed of string
 
 (* Deep enough for any legitimate payload (OPRs nest a handful of

@@ -16,5 +16,3 @@ val decode : string -> (Value.t, string) result
     256 levels is rejected (stack-safety against crafted inputs);
     legitimate payloads nest a handful of levels. *)
 
-val encoded_size : Value.t -> int
-(** Equals [String.length (encode v)] (and {!Value.size_bytes}). *)

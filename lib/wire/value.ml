@@ -84,8 +84,6 @@ let to_string v = Format.asprintf "%a" pp v
 
 let of_int i = Int i
 let of_string s = Str s
-let of_bool b = Bool b
-let of_float f = Float f
 let of_list f xs = List (List.map f xs)
 let of_option f = function None -> List [] | Some x -> List [ f x ]
 
@@ -96,7 +94,6 @@ let record fields =
     invalid_arg "Value.record: duplicate field names";
   Record fields
 
-let to_unit = function Unit -> Ok () | _ -> Error (`Wrong_type "unit")
 let to_bool = function Bool b -> Ok b | _ -> Error (`Wrong_type "bool")
 let to_int = function Int i -> Ok i | _ -> Error (`Wrong_type "int")
 let to_i64 = function I64 i -> Ok i | _ -> Error (`Wrong_type "i64")

@@ -32,8 +32,6 @@ val to_string : t -> string
 
 val of_int : int -> t
 val of_string : string -> t
-val of_bool : bool -> t
-val of_float : float -> t
 val of_list : ('a -> t) -> 'a list -> t
 val of_option : ('a -> t) -> 'a option -> t
 (** [None] encodes as [List []], [Some x] as [List [f x]]. *)
@@ -46,7 +44,6 @@ val record : (string * t) list -> t
     All return [Error (`Wrong_type _)] when the value has a different
     constructor than requested. *)
 
-val to_unit : t -> (unit, error) result
 val to_bool : t -> (bool, error) result
 val to_int : t -> (int, error) result
 val to_i64 : t -> (int64, error) result

@@ -127,39 +127,16 @@ let test_get_binding_refresh_form () =
 (* Build a chain of extra agents: leaf -> mid -> root(site agent). Class
    lookups from the leaf must be served by forwarding, leaving
    LegionClass traffic to the root only. *)
-let spawn_extra_agent sys ~parent_addr ~host =
-  let loid =
-    System.fresh_instance_loid sys ~of_class:Well_known.legion_binding_agent
-  in
-  let state =
-    Agent_part.state_value ?parent:parent_addr
-      ~legion_class:(System.legion_class_binding sys) ()
-  in
-  let opr =
-    Opr.make
-      ~states:[ (Agent_part.unit_name, state) ]
-      ~kind:Well_known.kind_binding_agent
-      ~units:[ Agent_part.unit_name; Well_known.unit_object ]
-      ()
-  in
-  match Impl.activate (System.rt sys) ~host ~loid opr with
-  | Ok proc -> (loid, proc)
-  | Error msg -> Alcotest.failf "spawn agent: %s" msg
-
 let test_tree_forwarding () =
   let sys = H.boot_two_sites () in
   let ctx = System.client sys () in
   let cls = H.make_counter_class sys ctx () in
   let site0 = System.site sys 0 in
-  let root_loid, root_proc =
-    spawn_extra_agent sys ~parent_addr:None ~host:(List.hd site0.System.net_hosts)
+  let root_proc = System.start_agent sys (List.hd site0.System.net_hosts) in
+  let leaf_proc =
+    System.start_agent sys ~parent:(Runtime.address_of root_proc)
+      (List.nth site0.System.net_hosts 1)
   in
-  let _, leaf_proc =
-    spawn_extra_agent sys
-      ~parent_addr:(Some (Runtime.address_of root_proc))
-      ~host:(List.nth site0.System.net_hosts 1)
-  in
-  ignore root_loid;
   (* Ask the leaf for a class binding: it must forward, not resolve. *)
   let leaf_addr = Runtime.address_of leaf_proc in
   let wildcard = Loid.make ~class_id:0L ~class_specific:0L () in

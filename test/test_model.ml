@@ -121,12 +121,7 @@ let run_history ops =
             | None -> () (* already inert; the checkpoint was the crash drill *)
             | Some p ->
                 let h = Runtime.proc_host p in
-                let infra =
-                  List.map
-                    (fun s -> List.hd s.System.net_hosts)
-                    (System.sites sys)
-                in
-                if not (List.mem h infra) then begin
+                if not (List.mem h (System.infra_hosts sys)) then begin
                   Runtime.crash_host (System.rt sys) h;
                   Legion_net.Network.set_host_up (System.net sys) h true
                 end))

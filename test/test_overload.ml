@@ -201,6 +201,115 @@ let test_admission_budget () =
   Alcotest.(check (float 1e-9)) "idle load factor" 0.0
     (Runtime.load_factor proc)
 
+(* --- the anonymous lane keeps the FIFO contract (QCheck model) --- *)
+
+(* A random interleaving at an untenanted budgeted object: a call
+   arrives, or the [k]th held call replies. The model is the plain FIFO
+   wait queue: a call starts at once while fewer than [max_inflight]
+   run, parks while fewer than [max_queue] wait, and is shed otherwise;
+   each reply starts the oldest parked call. *)
+type lane_op = Arrive | Reply of int
+
+let lane_ops =
+  let open QCheck in
+  let op =
+    Gen.(
+      frequency [ (3, return Arrive); (2, map (fun k -> Reply k) (int_bound 7)) ])
+  in
+  let print_op = function Arrive -> "A" | Reply k -> Printf.sprintf "R%d" k in
+  make
+    ~print:(fun (i, q, ops) ->
+      Printf.sprintf "max_inflight %d, max_queue %d: %s" i q
+        (String.concat " " (List.map print_op ops)))
+    ~shrink:(fun (i, q, ops) ->
+      Iter.map (fun ops -> (i, q, ops)) (Shrink.list ops))
+    Gen.(triple (1 -- 3) (1 -- 4) (list_size (1 -- 40) op))
+
+let anonymous_lane_prop =
+  QCheck.Test.make ~count:200
+    ~name:"anonymous lane: arrival order, inflight bound, shed exactly when full"
+    lane_ops
+    (fun (max_inflight, max_queue, ops) ->
+      let module Engine = Legion_sim.Engine in
+      let module Prng = Legion_util.Prng in
+      let sim = Engine.create () in
+      let prng = Prng.create ~seed:5L in
+      let net = Network.create ~sim ~prng:(Prng.split prng) () in
+      let site = Network.add_site net ~name:"s" in
+      let h0 = Network.add_host net ~site ~name:"h0" in
+      let h1 = Network.add_host net ~site ~name:"h1" in
+      let rt =
+        Runtime.create ~sim ~net
+          ~registry:(Legion_util.Counter.Registry.create ())
+          ~prng:(Prng.split prng) ()
+      in
+      let mk i = Loid.make ~class_id:60L ~class_specific:(Int64.of_int i) () in
+      let started = ref [] and held = ref [] in
+      let server =
+        Runtime.spawn rt ~host:h1 ~loid:(mk 1) ~kind:"app"
+          ~admission:
+            (Some { Runtime.max_inflight; max_queue; retry_after_hint = 0.05 })
+          ~handler:(fun _ call k ->
+            match call.Runtime.args with
+            | [ Value.Int id ] ->
+                started := id :: !started;
+                held := !held @ [ k ]
+            | _ -> k (Error (Err.Bad_args "want an id")))
+          ()
+      in
+      let client =
+        Runtime.spawn rt ~host:h0 ~loid:(mk 2) ~kind:"client"
+          ~handler:(fun _ _ k -> k (Error (Err.Refused "client")))
+          ()
+      in
+      let ctx = { Runtime.rt; self = client } in
+      let shed = ref [] in
+      let m_inflight = ref 0 and m_parked = Queue.create () in
+      let m_started = ref [] and m_shed = ref [] in
+      let next = ref 0 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Arrive ->
+              let id = !next in
+              incr next;
+              (* A caller-managed deadline means one attempt: a shed
+                 comes back to us instead of being retried. *)
+              Runtime.invoke_address ctx ~timeout:1000.0
+                ~address:(Runtime.address_of server) ~dst:(mk 1) ~meth:"Work"
+                ~args:[ Value.Int id ] ~env:(Legion_sec.Env.of_self (mk 2))
+                (function
+                  | Error e when Err.is_overload e -> shed := id :: !shed
+                  | _ -> ());
+              if !m_inflight < max_inflight then begin
+                incr m_inflight;
+                m_started := id :: !m_started
+              end
+              else if Queue.length m_parked < max_queue then
+                Queue.add id m_parked
+              else m_shed := id :: !m_shed
+          | Reply k -> (
+              match !held with
+              | [] -> ()
+              | calls ->
+                  let i = k mod List.length calls in
+                  held := List.filteri (fun j _ -> j <> i) calls;
+                  List.nth calls i (Ok Value.Unit);
+                  decr m_inflight;
+                  if not (Queue.is_empty m_parked) then begin
+                    incr m_inflight;
+                    m_started := Queue.pop m_parked :: !m_started
+                  end));
+          (* Let the arrival, the shed reply or the freed slot's
+             dispatch land before the next step. *)
+          Engine.run ~until:(Engine.now sim +. 0.1) sim;
+          !started = !m_started
+          && List.length !held <= max_inflight
+          && Runtime.inflight server <= max_inflight
+          && Runtime.queued_calls server = Queue.length m_parked
+          && !shed = !m_shed)
+        ops)
+
 (* --- backpressure-aware retry: shed calls come back and succeed --- *)
 
 let test_overloaded_retry () =
@@ -421,6 +530,7 @@ let () =
           Alcotest.test_case "admit, queue, shed" `Quick test_admission_budget;
           Alcotest.test_case "shed calls retry and succeed" `Quick
             test_overloaded_retry;
+          QCheck_alcotest.to_alcotest anonymous_lane_prop;
         ] );
       ( "degradation",
         [

@@ -275,7 +275,7 @@ let test_proactive_reactivation () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "warm-up failed: %s" (Err.to_string e))
     objs;
-  let infra = List.map (fun s -> List.hd s.System.net_hosts) (System.sites sys) in
+  let infra = System.infra_hosts sys in
   let victim_obj, victim_host =
     match
       List.filter_map

@@ -46,12 +46,7 @@ let test_soak () =
   let acked = Array.make n_objects 0 in
   let prng = Prng.create ~seed:77L in
   let crashes = ref 0 and partitions = ref 0 and sweeps = ref 0 in
-  let infra_hosts =
-    (* First host of each site carries the magistrate/agent — crashing
-       those takes the Jurisdiction down for good (infrastructure is
-       externally started, §4.2.1), so the chaos avoids them. *)
-    List.map (fun s -> List.hd s.System.net_hosts) (System.sites sys)
-  in
+  let infra_hosts = System.infra_hosts sys in
   for round = 1 to rounds do
     (* Workload: one increment on a random object. *)
     let i = Prng.int prng n_objects in
@@ -182,7 +177,7 @@ let test_recovery_churn () =
     ~threshold:3
     ~until:(t0 +. duration)
     ();
-  let infra = List.map (fun s -> List.hd s.System.net_hosts) (System.sites sys) in
+  let infra = System.infra_hosts sys in
   let victims =
     List.filter (fun h -> not (List.mem h infra)) (Network.hosts net)
   in
@@ -332,7 +327,7 @@ let test_txn_churn () =
   Network.set_reorder net ~rate:0.15 ~window:0.05;
   System.run_for sys 2.0;
   let prng = Prng.create ~seed:(Int64.add txn_seed 5L) in
-  let infra = List.map (fun s -> List.hd s.System.net_hosts) (System.sites sys) in
+  let infra = System.infra_hosts sys in
   let submitted = ref [] in
   let committed_ids = ref [] in
   let crashes = ref 0 and partitions = ref 0 in

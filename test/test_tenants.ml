@@ -67,7 +67,11 @@ let test_registry_lookup () =
   let a' = Tenant.register reg ~name:"a" ~responsible:(l 7) ~weight:3 () in
   Alcotest.(check int) "counters survive re-keying" 1 (Tenant.shed_count a');
   Alcotest.(check string) "new RA resolves" "a"
-    (Tenant.name (Tenant.of_env reg (Legion_sec.Env.of_self (l 7))))
+    (Tenant.name (Tenant.of_env reg (Legion_sec.Env.of_self (l 7))));
+  (* The empty name keys the runtime's anonymous admission lane. *)
+  Alcotest.check_raises "empty name"
+    (Invalid_argument "Tenant.register: empty name") (fun () ->
+      ignore (Tenant.register reg ~name:"" ~responsible:(l 8) ()))
 
 (* --- A budgeted worker under two competing tenants. --- *)
 

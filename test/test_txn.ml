@@ -422,7 +422,7 @@ let test_coordinator_crash_resumes_commit () =
   let rt = System.rt sys in
   let cls = derive_participant_class sys ctx in
   let coord_cls = derive_coord_class sys ctx in
-  let infra = List.map (fun s -> List.hd s.System.net_hosts) (System.sites sys) in
+  let infra = System.infra_hosts sys in
   (* A coordinator on a crashable (non-infrastructure) host. *)
   let co, victim =
     match Legion.Txn.create_coordinator sys ctx ~cls:coord_cls with

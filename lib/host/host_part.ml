@@ -25,6 +25,10 @@ type state = {
   mutable capacity : int option;
   mutable memory : int;
   mutable processes : (Loid.t * process) list;
+      (* newest first: the order ListProcesses, IdleProcesses and the
+         zombie sweep walk; each LOID at most once *)
+  residents : process Loid.Table.t;  (* the same entries, for lookups *)
+  mutable swept_at : int;  (* [Runtime.host_changes] at the last sweep *)
   mutable activations : int;
   mutable exceptions : int;  (* activation failures reported *)
 }
@@ -37,85 +41,111 @@ let factory (ctx : Runtime.ctx) : Impl.part =
   let self = Runtime.proc_loid ctx.Runtime.self in
   let net_host = Runtime.proc_host ctx.Runtime.self in
   let st =
-    { capacity = None; memory = 0; processes = []; activations = 0; exceptions = 0 }
+    {
+      capacity = None;
+      memory = 0;
+      processes = [];
+      residents = Loid.Table.create ();
+      swept_at = -1;
+      activations = 0;
+      exceptions = 0;
+    }
   in
   let env = Env.of_self self in
 
-  let live_processes () =
+  let forget loid =
     st.processes <-
-      List.filter
-        (fun (_, p) ->
-          Runtime.is_live p.proc
-          &&
-          (* A placement from a superseded incarnation is a zombie, not
-             a resident: delivery fences it, so it can never answer.
-             Counting it as "already running here" would make Activate
-             hand out its address forever (a rebind livelock after a
-             partition-era epoch bump). Reap it on sight; the caller
-             then re-activates from the OPR under the current epoch. *)
-          if
-            Runtime.proc_epoch p.proc
-            < Runtime.current_epoch rt (Runtime.proc_loid p.proc)
-          then begin
-            Runtime.kill rt p.proc;
-            false
-          end
-          else true)
-        st.processes;
+      List.filter (fun (l, _) -> not (Loid.equal l loid)) st.processes;
+    Loid.Table.remove st.residents loid
+  in
+  (* Every method that reads the resident set sweeps it first, but the
+     sweep can only find something when the runtime has reported a
+     change on this host since the last one; otherwise it is skipped. *)
+  let sweep () =
+    if Runtime.host_changes rt net_host <> st.swept_at then begin
+      st.processes <-
+        List.filter
+          (fun (l, p) ->
+            let keep =
+              Runtime.is_live p.proc
+              &&
+              (* A placement from a superseded incarnation is a zombie,
+                 not a resident: delivery fences it, so it can never
+                 answer. Counting it as "already running here" would
+                 make Activate hand out its address forever (a rebind
+                 livelock after a partition-era epoch bump). Reap it on
+                 sight; the caller then re-activates from the OPR under
+                 the current epoch. *)
+              if
+                Runtime.proc_epoch p.proc
+                < Runtime.current_epoch rt (Runtime.proc_loid p.proc)
+              then begin
+                Runtime.kill rt p.proc;
+                false
+              end
+              else true
+            in
+            if not keep then Loid.Table.remove st.residents l;
+            keep)
+          st.processes;
+      (* Read after the sweep: its own kills moved the count. *)
+      st.swept_at <- Runtime.host_changes rt net_host
+    end
+  in
+  let live_processes () =
+    sweep ();
     st.processes
   in
   let find_process loid =
-    List.find_opt (fun (l, _) -> Loid.equal l loid) (live_processes ())
-    |> Option.map snd
+    sweep ();
+    Loid.Table.find st.residents loid
+  in
+  let resident_count () =
+    sweep ();
+    Loid.Table.length st.residents
   in
   let full () =
-    match st.capacity with
-    | None -> false
-    | Some c -> List.length (live_processes ()) >= c
+    match st.capacity with None -> false | Some c -> resident_count () >= c
   in
 
   let activate _ctx args _env k =
+    let reply_addr proc =
+      k (Ok (Value.Record [ ("addr", Address.to_value (Runtime.address_of proc)) ]))
+    in
     match args with
     | [ loid_v; Value.Blob blob ] -> (
         match C.loid_arg loid_v with
         | Error msg -> Impl.bad_args k msg
-        | Ok loid ->
+        | Ok loid -> (
             if full () then k (Error (Err.Refused "host at capacity"))
-            else if Option.is_some (find_process loid) then
-              (* Already running here: answer with the existing address
-                 rather than double-activating. *)
-              let p = Option.get (find_process loid) in
-              k
-                (Ok
-                   (Value.Record
-                      [ ("addr", Address.to_value (Runtime.address_of p.proc)) ]))
-            else (
-              match Opr.of_blob blob with
-              | Error msg -> Impl.bad_args k ("bad OPR: " ^ msg)
-              | Ok opr -> (
-                  match Impl.activate rt ~host:net_host ~loid opr with
-                  | Error msg ->
-                      st.exceptions <- st.exceptions + 1;
-                      k (Error (Err.Internal ("activation failed: " ^ msg)))
-                  | Ok proc ->
-                      st.activations <- st.activations + 1;
-                      st.processes <-
-                        ( loid,
-                          {
-                            proc;
-                            kind = opr.Opr.kind;
-                            units = opr.Opr.units;
-                            binding_agent = opr.Opr.binding_agent;
-                            cache_capacity = opr.Opr.cache_capacity;
-                          } )
-                        :: st.processes;
-                      k
-                        (Ok
-                           (Value.Record
-                              [
-                                ( "addr",
-                                  Address.to_value (Runtime.address_of proc) );
-                              ])))))
+            else
+              match find_process loid with
+              | Some p ->
+                  (* Already running here: answer with the existing
+                     address rather than double-activating. *)
+                  reply_addr p.proc
+              | None -> (
+                  match Opr.of_blob blob with
+                  | Error msg -> Impl.bad_args k ("bad OPR: " ^ msg)
+                  | Ok opr -> (
+                      match Impl.activate rt ~host:net_host ~loid opr with
+                      | Error msg ->
+                          st.exceptions <- st.exceptions + 1;
+                          k (Error (Err.Internal ("activation failed: " ^ msg)))
+                      | Ok proc ->
+                          st.activations <- st.activations + 1;
+                          let p =
+                            {
+                              proc;
+                              kind = opr.Opr.kind;
+                              units = opr.Opr.units;
+                              binding_agent = opr.Opr.binding_agent;
+                              cache_capacity = opr.Opr.cache_capacity;
+                            }
+                          in
+                          st.processes <- (loid, p) :: st.processes;
+                          Loid.Table.set st.residents loid p;
+                          reply_addr proc))))
     | _ -> Impl.bad_args k "Activate expects (loid, opr: blob)"
   in
 
@@ -138,10 +168,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                     | Error e -> k (Error e)
                     | Ok (Value.Record states) ->
                         Runtime.kill rt p.proc;
-                        st.processes <-
-                          List.filter
-                            (fun (l, _) -> not (Loid.equal l loid))
-                            st.processes;
+                        forget loid;
                         let opr =
                           Opr.make ~states ?binding_agent:p.binding_agent
                             ?cache_capacity:p.cache_capacity ~kind:p.kind
@@ -161,8 +188,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
             (match find_process loid with
             | Some p -> Runtime.kill rt p.proc
             | None -> ());
-            st.processes <-
-              List.filter (fun (l, _) -> not (Loid.equal l loid)) st.processes;
+            forget loid;
             k Impl.ok_unit)
     | _ -> Impl.bad_args k "Kill expects one loid"
   in
@@ -190,7 +216,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
           (Ok
              (Value.Record
                 [
-                  ("load", Value.Int (List.length (live_processes ())));
+                  ("load", Value.Int (resident_count ()));
                   ("cap", C.vopt Value.of_int st.capacity);
                   ("mem", Value.Int st.memory);
                   ("activations", Value.Int st.activations);
@@ -232,8 +258,8 @@ let factory (ctx : Runtime.ctx) : Impl.part =
   let reap _ctx args _env k =
     match args with
     | [] ->
-        let before = List.length st.processes in
-        let after = List.length (live_processes ()) in
+        let before = Loid.Table.length st.residents in
+        let after = resident_count () in
         k (Ok (Value.Int (before - after)))
     | _ -> Impl.bad_args k "Reap takes no arguments"
   in

@@ -25,15 +25,16 @@ let compare a b =
     let c = Int64.compare a.class_specific b.class_specific in
     if c <> 0 then c else String.compare a.public_key b.public_key
 
-let hash t =
-  Hashtbl.hash (t.class_id, t.class_specific, t.public_key)
+(* The record has the layout of the tuple (class_id, class_specific,
+   public_key), so this is that tuple's hash without building it. *)
+let hash (t : t) = Hashtbl.hash t
 
-let pp ppf t =
+let to_string t =
   if String.length t.public_key = 0 then
-    Format.fprintf ppf "L%Lx.%Lx" t.class_id t.class_specific
-  else Format.fprintf ppf "L%Lx.%Lx+key" t.class_id t.class_specific
+    Printf.sprintf "L%Lx.%Lx" t.class_id t.class_specific
+  else Printf.sprintf "L%Lx.%Lx+key" t.class_id t.class_specific
 
-let to_string t = Format.asprintf "%a" pp t
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let to_value t =
   Value.Record

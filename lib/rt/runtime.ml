@@ -120,6 +120,7 @@ and t = {
   prng : Prng.t;
   config : config;
   mutable slot_tbl : proc option array;  (* slot -> instance; O(1) delivery routing *)
+  mutable host_changes : int array;  (* host -> resident changes, see [note_host_change] *)
   places : proc list Loid.Table.t;  (* loid -> active placements *)
   pending : (int, pending) Hashtbl.t;
   attached : (int, unit) Hashtbl.t;  (* hosts with a receiver installed *)
@@ -159,6 +160,24 @@ let slot_set rt slot proc =
   end;
   rt.slot_tbl.(slot) <- Some proc
 
+(* A Host Object's resident sweep (drop dead placements, reap those
+   whose epoch trails their LOID's) can change its result on a host in
+   four ways only: a placement there is killed, a LOID placed there has
+   its epoch bumped, a placement there has its epoch refreshed, or one
+   is spawned there below its LOID's current epoch. Each bumps the
+   host's count, and a Host Object re-sweeps only when it has moved. *)
+let note_host_change rt host =
+  let n = Array.length rt.host_changes in
+  if host >= n then begin
+    let bigger = Array.make (Stdlib.max (host + 1) (2 * n)) 0 in
+    Array.blit rt.host_changes 0 bigger 0 n;
+    rt.host_changes <- bigger
+  end;
+  rt.host_changes.(host) <- rt.host_changes.(host) + 1
+
+let host_changes rt host =
+  if host < Array.length rt.host_changes then rt.host_changes.(host) else 0
+
 (* ------------------------------------------------------------------ *)
 (* Epochs (incarnation numbers).                                       *)
 
@@ -168,11 +187,15 @@ let current_epoch rt loid =
 let bump_epoch rt loid =
   let e = current_epoch rt loid + 1 in
   Loid.Table.set rt.epochs loid e;
+  (match Loid.Table.find rt.places loid with
+  | Some ps -> List.iter (fun p -> note_host_change rt p.host) ps
+  | None -> ());
   e
 
 let kill rt proc =
   if proc.live then begin
     proc.live <- false;
+    note_host_change rt proc.host;
     emit rt ~host:proc.host (Event.Deactivate { loid = proc.loid });
     (* Calls parked in the admission lanes will never run; answer them
        rather than leaving their callers to time out. *)
@@ -246,6 +269,7 @@ let create ~sim ~net ~registry ~prng ?(config = default_config) ?obs () =
       prng;
       config;
       slot_tbl = Array.make 256 None;
+      host_changes = Array.make 64 0;
       places = Loid.Table.create ();
       pending = Hashtbl.create 256;
       attached = Hashtbl.create 64;
@@ -811,7 +835,11 @@ let spawn rt ~host ~loid ~kind ?epoch ?cache_capacity ?binding_agent ?admission
     | None -> if String.equal kind "app" then rt.config.admission else None
   in
   let epoch =
-    match epoch with Some e -> e | None -> current_epoch rt loid
+    match epoch with
+    | Some e ->
+        if e < current_epoch rt loid then note_host_change rt host;
+        e
+    | None -> current_epoch rt loid
   in
   let slot = rt.next_slot in
   rt.next_slot <- rt.next_slot + 1;
@@ -896,7 +924,9 @@ let proc_epoch p = p.epoch
    repair protocol bumps the LOID's epoch so the dead replica's stale
    addresses fence, and the survivors — still part of the replica set —
    must move to the new incarnation or the fence would eat them too. *)
-let refresh_epoch rt p = p.epoch <- current_epoch rt p.loid
+let refresh_epoch rt p =
+  p.epoch <- current_epoch rt p.loid;
+  note_host_change rt p.host
 
 let set_handler p h = p.handler <- h
 let set_binding_agent p ba = p.ba <- ba

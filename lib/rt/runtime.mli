@@ -215,6 +215,14 @@ val refresh_epoch : t -> proc -> unit
     part of the repaired set — are carried across into the new
     incarnation instead of being fenced alongside. *)
 
+val host_changes : t -> Legion_net.Network.host_id -> int
+(** How many times a change that could alter the host's resident sweep
+    has happened there: a {!kill} of a placement on the host, a
+    {!bump_epoch} of a LOID with a live placement there, a
+    {!refresh_epoch} of a placement there, or a {!spawn} there below the
+    LOID's {!current_epoch}. The Host Object re-runs its zombie sweep
+    only when this count has moved since its last sweep. *)
+
 val mark_dead : t -> Loid.t -> unit
 (** Start the MTTR clock for a LOID (idempotent until recovery): the
     failure detector calls this at [ConfirmDead]; the first call

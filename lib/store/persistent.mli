@@ -10,7 +10,12 @@
     address, and the transaction (if any) that wrote it. File pruning
     still bounds bytes on disk, but entries survive their files (marked
     unavailable), so atomicity audits ({!history}) and event-sourced
-    restores ({!rewind_to}) work over the full retained window. *)
+    restores ({!rewind_to}) work over the full retained window.
+
+    The store indexes version files by the printed LOID their names
+    start with, and history entries by file, so a write, a prune or a
+    {!remove} touches only the object's own files and entries: its cost
+    does not grow with the number of files in the Jurisdiction. *)
 
 module Value := Legion_wire.Value
 

@@ -63,6 +63,24 @@ let loid_roundtrip =
       | Ok l' -> Loid.equal l l'
       | Error _ -> false)
 
+(* [hash] and [to_string] once built a tuple and went through
+   [Format.asprintf]. The cheaper forms must give the same values:
+   table iteration orders, store file names and trace digests depend
+   on them. *)
+let loid_hash_and_print_unchanged =
+  QCheck.Test.make ~name:"loid hash and print match the old formulas"
+    ~count:500 arbitrary_loid (fun l ->
+      let cid = Loid.class_id l
+      and spec = Loid.class_specific l
+      and key = Loid.public_key l in
+      let old_print =
+        if String.length key = 0 then Format.asprintf "L%Lx.%Lx" cid spec
+        else Format.asprintf "L%Lx.%Lx+key" cid spec
+      in
+      Loid.hash l = Hashtbl.hash (cid, spec, key)
+      && String.equal (Loid.to_string l) old_print
+      && String.equal (Format.asprintf "%a" Loid.pp l) old_print)
+
 (* --- Addresses (§3.4) --- *)
 
 let element_gen =
@@ -414,6 +432,7 @@ let () =
           Alcotest.test_case "table" `Quick test_loid_table;
           Alcotest.test_case "map and set" `Quick test_loid_map_set;
           QCheck_alcotest.to_alcotest loid_roundtrip;
+          QCheck_alcotest.to_alcotest loid_hash_and_print_unchanged;
         ] );
       ( "address",
         [

@@ -38,7 +38,7 @@ type site = {
 
 type t = {
   sim : Engine.t;
-  net : Network.t;
+  net : Runtime.incoming Network.t;
   rt : Runtime.t;
   registry : Counter.Registry.r;
   prng : Prng.t;

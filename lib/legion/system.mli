@@ -50,7 +50,7 @@ val boot :
     fails. *)
 
 val sim : t -> Legion_sim.Engine.t
-val net : t -> Legion_net.Network.t
+val net : t -> Legion_rt.Runtime.incoming Legion_net.Network.t
 val rt : t -> Runtime.t
 val registry : t -> Legion_util.Counter.Registry.r
 val prng : t -> Legion_util.Prng.t

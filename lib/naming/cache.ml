@@ -1,12 +1,19 @@
-type entry = { binding : Binding.t; mutable last_used : int }
+(* The recency order is the LRU's: a hit or an insert makes an entry the
+   most recently used, and a full cache evicts the least recently used
+   one. An expired entry is dropped when a lookup meets it. *)
+
+module Lru = Legion_util.Lru.Make (struct
+  type t = Loid.t
+
+  let equal = Loid.equal
+  let hash = Loid.hash
+end)
 
 type t = {
   capacity : int option;
-  entries : entry Loid.Table.t;
-  mutable tick : int;
+  entries : Binding.t Lru.t;
   mutable lookups : int;
   mutable hits : int;
-  mutable evictions : int;
 }
 
 let create ?capacity () =
@@ -15,111 +22,63 @@ let create ?capacity () =
   | _ -> ());
   {
     capacity;
-    entries = Loid.Table.create ();
-    tick = 0;
+    entries = Lru.create ?capacity ~key:Binding.loid ();
     lookups = 0;
     hits = 0;
-    evictions = 0;
   }
 
-let touch t e =
-  t.tick <- t.tick + 1;
-  e.last_used <- t.tick
-
+(* A hit on an entry that no longer serves is dropped: touching it
+   first leaves the order of the other entries as it was. *)
 let find t ~now loid =
   t.lookups <- t.lookups + 1;
-  match Loid.Table.find t.entries loid with
+  match Lru.find t.entries loid with
+  | Some b as hit when Binding.is_valid ~now b ->
+      t.hits <- t.hits + 1;
+      hit
+  | Some _ ->
+      Lru.remove t.entries loid;
+      None
   | None -> None
-  | Some e ->
-      if Binding.is_valid ~now e.binding then begin
-        t.hits <- t.hits + 1;
-        touch t e;
-        Some e.binding
-      end
-      else begin
-        Loid.Table.remove t.entries loid;
-        None
-      end
-
-let evict_lru t =
-  let victim =
-    Loid.Table.fold
-      (fun loid e acc ->
-        match acc with
-        | Some (_, best) when best <= e.last_used -> acc
-        | _ -> Some (loid, e.last_used))
-      t.entries None
-  in
-  match victim with
-  | None -> ()
-  | Some (loid, _) ->
-      Loid.Table.remove t.entries loid;
-      t.evictions <- t.evictions + 1
 
 let add t ~now binding =
-  if Binding.is_valid ~now binding then begin
-    match t.capacity with
-    | Some 0 -> ()
-    | _ ->
-        let loid = Binding.loid binding in
-        let already = Loid.Table.mem t.entries loid in
-        (match t.capacity with
-        | Some c when (not already) && Loid.Table.length t.entries >= c ->
-            evict_lru t
-        | _ -> ());
-        let e = { binding; last_used = 0 } in
-        touch t e;
-        Loid.Table.set t.entries loid e
-  end
+  if Binding.is_valid ~now binding then Lru.add t.entries binding
 
-let invalidate t loid = Loid.Table.remove t.entries loid
+let invalidate t loid = Lru.remove t.entries loid
 
 let invalidate_exact t binding =
   let loid = Binding.loid binding in
-  match Loid.Table.find t.entries loid with
-  | Some e when Binding.equal e.binding binding -> Loid.Table.remove t.entries loid
+  match Lru.peek t.entries loid with
+  | Some b when Binding.equal b binding -> Lru.remove t.entries loid
   | Some _ | None -> ()
 
 let find_refresh t ~now ~stale =
   let loid = Binding.loid stale in
   t.lookups <- t.lookups + 1;
-  match Loid.Table.find t.entries loid with
+  match Lru.find t.entries loid with
+  | Some b as hit when Binding.is_valid ~now b && not (Binding.equal b stale)
+    ->
+      t.hits <- t.hits + 1;
+      hit
+  | Some _ ->
+      Lru.remove t.entries loid;
+      None
   | None -> None
-  | Some e ->
-      if
-        (not (Binding.is_valid ~now e.binding))
-        || Binding.equal e.binding stale
-      then begin
-        Loid.Table.remove t.entries loid;
-        None
-      end
-      else begin
-        t.hits <- t.hits + 1;
-        touch t e;
-        Some e.binding
-      end
 
 let mem t ~now loid =
-  match Loid.Table.find t.entries loid with
-  | Some e ->
-      if Binding.is_valid ~now e.binding then true
-      else begin
-        Loid.Table.remove t.entries loid;
-        false
-      end
+  match Lru.peek t.entries loid with
+  | Some b when Binding.is_valid ~now b -> true
+  | Some _ ->
+      Lru.remove t.entries loid;
+      false
   | None -> false
 
-let length t = Loid.Table.length t.entries
+let length t = Lru.length t.entries
 let capacity t = t.capacity
 
 let clear t =
-  List.iter
-    (fun (loid, _) -> Loid.Table.remove t.entries loid)
-    (Loid.Table.to_list t.entries);
-  t.tick <- 0;
+  Lru.clear t.entries;
   t.lookups <- 0;
-  t.hits <- 0;
-  t.evictions <- 0
+  t.hits <- 0
 
 let lookups t = t.lookups
 let hits t = t.hits
@@ -127,4 +86,4 @@ let hits t = t.hits
 let hit_rate t =
   if t.lookups = 0 then 0.0 else float_of_int t.hits /. float_of_int t.lookups
 
-let evictions t = t.evictions
+let evictions t = Lru.evictions t.entries

@@ -44,6 +44,10 @@ let to_value t =
       ("key", Value.Blob t.public_key);
     ]
 
+(* A record header, then "cid" and "spec" (4 + name + a 9-byte I64) and
+   "key" (4 + name + a Blob's 5 + its bytes). *)
+let size_bytes t = 5 + 16 + 17 + 12 + String.length t.public_key
+
 let of_value v =
   let ( let* ) r f = Result.bind r f in
   let err e = Format.asprintf "loid: %a" Value.pp_error e in

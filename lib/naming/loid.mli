@@ -39,6 +39,9 @@ val to_string : t -> string
 val to_value : t -> Legion_wire.Value.t
 val of_value : Legion_wire.Value.t -> (t, string) result
 
+val size_bytes : t -> int
+(** [Value.size_bytes (to_value t)], without building the record. *)
+
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t
 

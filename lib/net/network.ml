@@ -19,11 +19,19 @@ type latency = {
 let default_latency =
   { intra_host = 5e-6; intra_site = 5e-4; inter_site = 4e-2; jitter = 0.1 }
 
-type host = {
+type 'm codec = {
+  size : 'm -> int;
+  to_value : 'm -> Value.t;
+  of_value : Value.t -> 'm;
+}
+
+let value_codec = { size = Value.size_bytes; to_value = Fun.id; of_value = Fun.id }
+
+type 'm host = {
   site : site_id;
   h_name : string;
   mutable up : bool;
-  mutable receiver : (src:host_id -> Value.t -> unit) option;
+  mutable receiver : (src:host_id -> 'm -> unit) option;
 }
 
 (* Per-site host index: a growable int vector, appended in add_host
@@ -32,13 +40,15 @@ type hostvec = { mutable ids : int array; mutable n : int }
 
 (* In-flight message, pooled: the engine carries only the slot index
    (see Engine.post_token), so a delivery costs no closure and no
-   fresh record. [d_raw] is the sealed-and-mutated byte form a payload
-   selected for the corruption fault travels as; [None] — the fast
-   path — carries the value unserialized. *)
-type delivery = {
+   fresh record. [d_raw] is the sealed-and-mutated record form a payload
+   selected for the corruption fault travels as, read back through
+   [d_codec]; [None] — the fast path — carries the payload as it was
+   sent. *)
+type 'm delivery = {
   mutable d_src : host_id;
   mutable d_dst : host_id;
-  mutable d_payload : Value.t;
+  mutable d_payload : 'm;
+  mutable d_codec : 'm codec;
   mutable d_raw : string option;
 }
 
@@ -60,16 +70,16 @@ type spike = {
   sp_until : float;
 }
 
-type t = {
+type 'm t = {
   sim : Legion_sim.Engine.t;
   prng : Prng.t;
   latency : latency;
   mutable sites : string array;
   mutable site_hosts : hostvec array;  (* parallel to [sites] *)
-  mutable host_tbl : host array;
+  mutable host_tbl : 'm host array;
   mutable n_sites : int;
   mutable n_hosts : int;
-  mutable deliveries : delivery array;  (* token-indexed in-flight pool *)
+  mutable deliveries : 'm delivery array;  (* token-indexed in-flight pool *)
   mutable free_slots : int array;  (* free-slot stack into [deliveries] *)
   mutable free_len : int;
   mutable n_deliveries : int;  (* slots ever handed out *)
@@ -110,13 +120,13 @@ let hostvec_add v h =
   v.ids.(v.n) <- h;
   v.n <- v.n + 1
 
+(* A free slot keeps its last payload until it is reused: ['m] has no
+   blank value, and the pool is only as deep as the peak in flight. *)
 let rec deliver_token t tok =
   let d = t.deliveries.(tok) in
   let src = d.d_src and dst = d.d_dst and payload = d.d_payload in
   let raw = d.d_raw in
-  d.d_payload <- Value.Unit;
   d.d_raw <- None;
-  (* drop the reference *)
   if t.free_len = Array.length t.free_slots then begin
     let bigger = Array.make (Stdlib.max 8 (2 * t.free_len)) 0 in
     Array.blit t.free_slots 0 bigger 0 t.free_len;
@@ -142,7 +152,7 @@ let rec deliver_token t tok =
             match Legion_wire.Envelope.unseal bytes with
             | Ok v ->
                 emit t ~host:dst (Event.Deliver { src; dst });
-                f ~src v
+                f ~src (d.d_codec.of_value v)
             | Error _ -> drop_msg t ~src ~dst ~at:dst Event.Corrupted))
 
 and drop_msg t ~src ~dst ~at reason =
@@ -383,7 +393,7 @@ let latency_between t a b =
 let set_tap t tap = t.tap <- tap
 
 (* Grab a pooled in-flight slot; returns its token. *)
-let alloc_delivery ?raw t ~src ~dst payload =
+let alloc_delivery ?raw t codec ~src ~dst payload =
   if t.free_len > 0 then begin
     t.free_len <- t.free_len - 1;
     let tok = t.free_slots.(t.free_len) in
@@ -391,11 +401,14 @@ let alloc_delivery ?raw t ~src ~dst payload =
     d.d_src <- src;
     d.d_dst <- dst;
     d.d_payload <- payload;
+    d.d_codec <- codec;
     d.d_raw <- raw;
     tok
   end
   else begin
-    let d = { d_src = src; d_dst = dst; d_payload = payload; d_raw = raw } in
+    let d =
+      { d_src = src; d_dst = dst; d_payload = payload; d_codec = codec; d_raw = raw }
+    in
     if t.n_deliveries = Array.length t.deliveries then begin
       let cap = Stdlib.max 8 (2 * t.n_deliveries) in
       let bigger = Array.make cap d in
@@ -411,7 +424,7 @@ let alloc_delivery ?raw t ~src ~dst payload =
    spike on the link, any adversarial reorder hold-back) and a posted
    delivery token. Shared by the original send and injected duplicates,
    so each copy races under its own independent latency. *)
-let transmit t ~src ~dst ?raw payload =
+let transmit t codec ~src ~dst ?raw payload =
   let base = latency_between t src dst in
   let base =
     match t.delay_spikes with
@@ -442,13 +455,14 @@ let transmit t ~src ~dst ?raw payload =
   | Some r -> Recorder.observe r ~component:"net.delay" delay);
   (* Zero-allocation fast path: the engine carries a bare token into
      [deliver_token]; no closure, no handle, pooled in-flight slot. *)
-  Legion_sim.Engine.post_token t.sim ~delay (alloc_delivery ?raw t ~src ~dst payload)
+  Legion_sim.Engine.post_token t.sim ~delay
+    (alloc_delivery ?raw t codec ~src ~dst payload)
 
-(* Seed byte mutation: serialise through the checksummed envelope, then
-   flip 1–3 bytes anywhere in the frame (header included). The receiver
-   side of [deliver_token] verifies and fail-closed-drops it. *)
-let corrupt_bytes t payload ~src ~dst =
-  let sealed = Legion_wire.Envelope.seal payload in
+(* Seed byte mutation: seal the record form in the checksummed envelope,
+   then flip 1–3 bytes anywhere in the frame (header included). The
+   receiver side of [deliver_token] verifies and fail-closed-drops it. *)
+let corrupt_bytes t record ~src ~dst =
+  let sealed = Legion_wire.Envelope.seal record in
   let n = String.length sealed in
   let b = Bytes.of_string sealed in
   let mutations = 1 + Prng.int t.prng 3 in
@@ -461,11 +475,13 @@ let corrupt_bytes t payload ~src ~dst =
   emit t ~host:src (Event.Corrupt_inject { src; dst; mutations });
   Bytes.to_string b
 
-let send t ~src ~dst payload =
+(* The record form is built only for the tap and for a frame that is
+   corrupted in flight; the size comes from [codec.size]. *)
+let send t codec ~src ~dst payload =
   check_host t src;
   check_host t dst;
-  (match t.tap with Some f -> f ~src ~dst payload | None -> ());
-  let size = Value.size_bytes payload in
+  (match t.tap with Some f -> f ~src ~dst (codec.to_value payload) | None -> ());
+  let size = codec.size payload in
   t.sent <- t.sent + 1;
   t.bytes <- t.bytes + size;
   let tier =
@@ -491,10 +507,10 @@ let send t ~src ~dst payload =
   else begin
     let raw =
       if t.corrupt_rate > 0.0 && Prng.bernoulli t.prng ~p:t.corrupt_rate then
-        Some (corrupt_bytes t payload ~src ~dst)
+        Some (corrupt_bytes t (codec.to_value payload) ~src ~dst)
       else None
     in
-    transmit t ~src ~dst ?raw payload;
+    transmit t codec ~src ~dst ?raw payload;
     if t.duplicate_rate > 0.0 && Prng.bernoulli t.prng ~p:t.duplicate_rate
     then begin
       (* The adversary re-injects a faithful copy (corruption applies to
@@ -503,7 +519,7 @@ let send t ~src ~dst payload =
          original. *)
       t.duplicated <- t.duplicated + 1;
       emit t ~host:src (Event.Duplicate { src; dst });
-      transmit t ~src ~dst payload
+      transmit t codec ~src ~dst payload
     end
   end
 

@@ -13,7 +13,7 @@ module Script = Legion_sim.Script
 type t = {
   ctx : Runtime.ctx;
   rt : Runtime.t;
-  net : Network.t;
+  net : Runtime.incoming Network.t;
   loid : Loid.t;
   opr : Opr.t;  (* identity template: kind/units/agent/capacity *)
   semantic : Address.semantic;

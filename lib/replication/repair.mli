@@ -40,7 +40,7 @@ type t
 
 val deploy :
   ctx:Runtime.ctx ->
-  net:Network.t ->
+  net:Runtime.incoming Network.t ->
   loid:Loid.t ->
   opr:Opr.t ->
   hosts:Network.host_id list ->
@@ -88,7 +88,7 @@ val repairs : t -> int
 (** Lifetime counters of confirmed losses and completed repairs. *)
 
 val reconcile_on_heal :
-  Runtime.ctx -> net:Network.t -> groups:Loid.t list -> Network.watcher
+  Runtime.ctx -> net:Runtime.incoming Network.t -> groups:Loid.t list -> Network.watcher
 (** Install a partition watcher that, on every heal transition, invokes
     [Reconcile] on each listed {!Group_part} head — the anti-entropy
     trigger that converges divergent members once connectivity returns.

@@ -44,6 +44,24 @@ let default_config =
 type call = { meth : string; args : Value.t list; env : Env.t }
 type reply = (Value.t, Err.t) result
 
+(* What reaches a host. Calls and replies cross the network as they are;
+   [In_bounce] and [In_garbage] arise only from [decode_incoming] of a
+   damaged frame. *)
+type incoming =
+  | In_call of {
+      id : int;
+      src_loid : Loid.t;
+      src_host : int;
+      dst_loid : Loid.t;
+      dst_slot : int;
+      call : call;
+    }
+  | In_reply of { id : int; reply : reply }
+  | In_bounce of { id : int; src_host : int; err : Err.t }
+      (* A recognisable call whose body would not decode: bounce the
+         typed error back instead of leaving the caller to time out. *)
+  | In_garbage of string
+
 (* Exactly-once effects: one entry per (caller host, call id) the
    runtime has started executing. [de_reply = None] while the handler
    runs — a duplicate arriving then is absorbed (the original's reply
@@ -53,10 +71,18 @@ type reply = (Value.t, Err.t) result
    recorded: the caller backs off and retries the {e same} id expecting
    re-evaluation. *)
 type dedup_entry = {
+  de_key : int * int;  (* (caller host, call id) *)
   de_loid : Loid.t;
   de_meth : string;
   mutable de_reply : reply option;
 }
+
+module Dedup = Legion_util.Lru.Make (struct
+  type t = int * int
+
+  let equal (h, i) (h', i') = h = h' && i = i'
+  let hash = Hashtbl.hash
+end)
 
 (* Admission wait lanes under deficit round robin (DRR). A budgeted
    process parks excess arrivals in a bounded lane: one per tenant when
@@ -115,7 +141,7 @@ and pending = {
 
 and t = {
   sim : Engine.t;
-  net : Network.t;
+  net : incoming Network.t;
   registry : Counter.Registry.r;
   prng : Prng.t;
   config : config;
@@ -130,7 +156,7 @@ and t = {
   obs : Recorder.t;
   breakers : Breaker.t option;  (* per-destination circuit state *)
   mutable tenants : Tenant.t option;  (* principal registry; None = untenanted *)
-  dedup : (int * int, dedup_entry) Dedup.t option;
+  dedup : dedup_entry Dedup.t option;
       (* (caller host, call id) -> exactly-once entry; None = disabled *)
   mutable next_slot : int;
   mutable next_call : int;
@@ -279,7 +305,10 @@ let create ~sim ~net ~registry ~prng ?(config = default_config) ?obs () =
       breakers = Option.map Breaker.create config.breaker;
       tenants = None;
       dedup =
-        Option.map (fun capacity -> Dedup.create ~capacity)
+        Option.map
+          (fun capacity ->
+            if capacity <= 0 then invalid_arg "Runtime.create: dedup_capacity";
+            Dedup.create ~capacity ~key:(fun e -> e.de_key) ())
           config.dedup_capacity;
       next_slot = 0;
       next_call = 0;
@@ -305,7 +334,9 @@ let mark_dead rt loid =
     Loid.Table.set rt.dead_since loid (now rt)
 
 (* ------------------------------------------------------------------ *)
-(* Wire format of calls and replies.                                   *)
+(* The record form of calls and replies (PROTOCOL §3): what a corrupted
+   frame is sealed from and parsed back with, what the tap sees, and
+   what a message's size is charged by.                                *)
 
 let encode_call ~id ~src_loid ~src_host ~dst_loid ~dst_slot c =
   Value.Record
@@ -333,21 +364,6 @@ let encode_reply ~id (r : reply) =
           ("ok", Value.Bool false);
           ("v", Err.to_value e);
         ]
-
-type incoming =
-  | In_call of {
-      id : int;
-      src_loid : Loid.t;
-      src_host : int;
-      dst_loid : Loid.t;
-      dst_slot : int;
-      call : call;
-    }
-  | In_reply of { id : int; reply : reply }
-  | In_bounce of { id : int; src_host : int; err : Err.t }
-      (* A recognisable call whose body would not decode: bounce the
-         typed error back instead of leaving the caller to time out. *)
-  | In_garbage of string
 
 let ( let* ) r f = Result.bind r f
 
@@ -406,6 +422,41 @@ let decode_incoming v : incoming =
           | Some src_host -> In_bounce { id; src_host; err = Err.Corrupt e }
           | None -> In_garbage e)
       | _ -> In_garbage e)
+
+let to_value = function
+  | In_call { id; src_loid; src_host; dst_loid; dst_slot; call } ->
+      encode_call ~id ~src_loid ~src_host ~dst_loid ~dst_slot call
+  | In_reply { id; reply } -> encode_reply ~id reply
+  | In_bounce _ | In_garbage _ ->
+      invalid_arg "Runtime: only calls and replies are sent"
+
+(* [Value.size_bytes (to_value m)] by formula, field by field as the
+   encoders above lay them out: a record is 5 bytes, a field 4 plus its
+   name plus its value, an Int 9, a Bool 2, a Str or a List 5 plus its
+   body. *)
+let size =
+  let record = 5 and int = 9 and bool = 2 in
+  let field name v = 4 + String.length name + v in
+  let str s = 5 + String.length s in
+  function
+  | In_call { src_loid; dst_loid; call; _ } ->
+      let args = List.fold_left (fun n v -> n + Value.size_bytes v) 0 call.args in
+      record + field "k" (str "c") + field "id" int
+      + field "sl" (Loid.size_bytes src_loid)
+      + field "sh" int
+      + field "dl" (Loid.size_bytes dst_loid)
+      + field "ds" int
+      + field "m" (str call.meth)
+      + field "a" (5 + args)
+      + field "e" (Env.size_bytes call.env)
+  | In_reply { reply; _ } ->
+      let v = match reply with Ok v -> v | Error e -> Err.to_value e in
+      record + field "k" (str "r") + field "id" int + field "ok" bool
+      + field "v" (Value.size_bytes v)
+  | In_bounce _ | In_garbage _ ->
+      invalid_arg "Runtime: only calls and replies are sent"
+
+let codec = { Network.size; to_value; of_value = decode_incoming }
 
 (* ------------------------------------------------------------------ *)
 (* Breaker bookkeeping.                                                *)
@@ -710,12 +761,13 @@ let deny_reply rt proc ~meth ~env ~reason =
   let tenant = note_deny rt proc ~meth ~env in
   Err.Denied { tenant; reason }
 
-let on_receive rt host ~src payload =
-  ignore src;
-  match decode_incoming payload with
+let send_reply rt ~host ~dst ~id reply =
+  Network.send rt.net codec ~src:host ~dst (In_reply { id; reply })
+
+let on_receive rt host = function
   | In_garbage _ -> ()
   | In_bounce { id; src_host; err } ->
-      Network.send rt.net ~src:host ~dst:src_host (encode_reply ~id (Error err))
+      send_reply rt ~host ~dst:src_host ~id (Error err)
   | In_reply { id; reply } -> (
       match Hashtbl.find_opt rt.pending id with
       | None -> () (* late duplicate (racing replica) or post-timeout reply *)
@@ -732,9 +784,7 @@ let on_receive rt host ~src payload =
             (breaker_outcome reply);
           p.cont reply)
   | In_call { id; src_host; dst_loid; dst_slot; call; _ } -> (
-      let reply_to r =
-        Network.send rt.net ~src:host ~dst:src_host (encode_reply ~id r)
-      in
+      let reply_to r = send_reply rt ~host ~dst:src_host ~id r in
       let dedup_key = (src_host, id) in
       let dedup_seen =
         match rt.dedup with
@@ -793,12 +843,13 @@ let on_receive rt host ~src payload =
                          re-evaluation. *)
                       let entry =
                         {
+                          de_key = dedup_key;
                           de_loid = proc.loid;
                           de_meth = call.meth;
                           de_reply = None;
                         }
                       in
-                      Dedup.set c dedup_key entry;
+                      Dedup.add c entry;
                       fun r ->
                         (match r with
                         | Error e when Err.is_retryable e ->
@@ -813,8 +864,7 @@ let on_receive rt host ~src payload =
 let attach_host rt host =
   if not (Hashtbl.mem rt.attached host) then begin
     Hashtbl.add rt.attached host ();
-    Network.set_receiver rt.net host (fun ~src payload ->
-        on_receive rt host ~src payload)
+    Network.set_receiver rt.net host (fun ~src:_ m -> on_receive rt host m)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -988,8 +1038,15 @@ let send_one ctx ?timeout ~dst_loid ~element c k =
       let started = now rt in
       let deadline = started +. overall in
       let msg =
-        encode_call ~id ~src_loid:ctx.self.loid ~src_host:ctx.self.host
-          ~dst_loid ~dst_slot c
+        In_call
+          {
+            id;
+            src_loid = ctx.self.loid;
+            src_host = ctx.self.host;
+            dst_loid;
+            dst_slot;
+            call = c;
+          }
       in
       (* [cont] must be installed before [handle_reply] exists (the
          closures are mutually recursive through the pending entry), so
@@ -1060,7 +1117,7 @@ let send_one ctx ?timeout ~dst_loid ~element c k =
                 (deadline -. now rt)
             in
             p.timer <- Some (Engine.schedule rt.sim ~delay:window on_expire);
-            Network.send rt.net ~src:ctx.self.host ~dst:dst_host msg
+            Network.send rt.net codec ~src:ctx.self.host ~dst:dst_host msg
       and on_expire () =
         if Hashtbl.mem rt.pending id then begin
           p.timer <- None;

@@ -97,9 +97,40 @@ val default_config : config
 (** 5 s timeout, 3 rebinds, no expiry, {!Retry.default} retransmission,
     no admission budgets, no breakers, a 4096-entry dedup cache. *)
 
+(** {1 Messages} *)
+
+type call = { meth : string; args : Value.t list; env : Env.t }
+type reply = (Value.t, Err.t) result
+
+(** What reaches a host. Calls and replies cross the network as they
+    are, sharing the caller's LOIDs, environment and arguments; only
+    these two are ever sent. *)
+type incoming =
+  | In_call of {
+      id : int;
+      src_loid : Loid.t;
+      src_host : int;
+      dst_loid : Loid.t;
+      dst_slot : int;
+      call : call;
+    }
+  | In_reply of { id : int; reply : reply }
+  | In_bounce of { id : int; src_host : int; err : Err.t }
+      (** A damaged call whose id and caller still parse: answered
+          [Err.Corrupt]. *)
+  | In_garbage of string  (** A damaged frame with nothing to salvage. *)
+
+val codec : incoming Legion_net.Network.codec
+(** The record form of a call or reply (PROTOCOL §3): what the
+    corruption fault seals and the tap sees. [codec.size] is its
+    [Value.size_bytes], by formula. [codec.of_value] parses a record
+    back, salvaging a damaged one into [In_reply] with [Err.Corrupt],
+    [In_bounce] or [In_garbage]. [codec.to_value] and [codec.size]
+    raise [Invalid_argument] on the last two. *)
+
 val create :
   sim:Legion_sim.Engine.t ->
-  net:Legion_net.Network.t ->
+  net:incoming Legion_net.Network.t ->
   registry:Legion_util.Counter.Registry.r ->
   prng:Legion_util.Prng.t ->
   ?config:config ->
@@ -112,7 +143,7 @@ val create :
     so emission is always unconditional. *)
 
 val sim : t -> Legion_sim.Engine.t
-val net : t -> Legion_net.Network.t
+val net : t -> incoming Legion_net.Network.t
 val registry : t -> Legion_util.Counter.Registry.r
 val prng : t -> Legion_util.Prng.t
 val config : t -> config
@@ -126,9 +157,6 @@ val emit : t -> host:Legion_net.Network.host_id -> Legion_obs.Event.kind -> unit
     protocol steps into the shared trace. *)
 
 (** {1 Calls and handlers} *)
-
-type call = { meth : string; args : Value.t list; env : Env.t }
-type reply = (Value.t, Err.t) result
 
 type ctx = { rt : t; self : proc }
 (** What a handler sees: the runtime and its own process. *)

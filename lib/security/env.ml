@@ -23,6 +23,13 @@ let to_value t =
       ("ca", Legion_naming.Loid.to_value t.calling);
     ]
 
+(* A record header, then three two-letter fields (4 + 2 + a LOID). *)
+let size_bytes t =
+  5 + 18
+  + Legion_naming.Loid.size_bytes t.responsible
+  + Legion_naming.Loid.size_bytes t.security
+  + Legion_naming.Loid.size_bytes t.calling
+
 let of_value v =
   let ( let* ) r f = Result.bind r f in
   let err e = Format.asprintf "env: %a" Value.pp_error e in

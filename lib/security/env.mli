@@ -27,3 +27,6 @@ val pp : Format.formatter -> t -> unit
 
 val to_value : t -> Legion_wire.Value.t
 val of_value : Legion_wire.Value.t -> (t, string) result
+
+val size_bytes : t -> int
+(** [Value.size_bytes (to_value t)], without building the record. *)

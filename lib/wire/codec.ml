@@ -10,18 +10,25 @@ let tag_blob = '\x06'
 let tag_list = '\x07'
 let tag_record = '\x08'
 
-let put_i64 buf i =
-  for k = 0 to 7 do
-    let shift = 8 * (7 - k) in
-    Buffer.add_char buf
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical i shift) 0xFFL)))
+(* Scalars are written from native ints, so no Int64 is boxed per
+   value. *)
+let put_u32 buf n =
+  Buffer.add_char buf (Char.unsafe_chr ((n lsr 24) land 0xFF));
+  Buffer.add_char buf (Char.unsafe_chr ((n lsr 16) land 0xFF));
+  Buffer.add_char buf (Char.unsafe_chr ((n lsr 8) land 0xFF));
+  Buffer.add_char buf (Char.unsafe_chr (n land 0xFF))
+
+let put_len = put_u32
+
+(* The eight bytes of [Int64.of_int i]: [asr] sign-extends past bit 62. *)
+let put_int buf i =
+  for k = 7 downto 0 do
+    Buffer.add_char buf (Char.unsafe_chr ((i asr (8 * k)) land 0xFF))
   done
 
-let put_len buf n =
-  Buffer.add_char buf (Char.chr ((n lsr 24) land 0xFF));
-  Buffer.add_char buf (Char.chr ((n lsr 16) land 0xFF));
-  Buffer.add_char buf (Char.chr ((n lsr 8) land 0xFF));
-  Buffer.add_char buf (Char.chr (n land 0xFF))
+let[@inline] put_i64 buf i =
+  put_u32 buf (Int64.to_int (Int64.shift_right_logical i 32));
+  put_u32 buf (Int64.to_int i land 0xFFFF_FFFF)
 
 let rec encode_into buf (v : Value.t) =
   match v with
@@ -31,7 +38,7 @@ let rec encode_into buf (v : Value.t) =
       Buffer.add_char buf (if b then '\x01' else '\x00')
   | Int i ->
       Buffer.add_char buf tag_int;
-      put_i64 buf (Int64.of_int i)
+      put_int buf i
   | I64 i ->
       Buffer.add_char buf tag_i64;
       put_i64 buf i

@@ -7,64 +7,50 @@
    fault (flipped bytes in flight), not an authenticity mechanism: an
    adversary who can write the header can of course forge it. *)
 
+(* Computed on native ints (a 63-bit int holds the 32-bit state), so
+   no Int32 is boxed per byte. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl) in
-      c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
+let crc32_int s ~off ~len =
+  let c = ref 0xFFFF_FFFF in
+  for i = off to off + len - 1 do
+    c :=
+      crc_table.((!c lxor Char.code (String.unsafe_get s i)) land 0xFF)
+      lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFF_FFFF
+
+let crc32 s = Int32.of_int (crc32_int s ~off:0 ~len:(String.length s))
 
 let header_bytes = 4
 
 let seal v =
   let body = Codec.encode v in
-  let crc = crc32 body in
-  let b = Buffer.create (header_bytes + String.length body) in
-  let byte shift =
-    Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical crc shift) 0xFFl))
-  in
-  Buffer.add_char b (byte 24);
-  Buffer.add_char b (byte 16);
-  Buffer.add_char b (byte 8);
-  Buffer.add_char b (byte 0);
-  Buffer.add_string b body;
-  Buffer.contents b
+  let n = String.length body in
+  let b = Bytes.create (header_bytes + n) in
+  Bytes.set_int32_be b 0 (Int32.of_int (crc32_int body ~off:0 ~len:n));
+  Bytes.blit_string body 0 b header_bytes n;
+  Bytes.unsafe_to_string b
 
 let unseal s =
   if String.length s < header_bytes then
     Error (Printf.sprintf "envelope: %d byte(s), need a %d-byte checksum header"
              (String.length s) header_bytes)
   else
-    let declared =
-      let b i = Int32.of_int (Char.code s.[i]) in
-      Int32.logor
-        (Int32.shift_left (b 0) 24)
-        (Int32.logor
-           (Int32.shift_left (b 1) 16)
-           (Int32.logor (Int32.shift_left (b 2) 8) (b 3)))
-    in
-    let body = String.sub s header_bytes (String.length s - header_bytes) in
-    let actual = crc32 body in
-    if not (Int32.equal declared actual) then
+    let declared = Int32.to_int (String.get_int32_be s 0) land 0xFFFF_FFFF in
+    let len = String.length s - header_bytes in
+    let actual = crc32_int s ~off:header_bytes ~len in
+    if declared <> actual then
       Error
-        (Printf.sprintf "envelope: checksum mismatch (declared %08lx, computed %08lx)"
+        (Printf.sprintf "envelope: checksum mismatch (declared %08x, computed %08x)"
            declared actual)
     else
-      match Codec.decode body with
+      match Codec.decode (String.sub s header_bytes len) with
       | Ok v -> Ok v
       | Error e -> Error ("envelope: body " ^ e)

@@ -1,9 +1,10 @@
 (** Checksummed wire envelope: end-to-end integrity over {!Codec}.
 
-    The network model normally carries {!Value.t} payloads unserialized
+    The network model normally carries payloads as typed messages
     (zero-copy through the simulator), but a payload selected for the
     corruption fault travels as real bytes: {!seal} prefixes the
-    {!Codec} encoding with a CRC-32 of the body, the adversary mutates
+    {!Codec} encoding of its record form with a CRC-32 of the body,
+    the adversary mutates
     bytes, and {!unseal} at the receiver rejects anything whose
     checksum or body no longer parses — a counted, fail-closed drop,
     never an exception. The ROADMAP's real-UDP backend gives every

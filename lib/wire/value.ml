@@ -116,16 +116,21 @@ let to_option f = function
   | List [ v ] -> ( match f v with Ok x -> Ok (Some x) | Error _ as e -> e)
   | _ -> Error (`Wrong_type "option")
 
+(* [List.assoc_opt] without its polymorphic [compare]: the first field
+   of that name wins, as there. *)
+let rec assoc name = function
+  | [] -> None
+  | (n, v) :: rest -> if String.equal n name then Some v else assoc name rest
+
 let field v name =
   match v with
   | Record fs -> (
-      match List.assoc_opt name fs with
+      match assoc name fs with
       | Some x -> Ok x
       | None -> Error (`Missing_field name))
   | _ -> Error (`Wrong_type "record")
 
-let field_opt v name =
-  match v with Record fs -> List.assoc_opt name fs | _ -> None
+let field_opt v name = match v with Record fs -> assoc name fs | _ -> None
 
 let rec depth = function
   | Unit | Bool _ | Int _ | I64 _ | Float _ | Str _ | Blob _ -> 1

@@ -25,7 +25,7 @@ let loid i = Loid.make ~class_id:60L ~class_specific:(Int64.of_int i) ()
 type fixture = {
   sim : Engine.t;
   rt : Runtime.t;
-  net : Network.t;
+  net : Runtime.incoming Network.t;
   obs : Recorder.t;
   hosts : int list;
 }

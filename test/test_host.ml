@@ -118,7 +118,7 @@ let obj_opr =
 
 type fixture = {
   sim : Engine.t;
-  net : Network.t;
+  net : Runtime.incoming Network.t;
   rt : Runtime.t;
   host : Network.host_id;
   host_proc : Runtime.proc;

@@ -420,6 +420,107 @@ let cache_never_returns_expired =
           | Some b -> Binding.is_valid ~now:5.0 b)
         ops)
 
+(* The LRU-backed cache against the fold-based one it replaced
+   ([Cache_ref]): random operations over six LOIDs, two addresses each
+   and bindings that expire, with capacities unbounded and 0-4. After
+   every step both give the same result, the same statistics and the
+   same surviving entries. *)
+type cache_op =
+  | Add of int * int * float option
+  | Find of int
+  | Find_refresh of int * int * float option
+  | Invalidate of int
+  | Invalidate_exact of int * int * float option
+  | Mem of int
+  | Clear
+
+let cache_op_gen =
+  let open QCheck.Gen in
+  let key = int_bound 5 and variant = int_bound 1 in
+  let expires = opt (float_range 0.5 6.0) in
+  let binding f = map3 f key variant expires in
+  frequency
+    [
+      (4, binding (fun k v e -> Add (k, v, e)));
+      (4, map (fun k -> Find k) key);
+      (2, binding (fun k v e -> Find_refresh (k, v, e)));
+      (1, map (fun k -> Invalidate k) key);
+      (1, binding (fun k v e -> Invalidate_exact (k, v, e)));
+      (2, map (fun k -> Mem k) key);
+      (1, return Clear);
+    ]
+
+let print_cache_op = function
+  | Add (k, v, _) -> Printf.sprintf "add %d/%d" k v
+  | Find k -> Printf.sprintf "find %d" k
+  | Find_refresh (k, v, _) -> Printf.sprintf "refresh %d/%d" k v
+  | Invalidate k -> Printf.sprintf "invalidate %d" k
+  | Invalidate_exact (k, v, _) -> Printf.sprintf "invalidate %d/%d" k v
+  | Mem k -> Printf.sprintf "mem %d" k
+  | Clear -> "clear"
+
+let cache_matches_ref =
+  let gen =
+    QCheck.Gen.(
+      pair (opt (int_bound 4)) (list_size (0 -- 60) (pair cache_op_gen (float_bound_inclusive 0.5))))
+  in
+  let print (cap, ops) =
+    Printf.sprintf "capacity %s: %s"
+      (match cap with None -> "none" | Some c -> string_of_int c)
+      (String.concat "; " (List.map (fun (op, _) -> print_cache_op op) ops))
+  in
+  QCheck.Test.make ~name:"cache = the fold-based reference" ~count:500
+    (QCheck.make ~print gen)
+    (fun (capacity, ops) ->
+      let c = Cache.create ?capacity () and r = Cache_ref.create ?capacity () in
+      let binding k v expires =
+        Binding.make ?expires ~loid:(loid_of k)
+          ~address:(Address.singleton (Address.Sim { host = k; slot = v }))
+          ()
+      in
+      let same_binding = Option.equal Binding.equal in
+      let now = ref 0.0 in
+      List.for_all
+        (fun (op, dt) ->
+          now := !now +. dt;
+          let now = !now in
+          let agree =
+            match op with
+            | Add (k, v, e) ->
+                let b = binding k v (Option.map (fun e -> now +. e -. 1.0) e) in
+                Cache.add c ~now b;
+                Cache_ref.add r ~now b;
+                true
+            | Find k -> same_binding (Cache.find c ~now (loid_of k)) (Cache_ref.find r ~now (loid_of k))
+            | Find_refresh (k, v, e) ->
+                let stale = binding k v e in
+                same_binding (Cache.find_refresh c ~now ~stale) (Cache_ref.find_refresh r ~now ~stale)
+            | Invalidate k ->
+                Cache.invalidate c (loid_of k);
+                Cache_ref.invalidate r (loid_of k);
+                true
+            | Invalidate_exact (k, v, e) ->
+                let b = binding k v e in
+                Cache.invalidate_exact c b;
+                Cache_ref.invalidate_exact r b;
+                true
+            | Mem k -> Cache.mem c ~now (loid_of k) = Cache_ref.mem r ~now (loid_of k)
+            | Clear ->
+                Cache.clear c;
+                Cache_ref.clear r;
+                true
+          in
+          (* [mem] at the dawn of time purges nothing and touches nothing. *)
+          let survivors m = List.filter (fun k -> m (loid_of k)) [ 0; 1; 2; 3; 4; 5 ] in
+          agree
+          && Cache.lookups c = Cache_ref.lookups r
+          && Cache.hits c = Cache_ref.hits r
+          && Cache.evictions c = Cache_ref.evictions r
+          && Cache.length c = Cache_ref.length r
+          && survivors (Cache.mem c ~now:Float.neg_infinity)
+             = survivors (Cache_ref.mem r ~now:Float.neg_infinity))
+        ops)
+
 let () =
   Alcotest.run "naming"
     [
@@ -463,6 +564,7 @@ let () =
           QCheck_alcotest.to_alcotest cache_never_exceeds_capacity;
           QCheck_alcotest.to_alcotest cache_never_returns_expired;
           QCheck_alcotest.to_alcotest cache_stats_invariants;
+          QCheck_alcotest.to_alcotest cache_matches_ref;
         ] );
     ]
 

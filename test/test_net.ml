@@ -40,7 +40,7 @@ let test_delivery_and_timing () =
   let sim, net, h0, _, h2 = make_net () in
   let received = ref None in
   Network.set_receiver net h2 (fun ~src payload -> received := Some (src, payload));
-  Network.send net ~src:h0 ~dst:h2 (Value.Str "hello");
+  Network.send net Network.value_codec ~src:h0 ~dst:h2 (Value.Str "hello");
   Alcotest.(check bool) "not yet delivered" true (!received = None);
   Engine.run sim;
   (match !received with
@@ -57,9 +57,9 @@ let test_message_counters () =
   Network.set_receiver net h0 (fun ~src:_ _ -> ());
   Network.set_receiver net h1 (fun ~src:_ _ -> ());
   Network.set_receiver net h2 (fun ~src:_ _ -> ());
-  Network.send net ~src:h0 ~dst:h0 Value.Unit;
-  Network.send net ~src:h0 ~dst:h1 Value.Unit;
-  Network.send net ~src:h0 ~dst:h2 Value.Unit;
+  Network.send net Network.value_codec ~src:h0 ~dst:h0 Value.Unit;
+  Network.send net Network.value_codec ~src:h0 ~dst:h1 Value.Unit;
+  Network.send net Network.value_codec ~src:h0 ~dst:h2 Value.Unit;
   Engine.run sim;
   Alcotest.(check int) "sent" 3 (Network.messages_sent net);
   let ih, is_, ws = Network.messages_by_tier net in
@@ -73,13 +73,13 @@ let test_down_host_drops () =
   Network.set_receiver net h2 (fun ~src:_ _ -> incr received);
   Network.set_host_up net h2 false;
   Alcotest.(check bool) "host marked down" false (Network.host_is_up net h2);
-  Network.send net ~src:h0 ~dst:h2 Value.Unit;
+  Network.send net Network.value_codec ~src:h0 ~dst:h2 Value.Unit;
   Engine.run sim;
   Alcotest.(check int) "nothing delivered" 0 !received;
   Alcotest.(check int) "counted dropped" 1 (Network.messages_dropped net);
   (* Back up: delivery resumes. *)
   Network.set_host_up net h2 true;
-  Network.send net ~src:h0 ~dst:h2 Value.Unit;
+  Network.send net Network.value_codec ~src:h0 ~dst:h2 Value.Unit;
   Engine.run sim;
   Alcotest.(check int) "delivered after recovery" 1 !received
 
@@ -89,7 +89,7 @@ let test_down_in_flight () =
   let sim, net, h0, _, h2 = make_net () in
   let received = ref 0 in
   Network.set_receiver net h2 (fun ~src:_ _ -> incr received);
-  Network.send net ~src:h0 ~dst:h2 Value.Unit;
+  Network.send net Network.value_codec ~src:h0 ~dst:h2 Value.Unit;
   ignore (Engine.schedule sim ~delay:0.001 (fun () -> Network.set_host_up net h2 false));
   Engine.run sim;
   Alcotest.(check int) "lost in flight" 0 !received
@@ -99,13 +99,13 @@ let test_down_source_drops () =
   let received = ref 0 in
   Network.set_receiver net h2 (fun ~src:_ _ -> incr received);
   Network.set_host_up net h0 false;
-  Network.send net ~src:h0 ~dst:h2 Value.Unit;
+  Network.send net Network.value_codec ~src:h0 ~dst:h2 Value.Unit;
   Engine.run sim;
   Alcotest.(check int) "dead source sends nothing" 0 !received
 
 let test_no_receiver_drops () =
   let sim, net, h0, h1, _ = make_net () in
-  Network.send net ~src:h0 ~dst:h1 Value.Unit;
+  Network.send net Network.value_codec ~src:h0 ~dst:h1 Value.Unit;
   Engine.run sim;
   Alcotest.(check int) "dropped" 1 (Network.messages_dropped net)
 
@@ -116,7 +116,7 @@ let test_drop_rate () =
   Network.set_drop_rate net 0.5;
   let n = 2000 in
   for _ = 1 to n do
-    Network.send net ~src:h0 ~dst:h1 Value.Unit
+    Network.send net Network.value_codec ~src:h0 ~dst:h1 Value.Unit
   done;
   Engine.run sim;
   let rate = float_of_int !received /. float_of_int n in
@@ -133,16 +133,16 @@ let test_partition () =
   Network.set_partitioned net s0 s1 true;
   Alcotest.(check bool) "partitioned" true (Network.is_partitioned net s0 s1);
   Alcotest.(check bool) "symmetric" true (Network.is_partitioned net s1 s0);
-  Network.send net ~src:h0 ~dst:h2 Value.Unit;
+  Network.send net Network.value_codec ~src:h0 ~dst:h2 Value.Unit;
   Engine.run sim;
   Alcotest.(check int) "cross-site lost" 0 !received;
   (* Intra-site unaffected. *)
-  Network.send net ~src:h0 ~dst:h1 Value.Unit;
+  Network.send net Network.value_codec ~src:h0 ~dst:h1 Value.Unit;
   Engine.run sim;
   Alcotest.(check int) "intra-site flows" 1 !received;
   (* Heal. *)
   Network.set_partitioned net s0 s1 false;
-  Network.send net ~src:h0 ~dst:h2 Value.Unit;
+  Network.send net Network.value_codec ~src:h0 ~dst:h2 Value.Unit;
   Engine.run sim;
   Alcotest.(check int) "healed" 2 !received;
   (* Partitioning a site with itself is a no-op. *)
@@ -191,7 +191,7 @@ let test_drop_accounting_matches_trace () =
     for _ = 1 to n do
       let src = host_arr.(Prng.int master n_hosts) in
       let dst = host_arr.(Prng.int master n_hosts) in
-      Network.send net ~src ~dst Value.Unit
+      Network.send net Network.value_codec ~src ~dst Value.Unit
     done;
     Engine.run sim;
     let events = Recorder.events obs in

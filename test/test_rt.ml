@@ -18,7 +18,7 @@ let loid i = Loid.make ~class_id:50L ~class_specific:(Int64.of_int i) ()
 type fixture = {
   sim : Engine.t;
   rt : Runtime.t;
-  net : Network.t;
+  net : Runtime.incoming Network.t;
   hosts : int list;
 }
 
@@ -420,6 +420,94 @@ let test_non_sim_element_unreachable () =
   | Error (Err.Unreachable _) -> ()
   | _ -> Alcotest.fail "IP element should be unroutable in simulation"
 
+(* --- Calls and replies: the typed message and its record form --- *)
+
+let message_gen : Runtime.incoming QCheck.Gen.t =
+  let open QCheck.Gen in
+  let call =
+    let+ id = int
+    and+ src_loid = Gens.loid
+    and+ src_host = nat
+    and+ dst_loid = Gens.loid
+    and+ dst_slot = nat
+    and+ meth = string_size (0 -- 12)
+    and+ args = list_size (0 -- 4) Gens.value
+    and+ responsible = Gens.loid
+    and+ security = Gens.loid
+    and+ calling = Gens.loid in
+    let env = Env.make ~responsible ~security ~calling in
+    Runtime.In_call
+      { id; src_loid; src_host; dst_loid; dst_slot; call = { meth; args; env } }
+  in
+  let reply =
+    let+ id = int
+    and+ reply = oneof [ map Result.ok Gens.value; map Result.error Gens.err ] in
+    Runtime.In_reply { id; reply }
+  in
+  oneof [ call; reply ]
+
+let message_equal (a : Runtime.incoming) (b : Runtime.incoming) =
+  match (a, b) with
+  | In_call a, In_call b ->
+      a.id = b.id && Loid.equal a.src_loid b.src_loid && a.src_host = b.src_host
+      && Loid.equal a.dst_loid b.dst_loid && a.dst_slot = b.dst_slot
+      && String.equal a.call.meth b.call.meth
+      && List.equal Value.equal a.call.args b.call.args
+      && Env.equal a.call.env b.call.env
+  | In_reply a, In_reply b ->
+      a.id = b.id && Result.equal ~ok:Value.equal ~error:Err.equal a.reply b.reply
+  | _ -> false
+
+let arbitrary_message =
+  QCheck.make
+    ~print:(fun m -> Value.to_string (Runtime.codec.to_value m))
+    message_gen
+
+let message_size_is_record_size =
+  QCheck.Test.make ~name:"size = size_bytes of the record form" ~count:500
+    arbitrary_message (fun m ->
+      Runtime.codec.size m = Value.size_bytes (Runtime.codec.to_value m))
+
+let message_record_roundtrip =
+  QCheck.Test.make ~name:"decode_incoming of the record form = message"
+    ~count:500 arbitrary_message (fun m ->
+      message_equal (Runtime.codec.of_value (Runtime.codec.to_value m)) m
+      &&
+      match Legion_wire.Envelope.(unseal (seal (Runtime.codec.to_value m))) with
+      | Ok v -> message_equal (Runtime.codec.of_value v) m
+      | Error _ -> false)
+
+(* The fixed cost of a call: minor words per bare two-host
+   invoke_address round trip (dedup off, no admission), counted by the
+   allocator, so the bound holds on any machine. *)
+let test_round_trip_words () =
+  let config = { Runtime.default_config with dedup_capacity = None } in
+  let f = make_fixture ~config ~hosts_per_site:2 ~sites:1 () in
+  let server = spawn_echo f ~host:(List.nth f.hosts 1) ~id:1 in
+  let client = spawn_client f ~host:(List.hd f.hosts) ~id:2 in
+  let ctx = { Runtime.rt = f.rt; self = client } in
+  let address = Runtime.address_of server and env = Env.of_self (loid 2) in
+  let round_trips n =
+    for _ = 1 to n do
+      let finished = ref false in
+      Runtime.invoke_address ctx ~address ~dst:(loid 1) ~meth:"Echo"
+        ~args:[ Value.Int 1 ] ~env (fun _ -> finished := true);
+      while (not !finished) && Engine.step f.sim do
+        ()
+      done
+    done
+  in
+  (* Each call leaves a cancelled 5 s timer in the event queue until its
+     deadline passes; warm up past that, so the queue has stopped
+     growing. *)
+  round_trips 6_000;
+  let calls = 4_000 in
+  let w0 = Gc.minor_words () in
+  round_trips calls;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int calls in
+  if per_call > 300.0 then
+    Alcotest.failf "%.1f minor words per round trip, bound 300" per_call
+
 let () =
   Alcotest.run "rt"
     [
@@ -454,5 +542,12 @@ let () =
             test_no_agent_unreachable;
           Alcotest.test_case "seeded binding" `Quick test_seed_binding_skips_agent;
           Alcotest.test_case "double reply ignored" `Quick test_double_reply_ignored;
+        ] );
+      ( "messages",
+        [
+          QCheck_alcotest.to_alcotest message_size_is_record_size;
+          QCheck_alcotest.to_alcotest message_record_roundtrip;
+          Alcotest.test_case "round trip allocates at most 300 words" `Quick
+            test_round_trip_words;
         ] );
     ]

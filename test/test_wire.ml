@@ -5,41 +5,7 @@ module Codec = Legion_wire.Codec
 
 let value_t : Value.t Alcotest.testable = Alcotest.testable Value.pp Value.equal
 
-(* A sized generator of arbitrary values for the round-trip properties. *)
-let value_gen : Value.t QCheck.Gen.t =
-  let open QCheck.Gen in
-  sized (fun n ->
-      fix
-        (fun self n ->
-          let scalar =
-            oneof
-              [
-                return Value.Unit;
-                map (fun b -> Value.Bool b) bool;
-                map (fun i -> Value.Int i) int;
-                map (fun i -> Value.I64 i) int64;
-                (* NaN breaks equality; generate finite floats. *)
-                map (fun f -> Value.Float f) (float_bound_exclusive 1e12);
-                map (fun s -> Value.Str s) (string_size (0 -- 12));
-                map (fun s -> Value.Blob s) (string_size (0 -- 12));
-              ]
-          in
-          if n <= 1 then scalar
-          else
-            frequency
-              [
-                (3, scalar);
-                (1, map (fun vs -> Value.List vs) (list_size (0 -- 4) (self (n / 2))));
-                ( 1,
-                  map
-                    (fun vs ->
-                      Value.Record
-                        (List.mapi (fun i v -> (Printf.sprintf "f%d" i, v)) vs))
-                    (list_size (0 -- 4) (self (n / 2))) );
-              ])
-        (min n 12))
-
-let arbitrary_value = QCheck.make ~print:Value.to_string value_gen
+let arbitrary_value = QCheck.make ~print:Value.to_string Gens.value
 
 let roundtrip =
   QCheck.Test.make ~name:"decode (encode v) = v" ~count:500 arbitrary_value
@@ -153,6 +119,26 @@ let test_record_duplicate_rejected () =
     (Invalid_argument "Value.record: duplicate field names") (fun () ->
       ignore (Value.record [ ("a", Value.Unit); ("a", Value.Int 1) ]))
 
+(* Records with repeated names: the first field of a name wins, as
+   with [List.assoc_opt]. *)
+let field_matches_assoc =
+  let open QCheck in
+  let name = Gen.oneofl [ "a"; "b"; "ab"; "" ] in
+  let fields = Gen.(list_size (0 -- 6) (pair name (map (fun i -> Value.Int i) small_nat))) in
+  Test.make ~name:"field = List.assoc_opt" ~count:500
+    (make
+       ~print:(fun (fs, n) -> Printf.sprintf "%s in %s" n (Value.to_string (Value.Record fs)))
+       Gen.(pair fields name))
+    (fun (fs, n) ->
+      let v = Value.Record fs in
+      let expect = List.assoc_opt n fs in
+      Option.equal Value.equal (Value.field_opt v n) expect
+      &&
+      match (Value.field v n, expect) with
+      | Ok x, Some y -> Value.equal x y
+      | Error (`Missing_field m), None -> String.equal m n
+      | _ -> false)
+
 let test_accessors () =
   Alcotest.(check bool) "to_int ok" true (Value.to_int (Value.Int 3) = Ok 3);
   Alcotest.(check bool) "to_int wrong" true
@@ -190,39 +176,6 @@ module Err = Legion_rt.Err
 
 let err_t : Err.t Alcotest.testable =
   Alcotest.testable (fun ppf e -> Err.pp ppf e) Err.equal
-
-(* A generator covering the ENTIRE taxonomy — adding a variant without
-   extending this generator is a compile error only if the match below
-   is kept total, so it enumerates constructors explicitly. *)
-let err_gen : Err.t QCheck.Gen.t =
-  let open QCheck.Gen in
-  let s = string_size (0 -- 16) in
-  (* retry hints travel as Float; keep them finite and exact. *)
-  let ra = map (fun i -> float_of_int i /. 8.0) (int_bound 800) in
-  oneof
-    [
-      return Err.No_such_object;
-      map (fun d -> Err.No_such_method d) s;
-      map (fun d -> Err.Refused d) s;
-      map (fun d -> Err.Bad_args d) s;
-      map (fun d -> Err.Not_bound d) s;
-      return Err.Timeout;
-      map (fun d -> Err.Unreachable d) s;
-      return Err.Stale_epoch;
-      map (fun r -> Err.Overloaded { retry_after = r }) ra;
-      map3
-        (fun h n e -> Err.No_quorum { have = h; need = n; epoch = e })
-        (int_bound 9) (int_bound 9) (int_bound 99);
-      map2
-        (fun h r -> Err.Txn_locked { holder = h; retry_after = r })
-        s ra;
-      map (fun x -> Err.Txn_aborted { txn = x }) s;
-      map2
-        (fun t r -> Err.Quota_exceeded { tenant = t; retry_after = r })
-        s ra;
-      map2 (fun t d -> Err.Denied { tenant = t; reason = d }) s s;
-      map (fun d -> Err.Internal d) s;
-    ]
 
 (* --- checksummed envelope (CRC-32 framing) --- *)
 
@@ -268,6 +221,27 @@ let envelope_garbage_total =
     QCheck.(string_of_size Gen.(0 -- 64))
     (fun s -> match Envelope.unseal s with Ok _ | Error _ -> true)
 
+(* The native-int CRC and encoder against the Int32 CRC and the
+   Int64-boxing encoder they replaced ([Envelope_ref]). *)
+let crc_matches_ref =
+  QCheck.Test.make ~name:"crc32 = the Int32 reference" ~count:500
+    QCheck.(string_of_size Gen.(0 -- 256))
+    (fun s -> Int32.equal (Envelope.crc32 s) (Envelope_ref.crc32 s))
+
+let seal_matches_ref =
+  QCheck.Test.make ~name:"seal and encode write the reference bytes" ~count:500
+    arbitrary_value (fun v ->
+      String.equal (Codec.encode v) (Envelope_ref.encode v)
+      && String.equal (Envelope.seal v) (Envelope_ref.seal v))
+
+let test_int_edges_match_ref () =
+  List.iter
+    (fun i ->
+      let v = Value.List [ Value.Int i; Value.I64 (Int64.of_int i) ] in
+      Alcotest.(check string)
+        (Printf.sprintf "seal %d" i) (Envelope_ref.seal v) (Envelope.seal v))
+    [ min_int; min_int + 1; -256; -1; 0; 1; 255; 256; max_int ]
+
 let test_envelope_crc_vector () =
   (* The classic IEEE 802.3 check vector pins the polynomial and
      reflection conventions. *)
@@ -275,7 +249,7 @@ let test_envelope_crc_vector () =
     (Envelope.crc32 "123456789");
   Alcotest.(check int) "header size" 4 Envelope.header_bytes
 
-let arbitrary_err = QCheck.make ~print:Err.to_string err_gen
+let arbitrary_err = QCheck.make ~print:Err.to_string Gens.err
 
 let err_value_roundtrip =
   QCheck.Test.make ~name:"Err.of_value (to_value e) = e" ~count:500
@@ -377,6 +351,7 @@ let () =
           Alcotest.test_case "duplicate record fields" `Quick
             test_record_duplicate_rejected;
           Alcotest.test_case "accessors" `Quick test_accessors;
+          QCheck_alcotest.to_alcotest field_matches_assoc;
           Alcotest.test_case "option encoding" `Quick test_of_option_roundtrip;
           Alcotest.test_case "depth" `Quick test_depth;
           QCheck_alcotest.to_alcotest compare_consistent_with_equal;
@@ -390,6 +365,10 @@ let () =
           QCheck_alcotest.to_alcotest envelope_rejects_mutation;
           QCheck_alcotest.to_alcotest envelope_rejects_truncation;
           QCheck_alcotest.to_alcotest envelope_garbage_total;
+          QCheck_alcotest.to_alcotest crc_matches_ref;
+          QCheck_alcotest.to_alcotest seal_matches_ref;
+          Alcotest.test_case "integer edges match the reference" `Quick
+            test_int_edges_match_ref;
         ] );
       ( "errors",
         [

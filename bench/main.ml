@@ -7,8 +7,7 @@
 
    Usage:
      dune exec bench/main.exe            # everything
-     dune exec bench/main.exe e1 e5      # selected experiments
-     dune exec bench/main.exe micro      # micro-benchmarks only *)
+     dune exec bench/main.exe e1 e5      # selected experiments *)
 
 let experiments =
   [
@@ -33,7 +32,6 @@ let experiments =
     ("e20", "atomic multi-object invocations under fault schedules", Exp_txn.run);
     ("e21", "noisy neighbor: per-tenant quotas and fair queuing (2.4)", Exp_tenants.run);
     ("e22", "adversarial chaos exploration with exactly-once effects", Exp_chaos.run);
-    ("micro", "substrate micro-benchmarks", Micro.run);
   ]
 
 let () =

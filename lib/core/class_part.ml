@@ -17,6 +17,7 @@ type flags = { abstract : bool; private_ : bool; fixed : bool }
 let default_flags = { abstract = false; private_ = false; fixed = false }
 
 type row = {
+  loid : Loid.t;
   mutable address : Address.t option;
   mutable magistrates : Loid.t list;  (* Current Magistrate List *)
   mutable sched : Loid.t option;  (* Scheduling Agent *)
@@ -46,21 +47,20 @@ type state = {
       (* §2.4 enforced on the binding path: judges every Create and
          GetBinding before it is served, so an uncleared principal never
          receives a binding from this class *)
-  mutable table : (Loid.t * row) list;  (* Fig. 16, newest first *)
-  (* Side index over [table]: GetBinding is the system's hottest read
-     path, and the list (kept for its serialized "newest first" order)
-     must not be scanned per resolution at 10^5 instances. *)
-  mutable row_idx : row Loid.Table.t;
+  table : row Loid.Lru.t;
+      (* Fig. 16, newest first. Rows are only [peek]ed, and a LOID is
+         added once (RegisterInstance updates its row in place), so the
+         order is insertion order. *)
 }
 
 (* ------------------------------------------------------------------ *)
 (* State (de)serialization — class objects migrate and deactivate like
    any other object, so the whole logical table must round-trip.       *)
 
-let row_to_value (loid, r) =
+let row_to_value r =
   Value.Record
     [
-      ("loid", Loid.to_value loid);
+      ("loid", Loid.to_value r.loid);
       ("addr", C.vopt Address.to_value r.address);
       ("mags", C.vloids r.magistrates);
       ("sched", C.vopt Loid.to_value r.sched);
@@ -77,7 +77,7 @@ let row_of_value v =
   let* sched = C.opt_loid_field v "sched" in
   let* candidates = C.loid_list_field v "cands" in
   let* is_subclass = C.bool_field v "sub" in
-  Ok (loid, { address; magistrates; sched; candidates; is_subclass })
+  Ok { loid; address; magistrates; sched; candidates; is_subclass }
 
 let state_to_value st =
   Value.Record
@@ -99,7 +99,9 @@ let state_to_value st =
       ("clones", C.vloids st.clones);
       ("crr", Value.Int st.clone_rr);
       ("bpol", Policy.to_value st.binding_policy);
-      ("table", Value.List (List.map row_to_value st.table));
+      ( "table",
+        Value.List
+          (Loid.Lru.fold (fun r acc -> row_to_value r :: acc) st.table []) );
     ]
 
 let state_of_value st v =
@@ -129,7 +131,7 @@ let state_of_value st v =
     | Ok pv -> Policy.of_value pv
   in
   let* table_v = C.field v "table" in
-  let* table =
+  let* rows =
     match table_v with
     | Value.List rows ->
         let rec loop acc = function
@@ -156,13 +158,11 @@ let state_of_value st v =
   st.clones <- clones;
   st.clone_rr <- clone_rr;
   st.binding_policy <- binding_policy;
-  st.table <- table;
-  let idx = Loid.Table.create () in
-  List.iter (fun (l, r) -> Loid.Table.set idx l r) table;
-  st.row_idx <- idx;
+  Loid.Lru.clear st.table;
+  List.iter (Loid.Lru.add st.table) (List.rev rows);
   Ok ()
 
-let init_state ?interface ?(instance_units = [ Well_known.unit_object ])
+let make_state ?interface ?(instance_units = [ Well_known.unit_object ])
     ?(instance_kind = Well_known.kind_app) ?instance_cache_capacity ?superclass
     ?(flags = default_flags) ?(default_magistrates = []) ?default_scheduler
     ?(binding_policy = Policy.Allow_all) ~class_id () =
@@ -171,41 +171,37 @@ let init_state ?interface ?(instance_units = [ Well_known.unit_object ])
     | Some i -> i
     | None -> Interface.empty (Printf.sprintf "class%Ld" class_id)
   in
-  let st =
-    {
-      class_id;
-      next_spec = 1L;
-      interface;
-      instance_units;
-      instance_kind;
-      instance_cache_capacity;
-      superclass;
-      bases = [];
-      flags;
-      default_magistrates;
-      default_scheduler;
-      rr = 0;
-      clones = [];
-      clone_rr = 0;
-      binding_policy;
-      table = [];
-      row_idx = Loid.Table.create ();
-    }
-  in
-  state_to_value st
+  {
+    class_id;
+    next_spec = 1L;
+    interface;
+    instance_units;
+    instance_kind;
+    instance_cache_capacity;
+    superclass;
+    bases = [];
+    flags;
+    default_magistrates;
+    default_scheduler;
+    rr = 0;
+    clones = [];
+    clone_rr = 0;
+    binding_policy;
+    table = Loid.Lru.create ~key:(fun r -> r.loid) ();
+  }
+
+let init_state ?interface ?instance_units ?instance_kind ?instance_cache_capacity
+    ?superclass ?flags ?default_magistrates ?default_scheduler ?binding_policy
+    ~class_id () =
+  state_to_value
+    (make_state ?interface ?instance_units ?instance_kind ?instance_cache_capacity
+       ?superclass ?flags ?default_magistrates ?default_scheduler ?binding_policy
+       ~class_id ())
 
 (* ------------------------------------------------------------------ *)
 (* Behaviour.                                                          *)
 
-let find_row st loid = Loid.Table.find st.row_idx loid
-
-let add_row st loid row =
-  st.table <- (loid, row) :: st.table;
-  Loid.Table.set st.row_idx loid row
-
-let remove_row st loid =
-  st.table <- List.filter (fun (l, _) -> not (Loid.equal l loid)) st.table;
-  Loid.Table.remove st.row_idx loid
+let find_row st loid = Loid.Lru.peek st.table loid
 
 let dedup_units units =
   List.rev
@@ -226,25 +222,8 @@ let factory (ctx : Runtime.ctx) : Impl.part =
   let rt = ctx.Runtime.rt in
   let self = Runtime.proc_loid ctx.Runtime.self in
   let st =
-    {
-      class_id = Loid.class_id self;
-      next_spec = 1L;
-      interface = Interface.empty "uninitialised";
-      instance_units = [ Well_known.unit_object ];
-      instance_kind = Well_known.kind_app;
-      instance_cache_capacity = None;
-      superclass = None;
-      bases = [];
-      flags = default_flags;
-      default_magistrates = [];
-      default_scheduler = None;
-      rr = 0;
-      clones = [];
-      clone_rr = 0;
-      binding_policy = Policy.Allow_all;
-      table = [];
-      row_idx = Loid.Table.create ();
-    }
+    make_state ~interface:(Interface.empty "uninitialised")
+      ~class_id:(Loid.class_id self) ()
   in
   (* Downstream calls made on behalf of a request keep the request's
      Responsible and Security Agents and substitute this class as the
@@ -490,6 +469,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                       | Ok _ -> (
                           let row =
                             {
+                              loid;
                               address = None;
                               magistrates = [ magistrate ];
                               sched =
@@ -500,7 +480,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                               is_subclass = false;
                             }
                           in
-                          add_row st loid row;
+                          Loid.Lru.add st.table row;
                           let reply_with binding_opt =
                             k
                               (Ok
@@ -635,6 +615,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                               | Ok _ -> (
                                   let row =
                                     {
+                                      loid = child;
                                       address = None;
                                       magistrates = [ magistrate ];
                                       sched = st.default_scheduler;
@@ -642,7 +623,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                                       is_subclass = true;
                                     }
                                   in
-                                  add_row st child row;
+                                  Loid.Lru.add st.table row;
                                   let reply_with b =
                                     k
                                       (Ok
@@ -748,7 +729,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
             | Some row ->
                 let rec tell_mags = function
                   | [] ->
-                      remove_row st loid;
+                      Loid.Lru.remove st.table loid;
                       k Impl.ok_unit
                   | m :: rest ->
                       invoke_for env m "Delete" [ Loid.to_value loid ] (fun _ ->
@@ -774,8 +755,9 @@ let factory (ctx : Runtime.ctx) : Impl.part =
             (match find_row st loid with
             | Some row -> row.address <- Some addr
             | None ->
-                add_row st loid
+                Loid.Lru.add st.table
                   {
+                    loid;
                     address = Some addr;
                     magistrates = [];
                     sched = st.default_scheduler;
@@ -918,38 +900,30 @@ let factory (ctx : Runtime.ctx) : Impl.part =
     | _ -> Impl.bad_args k "SetBindingPolicy expects one policy value"
   in
 
+  (* Newest first, as the table keeps them. *)
+  let loids_where keep =
+    Loid.Lru.fold (fun r acc -> if keep r then r.loid :: acc else acc) st.table []
+  in
+
   let list_instances _ctx args _env k =
     match args with
-    | [] ->
-        let instances =
-          List.filter_map
-            (fun (l, r) -> if r.is_subclass then None else Some l)
-            st.table
-        in
-        k (Ok (C.vloids instances))
+    | [] -> k (Ok (C.vloids (loids_where (fun r -> not r.is_subclass))))
     | _ -> Impl.bad_args k "ListInstances takes no arguments"
   in
 
   let list_subclasses _ctx args _env k =
     match args with
-    | [] ->
-        let subs =
-          List.filter_map
-            (fun (l, r) -> if r.is_subclass then Some l else None)
-            st.table
-        in
-        k (Ok (C.vloids subs))
+    | [] -> k (Ok (C.vloids (loids_where (fun r -> r.is_subclass))))
     | _ -> Impl.bad_args k "ListSubclasses takes no arguments"
   in
 
   let get_class_info _ctx args _env k =
     match args with
     | [] ->
-        let n_inst, n_sub =
-          List.fold_left
-            (fun (i, s) (_, r) -> if r.is_subclass then (i, s + 1) else (i + 1, s))
-            (0, 0) st.table
+        let n_sub =
+          Loid.Lru.fold (fun r n -> if r.is_subclass then n + 1 else n) st.table 0
         in
+        let n_inst = Loid.Lru.length st.table - n_sub in
         k
           (Ok
              (Value.Record

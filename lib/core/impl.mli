@@ -61,7 +61,6 @@ type factory = Runtime.ctx -> part
 val register : string -> factory -> unit
 (** Last registration for a name wins (supports test overrides). *)
 
-val find_factory : string -> factory option
 val registered_units : unit -> string list
 
 val register_resume : unit_name:string -> meth:string -> unit

@@ -67,7 +67,3 @@ let of_blob blob =
   of_value v
 
 let size_bytes t = Value.size_bytes (to_value t)
-
-let pp ppf t =
-  Format.fprintf ppf "opr{kind=%s; units=[%s]; %d bytes}" t.kind
-    (String.concat ";" t.units) (size_bytes t)

@@ -35,9 +35,6 @@ val make :
   unit ->
   t
 
-val to_value : t -> Value.t
-val of_value : Value.t -> (t, string) result
-
 val to_blob : t -> string
 (** The "sequential set of bytes" stored on a Jurisdiction's disks and
     shipped between Magistrates by [Copy]/[Move]. *)
@@ -45,4 +42,3 @@ val to_blob : t -> string
 val of_blob : string -> (t, string) result
 
 val size_bytes : t -> int
-val pp : Format.formatter -> t -> unit

@@ -10,24 +10,20 @@ module C = Legion_core.Convert
 
 let unit_name = "legion.host"
 
-(* What we must remember about a running process to rebuild its OPR at
-   deactivation: everything except the state snapshot, which SaveState
-   provides at that moment. *)
-type process = {
-  proc : Runtime.proc;
-  kind : string;
-  units : string list;
-  binding_agent : Address.t option;
-  cache_capacity : int option;
-}
+(* A running process and the OPR that activated it, with its states
+   dropped: at deactivation SaveState supplies fresh ones. *)
+type resident = { proc : Runtime.proc; opr : Opr.t }
+
+let loid_of r = Runtime.proc_loid r.proc
 
 type state = {
   mutable capacity : int option;
   mutable memory : int;
-  mutable processes : (Loid.t * process) list;
-      (* newest first: the order ListProcesses, IdleProcesses and the
-         zombie sweep walk; each LOID at most once *)
-  residents : process Loid.Table.t;  (* the same entries, for lookups *)
+  residents : resident Loid.Lru.t;
+      (* Newest first: the order ListProcesses, IdleProcesses and the
+         zombie sweep walk. Residents are only [peek]ed, and a LOID is
+         added once (Activate answers for one already running), so the
+         order is insertion order. *)
   mutable swept_at : int;  (* [Runtime.host_changes] at the last sweep *)
   mutable activations : int;
   mutable exceptions : int;  (* activation failures reported *)
@@ -44,8 +40,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
     {
       capacity = None;
       memory = 0;
-      processes = [];
-      residents = Loid.Table.create ();
+      residents = Loid.Lru.create ~key:loid_of ();
       swept_at = -1;
       activations = 0;
       exceptions = 0;
@@ -53,56 +48,53 @@ let factory (ctx : Runtime.ctx) : Impl.part =
   in
   let env = Env.of_self self in
 
-  let forget loid =
-    st.processes <-
-      List.filter (fun (l, _) -> not (Loid.equal l loid)) st.processes;
-    Loid.Table.remove st.residents loid
-  in
   (* Every method that reads the resident set sweeps it first, but the
      sweep can only find something when the runtime has reported a
      change on this host since the last one; otherwise it is skipped. *)
   let sweep () =
     if Runtime.host_changes rt net_host <> st.swept_at then begin
-      st.processes <-
-        List.filter
-          (fun (l, p) ->
-            let keep =
-              Runtime.is_live p.proc
-              &&
-              (* A placement from a superseded incarnation is a zombie,
-                 not a resident: delivery fences it, so it can never
-                 answer. Counting it as "already running here" would
-                 make Activate hand out its address forever (a rebind
-                 livelock after a partition-era epoch bump). Reap it on
-                 sight; the caller then re-activates from the OPR under
-                 the current epoch. *)
-              if
-                Runtime.proc_epoch p.proc
-                < Runtime.current_epoch rt (Runtime.proc_loid p.proc)
-              then begin
-                Runtime.kill rt p.proc;
-                false
-              end
-              else true
-            in
-            if not keep then Loid.Table.remove st.residents l;
-            keep)
-          st.processes;
+      (* A placement from a superseded incarnation is a zombie, not a
+         resident: delivery fences it, so it can never answer. Counting
+         it as "already running here" would make Activate hand out its
+         address forever (a rebind livelock after a partition-era epoch
+         bump). Reap it on sight; the caller then re-activates from the
+         OPR under the current epoch. The dead and the zombies are
+         dropped newest first, so the zombie kills keep that order. *)
+      let gone =
+        Loid.Lru.fold
+          (fun r acc ->
+            if
+              Runtime.is_live r.proc
+              && Runtime.proc_epoch r.proc >= Runtime.current_epoch rt (loid_of r)
+            then acc
+            else r :: acc)
+          st.residents []
+      in
+      List.iter
+        (fun r ->
+          Runtime.kill rt r.proc;
+          Loid.Lru.remove st.residents (loid_of r))
+        gone;
       (* Read after the sweep: its own kills moved the count. *)
       st.swept_at <- Runtime.host_changes rt net_host
     end
   in
-  let live_processes () =
-    sweep ();
-    st.processes
-  in
   let find_process loid =
     sweep ();
-    Loid.Table.find st.residents loid
+    Loid.Lru.peek st.residents loid
   in
   let resident_count () =
     sweep ();
-    Loid.Table.length st.residents
+    Loid.Lru.length st.residents
+  in
+  (* Our own kill of a resident is the only change it makes to the
+     table, and this removes it; so if no other change was pending, the
+     sweep mark moves past it rather than re-sweeping every resident. *)
+  let stop r =
+    let pending = Runtime.host_changes rt net_host <> st.swept_at in
+    Runtime.kill rt r.proc;
+    Loid.Lru.remove st.residents (loid_of r);
+    if not pending then st.swept_at <- Runtime.host_changes rt net_host
   in
   let full () =
     match st.capacity with None -> false | Some c -> resident_count () >= c
@@ -134,17 +126,8 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                           k (Error (Err.Internal ("activation failed: " ^ msg)))
                       | Ok proc ->
                           st.activations <- st.activations + 1;
-                          let p =
-                            {
-                              proc;
-                              kind = opr.Opr.kind;
-                              units = opr.Opr.units;
-                              binding_agent = opr.Opr.binding_agent;
-                              cache_capacity = opr.Opr.cache_capacity;
-                            }
-                          in
-                          st.processes <- (loid, p) :: st.processes;
-                          Loid.Table.set st.residents loid p;
+                          Loid.Lru.add st.residents
+                            { proc; opr = { opr with states = [] } };
                           reply_addr proc))))
     | _ -> Impl.bad_args k "Activate expects (loid, opr: blob)"
   in
@@ -167,14 +150,8 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                     match r with
                     | Error e -> k (Error e)
                     | Ok (Value.Record states) ->
-                        Runtime.kill rt p.proc;
-                        forget loid;
-                        let opr =
-                          Opr.make ~states ?binding_agent:p.binding_agent
-                            ?cache_capacity:p.cache_capacity ~kind:p.kind
-                            ~units:p.units ()
-                        in
-                        k (Ok (Value.Blob (Opr.to_blob opr)))
+                        stop p;
+                        k (Ok (Value.Blob (Opr.to_blob { p.opr with states })))
                     | Ok _ -> k (Error (Err.Internal "SaveState returned non-record")))))
     | _ -> Impl.bad_args k "Deactivate expects one loid"
   in
@@ -185,10 +162,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
         match C.loid_arg loid_v with
         | Error msg -> Impl.bad_args k msg
         | Ok loid ->
-            (match find_process loid with
-            | Some p -> Runtime.kill rt p.proc
-            | None -> ());
-            forget loid;
+            Option.iter stop (find_process loid);
             k Impl.ok_unit)
     | _ -> Impl.bad_args k "Kill expects one loid"
   in
@@ -227,7 +201,9 @@ let factory (ctx : Runtime.ctx) : Impl.part =
 
   let list_processes _ctx args _env k =
     match args with
-    | [] -> k (Ok (C.vloids (List.map fst (live_processes ()))))
+    | [] ->
+        sweep ();
+        k (Ok (C.vloids (Loid.Lru.fold (fun r acc -> loid_of r :: acc) st.residents [])))
     | _ -> Impl.bad_args k "ListProcesses takes no arguments"
   in
 
@@ -235,12 +211,14 @@ let factory (ctx : Runtime.ctx) : Impl.part =
     match args with
     | [ Value.Float threshold ] ->
         let now = Runtime.now rt in
+        sweep ();
         let idle =
-          List.filter_map
-            (fun (l, p) ->
-              if now -. Runtime.last_delivery p.proc >= threshold then Some l
-              else None)
-            (live_processes ())
+          Loid.Lru.fold
+            (fun r acc ->
+              if now -. Runtime.last_delivery r.proc >= threshold then
+                loid_of r :: acc
+              else acc)
+            st.residents []
         in
         k (Ok (C.vloids idle))
     | _ -> Impl.bad_args k "IdleProcesses expects one float"
@@ -258,7 +236,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
   let reap _ctx args _env k =
     match args with
     | [] ->
-        let before = Loid.Table.length st.residents in
+        let before = Loid.Lru.length st.residents in
         let after = resident_count () in
         k (Ok (Value.Int (before - after)))
     | _ -> Impl.bad_args k "Reap takes no arguments"

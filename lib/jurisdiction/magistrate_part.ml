@@ -22,6 +22,7 @@ let register_storage name store = Hashtbl.replace storages name store
 let find_storage name = Hashtbl.find_opt storages name
 
 type record = {
+  loid : Loid.t;
   mutable opa : Opa.t option;
   mutable active : (Loid.t * Address.t) option;  (* (host object, address) *)
   (* A Move/TransferObjects in flight: destination Magistrate, plus the
@@ -50,11 +51,12 @@ type state = {
   mutable jurisdiction : string;
   mutable hosts : Loid.t list;
   mutable activation_policy : Policy.t;
-  mutable records : (Loid.t * record) list;
-  (* Side index over [records] — the list stays authoritative because
-     its order is observable (serialization, TransferObjects,
-     ListObjects), but lookups must not scan at 10^5 objects. *)
-  mutable rec_idx : record Loid.Table.t;
+  records : record Loid.Lru.t;
+      (* Newest first, an order that serialization, ListObjects,
+         TransferObjects and the checkpoint sweep make observable.
+         Records are only [peek]ed, and a LOID is added once
+         (StoreObject and AdoptObject update its record in place), so
+         the order is insertion order. *)
   mutable host_load : int Loid.Table.t;  (* local activation counts *)
   mutable activations : int;
   mutable migrations : int;
@@ -74,10 +76,10 @@ let state_value ?(hosts = []) ?(activation_policy = Policy.Allow_all)
       ("records", Value.List []);
     ]
 
-let record_to_value (loid, r) =
+let record_to_value r =
   Value.Record
     [
-      ("loid", Loid.to_value loid);
+      ("loid", Loid.to_value r.loid);
       ("opa", C.vopt Opa.to_value r.opa);
       ( "active",
         match r.active with
@@ -87,6 +89,9 @@ let record_to_value (loid, r) =
               [ Value.Record [ ("h", Loid.to_value h); ("a", Address.to_value a) ] ]
       );
     ]
+
+let fresh_record loid opa =
+  { loid; opa; active = None; moving = None; held = []; movers = []; activating = None }
 
 let ( let* ) r f = Result.bind r f
 
@@ -100,7 +105,7 @@ let record_of_value v =
         let* a = Address.of_value a_v in
         Ok (h, a))
   in
-  Ok (loid, { opa; active; moving = None; held = []; movers = []; activating = None })
+  Ok { (fresh_record loid opa) with active }
 
 let factory (ctx : Runtime.ctx) : Impl.part =
   let rt = ctx.Runtime.rt in
@@ -110,8 +115,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
       jurisdiction = "";
       hosts = [];
       activation_policy = Policy.Allow_all;
-      records = [];
-      rec_idx = Loid.Table.create ();
+      records = Loid.Lru.create ~key:(fun r -> r.loid) ();
       host_load = Loid.Table.create ();
       activations = 0;
       migrations = 0;
@@ -135,11 +139,9 @@ let factory (ctx : Runtime.ctx) : Impl.part =
              (Printf.sprintf "jurisdiction %S has no registered storage"
                 st.jurisdiction))
   in
-  let find_record loid = Loid.Table.find st.rec_idx loid in
-  let add_record loid r =
-    st.records <- (loid, r) :: st.records;
-    Loid.Table.set st.rec_idx loid r
-  in
+  let find_record loid = Loid.Lru.peek st.records loid in
+  (* A snapshot, newest first: later adds and removes do not touch it. *)
+  let records () = Loid.Lru.fold List.cons st.records [] in
   let load_of host =
     Option.value ~default:0 (Loid.Table.find st.host_load host)
   in
@@ -410,8 +412,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                             Persistent.remove store old
                         | _ -> ());
                         record.opa <- Some opa
-                    | None ->
-                        add_record loid { opa = Some opa; active = None; moving = None; held = []; movers = []; activating = None });
+                    | None -> Loid.Lru.add st.records (fresh_record loid (Some opa)));
                     k Impl.ok_unit))
     | _ -> Impl.bad_args k "StoreObject expects (loid, opr: blob)"
   in
@@ -459,11 +460,6 @@ let factory (ctx : Runtime.ctx) : Impl.part =
     | _ -> Impl.bad_args k "Deactivate expects one loid"
   in
 
-  let remove_record loid =
-    st.records <- List.filter (fun (l, _) -> not (Loid.equal l loid)) st.records;
-    Loid.Table.remove st.rec_idx loid
-  in
-
   let delete _ctx args call_env k =
     match args with
     | [ loid_v ] -> (
@@ -478,7 +474,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                       (match (record.opa, storage ()) with
                       | Some opa, Ok store -> Persistent.remove store opa
                       | _ -> ());
-                      remove_record loid;
+                      Loid.Lru.remove st.records loid;
                       notify_class loid ~add:[] ~remove:[ self ] (fun () ->
                           k Impl.ok_unit)
                     in
@@ -599,7 +595,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                             (match (record.opa, storage ()) with
                             | Some opa, Ok store -> Persistent.remove store opa
                             | _ -> ());
-                            remove_record loid;
+                            Loid.Lru.remove st.records loid;
                             finish_transfer record (Some dst);
                             notify_class loid ~add:[] ~remove:[ self ] (fun () ->
                                 k Impl.ok_unit))))
@@ -617,7 +613,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
         check_policy ~meth:"SweepIdle" call_env k (fun () ->
             let active_hosts =
               List.sort_uniq Loid.compare
-                (List.filter_map (fun (_, r) -> Option.map fst r.active) st.records)
+                (List.filter_map (fun r -> Option.map fst r.active) (records ()))
             in
             let swept = ref 0 in
             let rec per_host = function
@@ -680,12 +676,8 @@ let factory (ctx : Runtime.ctx) : Impl.part =
               ~meth:"SaveState" ~args:[] ~env (fun r ->
                 match r with
                 | Ok (Value.Record states) -> (
-                    let opr' =
-                      Opr.make ~states ?binding_agent:opr.Opr.binding_agent
-                        ?cache_capacity:opr.Opr.cache_capacity
-                        ~kind:opr.Opr.kind ~units:opr.Opr.units ()
-                    in
-                    match Persistent.put_at store opa (Opr.to_blob opr') with
+                    let blob = Opr.to_blob { opr with states } in
+                    match Persistent.put_at store opa blob with
                     | Ok () ->
                         emit_ev (Event.Checkpoint { loid });
                         k true
@@ -694,12 +686,12 @@ let factory (ctx : Runtime.ctx) : Impl.part =
     | _ -> k false
   in
   let checkpoint_all k =
-    let snapshot = st.records in
+    let snapshot = records () in
     let count = ref 0 in
     let rec go = function
       | [] -> k !count
-      | (loid, record) :: rest ->
-          checkpoint_record loid record (fun ok ->
+      | record :: rest ->
+          checkpoint_record record.loid record (fun ok ->
               if ok then incr count;
               go rest)
     in
@@ -756,16 +748,16 @@ let factory (ctx : Runtime.ctx) : Impl.part =
       st.dead_hosts <- h :: st.dead_hosts;
       let victims =
         List.filter
-          (fun (_, r) ->
+          (fun r ->
             match r.active with
             | Some (hh, _) -> Loid.equal hh h
             | None -> false)
-          st.records
+          (records ())
       in
       emit_ev
         (Event.Confirm_dead { host_obj = h; objects = List.length victims });
       List.iter
-        (fun (loid, record) ->
+        (fun ({ loid; _ } as record) ->
           record.active <- None;
           Runtime.mark_dead rt loid;
           (* Classes recover lazily through the agent chain; only
@@ -846,7 +838,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                     else begin
                       (match find_record loid with
                       | Some record -> record.opa <- Some opa
-                      | None -> add_record loid { opa = Some opa; active = None; moving = None; held = []; movers = []; activating = None });
+                      | None -> Loid.Lru.add st.records (fresh_record loid (Some opa)));
                       k Impl.ok_unit
                     end))
     | _ -> Impl.bad_args k "AdoptObject expects (loid, opa)"
@@ -870,16 +862,13 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                 let candidates =
                   List.filteri
                     (fun i _ -> i < max_n)
-                    (List.filter
-                       (fun (l, _) -> not (Loid.is_class l))
-                       st.records)
+                    (List.filter (fun r -> not (Loid.is_class r.loid)) (records ()))
                 in
                 let moved = ref 0 in
                 let rec transfer = function
                   | [] -> k (Ok (Value.Int !moved))
-                  | (_, record) :: rest when record.moving <> None ->
-                      transfer rest
-                  | (loid, record) :: rest ->
+                  | record :: rest when record.moving <> None -> transfer rest
+                  | ({ loid; _ } as record) :: rest ->
                       record.moving <- Some dst;
                       do_deactivate ~env:call_env loid record (fun r ->
                           match r with
@@ -900,7 +889,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                                           finish_transfer record None;
                                           transfer rest
                                       | Ok _ ->
-                                          remove_record loid;
+                                          Loid.Lru.remove st.records loid;
                                           incr moved;
                                           finish_transfer record (Some dst);
                                           notify_class loid ~add:[ dst ]
@@ -947,7 +936,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
 
   let list_objects _ctx args _env k =
     match args with
-    | [] -> k (Ok (C.vloids (List.map fst st.records)))
+    | [] -> k (Ok (C.vloids (List.map (fun r -> r.loid) (records ()))))
     | _ -> Impl.bad_args k "ListObjects takes no arguments"
   in
 
@@ -955,8 +944,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
     match args with
     | [] ->
         let n_active =
-          List.length
-            (List.filter (fun (_, r) -> Option.is_some r.active) st.records)
+          List.length (List.filter (fun r -> Option.is_some r.active) (records ()))
         in
         k
           (Ok
@@ -964,7 +952,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                 [
                   ("jurisdiction", Value.Str st.jurisdiction);
                   ("hosts", C.vloids st.hosts);
-                  ("objects", Value.Int (List.length st.records));
+                  ("objects", Value.Int (Loid.Lru.length st.records));
                   ("active", Value.Int n_active);
                   ("activations", Value.Int st.activations);
                   ("migrations", Value.Int st.migrations);
@@ -978,7 +966,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
         ("jur", Value.Str st.jurisdiction);
         ("hosts", C.vloids st.hosts);
         ("policy", Policy.to_value st.activation_policy);
-        ("records", Value.List (List.map record_to_value st.records));
+        ("records", Value.List (List.map record_to_value (records ())));
       ]
   in
   let restore v =
@@ -1002,10 +990,8 @@ let factory (ctx : Runtime.ctx) : Impl.part =
     st.jurisdiction <- jur;
     st.hosts <- hosts;
     st.activation_policy <- policy;
-    st.records <- records;
-    let idx = Loid.Table.create () in
-    List.iter (fun (l, r) -> Loid.Table.set idx l r) records;
-    st.rec_idx <- idx;
+    Loid.Lru.clear st.records;
+    List.iter (Loid.Lru.add st.records) (List.rev records);
     Ok ()
   in
   Impl.part

@@ -112,6 +112,7 @@ let class_idl =
   \  NotifyMagistrates(obj: loid, add: list<loid>, remove: list<loid>);\n\
   \  NotifyDead(obj: loid);\n\
   \  SetDefaults(defaults: any);\n\
+  \  SetBindingPolicy(policy: any);\n\
   \  StartElastic(cfg: any);\n\
   \  ListInstances(): list<loid>;\n\
   \  ListSubclasses(): list<loid>;\n\
@@ -126,6 +127,8 @@ let host_idl =
   \  SetCPUload(n: int);\n\
   \  SetMemoryUsage(n: int);\n\
   \  GetState(): any;\n\
+  \  IsAlive(obj: loid): bool;\n\
+  \  IdleProcesses(threshold: float): list<loid>;\n\
   \  ListProcesses(): list<loid>;\n\
   \  Reap(): int;\n\
    }"
@@ -137,6 +140,7 @@ let magistrate_idl =
   \  Delete(obj: loid);\n\
   \  Copy(obj: loid, to: loid);\n\
   \  Move(obj: loid, to: loid);\n\
+  \  SweepIdle(threshold: float): int;\n\
   \  StoreObject(obj: loid, opr: blob);\n\
   \  AddHost(host: loid);\n\
   \  RemoveHost(host: loid);\n\
@@ -144,6 +148,8 @@ let magistrate_idl =
   \  SweepCheckpoint(): int;\n\
   \  StartCheckpointing(period: float, until: float);\n\
   \  StartHeartbeat(period: float, threshold: int, until: float);\n\
+  \  AdoptObject(obj: loid, opa: any);\n\
+  \  TransferObjects(to: loid, max: int): int;\n\
   \  ListObjects(): list<loid>;\n\
   \  GetJurisdictionInfo(): any;\n\
    }"
@@ -155,6 +161,7 @@ let agent_idl =
   \  AddBinding(b: binding);\n\
   \  SetParent(parent: any);\n\
   \  GetStats(): any;\n\
+  \  SetPrice(price: int);\n\
    }"
 
 let parse_idl src =

@@ -60,7 +60,6 @@ val targets : t -> Legion_util.Prng.t -> element list
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
-val pp_element : Format.formatter -> element -> unit
 
 val to_value : t -> Legion_wire.Value.t
 val of_value : Legion_wire.Value.t -> (t, string) result

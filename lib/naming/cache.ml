@@ -2,12 +2,7 @@
    most recently used, and a full cache evicts the least recently used
    one. An expired entry is dropped when a lookup meets it. *)
 
-module Lru = Legion_util.Lru.Make (struct
-  type t = Loid.t
-
-  let equal = Loid.equal
-  let hash = Loid.hash
-end)
+module Lru = Loid.Lru
 
 type t = {
   capacity : int option;

@@ -65,13 +65,17 @@ end
 module Map = Map.Make (Ord)
 module Set = Set.Make (Ord)
 
-module Table = struct
-  module H = Hashtbl.Make (struct
-    type nonrec t = t
+module Hashed = struct
+  type nonrec t = t
 
-    let equal = equal
-    let hash = hash
-  end)
+  let equal = equal
+  let hash = hash
+end
+
+module Lru = Legion_util.Lru.Make (Hashed)
+
+module Table = struct
+  module H = Hashtbl.Make (Hashed)
 
   type 'a t = 'a H.t
 

@@ -45,6 +45,11 @@ val size_bytes : t -> int
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t
 
+module Lru : Legion_util.Lru.S with type key = t
+(** The keyed, ordered table shared by the comm layer's binding cache
+    and the placement registries (a class's logical table, a
+    Magistrate's records, a Host Object's residents). *)
+
 module Table : sig
   (** Imperative hash table keyed by LOID. *)
 

@@ -134,66 +134,6 @@ let drop_reason_name = function
   | No_receiver -> "no-receiver"
   | Corrupted -> "corrupt"
 
-let owner e =
-  match e.kind with
-  | Call { src; _ } -> Some src
-  | Cache_hit { owner; _ }
-  | Cache_miss { owner; _ }
-  | Resolve { owner; _ }
-  | Binding_install { owner; _ }
-  | Rebind { owner; _ }
-  | Stale_serve { owner; _ } ->
-      Some owner
-  | Activate { loid }
-  | Deactivate { loid }
-  | Migrate { loid; _ }
-  | Checkpoint { loid }
-  | Reactivate { loid }
-  | Fence { loid; _ }
-  | Admit { loid; _ }
-  | Shed { loid; _ }
-  | Deny { loid; _ }
-  | Replica_lost { loid; _ }
-  | Replica_repair { loid; _ }
-  | No_quorum { loid; _ }
-  | Reconcile { loid; _ } ->
-      Some loid
-  | Suspect { host_obj; _ } | Confirm_dead { host_obj; _ } -> Some host_obj
-  | Clone { cls; _ } | Merge { cls; _ } -> Some cls
-  | Split { magistrate; _ } -> Some magistrate
-  | Probe_fail { agent; _ } -> Some agent
-  | Dedup_hit { loid; _ } -> Some loid
-  | Send _ | Deliver _ | Drop _ | Duplicate _ | Reorder _ | Corrupt_inject _
-  | Reply _ | Timeout _ | Retry _ | Giveup _ | Cancel _ | Replica_fanout _
-  | Breaker_open _ | Breaker_probe _ | Breaker_close _ | Prepare _
-  | Txn_commit _ | Txn_abort _ | Compensate _ | Resume _ ->
-      None
-
-let target e =
-  match e.kind with
-  | Call { dst; _ } -> Some dst
-  | Cache_hit { target; _ }
-  | Cache_miss { target; _ }
-  | Resolve { target; _ }
-  | Binding_install { target; _ }
-  | Rebind { target; _ }
-  | Replica_fanout { target; _ }
-  | Stale_serve { target; _ } ->
-      Some target
-  | Migrate { dst; _ } -> Some dst
-  | Clone { clone; _ } | Merge { clone; _ } -> Some clone
-  | Split { dst; _ } -> Some dst
-  | Probe_fail { host_obj; _ } -> Some host_obj
-  | Prepare { participant; _ } | Compensate { participant; _ } ->
-      Some participant
-  | Send _ | Deliver _ | Drop _ | Duplicate _ | Reorder _ | Corrupt_inject _
-  | Dedup_hit _ | Reply _ | Timeout _ | Retry _ | Giveup _ | Cancel _
-  | Activate _ | Deactivate _ | Checkpoint _ | Suspect _ | Confirm_dead _
-  | Reactivate _ | Fence _ | Admit _ | Shed _ | Deny _ | Breaker_open _
-  | Breaker_probe _ | Breaker_close _ | Replica_lost _ | Replica_repair _
-  | No_quorum _ | Reconcile _ | Txn_commit _ | Txn_abort _ | Resume _ ->
-      None
-
 let loid l = Value.Str (Loid.to_string l)
 
 let fields = function

@@ -212,20 +212,6 @@ type t = {
 val name : kind -> string
 (** Stable event name: ["Send"], ["CacheMiss"], ["BindingInstall"], … *)
 
-val tier_name : tier -> string
-(** ["host"] / ["site"] / ["wan"]. *)
-
-val drop_reason_name : drop_reason -> string
-(** ["src-down"], ["dst-down"], ["partitioned"], ["loss"],
-    ["no-receiver"], ["corrupt"]. *)
-
-val owner : t -> Loid.t option
-(** The acting object, when the event names one ([owner], [src] of a
-    [Call], the [loid] of lifecycle events). *)
-
-val target : t -> Loid.t option
-(** The object acted upon, when the event names one. *)
-
 val to_value : t -> Value.t
 (** Flat record: [t], optional [host]/[site], [ev] (the {!name}), then
     the kind's fields. LOIDs render as strings. *)

@@ -17,16 +17,12 @@ type t = {
   loid : Loid.t;
   opr : Opr.t;  (* identity template: kind/units/agent/capacity *)
   semantic : Address.semantic;
-  r : int;
   register_with : Loid.t option;
   miss_threshold : int;
   mutable pool : Network.host_id list;
-  (* [replicas] keeps the member order (it is the Object Address
-     element order and the snapshot preference order); [rep_idx]
-     mirrors it for O(1) membership tests, which the network-wide host
-     watcher performs on every host transition. *)
+  (* Member order is the Object Address element order and the snapshot
+     preference order; one entry per replica, so a short list. *)
   mutable replicas : (Network.host_id * Runtime.proc) list;
-  rep_idx : (Network.host_id, Runtime.proc) Hashtbl.t;
   misses : (Network.host_id, int) Hashtbl.t;
   mutable losses : int;
   mutable repairs : int;
@@ -38,7 +34,7 @@ let replica_count m = List.length m.replicas
 let replica_hosts m = List.map fst m.replicas
 let losses m = m.losses
 let repairs m = m.repairs
-let target m = m.r
+let is_member m h = List.mem_assoc h m.replicas
 
 let address m =
   Address.make ~semantic:m.semantic
@@ -71,15 +67,10 @@ let deploy ~ctx ~net ~loid ~opr ~hosts ~pool ~semantic ?register_with
           loid;
           opr;
           semantic;
-          r = List.length hosts;
           register_with;
           miss_threshold;
           pool;
           replicas = List.combine hosts procs;
-          rep_idx =
-            (let idx = Hashtbl.create 8 in
-             List.iter2 (Hashtbl.replace idx) hosts procs;
-             idx);
           misses = Hashtbl.create 8;
           losses = 0;
           repairs = 0;
@@ -93,7 +84,7 @@ let deploy ~ctx ~net ~loid ~opr ~hosts ~pool ~semantic ?register_with
    co-locating two replicas would let one host failure take out both. *)
 let pick_spare m =
   List.find_opt
-    (fun h -> Network.host_is_up m.net h && not (Hashtbl.mem m.rep_idx h))
+    (fun h -> Network.host_is_up m.net h && not (is_member m h))
     m.pool
 
 (* Restore the replication factor after losing the replica on
@@ -105,68 +96,60 @@ let pick_spare m =
    state on a spare host, and re-register the rebuilt multi-element
    Object Address with the responsible class. *)
 let repair m dead_host k =
-  match Hashtbl.find_opt m.rep_idx dead_host with
-  | None -> k (Ok false)
-  | Some _dead_proc -> (
-      m.replicas <- List.remove_assoc dead_host m.replicas;
-      Hashtbl.remove m.rep_idx dead_host;
-      Hashtbl.remove m.misses dead_host;
-      m.losses <- m.losses + 1;
-      Runtime.mark_dead m.rt m.loid;
-      emit m
-        (Event.Replica_lost
-           {
-             loid = m.loid;
-             host = dead_host;
-             remaining = List.length m.replicas;
-           });
-      match m.replicas with
-      | [] -> k (Error (Err.Internal "replica repair: no survivors"))
-      | survivors ->
-          let budget = (Runtime.config m.rt).Runtime.call_timeout /. 2. in
-          let env = env_of m in
-          let replace states =
-            match pick_spare m with
-            | None -> k (Error (Err.Refused "replica repair: no spare host"))
-            | Some spare ->
-                let epoch = Runtime.bump_epoch m.rt m.loid in
-                List.iter (fun (_, p) -> Runtime.refresh_epoch m.rt p) m.replicas;
-                let opr' =
-                  Opr.make ~states ?binding_agent:m.opr.Opr.binding_agent
-                    ?cache_capacity:m.opr.Opr.cache_capacity ~kind:m.opr.Opr.kind
-                    ~units:m.opr.Opr.units ()
-                in
-                (* spawn inside activate defaults to the freshly bumped
-                   current epoch, so the replacement belongs to the new
-                   incarnation. *)
-                match Impl.activate m.rt ~host:spare ~loid:m.loid opr' with
-                | Error msg -> k (Error (Err.Internal msg))
-                | Ok proc ->
-                    m.replicas <- m.replicas @ [ (spare, proc) ];
-                    Hashtbl.replace m.rep_idx spare proc;
-                    m.repairs <- m.repairs + 1;
-                    emit m
-                      (Event.Replica_repair
-                         { loid = m.loid; host = spare; epoch });
-                    reregister m (fun r -> k (Result.map (fun () -> true) r))
-          in
-          let rec snapshot = function
-            | [] ->
-                k
-                  (Error
-                     (Err.Unreachable
-                        "replica repair: no survivor answered SaveState"))
-            | (_, p) :: rest ->
-                let addr = Address.make [ Runtime.element_of p ] in
-                Runtime.invoke_address m.ctx ~timeout:budget ~address:addr
-                  ~dst:m.loid ~meth:"SaveState" ~args:[] ~env (fun r ->
-                    match r with
-                    | Ok (Value.Record states) -> replace states
-                    | Ok _ | Error _ -> snapshot rest)
-          in
-          snapshot survivors)
-
-let notify_dead m h k = repair m h k
+  if not (is_member m dead_host) then k (Ok false)
+  else (
+    m.replicas <- List.remove_assoc dead_host m.replicas;
+    Hashtbl.remove m.misses dead_host;
+    m.losses <- m.losses + 1;
+    Runtime.mark_dead m.rt m.loid;
+    emit m
+      (Event.Replica_lost
+         {
+           loid = m.loid;
+           host = dead_host;
+           remaining = List.length m.replicas;
+         });
+    match m.replicas with
+    | [] -> k (Error (Err.Internal "replica repair: no survivors"))
+    | survivors ->
+        let budget = (Runtime.config m.rt).Runtime.call_timeout /. 2. in
+        let env = env_of m in
+        let replace states =
+          match pick_spare m with
+          | None -> k (Error (Err.Refused "replica repair: no spare host"))
+          | Some spare ->
+              let epoch = Runtime.bump_epoch m.rt m.loid in
+              List.iter (fun (_, p) -> Runtime.refresh_epoch m.rt p) m.replicas;
+              (* spawn inside activate defaults to the freshly bumped
+                 current epoch, so the replacement belongs to the new
+                 incarnation. *)
+              match
+                Impl.activate m.rt ~host:spare ~loid:m.loid { m.opr with states }
+              with
+              | Error msg -> k (Error (Err.Internal msg))
+              | Ok proc ->
+                  m.replicas <- m.replicas @ [ (spare, proc) ];
+                  m.repairs <- m.repairs + 1;
+                  emit m
+                    (Event.Replica_repair
+                       { loid = m.loid; host = spare; epoch });
+                  reregister m (fun r -> k (Result.map (fun () -> true) r))
+        in
+        let rec snapshot = function
+          | [] ->
+              k
+                (Error
+                   (Err.Unreachable
+                      "replica repair: no survivor answered SaveState"))
+          | (_, p) :: rest ->
+              let addr = Address.make [ Runtime.element_of p ] in
+              Runtime.invoke_address m.ctx ~timeout:budget ~address:addr
+                ~dst:m.loid ~meth:"SaveState" ~args:[] ~env (fun r ->
+                  match r with
+                  | Ok (Value.Record states) -> replace states
+                  | Ok _ | Error _ -> snapshot rest)
+        in
+        snapshot survivors)
 
 (* One failure-detection pass: probe every replica in place with a
    cheap builtin over its own single-element address (short,
@@ -183,7 +166,7 @@ let sweep m k =
     let rec probe repaired = function
       | [] -> k repaired
       | (h, p) :: rest ->
-          if not (Hashtbl.mem m.rep_idx h) then probe repaired rest
+          if not (is_member m h) then probe repaired rest
           else
             let addr = Address.make [ Runtime.element_of p ] in
             Runtime.invoke_address m.ctx ~timeout:budget ~address:addr
@@ -215,7 +198,7 @@ let start m ~period ~until =
         for silent failures the network layer never reports. *)
      let w =
        Network.add_host_watcher m.net (fun h ~up ->
-           if m.armed && (not up) && Hashtbl.mem m.rep_idx h then
+           if m.armed && (not up) && is_member m h then
              repair m h (fun _ -> ()))
      in
      m.watcher <- Some w);

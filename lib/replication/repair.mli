@@ -70,18 +70,11 @@ val sweep : t -> (int -> unit) -> unit
 (** One failure-detection pass; the continuation receives the number
     of repairs performed. No-op (0) while stopped. *)
 
-val notify_dead : t -> Network.host_id -> ((bool, Err.t) result -> unit) -> unit
-(** Direct wiring for an external failure detector: treat the host as
-    confirmed dead and repair now. [Ok false] when no replica lives
-    there; [Ok true] after a successful repair. *)
-
 val address : t -> Address.t
 (** The current multi-element Object Address of the set. *)
 
 val replica_count : t -> int
 val replica_hosts : t -> Network.host_id list
-val target : t -> int
-(** The replication factor being maintained. *)
 
 val losses : t -> int
 val repairs : t -> int

@@ -71,10 +71,6 @@ let register t ~name ~responsible ?(weight = 1) ?(max_inflight = 0)
   Loid.Table.set t.by_responsible responsible tenant;
   tenant
 
-let find t ~name =
-  if String.equal name fallback_name then Some t.fallback
-  else Hashtbl.find_opt t.by_name name
-
 let of_env t (env : Env.t) =
   match Loid.Table.find t.by_responsible env.Env.responsible with
   | Some tenant -> tenant

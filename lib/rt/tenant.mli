@@ -22,9 +22,6 @@ type budget = {
   burst : float;  (** Bucket capacity, >= 1 whenever [rate > 0]. *)
 }
 
-val default_budget : budget
-(** Weight 1, no inflight cap, no rate limit. *)
-
 type tenant
 (** A registered principal with live bucket/inflight/attribution state. *)
 
@@ -50,7 +47,6 @@ val register :
     present several Responsible Agents.
     @raise Invalid_argument if [name] is empty. *)
 
-val find : t -> name:string -> tenant option
 val of_env : t -> Legion_sec.Env.t -> tenant
 (** The tenant whose Responsible Agent is [env.responsible]; the shared
     fallback tenant when unregistered. *)

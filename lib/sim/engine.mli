@@ -34,9 +34,6 @@ val post : t -> delay:float -> (unit -> unit) -> unit
     hot paths that never cancel (workload arrivals, script ticks) skip
     that allocation. *)
 
-val post_at : t -> time:float -> (unit -> unit) -> unit
-(** Fire-and-forget {!schedule_at}. *)
-
 val cancel : handle -> unit
 (** Cancelling an already-fired or already-cancelled event is a no-op. *)
 

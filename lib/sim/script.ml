@@ -193,11 +193,3 @@ let drive eng ~prng w ~start ~until fire =
 let pulse eng ~start ~width ~on ~off =
   at eng ~time:start on;
   at eng ~time:(start +. width) off
-
-let pulses eng ~start ~width ~period ~count ~on ~off =
-  if count < 0 then invalid_arg "Script.pulses: count must be >= 0";
-  if width < 0.0 then invalid_arg "Script.pulses: width must be >= 0";
-  if period <= 0.0 then invalid_arg "Script.pulses: period must be positive";
-  for k = 0 to count - 1 do
-    pulse eng ~start:(start +. (float_of_int k *. period)) ~width ~on ~off
-  done

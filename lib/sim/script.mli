@@ -88,12 +88,6 @@ val steady : ?flashes:flash list -> float -> profile
 (** A flat profile at the given rate (no diurnal swing), with optional
     flash crowds. @raise Invalid_argument if the rate is [<= 0]. *)
 
-val rate_at : profile -> float -> float
-(** The instantaneous arrival rate at virtual time [t] — diurnal
-    modulation times the product of active flash boosts. Pure; the
-    integral of [rate_at] over a window predicts the arrival count
-    {!drive} generates in it. *)
-
 type workload = {
   objects : int;  (** Population size; arrivals target ranks [0..n-1]. *)
   zipf_s : float;  (** Popularity skew ([0.] = uniform). *)
@@ -112,7 +106,8 @@ val drive :
   unit
 (** Generate open-loop arrivals over [(start, until]]: each arrival
     carries a 1-based sequence number, a Zipf-drawn object rank, and an
-    origin site index. Spacing follows {!rate_at}; the generator
+    origin site index. Spacing follows the profile's instantaneous rate
+    (diurnal modulation times the active flash boosts); the generator
     re-spaces itself at every flash edge so discontinuities take effect
     at their instant.
     @raise Invalid_argument on an empty or negative [site_mix], a
@@ -123,17 +118,3 @@ val pulse :
 (** A transient fault: [on] fires at [start], [off] at
     [start +. width]. Partitions and host crash/restart windows are
     pulses — [on] partitions (or crashes), [off] heals (or restarts). *)
-
-val pulses :
-  t ->
-  start:float ->
-  width:float ->
-  period:float ->
-  count:int ->
-  on:(unit -> unit) ->
-  off:(unit -> unit) ->
-  unit
-(** [count] pulses of the given [width], the k-th starting at
-    [start +. k * period].
-    @raise Invalid_argument if [count < 0], [width < 0] or
-    [period <= 0]. *)

@@ -2,8 +2,25 @@
    list. [Nil] is an immediate, so relinking a node stores pointers and
    boxes nothing, unlike [option] links. *)
 
+module type S = sig
+  type key
+  type 'v t
+
+  val create : ?capacity:int -> key:('v -> key) -> unit -> 'v t
+  val find : 'v t -> key -> 'v option
+  val peek : 'v t -> key -> 'v option
+  val add : 'v t -> 'v -> unit
+  val remove : 'v t -> key -> unit
+  val fold : ('v -> 'acc -> 'acc) -> 'v t -> 'acc -> 'acc
+  val clear : 'v t -> unit
+  val length : 'v t -> int
+  val evictions : 'v t -> int
+end
+
 module Make (K : Hashtbl.HashedType) = struct
   module H = Hashtbl.Make (K)
+
+  type key = K.t
 
   type 'v node =
     | Nil
@@ -89,6 +106,13 @@ module Make (K : Hashtbl.HashedType) = struct
             let n = Node { value = v; prev = Nil; next = Nil } in
             H.add t.tbl k n;
             push_front t n)
+
+  let fold f t init =
+    let rec go acc = function
+      | Nil -> acc
+      | Node r -> go (f r.value acc) r.prev
+    in
+    go init t.tail
 
   let clear t =
     H.reset t.tbl;

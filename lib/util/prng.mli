@@ -37,9 +37,6 @@ val int_in : t -> lo:int -> hi:int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [0, bound). *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val bernoulli : t -> p:float -> bool
 (** [bernoulli t ~p] is true with probability [p] (clamped to [0,1]). *)
 

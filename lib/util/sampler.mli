@@ -24,8 +24,5 @@ val poisson_process : Prng.t -> rate:float -> poisson
 (** Arrival process with the given mean events per unit time.
     @raise Invalid_argument if [rate <= 0.]. *)
 
-val next_arrival : poisson -> float
-(** The wait until the next arrival (exponentially distributed). *)
-
 val arrivals_until : poisson -> horizon:float -> float list
 (** Arrival instants in [0, horizon), ascending. *)

@@ -1,6 +1,7 @@
 (* Tests for the Host Object's resident set (§3.9): its replies and its
    zombie reaping against a model of the list filter it used to run on
-   every call, and the cost of a first-touch call as residents grow. *)
+   every call, the cost of a first-touch call as residents grow, and
+   the cost of a Delete as the population grows. *)
 
 module Engine = Legion_sim.Engine
 module Network = Legion_net.Network
@@ -335,6 +336,39 @@ let host_matches_sweep_model =
       List.iter (step f m) ops;
       true)
 
+(* --- A change on the host while the Host Object kills a resident --- *)
+
+(* Deactivate kills its resident only after a SaveState round trip, and
+   the runtime may report another change on the host meanwhile. Moving
+   the sweep mark past its own kill must not skip that change. Here the
+   saving object bumps the epoch of the other resident, which makes it
+   a zombie that the next call must reap. *)
+let test_change_during_deactivate_still_sweeps () =
+  let f = make_fixture () in
+  let bump_unit = "test.bump_on_save" in
+  Impl.register bump_unit (fun ctx ->
+      Impl.part
+        ~save:(fun () ->
+          ignore (Runtime.bump_epoch ctx.Runtime.rt (obj_loid 1));
+          Value.Unit)
+        bump_unit);
+  let saver =
+    Opr.to_blob
+      (Opr.make ~kind:Well_known.kind_app
+         ~units:[ bump_unit; Well_known.unit_object ] ())
+  in
+  let expect what ok r = if not ok then Alcotest.failf "%s: %s" what (reply_str r) in
+  let activate i opr =
+    let r = call f "Activate" [ Loid.to_value (obj_loid i); Value.Blob opr ] in
+    expect "Activate" (Result.is_ok r) r
+  in
+  activate 0 saver;
+  activate 1 obj_opr;
+  let r = call f "Deactivate" [ Loid.to_value (obj_loid 0) ] in
+  expect "Deactivate" (match r with Ok (Value.Blob _) -> true | _ -> false) r;
+  let r = call f "IsAlive" [ Loid.to_value (obj_loid 1) ] in
+  expect "IsAlive of the zombie" (r = Ok (Value.Bool false)) r
+
 (* --- Allocation per first-touch call does not grow with residents --- *)
 
 (* Minor words are a function of the code and the inputs, not of the
@@ -369,13 +403,55 @@ let test_first_touch_words_flat () =
     true
     (at_large <= 1.2 *. at_small)
 
+(* --- Allocation per Delete does not grow with the population --- *)
+
+(* A Delete removes the object's row from its class's logical table and
+   its record from the Magistrate; an active object is also killed and
+   dropped from its Host Object's residents. None of these may walk the
+   population. One 3-host site; the 50 oldest objects are deleted. *)
+let delete_words ~eager ~population =
+  Helpers.register_counter_unit ();
+  let sys = System.boot ~sites:[ ("solo", 3) ] () in
+  let ctx = System.client sys () in
+  let cls = Helpers.make_counter_class sys ctx () in
+  let objs =
+    Array.init population (fun _ -> Api.create_object_exn sys ctx ~cls ~eager ())
+  in
+  let deletes = 50 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to deletes - 1 do
+    match Api.delete_object sys ctx ~cls ~loid:objs.(i) with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "Delete: %s" (Err.to_string e)
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int deletes
+
+let test_delete_words_flat ~eager () =
+  let small = 300 and large = 3000 in
+  let at_small = delete_words ~eager ~population:small in
+  let at_large = delete_words ~eager ~population:large in
+  Alcotest.(check bool)
+    (Printf.sprintf "words per Delete at %d objects (%.0f) <= 1.2 x at %d (%.0f)"
+       large at_large small at_small)
+    true
+    (at_large <= 1.2 *. at_small)
+
 let () =
   Alcotest.run "host"
     [
-      ("sweep", [ QCheck_alcotest.to_alcotest host_matches_sweep_model ]);
+      ( "sweep",
+        [
+          QCheck_alcotest.to_alcotest host_matches_sweep_model;
+          Alcotest.test_case "a change during Deactivate still sweeps" `Quick
+            test_change_during_deactivate_still_sweeps;
+        ] );
       ( "growth",
         [
           Alcotest.test_case "first-touch words flat in residents" `Quick
             test_first_touch_words_flat;
+          Alcotest.test_case "inert Delete words flat in population" `Quick
+            (test_delete_words_flat ~eager:false);
+          Alcotest.test_case "active Delete words flat in population" `Quick
+            (test_delete_words_flat ~eager:true);
         ] );
     ]

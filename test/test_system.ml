@@ -37,6 +37,59 @@ let test_core_abstract () =
   | Error e -> Alcotest.failf "expected Refused, got %s" (Err.to_string e)
   | Ok _ -> Alcotest.fail "abstract class created an instance"
 
+(* The IDL each core class boots with is what GetInterface reports and
+   what a typed subclass enforces at dispatch, so it must name every
+   method the class's part serves; LegionObject's names the object part
+   and the methods every composite answers natively. *)
+let test_core_idl_names_part_methods () =
+  let sys = H.boot_two_sites () in
+  let ctx = System.client sys () in
+  let rt = System.rt sys in
+  let self =
+    match Runtime.find_proc rt Well_known.legion_class with
+    | Some p -> p
+    | None -> Alcotest.fail "LegionClass is not running"
+  in
+  let part_methods factory =
+    (factory { Runtime.rt; self }).Legion_core.Impl.method_names
+  in
+  let sorted = List.sort String.compare in
+  List.iter
+    (fun (cls, served) ->
+      match Api.get_interface sys ctx ~cls with
+      | Ok iface ->
+          Alcotest.(check (list string))
+            (Loid.to_string cls ^ " names its part's methods")
+            (sorted served)
+            (sorted (Legion_idl.Interface.method_names iface))
+      | Error e -> Alcotest.failf "GetInterface: %s" (Err.to_string e))
+    [
+      ( Well_known.legion_object,
+        part_methods Legion_core.Object_part.factory
+        @ [ "SaveState"; "RestoreState"; "GetMethodNames" ] );
+      (Well_known.legion_class, part_methods Legion_core.Class_part.factory);
+      (Well_known.legion_host, part_methods Legion_host.Host_part.factory);
+      ( Well_known.legion_magistrate,
+        part_methods Legion_jur.Magistrate_part.factory );
+      ( Well_known.legion_binding_agent,
+        part_methods Legion_binding.Agent_part.factory );
+    ]
+
+(* A Magistrate asks a Host Object IsAlive before it reactivates an
+   object; a typed subclass of LegionHost must admit that probe. *)
+let test_typed_host_admits_is_alive () =
+  let sys = H.boot_two_sites () in
+  let ctx = System.client sys () in
+  let cls =
+    Api.derive_class_exn sys ctx ~parent:Well_known.legion_host ~name:"TypedHost"
+      ~kind:Well_known.kind_host ~typed:true ()
+  in
+  let host = Api.create_object_exn sys ctx ~cls () in
+  match Api.call sys ctx ~dst:host ~meth:"IsAlive" ~args:[ Loid.to_value host ] with
+  | Ok (Value.Bool false) -> ()
+  | Ok v -> Alcotest.failf "IsAlive: unexpected %s" (Value.to_string v)
+  | Error e -> Alcotest.failf "IsAlive: %s" (Err.to_string e)
+
 let test_derive_and_create () =
   let sys = H.boot_two_sites () in
   let ctx = System.client sys () in
@@ -145,6 +198,10 @@ let () =
         [
           Alcotest.test_case "boot two sites" `Quick test_boot;
           Alcotest.test_case "core classes are abstract" `Quick test_core_abstract;
+          Alcotest.test_case "core IDL names every part method" `Quick
+            test_core_idl_names_part_methods;
+          Alcotest.test_case "typed LegionHost subclass admits IsAlive" `Quick
+            test_typed_host_admits_is_alive;
         ] );
       ( "lifecycle",
         [

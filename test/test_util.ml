@@ -1,6 +1,6 @@
 (* Unit and property tests for Legion_util: PRNG, statistics and
-   counters, plus the binary heap (test/heap.ml) that serves as the
-   calendar queue's oracle. *)
+   counters, the ordered keyed table, plus the binary heap
+   (test/heap.ml) that serves as the calendar queue's oracle. *)
 
 module Prng = Legion_util.Prng
 module Stats = Legion_util.Stats
@@ -375,6 +375,46 @@ let heap_model_interleaved =
           && Heap.peek h = (match !model with [] -> None | y :: _ -> Some y))
         ops)
 
+(* --- Lru as an ordered registry --- *)
+
+module Lru_int = Legion_util.Lru.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+(* With no capacity, adds of absent keys only and [peek] lookups, the
+   table must behave like the newest-first list it replaces in the
+   placement registries: cons on add, filter on remove. Entries carry
+   their key and the step that added them. *)
+let lru_matches_list_model =
+  QCheck.Test.make ~name:"uncapped lru matches the newest-first list model"
+    ~count:300
+    QCheck.(list (pair (int_bound 2) (int_bound 15)))
+    (fun ops ->
+      let t = Lru_int.create ~key:fst () in
+      let model = ref [] in
+      let agrees () =
+        Lru_int.fold List.cons t [] = !model
+        && Lru_int.length t = List.length !model
+        && List.for_all
+             (fun k -> Lru_int.peek t k = List.find_opt (fun (k', _) -> k' = k) !model)
+             (List.init 16 Fun.id)
+      in
+      List.for_all
+        (fun (step, (kind, k)) ->
+          (match kind with
+          | 0 when not (List.mem_assoc k !model) ->
+              Lru_int.add t (k, step);
+              model := (k, step) :: !model
+          | 1 ->
+              Lru_int.remove t k;
+              model := List.filter (fun (k', _) -> k' <> k) !model
+          | _ -> ignore (Lru_int.peek t k));
+          agrees ())
+        (List.mapi (fun i op -> (i, op)) ops))
+
 (* --- Calq --- *)
 
 module Calq = Legion_util.Calq
@@ -625,6 +665,7 @@ let () =
           QCheck_alcotest.to_alcotest heap_sorts_any_list;
           QCheck_alcotest.to_alcotest heap_model_interleaved;
         ] );
+      ("lru", [ QCheck_alcotest.to_alcotest lru_matches_list_model ]);
       ( "calq",
         [
           Alcotest.test_case "seq tie-break at one instant" `Quick

@@ -119,10 +119,11 @@ val rewind_to :
 
 (** {1 Named blobs}
 
-    Small fixed-name records stored beside the version files — the
+    Small named records stored beside the version files — the
     transaction coordinator's write-ahead log. Overwritten in place on
-    a fixed disk, so they never grow the file count and are excluded
-    from version pruning. *)
+    a fixed disk and excluded from version pruning. A coordinator keeps
+    two of them (its owner key and its log head) plus one per open
+    transaction, removed when the transaction finishes. *)
 
 val put_named : t -> name:string -> string -> unit
 val get_named : t -> name:string -> string option

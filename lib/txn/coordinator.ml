@@ -13,111 +13,6 @@ module Script = Legion_sim.Script
 
 let unit_name = "legion.txn.coord"
 
-type mode = Two_phase | Saga
-
-let mode_to_string = function Two_phase -> "2pc" | Saga -> "saga"
-
-let mode_of_string = function
-  | "2pc" -> Ok Two_phase
-  | "saga" -> Ok Saga
-  | s -> Error (Printf.sprintf "unknown transaction mode %S" s)
-
-type phase = Running | Committing | Committed | Compensating | Compensated
-
-let phase_to_string = function
-  | Running -> "running"
-  | Committing -> "committing"
-  | Committed -> "committed"
-  | Compensating -> "compensating"
-  | Compensated -> "compensated"
-
-let phase_of_string = function
-  | "running" -> Ok Running
-  | "committing" -> Ok Committing
-  | "committed" -> Ok Committed
-  | "compensating" -> Ok Compensating
-  | "compensated" -> Ok Compensated
-  | s -> Error (Printf.sprintf "unknown transaction phase %S" s)
-
-type step = {
-  dst : Loid.t;
-  meth : string;
-  args : Value.t list;
-  cmeth : string;  (** Typed compensation (saga mode); [""] = none. *)
-  cargs : Value.t list;
-}
-
-type txn = {
-  id : string;
-  mode : mode;
-  steps : step array;
-  mutable phase : phase;
-  mutable pending : int list;
-      (* Running/saga: step indices not yet applied (ascending).
-         Committing: indices whose commit ack is outstanding.
-         Compensating: indices still to roll back (saga: reverse
-         application order). *)
-  mutable redrive_armed : bool;
-}
-
-let step_to_value s =
-  Value.Record
-    [
-      ("dst", Loid.to_value s.dst);
-      ("meth", Value.Str s.meth);
-      ("args", Value.List s.args);
-      ("cmeth", Value.Str s.cmeth);
-      ("cargs", Value.List s.cargs);
-    ]
-
-let step_of_value v =
-  let ( let* ) r f = Result.bind r f in
-  let* dst = C.loid_field v "dst" in
-  let* meth = C.str_field v "meth" in
-  let list_or name =
-    match Value.field_opt v name with Some (Value.List l) -> l | _ -> []
-  in
-  let cmeth =
-    match Value.field_opt v "cmeth" with Some (Value.Str s) -> s | _ -> ""
-  in
-  Ok { dst; meth; args = list_or "args"; cmeth; cargs = list_or "cargs" }
-
-let txn_to_value t =
-  Value.Record
-    [
-      ("id", Value.Str t.id);
-      ("mode", Value.Str (mode_to_string t.mode));
-      ("phase", Value.Str (phase_to_string t.phase));
-      ("pending", Value.of_list Value.of_int t.pending);
-      ("steps", Value.of_list step_to_value (Array.to_list t.steps));
-    ]
-
-let txn_of_value v =
-  let ( let* ) r f = Result.bind r f in
-  let* id = C.str_field v "id" in
-  let* mode = Result.bind (C.str_field v "mode") mode_of_string in
-  let* phase = Result.bind (C.str_field v "phase") phase_of_string in
-  let pending =
-    match Value.field_opt v "pending" with
-    | Some (Value.List l) ->
-        List.filter_map
-          (function Value.Int i -> Some i | _ -> None)
-          l
-    | _ -> []
-  in
-  let* steps =
-    match Value.field_opt v "steps" with
-    | Some (Value.List l) ->
-        List.fold_left
-          (fun acc sv ->
-            Result.bind acc (fun acc ->
-                Result.map (fun s -> s :: acc) (step_of_value sv)))
-          (Ok []) l
-        |> Result.map (fun l -> Array.of_list (List.rev l))
-    | _ -> Error "txn: missing steps"
-  in
-  Ok { id; mode; steps; phase; pending; redrive_armed = false }
-
 (* A short stable tag for Txn_abort reasons, so traces and the E20
    tables aggregate; the epoch-fence case is the one the gate keys on
    (a fenced participant's vote is an abort, never a hang). *)
@@ -136,15 +31,18 @@ let reason_of = function
 type state = {
   mutable store_name : string option;
   mutable seq : int;
-  txns : (string, txn) Hashtbl.t;
+  txns : (string, Wal.txn) Hashtbl.t;
+      (* Every transaction this incarnation has run, finished ones
+         included: TxnStatus answers from it. [kick_all] walks it in
+         hash-table order, and that order reaches the network. *)
   mutable committed : int;
   mutable aborted : int;
   mutable compensations : int;
   mutable resumed : int;
   mutable needs_recovery : bool;
       (* The durable WAL has not been folded into [txns] yet. Set on
-         every checkpoint restore; cleared by the first fold once a
-         store is reachable. *)
+         every checkpoint restore; cleared by the first fold that
+         succeeds. *)
 }
 
 let factory (ctx : Runtime.ctx) : Impl.part =
@@ -167,61 +65,10 @@ let factory (ctx : Runtime.ctx) : Impl.part =
     Runtime.emit rt ~host:(Runtime.proc_host ctx.Runtime.self) kind
   in
   let store () = Option.bind st.store_name Magistrate_part.find_storage in
-  let wal_name = "wal." ^ Loid.to_string self in
-  let my_epoch = Runtime.proc_epoch ctx.Runtime.self in
-
-  (* Fencing token against coordinator split-brain. A false-dead
-     verdict (probe lost in a drop window) can reactivate the
-     coordinator elsewhere while this incarnation is still running; the
-     recovered incarnation resumes the shared WAL and may abort a
-     transaction this one would go on to commit. The WAL therefore
-     names the newest incarnation that has folded it, and an
-     incarnation that finds a newer owner must neither decide nor drive
-     nor mark — its successor owns every in-doubt transaction. *)
-  let am_owner () =
-    match store () with
-    | None -> true
-    | Some s -> (
-        match Persistent.get_named s ~name:wal_name with
-        | None -> true
-        | Some blob -> (
-            match Codec.decode blob with
-            | Error _ -> true
-            | Ok v -> (
-                match Value.field_opt v "owner" with
-                | Some (Value.Int e) -> my_epoch >= e
-                | _ -> true)))
-  in
-
-  (* The write-ahead log: every unfinished transaction, re-serialised
-     on each state change and overwritten in place. The commit decision
-     is durable exactly when the Committing phase hits this record —
-     recovery never rolls back work the log says was decided. A fenced
-     incarnation's write is suppressed so it cannot clobber the new
-     owner's log. *)
-  let wal_write () =
-    match store () with
-    | None -> ()
-    | Some s ->
-        if am_owner () then
-          let open_txns =
-            Hashtbl.fold
-              (fun _ t acc ->
-                match t.phase with
-                | Running | Committing | Compensating -> txn_to_value t :: acc
-                | Committed | Compensated -> acc)
-              st.txns []
-          in
-          let v =
-            Value.Record
-              [
-                ("seq", Value.Int st.seq);
-                ("owner", Value.Int my_epoch);
-                ("txns", Value.List open_txns);
-              ]
-          in
-          Persistent.put_named s ~name:wal_name (Codec.encode v)
-  in
+  (* The commit decision is durable exactly when the Committing phase
+     hits the transaction's log record — recovery never rolls back work
+     the log says was decided. *)
+  let wal = Wal.create self ~epoch:(Runtime.proc_epoch ctx.Runtime.self) store in
 
   (* Tag the participant's history with the txn outcome: snapshot its
      current state into the store under the txn id, then flip every
@@ -258,16 +105,17 @@ let factory (ctx : Runtime.ctx) : Impl.part =
      staging forever. The per-participant [record_mark] calls that
      follow the acks re-mark with the same verdict, which is the
      idempotent case. *)
-  let resolve_all (t : txn) mark =
+  let resolve_all (t : Wal.txn) mark =
     match store () with
     | None -> ()
     | Some s ->
         Array.iter
-          (fun step -> Persistent.mark_txn s ~loid:step.dst ~txn:t.id mark)
+          (fun (step : Wal.step) ->
+            Persistent.mark_txn s ~loid:step.dst ~txn:t.id mark)
           t.steps
   in
 
-  let rec drive (t : txn) =
+  let rec drive (t : Wal.txn) =
     match (t.phase, t.mode) with
     | Committing, _ -> commit_drive t
     | Compensating, Two_phase -> abort_drive t
@@ -277,7 +125,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
   (* A drive pass that could not finish re-arms itself: one timer per
      txn, far enough out (2× call timeout) that the in-flight retries
      have resolved either way by the time it fires. *)
-  and schedule_redrive t =
+  and schedule_redrive (t : Wal.txn) =
     if not t.redrive_armed then begin
       t.redrive_armed <- true;
       let delay = 2.0 *. (Runtime.config rt).Runtime.call_timeout in
@@ -286,14 +134,19 @@ let factory (ctx : Runtime.ctx) : Impl.part =
           if Runtime.is_live ctx.Runtime.self then drive t)
     end
 
-  and finish_commit t =
-    t.phase <- Committed;
-    st.committed <- st.committed + 1;
-    emit (Event.Txn_commit { txn = t.id; participants = Array.length t.steps });
-    wal_write ()
+  (* Overlapping drives of one transaction (a redrive, or the poke of
+     every TxnRun) each count their own acks and each reach the end of
+     them; only the first finishes the transaction. *)
+  and finish_commit (t : Wal.txn) =
+    if t.phase = Committing then begin
+      t.phase <- Committed;
+      st.committed <- st.committed + 1;
+      emit (Event.Txn_commit { txn = t.id; participants = Array.length t.steps });
+      Wal.finish wal t
+    end
 
-  and commit_drive t =
-    if t.phase = Committing && am_owner () then
+  and commit_drive (t : Wal.txn) =
+    if t.phase = Committing && Wal.am_owner wal then
       match t.pending with
       | [] -> finish_commit t
       | idxs ->
@@ -312,21 +165,23 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                   if !outstanding = 0 then
                     if t.pending = [] then finish_commit t
                     else begin
-                      wal_write ();
+                      Wal.update wal t;
                       schedule_redrive t
                     end))
             idxs
 
-  and finish_abort t =
-    t.phase <- Compensated;
-    st.aborted <- st.aborted + 1;
-    wal_write ()
+  and finish_abort (t : Wal.txn) =
+    if t.phase = Compensating then begin
+      t.phase <- Compensated;
+      st.aborted <- st.aborted + 1;
+      Wal.finish wal t
+    end
 
   (* 2PC rollback: release every prepare lock. Acks are idempotent on
      the participant side, so retransmissions after a redrive are
      harmless. *)
-  and abort_drive t =
-    if t.phase = Compensating && am_owner () then
+  and abort_drive (t : Wal.txn) =
+    if t.phase = Compensating && Wal.am_owner wal then
       match t.pending with
       | [] -> finish_abort t
       | idxs ->
@@ -347,7 +202,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                   if !outstanding = 0 then
                     if t.pending = [] then finish_abort t
                     else begin
-                      wal_write ();
+                      Wal.update wal t;
                       schedule_redrive t
                     end))
             idxs
@@ -355,8 +210,8 @@ let factory (ctx : Runtime.ctx) : Impl.part =
   (* Saga rollback: apply the typed compensations in reverse
      application order, one at a time (a compensation may depend on the
      later steps already being undone). *)
-  and comp_drive t =
-    if t.phase = Compensating && am_owner () then
+  and comp_drive (t : Wal.txn) =
+    if t.phase = Compensating && Wal.am_owner wal then
       match t.pending with
       | [] -> finish_abort t
       | i :: rest ->
@@ -369,22 +224,22 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                   st.compensations <- st.compensations + 1;
                   emit (Event.Compensate { txn = t.id; participant = s.dst });
                   record_mark ~loid:s.dst ~txnid:t.id Persistent.Compensated;
-                  wal_write ();
+                  Wal.update wal t;
                   comp_drive t
               | Error _ -> schedule_redrive t)
   in
 
-  let all_idxs (t : txn) = List.init (Array.length t.steps) Fun.id in
+  let all_idxs (t : Wal.txn) = List.init (Array.length t.steps) Fun.id in
 
   (* 2PC forward path: prepares race in parallel; the decision falls
      when the last vote lands. The client learns the outcome at the
      decision — commit acks drain asynchronously afterwards. *)
-  let start_two_phase (t : txn) k =
+  let start_two_phase (t : Wal.txn) k =
     let n = Array.length t.steps in
     let votes = ref 0 in
     let veto = ref None in
     Array.iter
-      (fun s ->
+      (fun (s : Wal.step) ->
         Runtime.invoke ctx ~dst:s.dst ~meth:"TxnPrepare"
           ~args:
             [
@@ -403,7 +258,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
             | Error e -> if !veto = None then veto := Some (reason_of e));
             incr votes;
             if !votes = n then
-              if not (am_owner ()) then
+              if not (Wal.am_owner wal) then
                 (* A recovered incarnation took over mid-prepare; it
                    folded this txn as Running and is aborting it. Do
                    not promise a commit the successor will roll back. *)
@@ -412,7 +267,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                 match !veto with
                 | None ->
                     t.phase <- Committing;
-                    wal_write ();
+                    Wal.update wal t;
                     resolve_all t Persistent.Committed;
                     k (Ok (Value.Str t.id));
                     commit_drive t
@@ -420,7 +275,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                     emit (Event.Txn_abort { txn = t.id; reason });
                     t.phase <- Compensating;
                     t.pending <- all_idxs t;
-                    wal_write ();
+                    Wal.update wal t;
                     resolve_all t Persistent.Compensated;
                     k (Error (Err.Txn_aborted { txn = t.id }));
                     abort_drive t))
@@ -429,8 +284,8 @@ let factory (ctx : Runtime.ctx) : Impl.part =
 
   (* Saga forward path: steps apply sequentially and immediately; a
      failure turns the applied prefix around. *)
-  let rec saga_forward (t : txn) k =
-    if not (am_owner ()) then k (Error Err.Stale_epoch)
+  let rec saga_forward (t : Wal.txn) k =
+    if not (Wal.am_owner wal) then k (Error Err.Stale_epoch)
     else
       match t.pending with
     | [] ->
@@ -438,11 +293,12 @@ let factory (ctx : Runtime.ctx) : Impl.part =
         st.committed <- st.committed + 1;
         resolve_all t Persistent.Committed;
         Array.iter
-          (fun s -> record_mark ~loid:s.dst ~txnid:t.id Persistent.Committed)
+          (fun (s : Wal.step) ->
+            record_mark ~loid:s.dst ~txnid:t.id Persistent.Committed)
           t.steps;
         emit
           (Event.Txn_commit { txn = t.id; participants = Array.length t.steps });
-        wal_write ();
+        Wal.finish wal t;
         k (Ok (Value.Str t.id))
     | i :: rest ->
         let s = t.steps.(i) in
@@ -452,13 +308,13 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                 emit (Event.Prepare { txn = t.id; participant = s.dst });
                 snapshot_staged ~loid:s.dst ~txnid:t.id;
                 t.pending <- rest;
-                wal_write ();
+                Wal.update wal t;
                 saga_forward t k
             | Error e ->
                 emit (Event.Txn_abort { txn = t.id; reason = reason_of e });
                 t.phase <- Compensating;
                 t.pending <- List.rev (List.init i Fun.id);
-                wal_write ();
+                Wal.update wal t;
                 resolve_all t Persistent.Compensated;
                 k (Error (Err.Txn_aborted { txn = t.id }));
                 comp_drive t)
@@ -471,7 +327,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
      interrupted mid-flight compensates exactly the steps the store's
      history proves were applied (the WAL's pending list may lag by one
      step; the history is the authority). *)
-  let resume_txn (t : txn) =
+  let resume_txn (t : Wal.txn) =
     st.resumed <- st.resumed + 1;
     match t.phase with
     | Committing ->
@@ -485,7 +341,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
         match t.mode with
         | Two_phase ->
             t.pending <- all_idxs t;
-            wal_write ();
+            Wal.update wal t;
             abort_drive t
         | Saga ->
             let applied =
@@ -502,7 +358,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                     (all_idxs t)
             in
             t.pending <- List.rev applied;
-            wal_write ();
+            Wal.update wal t;
             comp_drive t)
     | Compensating -> (
         emit (Event.Resume { txn = t.id; decision = "abort" });
@@ -516,54 +372,57 @@ let factory (ctx : Runtime.ctx) : Impl.part =
      happen before the coordinator takes on any new work: a TxnRun on a
      freshly restored instance would otherwise overwrite the log
      (destroying the in-doubt records) and re-issue their sequence
-     numbers. The fold is idempotent — ids already live in [st.txns]
-     are left alone (a double resume, or the TxnResume poke racing a
-     lazy first-touch fold). *)
+     numbers. A log that does not read leaves [needs_recovery] set, so
+     every later call retries the fold rather than work from a state the
+     log contradicts. The fold is idempotent — ids already live in
+     [st.txns] are left alone (a double resume, or the TxnResume poke
+     racing a lazy first-touch fold). *)
   let recover_from_wal () : (int, string) result =
     match store () with
     | None -> Ok 0
-    | Some s -> (
-        st.needs_recovery <- false;
-        match Persistent.get_named s ~name:wal_name with
-        | None -> Ok 0
-        | Some blob -> (
-            match Codec.decode blob with
-            | Error _ -> Error "corrupt transaction WAL"
-            | Ok v ->
-                (match Value.field_opt v "seq" with
-                | Some (Value.Int seq) -> st.seq <- Stdlib.max st.seq seq
-                | _ -> ());
-                let tvs =
-                  match Value.field_opt v "txns" with
-                  | Some (Value.List l) -> l
-                  | _ -> []
-                in
-                let n = ref 0 in
-                List.iter
-                  (fun tv ->
-                    match txn_of_value tv with
-                    | Error _ -> ()
-                    | Ok t ->
-                        if not (Hashtbl.mem st.txns t.id) then begin
-                          Hashtbl.replace st.txns t.id t;
-                          incr n;
-                          resume_txn t
-                        end)
-                  tvs;
-                (* Claim ownership durably, even when nothing needed a
-                   resume: any older incarnation still running is
-                   fenced from this point on. *)
-                wal_write ();
-                Ok !n))
+    | Some _ -> (
+        match Wal.recover wal with
+        | Error _ as e -> e
+        | Ok None ->
+            st.needs_recovery <- false;
+            Ok 0
+        | Ok (Some (seq, txns)) ->
+            st.needs_recovery <- false;
+            st.seq <- Stdlib.max st.seq seq;
+            let n = ref 0 in
+            List.iter
+              (fun (t : Wal.txn) ->
+                if not (Hashtbl.mem st.txns t.id) then begin
+                  Hashtbl.replace st.txns t.id t;
+                  Wal.adopt wal t;
+                  incr n;
+                  resume_txn t
+                end)
+              txns;
+            (* Claim ownership durably, even when nothing needed a
+               resume: any older incarnation still running is fenced
+               from this point on. *)
+            Wal.claim wal ~seq:st.seq;
+            Ok !n)
   in
-  let try_recover () =
-    if st.needs_recovery then ignore (recover_from_wal ());
-    (* Kick every in-doubt transaction. The redrive chain is a linked
-       list of timers — deactivation or a transient ownership loss can
-       break a link, and a Committing/Compensating txn would then hang
-       silently. Any poke at the coordinator re-drives them; [drive] is
-       idempotent and no-ops on finished phases. *)
-    Hashtbl.iter (fun _ t -> if not t.redrive_armed then drive t) st.txns
+  (* Kick every in-doubt transaction. The redrive chain is a linked list
+     of timers — deactivation or a transient ownership loss can break a
+     link, and a Committing/Compensating txn would then hang silently.
+     Any poke at the coordinator re-drives them; [drive] is idempotent
+     and no-ops on finished phases. *)
+  let kick_all () =
+    Hashtbl.iter
+      (fun _ (t : Wal.txn) -> if not t.redrive_armed then drive t)
+      st.txns
+  in
+  (* Every method but Configure runs only on a folded log; while the
+     fold fails it answers the fold's error and writes nothing. *)
+  let after_fold k f =
+    match if st.needs_recovery then recover_from_wal () else Ok 0 with
+    | Error msg -> k (Error (Err.Internal msg))
+    | Ok _ ->
+        kick_all ();
+        f ()
   in
 
   let txn_resume _ctx args _env k =
@@ -571,41 +430,41 @@ let factory (ctx : Runtime.ctx) : Impl.part =
     | [] -> (
         match recover_from_wal () with
         | Ok n ->
-            Hashtbl.iter
-              (fun _ t -> if not t.redrive_armed then drive t)
-              st.txns;
+            kick_all ();
             k (Ok (Value.Int n))
         | Error msg -> k (Error (Err.Internal msg)))
     | _ -> Impl.bad_args k "TxnResume takes no arguments"
   in
 
   let txn_run _ctx args _env k =
-    try_recover ();
+    after_fold k @@ fun () ->
     match args with
     | [ Value.Str mode_s; Value.List steps_v ] -> (
         let decoded =
           let ( let* ) r f = Result.bind r f in
-          let* mode = mode_of_string mode_s in
+          let* mode = Wal.mode_of_string mode_s in
           let* steps =
             List.fold_left
               (fun acc sv ->
                 Result.bind acc (fun acc ->
-                    Result.map (fun s -> s :: acc) (step_of_value sv)))
+                    Result.map (fun s -> s :: acc) (Wal.step_of_value sv)))
               (Ok []) steps_v
             |> Result.map List.rev
           in
           let* () = if steps = [] then Error "no steps" else Ok () in
           let rec distinct = function
             | [] -> Ok ()
-            | s :: rest ->
-                if List.exists (fun x -> Loid.equal x.dst s.dst) rest then
-                  Error "duplicate participant"
+            | (s : Wal.step) :: rest ->
+                if List.exists (fun (x : Wal.step) -> Loid.equal x.dst s.dst) rest
+                then Error "duplicate participant"
                 else distinct rest
           in
           let* () = distinct steps in
           let* () =
-            if mode = Saga && List.exists (fun s -> s.cmeth = "") steps then
-              Error "saga steps require a compensation method"
+            if
+              mode = Wal.Saga
+              && List.exists (fun (s : Wal.step) -> s.cmeth = "") steps
+            then Error "saga steps require a compensation method"
             else Ok ()
           in
           Ok (mode, Array.of_list steps)
@@ -616,11 +475,18 @@ let factory (ctx : Runtime.ctx) : Impl.part =
             st.seq <- st.seq + 1;
             let id = Printf.sprintf "%s.%d" (Loid.to_string self) st.seq in
             let t =
-              { id; mode; steps; phase = Running; pending = []; redrive_armed = false }
+              {
+                Wal.id;
+                mode;
+                steps;
+                phase = Running;
+                pending = [];
+                redrive_armed = false;
+              }
             in
             t.pending <- all_idxs t;
             Hashtbl.replace st.txns id t;
-            wal_write ();
+            Wal.open_txn wal ~seq:st.seq t;
             (match mode with
             | Two_phase -> start_two_phase t k
             | Saga -> saga_forward t k))
@@ -634,12 +500,12 @@ let factory (ctx : Runtime.ctx) : Impl.part =
   let txn_status _ctx args _env k =
     (* A participant asking before the WAL fold would get a wrong
        "unknown" and release a lock the decision needs. *)
-    try_recover ();
+    after_fold k @@ fun () ->
     match args with
     | [ Value.Str id ] ->
         let phase =
           match Hashtbl.find_opt st.txns id with
-          | Some t -> phase_to_string t.phase
+          | Some t -> Wal.phase_to_string t.phase
           | None -> "unknown"
         in
         k (Ok (Value.Str phase))
@@ -647,17 +513,9 @@ let factory (ctx : Runtime.ctx) : Impl.part =
   in
 
   let txn_stats _ctx args _env k =
-    try_recover ();
+    after_fold k @@ fun () ->
     match args with
     | [] ->
-        let in_doubt =
-          Hashtbl.fold
-            (fun _ t acc ->
-              match t.phase with
-              | Running | Committing | Compensating -> acc + 1
-              | Committed | Compensated -> acc)
-            st.txns 0
-        in
         k
           (Ok
              (Value.Record
@@ -666,7 +524,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                   ("aborted", Value.Int st.aborted);
                   ("compensations", Value.Int st.compensations);
                   ("resumed", Value.Int st.resumed);
-                  ("indoubt", Value.Int in_doubt);
+                  ("indoubt", Value.Int (Wal.open_count wal));
                 ]))
     | _ -> Impl.bad_args k "TxnStats takes no arguments"
   in

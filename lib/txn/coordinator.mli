@@ -18,13 +18,19 @@
       steps [i-1 .. 0] in reverse. Every saga step must carry a
       compensation method.
 
-    Durability rides the Jurisdiction store named by [Configure]: the
-    WAL of unfinished transactions is overwritten in place
-    ({!Legion_store.Persistent.put_named}), and each participant's
-    state is snapshotted into the store's per-LOID version history
-    tagged with the transaction id — first [Staged] at prepare/apply,
-    then flipped [Committed]/[Compensated] as the outcome lands. The
-    E20 checker proves atomicity from these histories alone.
+    Durability rides the Jurisdiction store named by [Configure]. The
+    write-ahead log ({!Wal}) is a set of named blobs
+    ({!Legion_store.Persistent.put_named}): an owner key holding the
+    fencing epoch, a head holding the sequence counter and the open
+    ids, and one record per open transaction, rewritten on that
+    transaction's own state changes and removed when it finishes. Each
+    participant's state is snapshotted into the store's per-LOID
+    version history tagged with the transaction id — first [Staged] at
+    prepare/apply, then flipped [Committed]/[Compensated] as the
+    outcome lands. The E20 checker proves atomicity from these
+    histories alone. A transaction finishes once: overlapping drives
+    of one commit or rollback count [committed] or [aborted] and trace
+    [Txn_commit] only for the first.
 
     Crash recovery: {!register} hooks [TxnResume] into
     {!Legion_core.Impl.register_resume}, so the responsible class
@@ -32,7 +38,12 @@
     abort: a durable [Committing] record resumes toward commit
     (committed work is never rolled back — [Resume] trace decision
     ["commit"]); anything still [Running] aborts; a saga compensates
-    exactly the steps the store history proves applied.
+    exactly the steps the store history proves applied. A log that
+    does not read (a head that does not decode, a listed record
+    missing or undecodable) is never taken for an empty one: until a
+    fold succeeds, [TxnRun], [TxnStatus], [TxnStats] and [TxnResume]
+    answer [Err.Internal "corrupt transaction WAL"] and nothing writes
+    the log.
 
     Methods: [Configure {store}], [TxnRun(mode, steps)] (step records:
     [dst], [meth], [args], [cmeth], [cargs]; participants must be

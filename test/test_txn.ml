@@ -13,6 +13,7 @@ module Persistent = Legion_store.Persistent
 module Disk = Legion_store.Disk
 module Participant = Legion_txn.Participant
 module Coordinator = Legion_txn.Coordinator
+module Wal = Legion_txn.Wal
 module System = Legion.System
 module Api = Legion.Api
 open Helpers
@@ -326,6 +327,43 @@ let test_fenced_placement_heals_and_commits () =
   Alcotest.(check int) "b healed and applied" 7 (get sys ctx b);
   Alcotest.(check (option string)) "b lock free" None (held sys ctx b)
 
+(* Every TxnRun re-drives each Committing transaction, and each drive
+   counts its own acks, so overlapping drives of one transaction each
+   reach the end of their acks. The transaction must finish once. *)
+let test_commit_finishes_once () =
+  let sys = boot ~seed:(Int64.add base_seed 10L) () in
+  let ctx = System.client sys () in
+  let obs = System.obs sys in
+  let cls = derive_participant_class sys ctx in
+  let coord_cls = derive_coord_class sys ctx in
+  let p =
+    Array.init 4 (fun _ -> Api.create_object_exn sys ctx ~cls ~eager:true ())
+  in
+  let co = Api.create_object_exn sys ctx ~cls:coord_cls ~eager:true () in
+  configure_store sys ctx co "uva";
+  let mark = Recorder.total obs in
+  let run a b =
+    match
+      txn_run sys ctx co ~mode:"2pc"
+        [ step a "Increment" [ Value.Int 1 ]; step b "Increment" [ Value.Int 1 ] ]
+    with
+    | Ok (Value.Str id) -> id
+    | Ok v -> Alcotest.failf "TxnRun: unexpected %s" (Value.to_string v)
+    | Error e -> Alcotest.failf "TxnRun failed: %s" (Err.to_string e)
+  in
+  let commits id =
+    Trace.count_of (Trace.txn_commit ~txn:id ()) (Recorder.events_since obs mark)
+  in
+  (* The client holds Ok as soon as the decision falls. *)
+  let first = run p.(0) p.(1) in
+  Alcotest.(check int) "first commit's acks still in flight" 0 (commits first);
+  let second = run p.(2) p.(3) in
+  System.run_for sys 3.0;
+  Alcotest.(check int) "committed counter" 2 (stat sys ctx co "committed");
+  List.iter
+    (fun id -> Alcotest.(check int) (id ^ " commits once") 1 (commits id))
+    [ first; second ]
+
 (* --- sagas: immediate application, typed compensation --- *)
 
 let test_saga_commit () =
@@ -415,33 +453,36 @@ let test_saga_compensation () =
 
 (* --- coordinator crash after the commit decision: resume, not undo --- *)
 
-let test_coordinator_crash_resumes_commit () =
-  let sys = boot ~seed:(Int64.add base_seed 6L) () in
-  let ctx = System.client sys () in
-  let obs = System.obs sys in
+(* A coordinator on a crashable (non-infrastructure) host, and two
+   participants on hosts that survive its crash. *)
+let crashable_coordinator sys ctx =
   let rt = System.rt sys in
   let cls = derive_participant_class sys ctx in
   let coord_cls = derive_coord_class sys ctx in
   let infra = System.infra_hosts sys in
-  (* A coordinator on a crashable (non-infrastructure) host. *)
   let co, victim =
     match Legion.Txn.create_coordinator sys ctx ~cls:coord_cls with
     | co, Some h when not (List.mem h infra) -> (co, h)
     | _ -> Alcotest.fail "no coordinator landed off-infrastructure"
   in
-  (* Participants on hosts that survive the crash. *)
-  let a, b =
-    let rec pick acc n =
-      if List.length acc = 2 then (List.nth acc 0, List.nth acc 1)
-      else if n = 0 then Alcotest.fail "no surviving-host participants"
-      else
-        let o = Api.create_object_exn sys ctx ~cls ~eager:true () in
-        match Runtime.find_proc rt o with
-        | Some p when Runtime.proc_host p <> victim -> pick (o :: acc) (n - 1)
-        | _ -> pick acc n
-    in
-    pick [] 12
+  let rec pick acc n =
+    if List.length acc = 2 then (List.nth acc 0, List.nth acc 1)
+    else if n = 0 then Alcotest.fail "no surviving-host participants"
+    else
+      let o = Api.create_object_exn sys ctx ~cls ~eager:true () in
+      match Runtime.find_proc rt o with
+      | Some p when Runtime.proc_host p <> victim -> pick (o :: acc) (n - 1)
+      | _ -> pick acc n
   in
+  let a, b = pick [] 12 in
+  (co, victim, a, b)
+
+let test_coordinator_crash_resumes_commit () =
+  let sys = boot ~seed:(Int64.add base_seed 6L) () in
+  let ctx = System.client sys () in
+  let obs = System.obs sys in
+  let rt = System.rt sys in
+  let co, victim, a, b = crashable_coordinator sys ctx in
   configure_store sys ctx co "uva";
   System.enable_recovery sys ~checkpoint_period:0.5 ~heartbeat_period:0.25
     ~threshold:3
@@ -483,6 +524,52 @@ let test_coordinator_crash_resumes_commit () =
   check_marks store ~txn:id ~participants:[ a; b ] Persistent.Committed;
   Alcotest.(check int) "resumed counter" 1 (stat sys ctx co "resumed");
   Alcotest.(check int) "nothing in doubt" 0 (stat sys ctx co "indoubt")
+
+(* A restored coordinator whose log does not read must not carry on as
+   if it had none: a fresh TxnRun would re-issue an old id and overwrite
+   the log, and TxnStatus would answer "unknown" for every in-doubt
+   transaction, which a participant takes as an abort. *)
+let test_unreadable_log_fails_loudly () =
+  let sys = boot ~seed:(Int64.add base_seed 9L) () in
+  let ctx = System.client sys () in
+  let rt = System.rt sys in
+  let co, victim, a, b = crashable_coordinator sys ctx in
+  configure_store sys ctx co "uva";
+  System.enable_recovery sys ~checkpoint_period:0.5 ~heartbeat_period:0.25
+    ~threshold:3
+    ~until:(System.now sys +. 60.0)
+    ();
+  System.run_for sys 2.0;
+  let steps =
+    [ step a "Increment" [ Value.Int 5 ]; step b "Increment" [ Value.Int 7 ] ]
+  in
+  let id =
+    match txn_run sys ctx co ~mode:"2pc" steps with
+    | Ok (Value.Str id) -> id
+    | Ok v -> Alcotest.failf "TxnRun: unexpected %s" (Value.to_string v)
+    | Error e -> Alcotest.failf "TxnRun failed: %s" (Err.to_string e)
+  in
+  System.run_for sys 3.0;
+  let store = (System.site sys 0).System.storage in
+  let head = Wal.head_key co in
+  Persistent.put_named store ~name:head "garbage";
+  Runtime.power_fail rt victim;
+  System.run_for sys 15.0;
+  let expect_internal what = function
+    | Error (Err.Internal _) -> ()
+    | Ok v ->
+        Alcotest.failf "%s on an unreadable log answered %s" what
+          (Value.to_string v)
+    | Error e ->
+        Alcotest.failf "%s: expected Internal, got %s" what (Err.to_string e)
+  in
+  expect_internal "TxnRun" (txn_run sys ctx co ~mode:"2pc" steps);
+  expect_internal "TxnStatus"
+    (Api.call sys ctx ~dst:co ~meth:"TxnStatus" ~args:[ Value.Str id ]);
+  expect_internal "TxnStats" (Api.call sys ctx ~dst:co ~meth:"TxnStats" ~args:[]);
+  Alcotest.(check (option string)) "the unreadable head is left as it was"
+    (Some "garbage")
+    (Persistent.get_named store ~name:head)
 
 (* --- Persistent history: prune protection and event-sourced rewind --- *)
 
@@ -694,6 +781,277 @@ let test_named_blobs () =
   Alcotest.(check (option string)) "named removable" None
     (Persistent.get_named s ~name:"wal.test")
 
+(* --- the write-ahead log against its whole-snapshot oracle --- *)
+
+let wal_loid = loid_of 100
+
+let mk_txn ~seq ~saga n =
+  let mk_step i =
+    {
+      Wal.dst = loid_of (200 + i);
+      meth = "Increment";
+      args = [ Value.Int (i + 1) ];
+      cmeth = (if saga then "Increment" else "");
+      cargs = (if saga then [ Value.Int (-(i + 1)) ] else []);
+    }
+  in
+  {
+    Wal.id = Printf.sprintf "%s.%d" (Loid.to_string wal_loid) seq;
+    mode = (if saga then Saga else Two_phase);
+    steps = Array.init n mk_step;
+    phase = Running;
+    pending = List.init n Fun.id;
+    redrive_armed = false;
+  }
+
+type wal_op =
+  | Open of bool * int  (** saga?, step count *)
+  | Set_phase of int * Wal.phase  (** the i-th open txn (mod count) *)
+  | Set_pending of int * int  (** bit mask over the step indices *)
+  | Finish of int * Wal.phase
+  | Crash
+
+let print_wal_op = function
+  | Open (saga, n) ->
+      Printf.sprintf "open-%s-%d" (if saga then "saga" else "2pc") n
+  | Set_phase (i, p) -> Printf.sprintf "phase%d=%s" i (Wal.phase_to_string p)
+  | Set_pending (i, m) -> Printf.sprintf "pending%d=%x" i m
+  | Finish (i, p) -> Printf.sprintf "finish%d=%s" i (Wal.phase_to_string p)
+  | Crash -> "crash"
+
+(* Both logs see the same steps, as the coordinator would drive them:
+   every change is logged, and a crash drops everything in memory and
+   folds the log back. After each fold the two recover the same
+   transactions and sequence counter — the ones the steps left open —
+   and the run goes on from the fold. *)
+let wal_matches_ref =
+  let open QCheck in
+  let op_gen =
+    Gen.(
+      frequency
+        [
+          (3, map2 (fun saga n -> Open (saga, n)) bool (int_range 1 3));
+          ( 3,
+            map2
+              (fun i p -> Set_phase (i, p))
+              nat
+              (oneofl [ Wal.Running; Committing; Compensating ]) );
+          (3, map2 (fun i m -> Set_pending (i, m)) nat (int_bound 7));
+          ( 2,
+            map2
+              (fun i p -> Finish (i, p))
+              nat
+              (oneofl [ Wal.Committed; Compensated ]) );
+          (1, return Crash);
+        ])
+  in
+  let ops_arb =
+    make
+      ~print:(fun ops -> String.concat ";" (List.map print_wal_op ops))
+      Gen.(list_size (int_range 1 50) op_gen)
+  in
+  Test.make ~name:"wal: recovers what the whole-snapshot log recovers"
+    ~count:300 ops_arb (fun ops ->
+      let s_new = mk_store () and s_ref = mk_store () in
+      let name = Wal.head_key wal_loid in
+      let epoch = ref 1 and seq = ref 0 in
+      let wal = ref (Wal.create wal_loid ~epoch:1 (fun () -> Some s_new)) in
+      (* The incarnation's transaction table (finished ones included)
+         and its open transactions, oldest first. *)
+      let table = Hashtbl.create 16 and live = ref [] in
+      let ref_write () =
+        Wal_ref.write s_ref ~name ~epoch:!epoch ~seq:!seq table
+      in
+      let change i f =
+        match !live with
+        | [] -> ()
+        | l ->
+            let t = List.nth l (i mod List.length l) in
+            f t;
+            (match t.Wal.phase with
+            | Committed | Compensated ->
+                live := List.filter (fun u -> u != t) !live;
+                Wal.finish !wal t
+            | Running | Committing | Compensating -> Wal.update !wal t);
+            ref_write ()
+      in
+      let canon txns =
+        List.sort compare
+          (List.map (fun t -> Value.to_string (Wal.txn_to_value t)) txns)
+      in
+      List.iter
+        (function
+          | Open (saga, n) ->
+              incr seq;
+              let t = mk_txn ~seq:!seq ~saga n in
+              Hashtbl.replace table t.Wal.id t;
+              live := !live @ [ t ];
+              Wal.open_txn !wal ~seq:!seq t;
+              ref_write ()
+          | Set_phase (i, p) | Finish (i, p) ->
+              change i (fun t -> t.Wal.phase <- p)
+          | Set_pending (i, m) ->
+              change i (fun t ->
+                  t.Wal.pending <-
+                    List.filter
+                      (fun j -> m land (1 lsl j) <> 0)
+                      (List.init (Array.length t.Wal.steps) Fun.id))
+          | Crash -> (
+              incr epoch;
+              wal := Wal.create wal_loid ~epoch:!epoch (fun () -> Some s_new);
+              match (Wal.recover !wal, Wal_ref.recover s_ref ~name) with
+              | Error e, _ | _, Error e ->
+                  Test.fail_reportf "recovery failed: %s" e
+              | Ok None, Ok None -> ()
+              | Ok None, Ok (Some _) | Ok (Some _), Ok None ->
+                  Test.fail_reportf "only one of the logs exists"
+              | Ok (Some (seq_new, txns)), Ok (Some (seq_ref, txns_ref)) ->
+                  if seq_new <> seq_ref || seq_new <> !seq then
+                    Test.fail_reportf "seq: wal %d, reference %d, steps %d"
+                      seq_new seq_ref !seq;
+                  let got = canon txns and want = canon txns_ref in
+                  if got <> want || got <> canon !live then
+                    Test.fail_reportf
+                      "recovered\n  wal: %s\n  reference: %s\n  open: %s"
+                      (String.concat " " got) (String.concat " " want)
+                      (String.concat " " (canon !live));
+                  Hashtbl.reset table;
+                  List.iter
+                    (fun t ->
+                      Hashtbl.replace table t.Wal.id t;
+                      Wal.adopt !wal t)
+                    txns;
+                  live := txns;
+                  Wal.claim !wal ~seq:!seq;
+                  ref_write ()))
+        ops;
+      true)
+
+(* Every blob on the store's disks, for byte-for-byte comparison. *)
+let disk_contents s =
+  List.concat_map
+    (fun d ->
+      List.map
+        (fun key -> (Disk.name d, key, Disk.read d ~key))
+        (List.sort compare (Disk.keys d)))
+    (Persistent.disks s)
+
+let test_wal_fencing () =
+  let s = mk_store () in
+  let store () = Some s in
+  let old = Wal.create wal_loid ~epoch:1 store in
+  let t1 = mk_txn ~seq:1 ~saga:false 2 and t2 = mk_txn ~seq:2 ~saga:true 2 in
+  Wal.open_txn old ~seq:1 t1;
+  Wal.open_txn old ~seq:2 t2;
+  let successor = Wal.create wal_loid ~epoch:2 store in
+  (match Wal.recover successor with
+  | Ok (Some (seq, txns)) ->
+      Alcotest.(check (list string)) "successor folds both" [ t1.id; t2.id ]
+        (List.map (fun t -> t.Wal.id) txns);
+      List.iter (Wal.adopt successor) txns;
+      Wal.claim successor ~seq
+  | Ok None -> Alcotest.fail "the log is missing"
+  | Error e -> Alcotest.failf "recovery failed: %s" e);
+  let before = disk_contents s in
+  Alcotest.(check bool) "superseded incarnation is not the owner" false
+    (Wal.am_owner old);
+  Alcotest.(check bool) "successor is the owner" true (Wal.am_owner successor);
+  t1.phase <- Committing;
+  Wal.update old t1;
+  t2.phase <- Compensated;
+  Wal.finish old t2;
+  Wal.claim old ~seq:9;
+  Wal.open_txn old ~seq:3 (mk_txn ~seq:3 ~saga:false 1);
+  Alcotest.(check bool) "every WAL key keeps its bytes" true
+    (before = disk_contents s)
+
+(* A log is unreadable, never empty, when its head does not decode,
+   when a record the head lists is missing, or when a record does not
+   decode. *)
+let test_wal_unreadable () =
+  let unreadable what spoil =
+    let s = mk_store () in
+    let wal = Wal.create wal_loid ~epoch:1 (fun () -> Some s) in
+    let t1 = mk_txn ~seq:1 ~saga:false 2 and t2 = mk_txn ~seq:2 ~saga:true 1 in
+    Wal.open_txn wal ~seq:1 t1;
+    Wal.open_txn wal ~seq:2 t2;
+    spoil s (Wal.record_key wal_loid t2.id);
+    match Wal.recover (Wal.create wal_loid ~epoch:2 (fun () -> Some s)) with
+    | Error _ -> ()
+    | Ok None -> Alcotest.failf "%s: read as no log" what
+    | Ok (Some (_, txns)) ->
+        Alcotest.failf "%s: read as %d transactions" what (List.length txns)
+  in
+  unreadable "head garbage" (fun s _ ->
+      Persistent.put_named s ~name:(Wal.head_key wal_loid) "garbage");
+  unreadable "record missing" (fun s record ->
+      Persistent.remove_named s ~name:record);
+  unreadable "record garbage" (fun s record ->
+      Persistent.put_named s ~name:record "garbage")
+
+(* Minor words are a function of the code and the inputs, not of the
+   machine, so the bounds hold anywhere. One logged state change of one
+   transaction, beside [others] other open transactions. *)
+let words_per_change ~others change =
+  let txns =
+    List.init (others + 1) (fun i -> mk_txn ~seq:(i + 1) ~saga:false 2)
+  in
+  let f = change txns (List.hd txns) in
+  f ();
+  let n = 100 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let wal_change txns t =
+  let s = mk_store () in
+  let wal = Wal.create wal_loid ~epoch:1 (fun () -> Some s) in
+  List.iteri (fun i u -> Wal.open_txn wal ~seq:(i + 1) u) txns;
+  fun () -> Wal.update wal t
+
+let ref_change txns _t =
+  let s = mk_store () in
+  let table = Hashtbl.create 64 in
+  List.iter (fun (u : Wal.txn) -> Hashtbl.replace table u.id u) txns;
+  let seq = List.length txns in
+  fun () -> Wal_ref.write s ~name:(Wal.head_key wal_loid) ~epoch:1 ~seq table
+
+let test_change_words_flat () =
+  let ratio change =
+    let small = words_per_change ~others:1 change
+    and large = words_per_change ~others:32 change in
+    (large /. small, small, large)
+  in
+  let r, small, large = ratio wal_change in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "words per change with 32 others (%.0f) <= 1.2 x with 1 (%.0f)" large
+       small)
+    true (r <= 1.2);
+  (* The whole-snapshot log fails the same bound: the measurement can
+     tell the two apart. *)
+  let r, small, large = ratio ref_change in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "reference words with 32 others (%.0f) >= 4 x with 1 (%.0f)" large small)
+    true (r >= 4.0);
+  (* One change is also one disk write: the owner key is written once
+     per incarnation, not beside every record. *)
+  let s = mk_store () in
+  let wal = Wal.create wal_loid ~epoch:1 (fun () -> Some s) in
+  let t = mk_txn ~seq:1 ~saga:false 2 in
+  Wal.open_txn wal ~seq:1 t;
+  let writes () =
+    List.fold_left (fun acc d -> acc + Disk.writes d) 0 (Persistent.disks s)
+  in
+  let w0 = writes () in
+  for _ = 1 to 10 do
+    Wal.update wal t
+  done;
+  Alcotest.(check int) "ten changes, ten writes" 10 (writes () - w0)
+
 (* --- watcher deregistration: the cut/heal leak regression --- *)
 
 (* The shared E20 audit must be able to fail: a hand-built history with
@@ -746,6 +1104,8 @@ let () =
             test_fenced_participant_aborts;
           Alcotest.test_case "fenced placement heals and commits" `Quick
             test_fenced_placement_heals_and_commits;
+          Alcotest.test_case "overlapping commit drives finish once" `Quick
+            test_commit_finishes_once;
         ] );
       ( "saga",
         [
@@ -757,6 +1117,18 @@ let () =
         [
           Alcotest.test_case "coordinator crash resumes durable commit"
             `Quick test_coordinator_crash_resumes_commit;
+          Alcotest.test_case "an unreadable log fails loudly" `Quick
+            test_unreadable_log_fails_loudly;
+        ] );
+      ( "wal",
+        [
+          QCheck_alcotest.to_alcotest wal_matches_ref;
+          Alcotest.test_case "a superseded incarnation writes nothing" `Quick
+            test_wal_fencing;
+          Alcotest.test_case "an unreadable log is not an empty one" `Quick
+            test_wal_unreadable;
+          Alcotest.test_case "a state change costs one transaction" `Quick
+            test_change_words_flat;
         ] );
       ( "history",
         [

@@ -22,7 +22,6 @@ open Exp_common
 module Network = Legion_net.Network
 module Event = Legion_obs.Event
 module Recorder = Legion_obs.Recorder
-module Trace = Legion_obs.Trace
 module Script = Legion_sim.Script
 
 let n_objects = 16
@@ -31,9 +30,7 @@ let n_invocations = 800
 let boot () =
   register_units ();
   let sys =
-    System.boot ~seed:41L ~trace_capacity:500_000
-      ~sites:[ ("a", 4); ("b", 4) ]
-      ()
+    System.boot ~seed:41L ~sites:[ ("a", 4); ("b", 4) ] ()
   in
   let ctx = System.client sys () in
   let cls = make_counter_class sys ctx () in
@@ -51,7 +48,8 @@ let run_one ~drop =
   let sys, ctx, objects = boot () in
   Network.set_drop_rate (System.net sys) drop;
   let obs = System.obs sys in
-  let mark = Recorder.total obs in
+  let retries0 = Recorder.count obs "Retry"
+  and giveups0 = Recorder.count obs "Giveup" in
   let prng = Prng.create ~seed:43L in
   let lat = Stats.create () in
   let ok = ref 0 and failed = ref 0 in
@@ -64,9 +62,8 @@ let run_one ~drop =
         Stats.add lat (System.now sys -. t0)
     | Error _ -> incr failed
   done;
-  let events = Recorder.events_since obs mark in
-  let retries = Trace.count_of (Trace.retry ()) events in
-  let giveups = Trace.count_of (Trace.giveup ()) events in
+  let retries = Recorder.count obs "Retry" - retries0
+  and giveups = Recorder.count obs "Giveup" - giveups0 in
   let goodput = 100.0 *. float_of_int !ok /. float_of_int n_invocations in
   (* The acceptance floor: at <= 5% loss the default retry budget must
      mask the faults (>= 95% goodput, no exhausted budgets). *)
@@ -92,7 +89,8 @@ let run_one ~drop =
 let run_blackout () =
   let sys, ctx, objects = boot () in
   let sim = System.sim sys and net = System.net sys and obs = System.obs sys in
-  let mark = Recorder.total obs in
+  let retries0 = Recorder.count obs "Retry"
+  and giveups0 = Recorder.count obs "Giveup" in
   let t0 = System.now sys in
   let blackout_start = t0 +. 2.0 and blackout_width = 1.0 in
   Script.pulse sim ~start:blackout_start ~width:blackout_width
@@ -116,9 +114,8 @@ let run_blackout () =
               if windowed then incr in_window_ok
           | Error _ -> incr failed));
   System.run sys;
-  let events = Recorder.events_since obs mark in
-  let retries = Trace.count_of (Trace.retry ()) events in
-  let giveups = Trace.count_of (Trace.giveup ()) events in
+  let retries = Recorder.count obs "Retry" - retries0
+  and giveups = Recorder.count obs "Giveup" - giveups0 in
   Printf.printf
     "\nE14b Blackout recovery: 1.0 s total outage under a 20 Hz open-loop workload\n";
   Printf.printf

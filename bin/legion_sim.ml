@@ -37,7 +37,6 @@ module Runtime = Legion_rt.Runtime
 module Err = Legion_rt.Err
 module Event = Legion_obs.Event
 module Recorder = Legion_obs.Recorder
-module Trace = Legion_obs.Trace
 module Script = Legion_sim.Script
 module System = Legion.System
 module Api = Legion.Api
@@ -474,7 +473,9 @@ let cmd_faults =
         Array.init n_objects (fun _ -> Api.create_object_exn sys ctx ~cls ~eager:true ())
       in
       Array.iter (fun o -> ignore (Api.call sys ctx ~dst:o ~meth:"Get" ~args:[])) objs;
-      let mark = Recorder.total obs in
+      let retries0 = Recorder.count obs "Retry"
+      and giveups0 = Recorder.count obs "Giveup"
+      and cancels0 = Recorder.count obs "Cancel" in
       let steps = max 1 (List.length values - 1) in
       let t0 = System.now sys in
       let t_end = t0 +. duration in
@@ -520,10 +521,9 @@ let cmd_faults =
               | Ok _ -> ok.(step) <- ok.(step) + 1
               | Error _ -> incr giveup_errors));
       System.run sys;
-      let events = Recorder.events_since obs mark in
-      let retries = Trace.count_of (Trace.retry ()) events in
-      let giveups = Trace.count_of (Trace.giveup ()) events in
-      let cancels = Trace.count_of (Trace.cancel ()) events in
+      let retries = Recorder.count obs "Retry" - retries0
+      and giveups = Recorder.count obs "Giveup" - giveups0
+      and cancels = Recorder.count obs "Cancel" - cancels0 in
       let hist_json name h =
         match h with
         | None -> Printf.sprintf "\"%s\":{\"samples\":0}" name

@@ -132,7 +132,7 @@ let revive_delay = 6.0
 let run_schedule ?(dedup = true) (sch : Schedule.t) =
   register_units ();
   let sys =
-    System.boot ~seed:sch.Schedule.seed ~trace_capacity:500_000
+    System.boot ~seed:sch.Schedule.seed
       ~rt_config:
         {
           Runtime.default_config with

@@ -29,7 +29,6 @@ module Well_known = Legion_core.Well_known
 module C = Legion_core.Convert
 module Sched_part = Legion_sched.Sched_part
 module Recorder = Legion_obs.Recorder
-module Trace = Legion_obs.Trace
 module Stats = Legion_util.Stats
 module Std_parts = Legion_objects.Std_parts
 module Prng = Legion_util.Prng
@@ -241,7 +240,6 @@ let run_arm ~seed ~elastic =
           Runtime.default_config with
           admission = Some Runtime.default_admission;
         }
-      ~trace_capacity:(1 lsl 18)
       ~sites:[ ("east", 3); ("west", 3) ]
       ()
   in
@@ -267,7 +265,9 @@ let run_arm ~seed ~elastic =
     if elastic then Some (enable sys ctx ~classes:[ cls ] ~until)
     else None
   in
-  let mark = Recorder.total (System.obs sys) in
+  let count = Recorder.count (System.obs sys) in
+  let clones0 = count "Clone" and merges0 = count "Merge" in
+  let moves0 = count "Migrate" and splits0 = count "Split" in
   let clients =
     Array.init (List.length (System.sites sys)) (fun i ->
         System.client sys ~site:i ())
@@ -360,7 +360,6 @@ let run_arm ~seed ~elastic =
     if total_served = 0 then 0.0
     else float_of_int max_served /. float_of_int total_served
   in
-  let evs = Recorder.events_since (System.obs sys) mark in
   {
     arrivals = !arrivals;
     works = !works;
@@ -373,10 +372,10 @@ let run_arm ~seed ~elastic =
     flash_p50_ms = pct flash 50.0 *. 1000.0;
     flash_p99_ms = pct flash 99.0 *. 1000.0;
     max_host_share;
-    clones = Trace.count_of (Trace.clone_ev ()) evs;
-    merges = Trace.count_of (Trace.merge ()) evs;
-    moves = Trace.count_of (Trace.migrate ()) evs;
-    splits = Trace.count_of (Trace.split ()) evs;
+    clones = count "Clone" - clones0;
+    merges = count "Merge" - merges0;
+    moves = count "Migrate" - moves0;
+    splits = count "Split" - splits0;
     retier =
       (match enabled with Some e -> e.retier_fired () | None -> false);
   }

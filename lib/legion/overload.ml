@@ -8,7 +8,6 @@ module Breaker = Legion_rt.Breaker
 module Network = Legion_net.Network
 module Script = Legion_sim.Script
 module Recorder = Legion_obs.Recorder
-module Trace = Legion_obs.Trace
 module Std_parts = Legion_objects.Std_parts
 
 type config = { seed : int64; rates : float list; step : float; service : float }
@@ -72,7 +71,7 @@ let run_arm cfg ~protected =
     else common
   in
   let sys =
-    System.boot ~seed:cfg.seed ~trace_capacity:500_000 ~rt_config
+    System.boot ~seed:cfg.seed ~rt_config
       ~sites:[ ("a", 3); ("b", 3) ]
       ()
   in
@@ -96,7 +95,9 @@ let run_arm cfg ~protected =
   let saturation = float_of_int warm /. (System.now sys -. t_warm) in
   let sim = System.sim sys and obs = System.obs sys and rt = System.rt sys in
   let net = System.net sys in
-  let mark = Recorder.total obs in
+  let count = Recorder.count obs in
+  let opens0 = count "BreakerOpen" and probes0 = count "BreakerProbe" in
+  let closes0 = count "BreakerClose" and retries0 = count "Retry" in
   let sheds0 = Runtime.total_sheds rt in
   let dropped0 = Network.messages_dropped net in
   let steps = List.length cfg.rates in
@@ -121,8 +122,6 @@ let run_arm cfg ~protected =
               latencies.(step) <- (System.now sys -. t_issue) :: latencies.(step)
           | Error _ -> failed.(step) <- failed.(step) + 1));
   System.run sys;
-  let events = Recorder.events_since obs mark in
-  let count p = Trace.count_of p events in
   {
     label = (if protected then "protected" else "baseline");
     steps =
@@ -138,10 +137,10 @@ let run_arm cfg ~protected =
         rates;
     saturation;
     sheds = Runtime.total_sheds rt - sheds0;
-    opens = count (Trace.breaker_open ());
-    probes = count (Trace.breaker_probe ());
-    closes = count (Trace.breaker_close ());
-    retries = count (Trace.retry ());
+    opens = count "BreakerOpen" - opens0;
+    probes = count "BreakerProbe" - probes0;
+    closes = count "BreakerClose" - closes0;
+    retries = count "Retry" - retries0;
     dropped = Network.messages_dropped net - dropped0;
   }
 

@@ -104,13 +104,9 @@ let digest_mask = (1 lsl 50) - 1
    event changes this number. *)
 let trace_digest sys =
   let obs = System.obs sys in
-  let h =
-    List.fold_left
-      (fun acc e -> ((acc * 131) + Hashtbl.hash e) land digest_mask)
-      (Recorder.total obs land digest_mask)
-      (Recorder.events obs)
-  in
-  h
+  Recorder.fold_since obs 0
+    (fun acc e -> ((acc * 131) + Hashtbl.hash e) land digest_mask)
+    (Recorder.total obs land digest_mask)
 
 let finish sys ~name ~metrics =
   let net = System.net sys in

@@ -11,7 +11,6 @@ module Network = Legion_net.Network
 module Script = Legion_sim.Script
 module Event = Legion_obs.Event
 module Recorder = Legion_obs.Recorder
-module Trace = Legion_obs.Trace
 module Std_parts = Legion_objects.Std_parts
 
 type config = {
@@ -77,6 +76,10 @@ let run cfg =
   and obs = System.obs sys
   and rt = System.rt sys in
   let mark = Recorder.total obs in
+  let count = Recorder.count obs in
+  let checkpoints0 = count "Checkpoint" and suspects0 = count "Suspect" in
+  let confirmed0 = count "ConfirmDead" and reactivated0 = count "Reactivate" in
+  let fenced0 = count "Fence" in
   let t0 = System.now sys in
   let t_end = t0 +. cfg.duration in
   System.enable_recovery sys ~checkpoint_period:cfg.checkpoint_period
@@ -108,8 +111,23 @@ let run cfg =
           | Ok (Value.Int n) -> acks.(i) <- (System.now sys, n) :: acks.(i)
           | Ok _ | Error _ -> ()));
   System.run sys;
-  let events = Recorder.events_since obs mark in
-  let count p = Trace.count_of p events in
+  (* One pass over the stage's events: when the host's death was
+     confirmed, and each object's last checkpoint before the crash. *)
+  let last_ckpt = Loid.Table.create () in
+  let confirmed_at =
+    Recorder.fold_since obs mark
+      (fun first e ->
+        match e.Event.kind with
+        | Event.Confirm_dead _ when first = None -> Some e.Event.time
+        | Event.Checkpoint { loid } when e.Event.time <= t_crash ->
+            let prev =
+              Option.value (Loid.Table.find last_ckpt loid) ~default:neg_infinity
+            in
+            Loid.Table.set last_ckpt loid (Float.max prev e.Event.time);
+            first
+        | _ -> first)
+      None
+  in
   let violations = ref [] in
   let violate fmt =
     Printf.ksprintf (fun m -> violations := ("E15: " ^ m) :: !violations) fmt
@@ -121,8 +139,8 @@ let run cfg =
     +. cfg.heartbeat_period +. 0.5
   in
   let detect =
-    match List.find_opt (Trace.confirm_dead ()) events with
-    | Some e -> e.Event.time -. t_crash
+    match confirmed_at with
+    | Some t -> t -. t_crash
     | None ->
         violate "host death was never confirmed";
         nan
@@ -148,14 +166,7 @@ let run cfg =
   Array.iteri
     (fun i o ->
       let last_ckpt =
-        List.fold_left
-          (fun acc e ->
-            match e.Event.kind with
-            | Event.Checkpoint { loid }
-              when Loid.equal loid o && e.Event.time <= t_crash ->
-                Float.max acc e.Event.time
-            | _ -> acc)
-          neg_infinity events
+        Option.value (Loid.Table.find last_ckpt o) ~default:neg_infinity
       in
       let floor_value =
         List.fold_left
@@ -187,17 +198,17 @@ let run cfg =
            Runtime.proc_epoch p < Runtime.current_epoch rt (Runtime.proc_loid p))
          !zombies)
   in
-  let reactivated = count (Trace.reactivate ())
-  and fenced = count (Trace.fence ()) in
+  let reactivated = count "Reactivate" - reactivated0
+  and fenced = count "Fence" - fenced0 in
   if reactivated > 0 && fenced = 0 then
     violate "objects were reactivated but no stale placement was fenced";
   if stale_zombies > 0 && fenced < stale_zombies then
     violate "%d stale zombies but only %d fence events" stale_zombies fenced;
   {
     cfg;
-    checkpoints = count (Trace.checkpoint ());
-    suspects = count (Trace.suspect ());
-    confirmed = count (Trace.confirm_dead ());
+    checkpoints = count "Checkpoint" - checkpoints0;
+    suspects = count "Suspect" - suspects0;
+    confirmed = count "ConfirmDead" - confirmed0;
     reactivated;
     fenced;
     detect;

@@ -118,9 +118,16 @@ let run_repair cfg =
       Runtime.invoke ctx ~dst:loid ~meth:"Increment" ~args:[ Value.Int 1 ]
         (function Ok _ -> incr ok | Error _ -> ()));
   System.run sys;
-  let events = Recorder.events_since obs mark in
-  let lost = Trace.count_of (Trace.replica_lost ~loid ()) events in
-  let repaired = Trace.count_of (Trace.replica_repair ~loid ()) events in
+  let is_lost = Trace.replica_lost ~loid ()
+  and is_repair = Trace.replica_repair ~loid () in
+  let lost, repaired =
+    Recorder.fold_since obs mark
+      (fun ((lost, repaired) as acc) e ->
+        if is_lost e then (lost + 1, repaired)
+        else if is_repair e then (lost, repaired + 1)
+        else acc)
+      (0, 0)
+  in
   let availability = float_of_int !ok /. float_of_int !calls in
   if availability < 0.99 then
     violate "availability %.4f below the 0.99 floor (%d/%d)" availability !ok
@@ -239,9 +246,16 @@ let run_partition cfg ~fenced =
   in
   let final_values = List.map (value_via ctx) members in
   let distinct = List.length (List.sort_uniq compare final_values) in
-  let events = Recorder.events_since obs mark in
-  let noquorum_events = Trace.count_of (Trace.no_quorum ~loid:g_min ()) events in
-  let reconciles = Trace.count_of (Trace.reconcile ~loid:g_maj ()) events in
+  let is_noquorum = Trace.no_quorum ~loid:g_min ()
+  and is_reconcile = Trace.reconcile ~loid:g_maj () in
+  let noquorum_events, reconciles =
+    Recorder.fold_since obs mark
+      (fun ((noquorum, reconciles) as acc) e ->
+        if is_noquorum e then (noquorum + 1, reconciles)
+        else if is_reconcile e then (noquorum, reconciles + 1)
+        else acc)
+      (0, 0)
+  in
   if fenced then begin
     if !min_fenced < n_partition_writes then
       violate "only %d/%d minority writes fenced with No_quorum" !min_fenced

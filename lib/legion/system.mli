@@ -62,7 +62,8 @@ val obs : t -> Legion_obs.Recorder.t
 (** The structured-event recorder shared by the network and the
     runtime: every [Send]/[Deliver]/[Drop], every comm-layer cache and
     rebind decision, and every activation appears here in virtual-time
-    order. Query it with {!Legion_obs.Trace}. Note that boot itself
+    order. Query it with {!Legion_obs.Trace}, or count a kind with
+    {!Legion_obs.Recorder.count}. Note that boot itself
     emits the bootstrap's events; {!Legion_obs.Recorder.clear} (or a
     {!Legion_obs.Recorder.total} mark) isolates a scenario. *)
 

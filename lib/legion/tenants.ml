@@ -204,8 +204,8 @@ let run_arm ~seed ~noisy =
   and shed_unattributed = ref 0
   and deny_events = ref 0
   and deny_by_eve = ref 0 in
-  List.iter
-    (fun (ev : Event.t) ->
+  Recorder.fold_since (System.obs sys) mark
+    (fun () (ev : Event.t) ->
       match ev.Event.kind with
       | Event.Shed { tenant; _ } -> (
           incr shed_events;
@@ -217,7 +217,7 @@ let run_arm ~seed ~noisy =
           incr deny_events;
           if String.equal tenant "eve" then incr deny_by_eve
       | _ -> ())
-    (Recorder.events_since (System.obs sys) mark);
+    ();
   let lanes =
     List.map
       (fun (name, sent, oks, quota, errors, lat) ->

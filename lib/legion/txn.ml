@@ -11,7 +11,6 @@ module Err = Legion_rt.Err
 module Network = Legion_net.Network
 module Engine = Legion_sim.Engine
 module Recorder = Legion_obs.Recorder
-module Trace = Legion_obs.Trace
 module Persistent = Legion_store.Persistent
 module Participant = Legion_txn.Participant
 module Coordinator = Legion_txn.Coordinator
@@ -172,7 +171,7 @@ let call_timeout = 0.5
 let run_once cfg =
   Std_parts.register_counter ();
   let sys =
-    System.boot ~seed:cfg.seed ~trace_capacity:500_000
+    System.boot ~seed:cfg.seed
       ~rt_config:{ Runtime.default_config with call_timeout; max_rebinds = 4 }
       ~sites:[ ("a", 3); ("b", 3) ]
       ()
@@ -216,7 +215,8 @@ let run_once cfg =
     ~until:(t0 +. (float_of_int cfg.rounds +. 170.0))
     ();
   System.run_for sys 2.0;
-  let mark = Recorder.total obs in
+  let resumes0 = Recorder.count obs "Resume"
+  and prepares0 = Recorder.count obs "Prepare" in
   let prng = Prng.create ~seed:(Int64.add cfg.seed 5L) in
   let submitted = ref [] and acked = ref [] in
   let crashes = ref 0 and partitions = ref 0 in
@@ -305,7 +305,6 @@ let run_once cfg =
   Network.set_partitioned net 0 1 false;
   System.run_for sys 60.0;
   System.run sys;
-  let events = Recorder.events_since obs mark in
   let a =
     audit (System.site sys 0).System.storage ~submitted:!submitted
       ~acked:!acked
@@ -317,8 +316,8 @@ let run_once cfg =
     submitted = List.length (List.sort_uniq String.compare !submitted);
     committed = a.committed;
     compensated = a.compensated;
-    resumes = Trace.count_of (Trace.resume ()) events;
-    prepares = Trace.count_of (Trace.prepare ()) events;
+    resumes = Recorder.count obs "Resume" - resumes0;
+    prepares = Recorder.count obs "Prepare" - prepares0;
     crashes = !crashes;
     partitions = !partitions;
     setup;

@@ -72,54 +72,74 @@ type kind =
 
 type t = { time : float; host : int option; site : int option; kind : kind }
 
-let name = function
-  | Send _ -> "Send"
-  | Deliver _ -> "Deliver"
-  | Drop _ -> "Drop"
-  | Duplicate _ -> "Duplicate"
-  | Reorder _ -> "Reorder"
-  | Corrupt_inject _ -> "CorruptInject"
-  | Dedup_hit _ -> "DedupHit"
-  | Call _ -> "Call"
-  | Reply _ -> "Reply"
-  | Timeout _ -> "Timeout"
-  | Retry _ -> "Retry"
-  | Giveup _ -> "Giveup"
-  | Cancel _ -> "Cancel"
-  | Cache_hit _ -> "CacheHit"
-  | Cache_miss _ -> "CacheMiss"
-  | Resolve _ -> "Resolve"
-  | Binding_install _ -> "BindingInstall"
-  | Rebind _ -> "Rebind"
-  | Activate _ -> "Activate"
-  | Deactivate _ -> "Deactivate"
-  | Migrate _ -> "Migrate"
-  | Replica_fanout _ -> "ReplicaFanout"
-  | Checkpoint _ -> "Checkpoint"
-  | Suspect _ -> "Suspect"
-  | Confirm_dead _ -> "ConfirmDead"
-  | Reactivate _ -> "Reactivate"
-  | Fence _ -> "Fence"
-  | Admit _ -> "Admit"
-  | Shed _ -> "Shed"
-  | Deny _ -> "Deny"
-  | Breaker_open _ -> "BreakerOpen"
-  | Breaker_probe _ -> "BreakerProbe"
-  | Breaker_close _ -> "BreakerClose"
-  | Stale_serve _ -> "StaleServe"
-  | Replica_lost _ -> "ReplicaLost"
-  | Replica_repair _ -> "ReplicaRepair"
-  | No_quorum _ -> "NoQuorum"
-  | Reconcile _ -> "Reconcile"
-  | Clone _ -> "Clone"
-  | Merge _ -> "Merge"
-  | Split _ -> "Split"
-  | Probe_fail _ -> "ProbeFail"
-  | Prepare _ -> "Prepare"
-  | Txn_commit _ -> "TxnCommit"
-  | Txn_abort _ -> "TxnAbort"
-  | Compensate _ -> "Compensate"
-  | Resume _ -> "Resume"
+(* Constructor position in declaration order. The one match over the
+   constructors: [name] and the recorder's per-kind counters both go
+   through it. *)
+let index = function
+  | Send _ -> 0
+  | Deliver _ -> 1
+  | Drop _ -> 2
+  | Duplicate _ -> 3
+  | Reorder _ -> 4
+  | Corrupt_inject _ -> 5
+  | Dedup_hit _ -> 6
+  | Call _ -> 7
+  | Reply _ -> 8
+  | Timeout _ -> 9
+  | Retry _ -> 10
+  | Giveup _ -> 11
+  | Cancel _ -> 12
+  | Cache_hit _ -> 13
+  | Cache_miss _ -> 14
+  | Resolve _ -> 15
+  | Binding_install _ -> 16
+  | Rebind _ -> 17
+  | Activate _ -> 18
+  | Deactivate _ -> 19
+  | Migrate _ -> 20
+  | Replica_fanout _ -> 21
+  | Checkpoint _ -> 22
+  | Suspect _ -> 23
+  | Confirm_dead _ -> 24
+  | Reactivate _ -> 25
+  | Fence _ -> 26
+  | Admit _ -> 27
+  | Shed _ -> 28
+  | Deny _ -> 29
+  | Breaker_open _ -> 30
+  | Breaker_probe _ -> 31
+  | Breaker_close _ -> 32
+  | Stale_serve _ -> 33
+  | Replica_lost _ -> 34
+  | Replica_repair _ -> 35
+  | No_quorum _ -> 36
+  | Reconcile _ -> 37
+  | Clone _ -> 38
+  | Merge _ -> 39
+  | Split _ -> 40
+  | Probe_fail _ -> 41
+  | Prepare _ -> 42
+  | Txn_commit _ -> 43
+  | Txn_abort _ -> 44
+  | Compensate _ -> 45
+  | Resume _ -> 46
+
+let names =
+  [|
+    "Send"; "Deliver"; "Drop"; "Duplicate"; "Reorder"; "CorruptInject";
+    "DedupHit"; "Call"; "Reply"; "Timeout"; "Retry"; "Giveup"; "Cancel";
+    "CacheHit"; "CacheMiss"; "Resolve"; "BindingInstall"; "Rebind";
+    "Activate"; "Deactivate"; "Migrate"; "ReplicaFanout"; "Checkpoint";
+    "Suspect"; "ConfirmDead"; "Reactivate"; "Fence"; "Admit"; "Shed";
+    "Deny"; "BreakerOpen"; "BreakerProbe"; "BreakerClose"; "StaleServe";
+    "ReplicaLost"; "ReplicaRepair"; "NoQuorum"; "Reconcile"; "Clone";
+    "Merge"; "Split"; "ProbeFail"; "Prepare"; "TxnCommit"; "TxnAbort";
+    "Compensate"; "Resume";
+  |]
+
+let kinds = Array.length names
+let name_of_index i = names.(i)
+let name k = names.(index k)
 
 let tier_name = function
   | Intra_host -> "host"

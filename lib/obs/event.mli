@@ -209,6 +209,18 @@ type t = {
   kind : kind;
 }
 
+val index : kind -> int
+(** The constructor's position in the declaration above, from 0 to
+    [kinds - 1]. {!name} goes through it, and so do the recorder's
+    per-kind counters, so a name and its counter cannot drift apart. *)
+
+val kinds : int
+(** Number of constructors of {!kind}. *)
+
+val name_of_index : int -> string
+(** [name_of_index (index k) = name k].
+    @raise Invalid_argument outside [0, kinds). *)
+
 val name : kind -> string
 (** Stable event name: ["Send"], ["CacheMiss"], ["BindingInstall"], … *)
 

@@ -1,5 +1,6 @@
 (* QCheck generators shared by the suites: every [Value.t] shape, every
-   [Err.t] constructor, and LOIDs with and without public keys. *)
+   [Err.t] constructor, LOIDs with and without public keys, and every
+   trace [Event.kind] constructor. *)
 
 module Value = Legion_wire.Value
 module Loid = Legion_naming.Loid
@@ -78,3 +79,88 @@ let loid : Loid.t QCheck.Gen.t =
   and+ class_specific = int64
   and+ public_key = oneof [ return ""; string_size (1 -- 24) ] in
   Loid.make ~public_key ~class_id ~class_specific ()
+
+module Event = Legion_obs.Event
+
+(* One generator per [Event.kind] constructor, in declaration order: a
+   new constructor must be added here too. Ints reach the negative and
+   the large, every [tier] and [drop_reason] occurs, and an optional
+   tenant is [None], [Some ""] or some other string. *)
+let event_kinds : Event.kind QCheck.Gen.t list =
+  let open QCheck.Gen in
+  let n = oneof [ small_signed_int; int; oneofl [ 0; -1; max_int; min_int ] ] in
+  let s = oneof [ return ""; string_size (0 -- 8) ] in
+  let l = loid in
+  let tenant = oneof [ return None; return (Some ""); map Option.some s ] in
+  let tier = oneofl Event.[ Intra_host; Intra_site; Inter_site ] in
+  let reason =
+    oneofl
+      Event.[ Src_down; Dst_down; Partitioned; Random_loss; No_receiver; Corrupted ]
+  in
+  let extra = float_bound_inclusive 10.0 in
+  Event.
+    [
+      map (fun (src, dst, bytes, tier) -> Send { src; dst; bytes; tier })
+        (quad n n n tier);
+      map2 (fun src dst -> Deliver { src; dst }) n n;
+      map3 (fun src dst reason -> Drop { src; dst; reason }) n n reason;
+      map2 (fun src dst -> Duplicate { src; dst }) n n;
+      map3 (fun src dst extra -> Reorder { src; dst; extra }) n n extra;
+      map3 (fun src dst mutations -> Corrupt_inject { src; dst; mutations }) n n n;
+      map3 (fun loid id meth -> Dedup_hit { loid; id; meth }) l n s;
+      map (fun (id, src, dst, meth) -> Call { id; src; dst; meth }) (quad n l l s);
+      map2 (fun id ok -> Reply { id; ok }) n bool;
+      map (fun id -> Timeout { id }) n;
+      map2 (fun id attempt -> Retry { id; attempt }) n n;
+      map2 (fun id attempts -> Giveup { id; attempts }) n n;
+      map (fun id -> Cancel { id }) n;
+      map2 (fun owner target -> Cache_hit { owner; target }) l l;
+      map2 (fun owner target -> Cache_miss { owner; target }) l l;
+      map3 (fun owner target stale -> Resolve { owner; target; stale }) l l bool;
+      map2 (fun owner target -> Binding_install { owner; target }) l l;
+      map3 (fun owner target attempt -> Rebind { owner; target; attempt }) l l n;
+      map (fun loid -> Activate { loid }) l;
+      map (fun loid -> Deactivate { loid }) l;
+      map2 (fun loid dst -> Migrate { loid; dst }) l l;
+      map2 (fun target width -> Replica_fanout { target; width }) l n;
+      map (fun loid -> Checkpoint { loid }) l;
+      map2 (fun host_obj missed -> Suspect { host_obj; missed }) l n;
+      map2 (fun host_obj objects -> Confirm_dead { host_obj; objects }) l n;
+      map (fun loid -> Reactivate { loid }) l;
+      map3 (fun loid epoch current -> Fence { loid; epoch; current }) l n n;
+      map (fun (loid, meth, queued, tenant) -> Admit { loid; meth; queued; tenant })
+        (quad l s bool tenant);
+      map (fun (loid, meth, queue, tenant) -> Shed { loid; meth; queue; tenant })
+        (quad l s n tenant);
+      map3 (fun loid meth tenant -> Deny { loid; meth; tenant }) l s s;
+      map2 (fun host failures -> Breaker_open { host; failures }) n n;
+      map (fun host -> Breaker_probe { host }) n;
+      map (fun host -> Breaker_close { host }) n;
+      map2 (fun owner target -> Stale_serve { owner; target }) l l;
+      map3 (fun loid host remaining -> Replica_lost { loid; host; remaining }) l n n;
+      map3 (fun loid host epoch -> Replica_repair { loid; host; epoch }) l n n;
+      map3 (fun loid have need -> No_quorum { loid; have; need }) l n n;
+      map3 (fun loid divergent updated -> Reconcile { loid; divergent; updated }) l n n;
+      map2 (fun cls clone -> Clone { cls; clone }) l l;
+      map2 (fun cls clone -> Merge { cls; clone }) l l;
+      map3 (fun magistrate dst objects -> Split { magistrate; dst; objects }) l l n;
+      map2 (fun agent host_obj -> Probe_fail { agent; host_obj }) l l;
+      map2 (fun txn participant -> Prepare { txn; participant }) s l;
+      map2 (fun txn participants -> Txn_commit { txn; participants }) s n;
+      map2 (fun txn reason -> Txn_abort { txn; reason }) s s;
+      map2 (fun txn participant -> Compensate { txn; participant }) s l;
+      map2 (fun txn decision -> Resume { txn; decision }) s s;
+    ]
+
+(* A stamped event. [host] and [site] are absent, 0, small, or any int —
+   the last two past what a packed slot holds. *)
+let event : Event.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let where =
+    oneof [ return None; return (Some 0); map Option.some (0 -- 9); map Option.some int ]
+  in
+  let+ time = float_bound_inclusive 1e6
+  and+ host = where
+  and+ site = where
+  and+ kind = oneof event_kinds in
+  { Event.time; host; site; kind }

@@ -263,6 +263,187 @@ let test_recorder_latency () =
     [ "net.delay"; "rt.invoke" ]
     (List.map fst (Recorder.latencies r))
 
+(* --- the flat ring against the boxed one --- *)
+
+module Ref = Recorder_ref
+
+type step = Emit of Event.t | Clear | Enable of bool | Since of int
+
+let show_step = function
+  | Emit e -> Event.to_json e
+  | Clear -> "clear"
+  | Enable b -> Printf.sprintf "enable %b" b
+  | Since back -> Printf.sprintf "since total-%d" back
+
+(* [Since back] reads from [back] events before the current total, so a
+   large [back] asks for events the ring has already forgotten. *)
+let step_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (20, map (fun e -> Emit e) Gens.event);
+      (1, return Clear);
+      (1, map (fun b -> Enable b) bool);
+      (3, map (fun k -> Since k) (0 -- 400));
+    ]
+
+let same_events label got want =
+  if List.length got <> List.length want then
+    QCheck.Test.fail_reportf "%s: %d events, reference %d" label
+      (List.length got) (List.length want);
+  List.iter2
+    (fun g w ->
+      if g <> w || Hashtbl.hash g <> Hashtbl.hash w then
+        QCheck.Test.fail_reportf "%s: got %s, reference %s" label
+          (Event.to_json g) (Event.to_json w))
+    got want
+
+let recorder_matches_ref =
+  QCheck.Test.make ~name:"flat ring reads back what the boxed ring keeps"
+    ~count:300
+    QCheck.(
+      pair (int_range 1 300)
+        (make ~print:(fun l -> String.concat "; " (List.map show_step l))
+           Gen.(list_size (0 -- 250) step_gen)))
+    (fun (capacity, steps) ->
+      let now = ref 0.0 in
+      let clock () = !now in
+      let r = Recorder.create ~capacity ~clock ()
+      and o = Ref.create ~capacity ~clock () in
+      let check () =
+        same_events "events" (Recorder.events r) (Ref.events o);
+        if
+          Recorder.total r <> Ref.total o
+          || Recorder.retained r <> Ref.retained o
+          || Recorder.overwritten r <> Ref.overwritten o
+        then
+          QCheck.Test.fail_reportf "totals (%d, %d, %d), reference (%d, %d, %d)"
+            (Recorder.total r) (Recorder.retained r) (Recorder.overwritten r)
+            (Ref.total o) (Ref.retained o) (Ref.overwritten o);
+        if Ref.overwritten o = 0 then begin
+          let evs = Ref.events o in
+          for k = 0 to Event.kinds - 1 do
+            let n = Event.name_of_index k in
+            let want = Trace.count_of (Trace.named n) evs in
+            if Recorder.count r n <> want then
+              QCheck.Test.fail_reportf "count %s = %d, reference %d" n
+                (Recorder.count r n) want
+          done
+        end
+      in
+      List.iter
+        (fun step ->
+          (match step with
+          | Emit e ->
+              now := e.Event.time;
+              Recorder.emit r ?host:e.Event.host ?site:e.Event.site e.Event.kind;
+              Ref.emit o ?host:e.Event.host ?site:e.Event.site e.Event.kind
+          | Clear ->
+              Recorder.clear r;
+              Ref.clear o
+          | Enable b ->
+              Recorder.set_enabled r b;
+              Ref.set_enabled o b
+          | Since back ->
+              let mark = Ref.total o - back in
+              let want = Ref.events_since o mark in
+              same_events "events_since" (Recorder.events_since r mark) want;
+              let snoc acc e = e :: acc in
+              same_events "fold_since"
+                (Recorder.fold_since r mark snoc [])
+                (List.fold_left snoc [] want));
+          check ())
+        steps;
+      true)
+
+(* [Event.index] numbers the constructors in declaration order — the
+   order [Gens.event_kinds] lists them — and names are distinct. *)
+let test_event_index () =
+  let rand = Random.State.make [| 21 |] in
+  List.iteri
+    (fun i g ->
+      let k = QCheck.Gen.generate1 ~rand g in
+      Alcotest.(check int) (Event.name k ^ " index") i (Event.index k);
+      Alcotest.(check string) "name_of_index" (Event.name k) (Event.name_of_index i))
+    Gens.event_kinds;
+  Alcotest.(check int) "every constructor generated" Event.kinds
+    (List.length Gens.event_kinds);
+  let names = List.init Event.kinds Event.name_of_index in
+  Alcotest.(check int) "distinct names" Event.kinds
+    (List.length (List.sort_uniq String.compare names))
+
+let test_recorder_count () =
+  let r = Recorder.create ~capacity:2 ~clock:(fun () -> 0.0) () in
+  for id = 1 to 5 do
+    Recorder.emit r (Event.Timeout { id })
+  done;
+  Recorder.emit r (Event.Reply { id = 6; ok = true });
+  Alcotest.(check int) "overwritten events still counted" 5
+    (Recorder.count r "Timeout");
+  Alcotest.(check int) "other kinds apart" 1 (Recorder.count r "Reply");
+  Alcotest.(check int) "never emitted" 0 (Recorder.count r "Send");
+  Recorder.set_enabled r false;
+  Recorder.emit r (Event.Timeout { id = 7 });
+  Alcotest.(check int) "disabled counts nothing" 5 (Recorder.count r "Timeout");
+  Recorder.set_enabled r true;
+  Recorder.clear r;
+  Alcotest.(check int) "clear resets counts" 0 (Recorder.count r "Timeout");
+  Alcotest.check_raises "unknown name"
+    (Invalid_argument "Recorder.count: unknown event Timeouts") (fun () ->
+      ignore (Recorder.count r "Timeouts"))
+
+(* Recording keeps an event for the next [capacity] emissions, so a ring
+   that stores the emitted values promotes every one of them. A minor
+   collection every 512 emissions, well inside the ring's 1,024 slots,
+   stands for the rest of a simulation's allocation. As at the real
+   emission points, the clock allocates its value and each kind is built
+   at the call from long-lived LOIDs and strings. Promoted words are then
+   a function of the code, not of the machine. *)
+let promoted_per_emit ~emit =
+  let a = l1 and b = l2 and meth = "Get" and tenant = Some "alice" in
+  let emit_nth i =
+    let kind =
+      match i mod 7 with
+      | 0 -> Event.Send { src = i; dst = 2; bytes = 100; tier = Event.Inter_site }
+      | 1 -> Event.Deliver { src = i; dst = 2 }
+      | 2 -> Event.Reply { id = i; ok = true }
+      | 3 -> Event.Call { id = i; src = a; dst = b; meth }
+      | 4 -> Event.Cache_hit { owner = a; target = b }
+      | 5 -> Event.Cache_miss { owner = a; target = b }
+      | _ -> Event.Admit { loid = b; meth; queued = false; tenant }
+    in
+    emit ?host:(Some 3) ?site:(Some 1) kind
+  in
+  for i = 0 to 4095 do
+    emit_nth i
+  done;
+  Gc.minor ();
+  let p0 = (Gc.quick_stat ()).Gc.promoted_words in
+  let n = 100_000 in
+  for i = 0 to n - 1 do
+    emit_nth i;
+    if i land 511 = 511 then Gc.minor ()
+  done;
+  Gc.minor ();
+  ((Gc.quick_stat ()).Gc.promoted_words -. p0) /. float_of_int n
+
+let test_recording_promotes_nothing () =
+  let tick = ref 0 in
+  let clock () =
+    incr tick;
+    float_of_int !tick
+  in
+  let r = Recorder.create ~capacity:1024 ~clock () in
+  let o = Ref.create ~capacity:1024 ~clock () in
+  let flat = promoted_per_emit ~emit:(Recorder.emit r) in
+  let boxed = promoted_per_emit ~emit:(Ref.emit o) in
+  Alcotest.(check bool)
+    (Printf.sprintf "flat ring promotes %.2f words per emit (<= 0.01)" flat)
+    true (flat <= 0.01);
+  Alcotest.(check bool)
+    (Printf.sprintf "boxed ring promotes %.2f words per emit (>= 8)" boxed)
+    true (boxed >= 8.0)
+
 let test_system_observes_latency () =
   let sys, ctx, obj = setup () in
   ignore (ok_or_fail "Get" (Api.call sys ctx ~dst:obj ~meth:"Get" ~args:[]));
@@ -318,6 +499,11 @@ let () =
         [
           Alcotest.test_case "ring buffer" `Quick test_recorder_ring;
           Alcotest.test_case "latency histograms" `Quick test_recorder_latency;
+          QCheck_alcotest.to_alcotest recorder_matches_ref;
+          Alcotest.test_case "event index" `Quick test_event_index;
+          Alcotest.test_case "per-kind counts" `Quick test_recorder_count;
+          Alcotest.test_case "recording promotes nothing" `Quick
+            test_recording_promotes_nothing;
           Alcotest.test_case "system latency components" `Quick
             test_system_observes_latency;
           Alcotest.test_case "event json" `Quick test_event_json;

@@ -1,9 +1,9 @@
 (* E18 — planetary sweep (§5 at scale).
 
    Drives Legion.Planet: the E2/E3/E4 mechanism kernels at 10^5
-   objects over 10^3 hosts plus a raw calendar-queue kernel at 10^7
+   objects over 10^3 hosts plus a raw event-heap kernel at 10^7
    events, then gates on wall-clock throughput (events/sec) and peak
-   RSS so a simulator-core regression (the event queue, the routing
+   RSS so a simulator-core regression (the event heap, the routing
    tables) fails the harness instead of silently making every future
    sweep slower. Writes BENCH_E18.json.
 

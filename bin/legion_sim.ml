@@ -102,7 +102,8 @@ let probability = float_conv parse_probability
 
 let positive =
   float_conv
-    (checked float_of_string_opt "a positive number" (fun x -> x > 0.0))
+    (checked float_of_string_opt "a positive number" (fun x ->
+         Float.is_finite x && x > 0.0))
 
 let seconds =
   float_conv
@@ -409,7 +410,7 @@ let cmd_faults =
              ~doc:"Drop-rate ramp: the values are stepped through evenly over the run.")
   in
   let duration_arg =
-    Arg.(value & opt float 20.0
+    Arg.(value & opt positive 20.0
          & info [ "duration" ] ~docv:"S" ~doc:"Virtual seconds of workload.")
   in
   let period_arg =
@@ -422,7 +423,7 @@ let cmd_faults =
              ~doc:"Partition the first two sites from T for W seconds.")
   in
   let crash_arg =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some seconds) None
          & info [ "crash" ] ~docv:"T"
              ~doc:"Crash a non-infrastructure host at T; it reboots 5 s later.")
   in
@@ -771,13 +772,13 @@ let cmd_recover =
       $ arg positive_int "threshold" ~docv:"N"
           ~doc:"Missed heartbeats before a host is confirmed dead."
           d.R.threshold
-      $ arg Arg.float "crash" ~docv:"T"
+      $ arg seconds "crash" ~docv:"T"
           ~doc:"Power-fail a non-infrastructure host T seconds into the workload."
           d.R.crash_after
-      $ arg Arg.float "reboot-after" ~docv:"W"
+      $ arg seconds "reboot-after" ~docv:"W"
           ~doc:"Seconds after the crash at which the host reboots."
           d.R.reboot_after
-      $ arg Arg.float "duration" ~docv:"S" ~doc:"Virtual seconds of workload."
+      $ arg positive "duration" ~docv:"S" ~doc:"Virtual seconds of workload."
           d.R.duration
       $ arg positive "period" ~docv:"S" ~doc:"Seconds between calls (open loop)."
           d.R.period
@@ -804,7 +805,8 @@ let cmd_replicate =
       $ arg
           (int_conv "a replication factor in 1..4" (fun r -> r >= 1 && r <= 4))
           "replicas" ~docv:"R" ~doc:"Replication factor (1 to 4)." d.R.replicas
-      $ arg Arg.int "kills" ~docv:"N"
+      $ arg (int_conv "a non-negative integer" (fun n -> n >= 0))
+          "kills" ~docv:"N"
           ~doc:"Hosts to crash, one every $(b,--kill-every) seconds." d.R.kills
       $ arg positive "kill-every" ~docv:"S" ~doc:"Seconds between kills."
           d.R.kill_every
@@ -849,7 +851,7 @@ let cmd_scale =
       $ arg positive_int "hosts-per-site" ~docv:"N" ~doc:"Hosts per site."
           d.P.hosts_per_site
       $ arg positive_int "queue-events" ~docv:"N"
-          ~doc:"Raw calendar-queue kernel event budget." d.P.queue_events
+          ~doc:"Raw event-heap kernel event budget." d.P.queue_events
       $ scenario_json_arg)
 
 (* --- elastic --- *)

@@ -122,7 +122,7 @@ let finish sys ~name ~metrics =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Kernel 1: the raw calendar queue. No runtime, no network — just the
+(* Kernel 1: the raw event heap. No runtime, no network — just the
    engine chewing through [queue_events] self-rescheduling events with
    interleaved schedule/cancel churn.                                  *)
 
@@ -136,8 +136,8 @@ let run_queue cfg progress =
     if !budget > 0 then begin
       decr budget;
       if !budget land 63 = 0 then begin
-        (* Exercise the cancellation path: a far-future event that is
-           reaped lazily, never fired. *)
+        (* Exercise the cancellation path: a far-future event that
+           leaves the heap at once, never fired. *)
         let h = Engine.schedule sim ~delay:1e9 tick in
         Engine.cancel h;
         incr cancelled

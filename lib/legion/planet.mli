@@ -2,7 +2,7 @@
 
     Re-runs the §5 mechanism experiments (E2 binding-cache traffic, E3
     k-ary Binding Agent trees, E4 class cloning) at planetary scale —
-    10⁵–10⁶ objects over 10³+ hosts — plus a raw calendar-queue kernel
+    10⁵–10⁶ objects over 10³+ hosts — plus a raw event-heap kernel
     that pushes the simulator core itself past 10⁷ events. The sweep is
     shared by E18 in the bench (which adds wall-clock and RSS gates),
     the [legion-sim scale] subcommand, and the determinism regression

@@ -129,7 +129,8 @@ let run_repair cfg =
       (0, 0)
   in
   let availability = float_of_int !ok /. float_of_int !calls in
-  if availability < 0.99 then
+  if !calls = 0 then violate "no calls issued across the kill sweep"
+  else if availability < 0.99 then
     violate "availability %.4f below the 0.99 floor (%d/%d)" availability !ok
       !calls;
   List.iter
@@ -307,6 +308,10 @@ let violations r = r.violations
 
 let mode s = if s.fenced then "fenced" else "unfenced"
 
+(* With no calls issued the availability is undefined (0/0). *)
+let availability_pct a =
+  if a.calls = 0 then None else Some (100.0 *. a.availability)
+
 let to_json r =
   let a = r.repair in
   let split_json s =
@@ -320,10 +325,12 @@ let to_json r =
   in
   Printf.sprintf "{\"experiment\":\"e17\",\"repair\":%s,\"partition\":[%s]}"
     (Printf.sprintf
-       "{\"r\":%d,\"kills\":%d,\"availability_pct\":%.2f,\"lost\":%d,\
+       "{\"r\":%d,\"kills\":%d,\"availability_pct\":%s,\"lost\":%d,\
         \"repaired\":%d,\"final_factor\":%d,\"calls\":%d}"
        r.cfg.replicas r.cfg.kills
-       (100.0 *. a.availability)
+       (match availability_pct a with
+       | Some p -> Printf.sprintf "%.2f" p
+       | None -> "null")
        a.lost a.repaired a.final_factor a.calls)
     (String.concat "," (List.map split_json r.splits))
 
@@ -340,7 +347,9 @@ let print r =
       [
         string_of_int r.cfg.replicas;
         string_of_int r.cfg.kills;
-        Printf.sprintf "%.2f%%" (100.0 *. a.availability);
+        (match availability_pct a with
+        | Some p -> Printf.sprintf "%.2f%%" p
+        | None -> "-");
         string_of_int a.lost;
         string_of_int a.repaired;
         string_of_int a.final_factor;

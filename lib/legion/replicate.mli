@@ -35,8 +35,9 @@ val run : config -> report
     {!to_json}. *)
 
 val violations : report -> string list
-(** The E17 floors, one line per breach: at least 99% availability
-    across the kill sweep, the replication factor back at [replicas]
+(** The E17 floors, one line per breach: at least one call issued
+    and at least 99% of them answered across the kill sweep, the
+    replication factor back at [replicas]
     before each next kill and at the end, one traced loss and repair
     per kill; every fenced minority write refused with nothing applied,
     no divergence after anti-entropy, one final state, NoQuorum and
@@ -44,7 +45,8 @@ val violations : report -> string list
     divergent. Empty iff every floor holds. *)
 
 val to_json : report -> string
-(** The BENCH_E17.json document. *)
+(** The BENCH_E17.json document. [availability_pct] is [null] when the
+    kill sweep issued no call. *)
 
 val print : report -> unit
 (** The E17a (repair) and E17b (split) tables. *)

@@ -450,9 +450,6 @@ let transmit t codec ~src ~dst ?raw payload =
     end
     else delay
   in
-  (match t.obs with
-  | None -> ()
-  | Some r -> Recorder.observe r ~component:"net.delay" delay);
   (* Zero-allocation fast path: the engine carries a bare token into
      [deliver_token]; no closure, no handle, pooled in-flight slot. *)
   Legion_sim.Engine.post_token t.sim ~delay

@@ -59,8 +59,7 @@ val create :
   unit ->
   'm t
 (** [obs], when given, receives a structured event per message
-    ([Send], then exactly one of [Deliver]/[Drop]) plus a ["net.delay"]
-    latency sample per scheduled delivery. *)
+    ([Send], then exactly one of [Deliver]/[Drop]). *)
 
 (** {1 Topology} *)
 

@@ -79,8 +79,9 @@ val enabled : t -> bool
 val observe : t -> component:string -> float -> unit
 (** Record one latency sample (seconds of virtual time) under the
     component's histogram, creating it on first use. Components in use:
-    ["net.delay"] (per-message transit), ["rt.invoke"] (full comm-layer
-    invocation round trip), ["rt.resolve"] (Binding Agent resolution). *)
+    ["rt.resolve"] (Binding Agent resolution), ["rt.recovery"] (the
+    round trip of a call that needed a retransmission) and ["rt.mttr"]
+    ([ConfirmDead] to the next call delivered to the object). *)
 
 val latency : t -> component:string -> Legion_util.Stats.Histogram.h option
 

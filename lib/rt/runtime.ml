@@ -1280,11 +1280,6 @@ let invoke ctx ?timeout ?max_rebinds ~dst ~meth ~args ?env k =
   let c = { meth; args; env } in
   let self_loid = ctx.self.loid in
   let self_host = ctx.self.host in
-  let t0 = now rt in
-  let k r =
-    Recorder.observe rt.obs ~component:"rt.invoke" (now rt -. t0);
-    k r
-  in
   let install fresh =
     Cache.add ctx.self.cache ~now:(now rt) fresh;
     emit rt ~host:self_host

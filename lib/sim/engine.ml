@@ -1,62 +1,115 @@
-module Calq = Legion_util.Calq
-
-(* Event records are pooled: popping an event recycles its record for
-   the next [schedule]. Handles therefore carry the generation they
-   were issued under — a recycled record fails the generation check,
-   which keeps "cancel after fire" a no-op without keeping every fired
-   record alive. Records share the engine's [stats] cell so [cancel]
-   (which has no engine argument) can maintain the live counter. *)
-
-type stats = { mutable live : int }
+(* Event records are pooled: firing or cancelling an event recycles its
+   record for the next [schedule]. Handles therefore carry the
+   generation they were issued under — a recycled record fails the
+   generation check, which keeps "cancel after fire" a no-op without
+   keeping every fired record alive. A queued record knows its engine
+   and its slot in the engine's heap, so [cancel] (which has no engine
+   argument) takes it out of the queue at once. *)
 
 type event = {
   mutable time : float;
   mutable seq : int;  (* tie-break: same-instant events fire in scheduling order *)
   mutable action : unit -> unit;
   mutable token : int;  (* >= 0: dispatch this token instead of [action] *)
-  mutable cancelled : bool;
+  mutable slot : int;  (* index in [eng.heap] while queued *)
   mutable gen : int;  (* bumped each time the record is recycled *)
-  st : stats;
+  eng : t;
 }
 
-type handle = { ev : event; hgen : int }
-
-type t = {
+(* [heap.(0 .. len - 1)] is a binary min-heap over (time, seq) and holds
+   exactly the live events. *)
+and t = {
   mutable clock : float;
-  mutable seq : int;
+  mutable next_seq : int;
   mutable fired : int;
-  st : stats;
-  queue : event Calq.t;
+  mutable heap : event array;
+  mutable len : int;
   mutable dispatch : (int -> unit) option;
   mutable pool : event array;  (* free-record stack *)
   mutable pool_len : int;
 }
 
-let no_action () = ()
+type handle = { ev : event; hgen : int }
 
 let create () =
-  let st = { live = 0 } in
-  let dummy =
-    { time = 0.0; seq = -1; action = no_action; token = -1; cancelled = true;
-      gen = 0; st }
-  in
   {
     clock = 0.0;
-    seq = 0;
+    next_seq = 0;
     fired = 0;
-    st;
-    queue = Calq.create ~dummy ();
+    heap = [||];
+    len = 0;
     dispatch = None;
-    pool = Array.make 64 dummy;
+    pool = [||];
     pool_len = 0;
   }
 
 let now t = t.clock
 
+(* --- the heap --- *)
+
+let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+
+let place t ev i =
+  t.heap.(i) <- ev;
+  ev.slot <- i
+
+(* Move [ev] from the hole at [i] towards the root past every parent it
+   precedes. *)
+let rec sift_up t ev i =
+  let parent = (i - 1) / 2 in
+  if i > 0 && before ev t.heap.(parent) then begin
+    place t t.heap.(parent) i;
+    sift_up t ev parent
+  end
+  else place t ev i
+
+(* Move [ev] from the hole at [i] towards the leaves past every child
+   that precedes it. *)
+let rec sift_down t ev i =
+  let l = (2 * i) + 1 in
+  if l >= t.len then place t ev i
+  else begin
+    let c = if l + 1 < t.len && before t.heap.(l + 1) t.heap.(l) then l + 1 else l in
+    if before t.heap.(c) ev then begin
+      place t t.heap.(c) i;
+      sift_down t ev c
+    end
+    else place t ev i
+  end
+
+(* Double a full array; [ev] fills the fresh slots, which are never
+   read. *)
+let grow arr ev =
+  let len = Array.length arr in
+  let bigger = Array.make (Int.max 64 (2 * len)) ev in
+  Array.blit arr 0 bigger 0 len;
+  bigger
+
+let push t ev =
+  if t.len = Array.length t.heap then t.heap <- grow t.heap ev;
+  t.len <- t.len + 1;
+  sift_up t ev (t.len - 1)
+
+(* Take out the event at slot [i]; the last event fills the hole, and
+   may have to move either way from it. *)
+let remove t i =
+  let last = t.len - 1 in
+  t.len <- last;
+  if i < last then begin
+    let moved = t.heap.(last) in
+    if i > 0 && before moved t.heap.((i - 1) / 2) then sift_up t moved i
+    else sift_down t moved i
+  end
+
+(* --- records --- *)
+
+let no_action () = ()
+
 let alloc t ~time ~action ~token =
-  let seq = t.seq in
-  t.seq <- seq + 1;
-  t.st.live <- t.st.live + 1;
+  if not (Float.is_finite time) then
+    invalid_arg "Engine: event time is not finite";
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
   let ev =
     if t.pool_len > 0 then begin
       t.pool_len <- t.pool_len - 1;
@@ -65,23 +118,18 @@ let alloc t ~time ~action ~token =
       ev.seq <- seq;
       ev.action <- action;
       ev.token <- token;
-      ev.cancelled <- false;
       ev
     end
-    else { time; seq; action; token; cancelled = false; gen = 0; st = t.st }
+    else { time; seq; action; token; slot = 0; gen = 0; eng = t }
   in
-  Calq.push t.queue ~time ~seq ev;
+  push t ev;
   ev
 
 let recycle t ev =
   ev.gen <- ev.gen + 1;
   ev.action <- no_action;
   (* drop the closure *)
-  if t.pool_len = Array.length t.pool then begin
-    let bigger = Array.make (2 * t.pool_len) ev in
-    Array.blit t.pool 0 bigger 0 t.pool_len;
-    t.pool <- bigger
-  end;
+  if t.pool_len = Array.length t.pool then t.pool <- grow t.pool ev;
   t.pool.(t.pool_len) <- ev;
   t.pool_len <- t.pool_len + 1
 
@@ -110,71 +158,43 @@ let post_token t ~delay token =
   ignore (alloc t ~time ~action:no_action ~token)
 
 let cancel h =
-  if h.ev.gen = h.hgen && not h.ev.cancelled then begin
-    h.ev.cancelled <- true;
-    h.ev.st.live <- h.ev.st.live - 1
+  let ev = h.ev in
+  if ev.gen = h.hgen then begin
+    remove ev.eng ev.slot;
+    recycle ev.eng ev
   end
 
-let is_cancelled h = h.ev.gen <> h.hgen || h.ev.cancelled
-
-(* Pop events, discarding cancelled ones lazily. *)
-let rec next_live t =
-  match Calq.pop t.queue with
-  | None -> None
-  | Some ev ->
-      if ev.cancelled then begin
-        recycle t ev;
-        next_live t
-      end
-      else Some ev
+let is_cancelled h = h.ev.gen <> h.hgen
 
 let step t =
-  match next_live t with
-  | None -> false
-  | Some ev ->
-      t.clock <- ev.time;
-      t.fired <- t.fired + 1;
-      t.st.live <- t.st.live - 1;
-      let action = ev.action and token = ev.token in
-      (* Recycle before running: the action may schedule, reusing this
-         very record under a fresh generation. *)
-      recycle t ev;
-      (if token >= 0 then
-         match t.dispatch with
-         | Some f -> f token
-         | None -> ()
-       else action ());
-      true
+  t.len > 0
+  && begin
+       let ev = t.heap.(0) in
+       remove t 0;
+       t.clock <- ev.time;
+       t.fired <- t.fired + 1;
+       let action = ev.action and token = ev.token in
+       (* Recycle before running: the action may schedule, reusing this
+          very record under a fresh generation. *)
+       recycle t ev;
+       (if token >= 0 then
+          match t.dispatch with
+          | Some f -> f token
+          | None -> ()
+        else action ());
+       true
+     end
 
 let run ?until ?max_events t =
   let budget = ref (match max_events with None -> -1 | Some n -> n) in
   let continue () =
-    if !budget = 0 then false
-    else
-      match Calq.peek t.queue with
-      | None -> false
-      | Some ev ->
-          if ev.cancelled then begin
-            (* Reap without charging the budget or moving the clock. *)
-            (match Calq.pop t.queue with
-            | Some ev -> recycle t ev
-            | None -> ());
-            true
-          end
-          else begin
-            match until with
-            | Some limit when ev.time > limit -> false
-            | _ ->
-                if step t then begin
-                  if !budget > 0 then decr budget;
-                  true
-                end
-                else false
-          end
+    !budget <> 0 && t.len > 0
+    && match until with Some limit when t.heap.(0).time > limit -> false | _ -> true
   in
   while continue () do
-    ()
+    ignore (step t);
+    if !budget > 0 then decr budget
   done
 
-let pending t = t.st.live
+let pending t = t.len
 let events_fired t = t.fired

@@ -1,15 +1,20 @@
 (** Discrete-event simulation engine.
 
-    A single virtual clock and a calendar event queue
-    ({!Legion_util.Calq}). Events scheduled for the same instant fire
-    in scheduling order (FIFO), which together with the seeded PRNGs
-    makes every run deterministic.
+    A single virtual clock and one binary min-heap of pending events,
+    ordered by time and then by scheduling order: events scheduled for
+    the same instant fire in scheduling order (FIFO), which together
+    with the seeded PRNGs makes every run deterministic.
 
     The whole Legion runtime is driven by this engine: message delivery,
     RPC timeouts, and workload arrivals are all events. Event records
     are pooled — firing ten million events allocates a bounded working
     set, not ten million records — so handles are generation-checked:
-    cancelling a recycled handle is still a safe no-op. *)
+    cancelling a recycled handle is still a safe no-op. Cancelling takes
+    the event out of the heap and recycles its record at once, so the
+    heap holds only live events.
+
+    Every event time must be finite: scheduling at a NaN or infinite
+    time raises [Invalid_argument]. *)
 
 type t
 
@@ -51,8 +56,7 @@ val run : ?until:float -> ?max_events:int -> t -> unit
     exactly [until] still fire. *)
 
 val pending : t -> int
-(** Number of queued (uncancelled) events. O(1): a live counter
-    maintained on schedule/cancel/fire. *)
+(** Number of queued (uncancelled) events. O(1): the heap's length. *)
 
 val events_fired : t -> int
 (** Total events fired since creation. *)

@@ -1,6 +1,8 @@
-(** Imperative binary min-heap: the engine's priority queue before the
-    calendar queue ({!Legion_util.Calq}) replaced it, kept as the test
-    oracle Calq is checked against.
+(** Imperative binary min-heap: the event engine's oracle. The model in
+    test_sim.ml keeps every scheduled event in one of these, cancelled
+    ones included, and skips the cancelled ones as it pops them; the
+    engine, which removes a cancelled event from its own heap at once,
+    must fire exactly what the model fires.
 
     Elements are ordered by a user-supplied comparison fixed at creation.
     All operations are the standard O(log n) / O(1) bounds. *)

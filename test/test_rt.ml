@@ -497,9 +497,8 @@ let test_round_trip_words () =
       done
     done
   in
-  (* Each call leaves a cancelled 5 s timer in the event queue until its
-     deadline passes; warm up past that, so the queue has stopped
-     growing. *)
+  (* Warm up first, so the engine's record pool and the runtime's tables
+     have stopped growing. *)
   round_trips 6_000;
   let calls = 4_000 in
   let w0 = Gc.minor_words () in

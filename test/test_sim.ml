@@ -165,8 +165,8 @@ let pending_counter_pins =
       Engine.run sim;
       !ok && Engine.pending sim = 0 && Hashtbl.length model = 0)
 
-(* A million events through the calendar queue with interleaved
-   far-future cancellations: the fired count is exact, the clock never
+(* A million events through the heap with interleaved far-future
+   cancellations: the fired count is exact, the clock never
    goes backwards, and cancelled events never run. *)
 let test_stress_million () =
   let sim = Engine.create () in
@@ -197,6 +197,237 @@ let test_stress_million () =
   Alcotest.(check int) "events_fired" (chains * per_chain)
     (Engine.events_fired sim);
   Alcotest.(check int) "drained" 0 (Engine.pending sim)
+
+(* The engine against a model: test/heap.ml holding every event ever
+   scheduled, cancelled ones included, which it skips when it pops them
+   (lazy cancellation, the simplest correct queue). Random programs
+   schedule at times drawn from a few values, so same-instant ties are
+   common; some events schedule a child when they fire; cancels pick
+   any handle, fired and already-cancelled ones too; and the engine is
+   driven by [step], [run ~max_events] and [run ~until]. After every
+   operation both sides must have fired the same ids at the same
+   clocks, [pending] must equal the model's live count, and
+   [is_cancelled] must hold exactly for the handles no longer queued. *)
+
+type op =
+  | Sched of int * int option  (* delay index; the child's, if any *)
+  | Post of int
+  | Cancel of int  (* picks among the handles issued so far *)
+  | Step
+  | Run_max of int
+  | Run_until of int  (* until now + delays.(i) *)
+
+let delays = [| 0.0; 0.25; 0.5; 0.5; 1.0; 2.0 |]
+
+let show_op = function
+  | Sched (d, c) ->
+      Printf.sprintf "Sched(%d,%s)" d
+        (match c with Some c -> string_of_int c | None -> "-")
+  | Post d -> Printf.sprintf "Post %d" d
+  | Cancel k -> Printf.sprintf "Cancel %d" k
+  | Step -> "Step"
+  | Run_max n -> Printf.sprintf "Run_max %d" n
+  | Run_until d -> Printf.sprintf "Run_until %d" d
+
+let gen_op =
+  let open QCheck.Gen in
+  let d = int_bound (Array.length delays - 1) in
+  frequency
+    [
+      (4, map2 (fun d c -> Sched (d, c)) d
+            (frequency [ (7, return None); (3, map Option.some d) ]));
+      (1, map (fun d -> Post d) d);
+      (3, map (fun k -> Cancel k) small_nat);
+      (2, return Step);
+      (1, map (fun n -> Run_max n) (int_bound 4));
+      (1, map (fun d -> Run_until d) d);
+    ]
+
+type state = Queued | Fired | Cancelled
+
+type mrec = {
+  m_time : float;
+  m_seq : int;
+  m_id : int;
+  m_child : int option;
+  mutable m_state : state;
+}
+
+(* The model world. *)
+type model = {
+  q : mrec Heap.t;
+  mutable m_clock : float;
+  mutable m_next : int;  (* ids and seqs: one per schedule *)
+  mutable recs : mrec list;  (* newest first *)
+  mutable m_log : (int * float) list;
+}
+
+let m_schedule m ~delay child =
+  let r =
+    { m_time = m.m_clock +. delay; m_seq = m.m_next; m_id = m.m_next;
+      m_child = child; m_state = Queued }
+  in
+  m.m_next <- m.m_next + 1;
+  Heap.push m.q r;
+  m.recs <- r :: m.recs
+
+(* The earliest queued record, popping cancelled ones on the way. *)
+let rec m_peek m =
+  match Heap.peek m.q with
+  | Some r when r.m_state = Cancelled ->
+      ignore (Heap.pop m.q);
+      m_peek m
+  | top -> top
+
+let m_fire m r =
+  ignore (Heap.pop m.q);
+  r.m_state <- Fired;
+  m.m_clock <- r.m_time;
+  m.m_log <- (r.m_id, r.m_time) :: m.m_log;
+  Option.iter (fun c -> m_schedule m ~delay:delays.(c) None) r.m_child
+
+let m_live m =
+  List.length (List.filter (fun r -> r.m_state = Queued) (Heap.to_list m.q))
+
+let engine_matches_model =
+  QCheck.Test.make ~name:"engine fires as the lazy-cancel heap model" ~count:500
+    (QCheck.list_of_size QCheck.Gen.(0 -- 120) (QCheck.make ~print:show_op gen_op))
+    (fun ops ->
+      let sim = Engine.create () in
+      let e_log = ref [] and e_next = ref 0 in
+      (* Handles by id; [None] for posted events. *)
+      let handles = Hashtbl.create 64 in
+      let rec e_schedule ~delay child ~post =
+        let id = !e_next in
+        incr e_next;
+        let fire () =
+          e_log := (id, Engine.now sim) :: !e_log;
+          Option.iter
+            (fun c -> e_schedule ~delay:delays.(c) None ~post:false)
+            child
+        in
+        if post then begin
+          Engine.post sim ~delay fire;
+          Hashtbl.replace handles id None
+        end
+        else Hashtbl.replace handles id (Some (Engine.schedule sim ~delay fire))
+      in
+      let cmp a b = compare (a.m_time, a.m_seq) (b.m_time, b.m_seq) in
+      let m =
+        { q = Heap.create ~cmp; m_clock = 0.0; m_next = 0; recs = []; m_log = [] }
+      in
+      let agrees () =
+        !e_log = m.m_log
+        && Engine.now sim = m.m_clock
+        && Engine.pending sim = m_live m
+        && List.for_all
+             (fun r ->
+               match Hashtbl.find handles r.m_id with
+               | Some h -> Engine.is_cancelled h = (r.m_state <> Queued)
+               | None -> true)
+             m.recs
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Sched (d, child) ->
+              e_schedule ~delay:delays.(d) child ~post:false;
+              m_schedule m ~delay:delays.(d) child
+          | Post d ->
+              e_schedule ~delay:delays.(d) None ~post:true;
+              m_schedule m ~delay:delays.(d) None
+          | Cancel k when m.recs <> [] ->
+              let r = List.nth m.recs (k mod List.length m.recs) in
+              Option.iter
+                (fun h ->
+                  Engine.cancel h;
+                  if r.m_state = Queued then r.m_state <- Cancelled)
+                (Hashtbl.find handles r.m_id)
+          | Cancel _ -> ()
+          | Step ->
+              ignore (Engine.step sim);
+              Option.iter (m_fire m) (m_peek m)
+          | Run_max n ->
+              Engine.run sim ~max_events:n;
+              let rec go n =
+                if n > 0 then
+                  match m_peek m with
+                  | Some r ->
+                      m_fire m r;
+                      go (n - 1)
+                  | None -> ()
+              in
+              go n
+          | Run_until d ->
+              let limit = m.m_clock +. delays.(d) in
+              Engine.run sim ~until:(Engine.now sim +. delays.(d));
+              let rec go () =
+                match m_peek m with
+                | Some r when r.m_time <= limit ->
+                    m_fire m r;
+                    go ()
+                | _ -> ()
+              in
+              go ());
+          agrees ())
+        (ops @ [ Run_max max_int ]))
+
+let test_non_finite_time () =
+  let sim = Engine.create () in
+  ignore (Engine.schedule sim ~delay:1.0 ignore);
+  let rejects what f =
+    Alcotest.check_raises what
+      (Invalid_argument "Engine: event time is not finite") f
+  in
+  rejects "schedule nan" (fun () ->
+      ignore (Engine.schedule sim ~delay:Float.nan ignore));
+  rejects "schedule inf" (fun () ->
+      ignore (Engine.schedule sim ~delay:Float.infinity ignore));
+  rejects "schedule_at nan" (fun () ->
+      ignore (Engine.schedule_at sim ~time:Float.nan ignore));
+  rejects "schedule_at inf" (fun () ->
+      ignore (Engine.schedule_at sim ~time:Float.infinity ignore));
+  rejects "post inf" (fun () -> Engine.post sim ~delay:Float.infinity ignore);
+  Engine.set_dispatch sim ignore;
+  rejects "post_token nan" (fun () -> Engine.post_token sim ~delay:Float.nan 0);
+  Alcotest.(check int) "nothing queued by a rejected call" 1 (Engine.pending sim);
+  Engine.run sim;
+  Alcotest.(check int) "the valid event fired" 1 (Engine.events_fired sim)
+
+(* Timers that are armed and cancelled before they fire, the runtime's
+   RPC-attempt pattern, must not cost the major heap: [chains]
+   self-rescheduling events, 10 ms apart on average, each arm a 5 s
+   timer and cancel their previous one. A queue that kept cancelled
+   timers until their time came would hold 50,000 of them here, and
+   promote each one's record and time. Words promoted per fired event,
+   after a warm-up. *)
+let promoted_per_event () =
+  let sim = Engine.create () in
+  let prng = Prng.create ~seed:5L in
+  let chains = 100 in
+  let timers = Array.make chains None in
+  let never () = Alcotest.fail "a cancelled timer fired" in
+  let rec tick c () =
+    Option.iter Engine.cancel timers.(c);
+    timers.(c) <- Some (Engine.schedule sim ~delay:5.0 never);
+    Engine.post sim ~delay:(Prng.float prng 0.02) (tick c)
+  in
+  for c = 0 to chains - 1 do
+    Engine.post sim ~delay:(Prng.float prng 0.02) (tick c)
+  done;
+  Engine.run sim ~max_events:100_000;
+  Gc.minor ();
+  let p0 = (Gc.quick_stat ()).Gc.promoted_words and f0 = Engine.events_fired sim in
+  Engine.run sim ~max_events:500_000;
+  Gc.minor ();
+  let p1 = (Gc.quick_stat ()).Gc.promoted_words in
+  (p1 -. p0) /. float_of_int (Engine.events_fired sim - f0)
+
+let test_promotion_under_cancelled_timers () =
+  let w = promoted_per_event () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words promoted per fired event (<= 1)" w)
+    true (w <= 1.0)
 
 (* The E18 determinism contract: the report is a pure function of the
    config, so the same seed must produce byte-identical JSON. Swept
@@ -239,6 +470,11 @@ let () =
           Alcotest.test_case "past schedule clamps" `Quick test_schedule_at_past_clamped;
           QCheck_alcotest.to_alcotest monotonic_clock;
           QCheck_alcotest.to_alcotest pending_counter_pins;
+          QCheck_alcotest.to_alcotest engine_matches_model;
+          Alcotest.test_case "non-finite time rejected" `Quick
+            test_non_finite_time;
+          Alcotest.test_case "promotion under cancelled timers" `Quick
+            test_promotion_under_cancelled_timers;
           Alcotest.test_case "million-event stress" `Slow test_stress_million;
         ] );
       ( "planet",

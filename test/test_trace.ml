@@ -457,7 +457,7 @@ let test_system_observes_latency () =
             true
             (Legion_util.Stats.Histogram.total h > 0)
       | None -> Alcotest.failf "no %s histogram" component)
-    [ "net.delay"; "rt.invoke"; "rt.resolve" ]
+    [ "rt.resolve" ]
 
 let test_event_json () =
   let e =

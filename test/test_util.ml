@@ -1,6 +1,7 @@
 (* Unit and property tests for Legion_util: PRNG, statistics and
    counters, the ordered keyed table, plus the binary heap
-   (test/heap.ml) that serves as the calendar queue's oracle. *)
+   (test/heap.ml) that serves as the event engine's oracle in
+   test_sim.ml. *)
 
 module Prng = Legion_util.Prng
 module Stats = Legion_util.Stats
@@ -415,107 +416,6 @@ let lru_matches_list_model =
           agrees ())
         (List.mapi (fun i op -> (i, op)) ops))
 
-(* --- Calq --- *)
-
-module Calq = Legion_util.Calq
-
-(* The calendar queue must pop in exactly the engine's (time, seq)
-   order; the binary heap is the oracle. Records are shared between the
-   two structures so a cancellation flag flips in both at once, and both
-   sides skip cancelled records lazily — the engine's discipline. *)
-type cq_rec = { c_time : float; c_seq : int; c_id : int; mutable c_canc : bool }
-
-let cq_dummy = { c_time = 0.0; c_seq = -1; c_id = -1; c_canc = false }
-
-let cq_cmp a b = compare (a.c_time, a.c_seq) (b.c_time, b.c_seq)
-
-(* Times drawn from a small set so same-instant collisions (seq
-   tie-breaks) are common; 1e9 exercises the far-future skew path that
-   must not disturb near-term ordering. *)
-let cq_times = [| 0.0; 0.5; 0.5; 1.0; 1.5; 2.0; 3.0; 1e9 |]
-
-let rec cq_pop q =
-  match Calq.pop q with
-  | Some r when r.c_canc -> cq_pop q
-  | other -> other
-
-let rec cq_hpop h =
-  match Heap.pop h with
-  | Some r when r.c_canc -> cq_hpop h
-  | other -> other
-
-let calq_matches_heap =
-  QCheck.Test.make ~name:"calendar queue matches heap oracle" ~count:300
-    QCheck.(list (pair (int_bound 2) (pair (int_bound 7) small_int)))
-    (fun ops ->
-      let q = Calq.create ~nbuckets:2 ~dummy:cq_dummy () in
-      let h = Heap.create ~cmp:cq_cmp in
-      let pushed = ref [] and npushed = ref 0 and seq = ref 0 in
-      let ok = ref true in
-      List.iter
-        (fun (kind, (ti, k)) ->
-          match kind with
-          | 0 ->
-              let r =
-                { c_time = cq_times.(ti); c_seq = !seq; c_id = !seq;
-                  c_canc = false }
-              in
-              incr seq;
-              Calq.push q ~time:r.c_time ~seq:r.c_seq r;
-              Heap.push h r;
-              pushed := r :: !pushed;
-              incr npushed
-          | 1 ->
-              let a = cq_pop q and b = cq_hpop h in
-              (match (a, b) with
-              | None, None -> ()
-              | Some x, Some y when x.c_id = y.c_id -> ()
-              | _ -> ok := false)
-          | _ ->
-              if !npushed > 0 then
-                (List.nth !pushed (k mod !npushed)).c_canc <- true)
-        ops;
-      (* Drain what remains; orders must still agree exactly. *)
-      let rec drain () =
-        match (cq_pop q, cq_hpop h) with
-        | None, None -> true
-        | Some x, Some y when x.c_id = y.c_id -> drain ()
-        | _ -> false
-      in
-      !ok && drain ())
-
-let test_calq_tie_break () =
-  let q = Calq.create ~dummy:cq_dummy () in
-  (* Same instant, seqs pushed out of order: pop order is seq order. *)
-  List.iter
-    (fun s ->
-      Calq.push q ~time:7.0 ~seq:s
-        { c_time = 7.0; c_seq = s; c_id = s; c_canc = false })
-    [ 3; 1; 4; 0; 2 ];
-  Alcotest.(check int) "length" 5 (Calq.length q);
-  Alcotest.(check (float 0.0)) "peek_time" 7.0 (Calq.peek_time q);
-  let order = List.init 5 (fun _ ->
-      match Calq.pop q with Some r -> r.c_seq | None -> -1)
-  in
-  Alcotest.(check (list int)) "seq order" [ 0; 1; 2; 3; 4 ] order;
-  Alcotest.(check bool) "empty" true (Calq.is_empty q)
-
-let test_calq_edges () =
-  let q = Calq.create ~dummy:cq_dummy () in
-  Alcotest.(check (option int)) "peek empty" None
-    (Option.map (fun r -> r.c_id) (Calq.peek q));
-  Alcotest.(check bool) "nan peek_time" true (Float.is_nan (Calq.peek_time q));
-  Alcotest.check_raises "negative time" (Invalid_argument "Calq.push: bad time")
-    (fun () -> ignore (Calq.push q ~time:(-1.0) ~seq:0 cq_dummy));
-  Alcotest.check_raises "nan time" (Invalid_argument "Calq.push: bad time")
-    (fun () -> ignore (Calq.push q ~time:Float.nan ~seq:0 cq_dummy));
-  Calq.push q ~time:1.0 ~seq:0 { cq_dummy with c_id = 1 };
-  Calq.clear q;
-  Alcotest.(check bool) "cleared" true (Calq.is_empty q);
-  Calq.push q ~time:2.0 ~seq:1 { cq_dummy with c_id = 2 };
-  Alcotest.(check (option int)) "usable after clear" (Some 2)
-    (Option.map (fun r -> r.c_id) (Calq.pop q))
-
 let stats_percentile_bounded =
   QCheck.Test.make ~name:"percentiles lie within min/max" ~count:200
     QCheck.(pair (list_of_size Gen.(1 -- 50) (float_bound_exclusive 1000.0))
@@ -666,14 +566,6 @@ let () =
           QCheck_alcotest.to_alcotest heap_model_interleaved;
         ] );
       ("lru", [ QCheck_alcotest.to_alcotest lru_matches_list_model ]);
-      ( "calq",
-        [
-          Alcotest.test_case "seq tie-break at one instant" `Quick
-            test_calq_tie_break;
-          Alcotest.test_case "edges: empty, bad time, clear" `Quick
-            test_calq_edges;
-          QCheck_alcotest.to_alcotest calq_matches_heap;
-        ] );
       ( "sampler",
         [
           Alcotest.test_case "zipf bounds and skew" `Slow test_zipf_bounds_and_skew;

@@ -100,10 +100,11 @@ let parse_probability =
 let float_conv parse = Arg.conv (parse, Format.pp_print_float)
 let probability = float_conv parse_probability
 
-let positive =
-  float_conv
-    (checked float_of_string_opt "a positive number" (fun x ->
-         Float.is_finite x && x > 0.0))
+let parse_positive =
+  checked float_of_string_opt "a positive number" (fun x ->
+      Float.is_finite x && x > 0.0)
+
+let positive = float_conv parse_positive
 
 let seconds =
   float_conv
@@ -390,18 +391,21 @@ let cmd_soak =
 
 (* --- faults --- *)
 
-let ramp =
+(* A comma-separated list of numbers, each checked by [parse_entry]:
+   a bad or empty entry is a usage error that names it. *)
+let float_list parse_entry =
   let rec parse = function
     | [] -> Ok []
     | p :: rest ->
-        Result.bind (parse_probability p) (fun p ->
-            Result.map (List.cons p) (parse rest))
+        Result.bind (parse_entry p) (fun p -> Result.map (List.cons p) (parse rest))
   in
   let print =
     Format.(
       pp_print_list ~pp_sep:(fun ppf () -> pp_print_char ppf ',') pp_print_float)
   in
   Arg.conv ((fun spec -> parse (String.split_on_char ',' spec)), print)
+
+let ramp = float_list parse_probability
 
 let cmd_faults =
   let ramp_arg =
@@ -703,7 +707,7 @@ let cmd_overload =
   let module O = Legion.Overload in
   let d = O.default in
   let rates_arg =
-    Arg.(non_empty & opt (list float) d.O.rates
+    Arg.(value & opt (float_list parse_positive) d.O.rates
          & info [ "rates" ] ~docv:"M0,M1,..."
              ~doc:"Offered-load ramp as multiples of the measured saturation \
                    rate, one step each.")
@@ -940,45 +944,19 @@ let cmd_idl =
   in
   let run file =
     let src = In_channel.with_open_text file In_channel.input_all in
-    (* MPL sources open with "mentat class"; CORBA-flavoured ones with
-       "interface" (the paper's two IDLs). *)
-    let is_mpl =
-      let rec first_word i =
-        if i >= String.length src then ""
-        else if src.[i] = ' ' || src.[i] = '\n' || src.[i] = '\t' then first_word (i + 1)
-        else
-          let j = ref i in
-          while
-            !j < String.length src
-            && src.[!j] <> ' ' && src.[!j] <> '\n' && src.[!j] <> '\t'
-          do
-            incr j
-          done;
-          String.sub src i (!j - i)
-      in
-      first_word 0 = "mentat"
-    in
-    let parsed =
-      if is_mpl then
-        Result.map_error
-          (fun e -> Format.asprintf "%a" Legion_idl.Mpl.pp_error e)
-          (Legion_idl.Mpl.file src)
-      else
-        Result.map_error
-          (fun e -> Format.asprintf "%a" Legion_idl.Parser.pp_error e)
-          (Legion_idl.Parser.file src)
-    in
-    match parsed with
+    match Legion_idl.Parser.file src with
     | Ok interfaces ->
         List.iter
           (fun i -> Format.printf "%a@.@." Legion_idl.Interface.pp i)
           interfaces
     | Error e ->
-        Format.eprintf "%s: %s@." file e;
+        Format.eprintf "%s: %a@." file Legion_idl.Parser.pp_error e;
         exit 1
   in
   let info =
-    Cmd.info "idl" ~doc:"Parse and normalize an IDL or MPL file (auto-detected)."
+    Cmd.info "idl"
+      ~doc:"Parse and normalize a file of interface declarations, each in \
+            CORBA-style IDL ($(b,interface)) or MPL ($(b,mentat class))."
   in
   Cmd.v info Term.(const run $ file_arg)
 

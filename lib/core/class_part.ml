@@ -526,19 +526,19 @@ let factory (ctx : Runtime.ctx) : Impl.part =
         let* kind = C.opt_str_field spec "kind" in
         let* mag_hint = C.opt_loid_field spec "magistrate" in
         let* eager = C.bool_field ~default:true spec "eager" in
+        (* Either field takes either of the paper's two IDLs (§2
+           footnote); an error names the field it came from. *)
+        let parse field src =
+          Result.map_error
+            (fun e -> Format.asprintf "%s: %a" field Parser.pp_error e)
+            (Parser.interface src)
+        in
         let* iface =
           match (idl, mpl) with
           | Some _, Some _ -> Error "spec carries both idl and mpl sources"
           | None, None -> Ok (Interface.empty name)
-          | Some src, None -> (
-              match Parser.interface src with
-              | Ok i -> Ok i
-              | Error e -> Error (Format.asprintf "idl: %a" Parser.pp_error e))
-          | None, Some src -> (
-              (* The paper's second IDL (§2 footnote): MPL. *)
-              match Legion_idl.Mpl.interface src with
-              | Ok i -> Ok i
-              | Error e -> Error (Format.asprintf "mpl: %a" Legion_idl.Mpl.pp_error e))
+          | Some src, None -> parse "idl" src
+          | None, Some src -> parse "mpl" src
         in
         Ok (name, units, iface, abstract, private_, fixed, class_units, kind,
             mag_hint, eager, typed, exclude)

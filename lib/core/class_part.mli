@@ -28,12 +28,14 @@
     [candidates: list<loid>]. Reply: [{loid: loid, binding: opt<binding>}].
 
     Spec fields of [Derive]: [name: str], [units: list<str>] (new
-    implementation units, highest precedence), [idl: opt<str>] (CORBA-flavoured IDL
-    source of the additional interface) or [mpl: opt<str>] (MPL-flavoured;
-    at most one of the two), [abstract/private/fixed: bool]
-    (default false), [class_units: list<str>] (extra units for the class
-    object itself), [kind: opt<str>], [magistrate: opt<loid>],
-    [eager: bool] (default true — classes stay active, §5.2).
+    implementation units, highest precedence), [idl: opt<str>] or
+    [mpl: opt<str>] (the source of the additional interface, at most
+    one of the two; each is read by {!Legion_idl.Parser.interface}, so
+    either takes either syntax, and a parse error names its field),
+    [abstract/private/fixed: bool] (default false), [class_units:
+    list<str>] (extra units for the class object itself), [kind:
+    opt<str>], [magistrate: opt<loid>], [eager: bool] (default true —
+    classes stay active, §5.2).
     Reply: [{loid: loid, binding: opt<binding>}]. *)
 
 module Value := Legion_wire.Value
@@ -43,9 +45,6 @@ module Interface := Legion_idl.Interface
 val unit_name : string
 
 type flags = { abstract : bool; private_ : bool; fixed : bool }
-
-val default_flags : flags
-(** All false: a plain concrete class. *)
 
 val init_state :
   ?interface:Interface.t ->

@@ -9,12 +9,6 @@
 
 module Loid := Legion_naming.Loid
 
-val legion_object_cid : int64
-val legion_class_cid : int64
-val legion_host_cid : int64
-val legion_magistrate_cid : int64
-val legion_binding_agent_cid : int64
-
 val first_dynamic_class_id : int64
 (** Class Identifiers below this are reserved for the core. *)
 

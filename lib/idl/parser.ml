@@ -14,6 +14,7 @@ type token =
   | Colon
   | Semi
   | Comma
+  | Star
   | Eof
 
 let token_name = function
@@ -27,6 +28,7 @@ let token_name = function
   | Colon -> "':'"
   | Semi -> "';'"
   | Comma -> "','"
+  | Star -> "'*'"
   | Eof -> "end of input"
 
 type lexed = { tok : token; line : int; col : int }
@@ -40,6 +42,8 @@ let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '
 
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 
+(* One lexer for both syntaxes: the union of their punctuation, and both
+   comment styles. *)
 let lex src =
   let n = String.length src in
   let toks = ref [] in
@@ -55,13 +59,24 @@ let lex src =
        else incr col);
     incr i
   in
+  let at j c = j < n && src.[j] = c in
   while !i < n do
     let c = src.[!i] in
     if c = ' ' || c = '\t' || c = '\n' || c = '\r' then advance ()
-    else if c = '/' && !i + 1 < n && src.[!i + 1] = '/' then
+    else if c = '/' && at (!i + 1) '/' then
       while !i < n && src.[!i] <> '\n' do
         advance ()
       done
+    else if c = '/' && at (!i + 1) '*' then begin
+      advance ();
+      advance ();
+      while !i < n && not (at !i '*' && at (!i + 1) '/') do
+        advance ()
+      done;
+      if !i >= n then fail ~line:!line ~col:!col "unterminated comment";
+      advance ();
+      advance ()
+    end
     else if is_ident_start c then begin
       let start = !i in
       let start_line = !line and start_col = !col in
@@ -83,6 +98,7 @@ let lex src =
       | ':' -> emit Colon
       | ';' -> emit Semi
       | ',' -> emit Comma
+      | '*' -> emit Star
       | c -> fail ~line:!line ~col:!col "unexpected character %C" c);
       advance ()
     end
@@ -105,35 +121,49 @@ let expect st tok =
     fail ~line:t.line ~col:t.col "expected %s, found %s" (token_name tok)
       (token_name t.tok)
 
+let keyword st kw =
+  let t = next st in
+  if t.tok <> Ident kw then
+    fail ~line:t.line ~col:t.col "expected '%s', found %s" kw (token_name t.tok)
+
 let ident st =
   let t = next st in
   match t.tok with
   | Ident s -> s
   | other -> fail ~line:t.line ~col:t.col "expected identifier, found %s" (token_name other)
 
-let rec parse_ty st : Ty.t =
+(* --- per-language rules --- *)
+
+type syntax = Corba | Mpl
+
+(* Both type languages map onto {!Ty.t}. MPL spells them the C++ way:
+   [void] is unit, [long]/[short] are int, [double] is float, [string]
+   and [char *] are str, [bytes] is blob, and [sequence<T>]/[optional<T>]
+   are list/opt. Only the CORBA syntax has records. *)
+let rec parse_ty syntax st : Ty.t =
   let t = next st in
-  match t.tok with
-  | Ident "unit" -> Ty.Tunit
-  | Ident "bool" -> Ty.Tbool
-  | Ident "int" -> Ty.Tint
-  | Ident "float" -> Ty.Tfloat
-  | Ident "str" -> Ty.Tstr
-  | Ident "blob" -> Ty.Tblob
-  | Ident "loid" -> Ty.Tloid
-  | Ident "binding" -> Ty.Tbinding
-  | Ident "any" -> Ty.Tany
-  | Ident "list" ->
-      expect st Langle;
-      let inner = parse_ty st in
-      expect st Rangle;
-      Ty.Tlist inner
-  | Ident "opt" ->
-      expect st Langle;
-      let inner = parse_ty st in
-      expect st Rangle;
-      Ty.Topt inner
-  | Ident "record" ->
+  let angled () =
+    expect st Langle;
+    let inner = parse_ty syntax st in
+    expect st Rangle;
+    inner
+  in
+  match (syntax, t.tok) with
+  | Corba, Ident "unit" | Mpl, Ident "void" -> Ty.Tunit
+  | _, Ident "bool" -> Ty.Tbool
+  | _, Ident "int" | Mpl, Ident ("long" | "short") -> Ty.Tint
+  | _, Ident "float" | Mpl, Ident "double" -> Ty.Tfloat
+  | Corba, Ident "str" | Mpl, Ident "string" -> Ty.Tstr
+  | Mpl, Ident "char" ->
+      expect st Star;
+      Ty.Tstr
+  | _, Ident "blob" | Mpl, Ident "bytes" -> Ty.Tblob
+  | _, Ident "loid" -> Ty.Tloid
+  | _, Ident "binding" -> Ty.Tbinding
+  | _, Ident "any" -> Ty.Tany
+  | Corba, Ident "list" | Mpl, Ident "sequence" -> Ty.Tlist (angled ())
+  | Corba, Ident "opt" | Mpl, Ident "optional" -> Ty.Topt (angled ())
+  | Corba, Ident "record" ->
       expect st Lbrace;
       let fields = ref [] in
       let rec loop () =
@@ -142,7 +172,7 @@ let rec parse_ty st : Ty.t =
         | _ ->
             let name = ident st in
             expect st Colon;
-            let ty = parse_ty st in
+            let ty = parse_ty Corba st in
             fields := (name, ty) :: !fields;
             (match (peek st).tok with
             | Comma -> ignore (next st)
@@ -151,10 +181,38 @@ let rec parse_ty st : Ty.t =
       in
       loop ();
       Ty.Trecord (List.rev !fields)
-  | Ident other -> fail ~line:t.line ~col:t.col "unknown type %S" other
-  | other -> fail ~line:t.line ~col:t.col "expected a type, found %s" (token_name other)
+  | Corba, Ident other -> fail ~line:t.line ~col:t.col "unknown type %S" other
+  | Mpl, Ident other -> fail ~line:t.line ~col:t.col "unknown MPL type %S" other
+  | _, other ->
+      fail ~line:t.line ~col:t.col "expected a type, found %s" (token_name other)
 
-let parse_params st =
+(* Mentat's concurrency qualifiers: meaningful to its compiler, not to
+   the interface. *)
+let qualifiers = [ "regular"; "sequential"; "select"; "stateless"; "persistent" ]
+
+let skip_qualifiers st =
+  let rec loop () =
+    match (peek st).tok with
+    | Ident q when List.mem q qualifiers ->
+        ignore (next st);
+        loop ()
+    | _ -> ()
+  in
+  loop ()
+
+(* CORBA: [name: type]; MPL: [qualifier* type name]. *)
+let parse_param syntax st =
+  match syntax with
+  | Corba ->
+      let name = ident st in
+      expect st Colon;
+      (name, parse_ty Corba st)
+  | Mpl ->
+      skip_qualifiers st;
+      let ty = parse_ty Mpl st in
+      (ident st, ty)
+
+let parse_params syntax st =
   expect st Lparen;
   match (peek st).tok with
   | Rparen ->
@@ -162,10 +220,7 @@ let parse_params st =
       []
   | _ ->
       let rec loop acc =
-        let name = ident st in
-        expect st Colon;
-        let ty = parse_ty st in
-        let acc = (name, ty) :: acc in
+        let acc = parse_param syntax st :: acc in
         let t = next st in
         match t.tok with
         | Comma -> loop acc
@@ -176,25 +231,50 @@ let parse_params st =
       in
       loop []
 
-let parse_method st : Interface.signature =
-  let meth = ident st in
-  let params = parse_params st in
-  let ret =
-    match (peek st).tok with
-    | Colon ->
-        ignore (next st);
-        parse_ty st
-    | _ -> Ty.Tunit
+(* CORBA: [name(params) (: type)?;]; MPL: [qualifier* type name(params);]. *)
+let parse_method syntax st : Interface.signature =
+  let meth, params, ret =
+    match syntax with
+    | Corba ->
+        let meth = ident st in
+        let params = parse_params Corba st in
+        let ret =
+          match (peek st).tok with
+          | Colon ->
+              ignore (next st);
+              parse_ty Corba st
+          | _ -> Ty.Tunit
+        in
+        (meth, params, ret)
+    | Mpl ->
+        skip_qualifiers st;
+        let ret = parse_ty Mpl st in
+        let meth = ident st in
+        let params = parse_params Mpl st in
+        (meth, params, ret)
   in
   expect st Semi;
   { Interface.meth; params; ret }
 
-let parse_interface st =
+(* A declaration names its syntax: [interface] opens a CORBA one, and
+   [mentat class], after any Mentat qualifiers, an MPL one. A qualifier
+   commits the declaration to MPL. *)
+let parse_decl st =
+  let first = peek st in
+  skip_qualifiers st;
   let t = next st in
-  (match t.tok with
-  | Ident "interface" -> ()
-  | other ->
-      fail ~line:t.line ~col:t.col "expected 'interface', found %s" (token_name other));
+  let qualified = t != first in
+  let syntax =
+    match t.tok with
+    | Ident "interface" when not qualified -> Corba
+    | Ident "mentat" ->
+        keyword st "class";
+        Mpl
+    | other ->
+        fail ~line:t.line ~col:t.col "expected %s, found %s"
+          (if qualified then "'mentat'" else "'interface' or 'mentat'")
+          (token_name other)
+  in
   let iname = ident st in
   expect st Lbrace;
   let sigs = ref [] in
@@ -202,7 +282,7 @@ let parse_interface st =
     match (peek st).tok with
     | Rbrace -> ignore (next st)
     | _ ->
-        sigs := parse_method st :: !sigs;
+        sigs := parse_method syntax st :: !sigs;
         loop ()
   in
   loop ();
@@ -219,7 +299,7 @@ let run f src =
 let interface src =
   run
     (fun st ->
-      let iface = parse_interface st in
+      let iface = parse_decl st in
       expect st Eof;
       iface)
     src
@@ -230,7 +310,7 @@ let file src =
       let rec loop acc =
         match (peek st).tok with
         | Eof -> List.rev acc
-        | _ -> loop (parse_interface st :: acc)
+        | _ -> loop (parse_decl st :: acc)
       in
       loop [])
     src
@@ -238,7 +318,7 @@ let file src =
 let ty src =
   run
     (fun st ->
-      let t = parse_ty st in
+      let t = parse_ty Corba st in
       expect st Eof;
       t)
     src

@@ -92,9 +92,12 @@ val derive_class :
   unit ->
   (Loid.t, Legion_rt.Err.t) result
 (** Invoke [Derive] on a class; the new class object is activated
-    eagerly. The interface source is [idl] (CORBA-flavoured) or [mpl]
-    (Mentat-flavoured) — the paper's two IDLs — but not both. [typed]
-    makes instances enforce the class interface at dispatch. *)
+    eagerly. The interface source is [idl] or [mpl], but not both. Each
+    accepts either of the paper's two IDLs — a CORBA-flavoured
+    [interface] or an MPL [mentat class] — since one parser reads both.
+    Both arguments stay because each fills its own field of the Derive
+    spec, and dropping a field would shrink every Derive message.
+    [typed] makes instances enforce the class interface at dispatch. *)
 
 val derive_class_exn :
   System.t ->

@@ -56,7 +56,6 @@ let prng t = t.prng
 let obs t = t.obs
 let sites t = t.sites
 let site t i = List.nth t.sites i
-let legion_class_binding t = t.legion_class_binding
 let magistrates t = List.map (fun s -> s.magistrate) t.sites
 let host_objects t = List.concat_map (fun s -> s.host_objects) t.sites
 

@@ -16,7 +16,6 @@
 
 module Loid := Legion_naming.Loid
 module Address := Legion_naming.Address
-module Binding := Legion_naming.Binding
 module Runtime := Legion_rt.Runtime
 
 type site = {
@@ -56,7 +55,6 @@ val registry : t -> Legion_util.Counter.Registry.r
 val prng : t -> Legion_util.Prng.t
 val sites : t -> site list
 val site : t -> int -> site
-val legion_class_binding : t -> Binding.t
 
 val obs : t -> Legion_obs.Recorder.t
 (** The structured-event recorder shared by the network and the

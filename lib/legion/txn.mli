@@ -60,8 +60,6 @@ type schedule = Clean | Crash_participant | Crash_coordinator | Partition | Shed
 val schedules : schedule list
 (** The five gated schedules, in report order. *)
 
-val schedule_name : schedule -> string
-
 type mode =
   | Mix  (** A seeded coin flip per transaction. *)
   | Two_phase

@@ -34,22 +34,19 @@ type 'm host = {
   mutable receiver : (src:host_id -> 'm -> unit) option;
 }
 
-(* Per-site host index: a growable int vector, appended in add_host
-   order so it stays ascending (host ids only grow). *)
-type hostvec = { mutable ids : int array; mutable n : int }
-
-(* In-flight message, pooled: the engine carries only the slot index
-   (see Engine.post_token), so a delivery costs no closure and no
-   fresh record. [d_raw] is the sealed-and-mutated record form a payload
-   selected for the corruption fault travels as, read back through
-   [d_codec]; [None] — the fast path — carries the payload as it was
-   sent. *)
+(* In-flight message, pooled: each record owns [d_fire], the closure
+   that delivers it, made once when the record is created, so posting a
+   delivery to the engine costs no closure and no fresh record. [d_raw]
+   is the sealed-and-mutated record form a payload selected for the
+   corruption fault travels as, read back through [d_codec]; [None] —
+   the fast path — carries the payload as it was sent. *)
 type 'm delivery = {
   mutable d_src : host_id;
   mutable d_dst : host_id;
   mutable d_payload : 'm;
   mutable d_codec : 'm codec;
   mutable d_raw : string option;
+  d_fire : unit -> unit;
 }
 
 type drop_causes = {
@@ -75,14 +72,11 @@ type 'm t = {
   prng : Prng.t;
   latency : latency;
   mutable sites : string array;
-  mutable site_hosts : hostvec array;  (* parallel to [sites] *)
   mutable host_tbl : 'm host array;
   mutable n_sites : int;
   mutable n_hosts : int;
-  mutable deliveries : 'm delivery array;  (* token-indexed in-flight pool *)
-  mutable free_slots : int array;  (* free-slot stack into [deliveries] *)
+  mutable free : 'm delivery array;  (* stack of idle in-flight records *)
   mutable free_len : int;
-  mutable n_deliveries : int;  (* slots ever handed out *)
   mutable drop_rate : float;
   mutable duplicate_rate : float;
   mutable reorder_rate : float;
@@ -108,31 +102,18 @@ type 'm t = {
   mutable tier_wan : int;
 }
 
-let new_hostvec () = { ids = [||]; n = 0 }
-
-let hostvec_add v h =
-  if v.n = Array.length v.ids then begin
-    let cap = Stdlib.max 8 (2 * v.n) in
-    let bigger = Array.make cap 0 in
-    Array.blit v.ids 0 bigger 0 v.n;
-    v.ids <- bigger
-  end;
-  v.ids.(v.n) <- h;
-  v.n <- v.n + 1
-
-(* A free slot keeps its last payload until it is reused: ['m] has no
-   blank value, and the pool is only as deep as the peak in flight. *)
-let rec deliver_token t tok =
-  let d = t.deliveries.(tok) in
+(* An idle record keeps its last payload until it is reused: ['m] has
+   no blank value, and the pool is only as deep as the peak in flight. *)
+let rec deliver t d =
   let src = d.d_src and dst = d.d_dst and payload = d.d_payload in
   let raw = d.d_raw in
   d.d_raw <- None;
-  if t.free_len = Array.length t.free_slots then begin
-    let bigger = Array.make (Stdlib.max 8 (2 * t.free_len)) 0 in
-    Array.blit t.free_slots 0 bigger 0 t.free_len;
-    t.free_slots <- bigger
+  if t.free_len = Array.length t.free then begin
+    let bigger = Array.make (Stdlib.max 8 (2 * t.free_len)) d in
+    Array.blit t.free 0 bigger 0 t.free_len;
+    t.free <- bigger
   end;
-  t.free_slots.(t.free_len) <- tok;
+  t.free.(t.free_len) <- d;
   t.free_len <- t.free_len + 1;
   let h = t.host_tbl.(dst) in
   if not h.up then drop_msg t ~src ~dst ~at:dst Event.Dst_down
@@ -174,20 +155,16 @@ and emit t ~host kind =
   | Some r -> Recorder.emit r ~host ~site:t.host_tbl.(host).site kind
 
 let create ~sim ~prng ?(latency = default_latency) ?obs () =
-  let t =
   {
     sim;
     prng;
     latency;
     sites = Array.make 8 "";
-    site_hosts = Array.init 8 (fun _ -> new_hostvec ());
     host_tbl = [||];
     n_sites = 0;
     n_hosts = 0;
-    deliveries = [||];
-    free_slots = [||];
+    free = [||];
     free_len = 0;
-    n_deliveries = 0;
     drop_rate = 0.0;
     duplicate_rate = 0.0;
     reorder_rate = 0.0;
@@ -218,21 +195,12 @@ let create ~sim ~prng ?(latency = default_latency) ?obs () =
     tier_site = 0;
     tier_wan = 0;
   }
-  in
-  (* Sole consumer of the engine's token dispatch: every Network owns
-     its engine (System.boot and all tests build one per net). *)
-  Legion_sim.Engine.set_dispatch sim (deliver_token t);
-  t
-
 
 let add_site t ~name =
   if t.n_sites = Array.length t.sites then begin
     let bigger = Array.make (2 * t.n_sites) "" in
     Array.blit t.sites 0 bigger 0 t.n_sites;
-    t.sites <- bigger;
-    let more = Array.init (2 * t.n_sites) (fun _ -> new_hostvec ()) in
-    Array.blit t.site_hosts 0 more 0 t.n_sites;
-    t.site_hosts <- more
+    t.sites <- bigger
   end;
   t.sites.(t.n_sites) <- name;
   t.n_sites <- t.n_sites + 1;
@@ -248,7 +216,6 @@ let add_host t ~site ~name =
     t.host_tbl <- bigger
   end;
   t.host_tbl.(t.n_hosts) <- h;
-  hostvec_add t.site_hosts.(site) t.n_hosts;
   t.n_hosts <- t.n_hosts + 1;
   t.n_hosts - 1
 
@@ -259,11 +226,7 @@ let hosts t = List.init t.n_hosts (fun i -> i)
 let check_host t h =
   if h < 0 || h >= t.n_hosts then invalid_arg "Network: bad host id"
 
-let hosts_of_site t s =
-  if s < 0 || s >= t.n_sites then []
-  else
-    let v = t.site_hosts.(s) in
-    List.init v.n (fun i -> v.ids.(i))
+let hosts_of_site t s = List.filter (fun h -> t.host_tbl.(h).site = s) (hosts t)
 
 let site_of t h =
   check_host t h;
@@ -392,37 +355,34 @@ let latency_between t a b =
 
 let set_tap t tap = t.tap <- tap
 
-(* Grab a pooled in-flight slot; returns its token. *)
+(* Take an idle in-flight record, or make one with its closure. *)
 let alloc_delivery ?raw t codec ~src ~dst payload =
   if t.free_len > 0 then begin
     t.free_len <- t.free_len - 1;
-    let tok = t.free_slots.(t.free_len) in
-    let d = t.deliveries.(tok) in
+    let d = t.free.(t.free_len) in
     d.d_src <- src;
     d.d_dst <- dst;
     d.d_payload <- payload;
     d.d_codec <- codec;
     d.d_raw <- raw;
-    tok
+    d
   end
-  else begin
-    let d =
-      { d_src = src; d_dst = dst; d_payload = payload; d_codec = codec; d_raw = raw }
+  else
+    let rec d =
+      {
+        d_src = src;
+        d_dst = dst;
+        d_payload = payload;
+        d_codec = codec;
+        d_raw = raw;
+        d_fire = (fun () -> deliver t d);
+      }
     in
-    if t.n_deliveries = Array.length t.deliveries then begin
-      let cap = Stdlib.max 8 (2 * t.n_deliveries) in
-      let bigger = Array.make cap d in
-      Array.blit t.deliveries 0 bigger 0 t.n_deliveries;
-      t.deliveries <- bigger
-    end;
-    t.deliveries.(t.n_deliveries) <- d;
-    t.n_deliveries <- t.n_deliveries + 1;
-    t.n_deliveries - 1
-  end
+    d
 
 (* One transmission: a delay draw (base latency, jitter, any delay
    spike on the link, any adversarial reorder hold-back) and a posted
-   delivery token. Shared by the original send and injected duplicates,
+   delivery. Shared by the original send and injected duplicates,
    so each copy races under its own independent latency. *)
 let transmit t codec ~src ~dst ?raw payload =
   let base = latency_between t src dst in
@@ -450,14 +410,12 @@ let transmit t codec ~src ~dst ?raw payload =
     end
     else delay
   in
-  (* Zero-allocation fast path: the engine carries a bare token into
-     [deliver_token]; no closure, no handle, pooled in-flight slot. *)
-  Legion_sim.Engine.post_token t.sim ~delay
-    (alloc_delivery ?raw t codec ~src ~dst payload)
+  let d = alloc_delivery ?raw t codec ~src ~dst payload in
+  Legion_sim.Engine.post t.sim ~delay d.d_fire
 
 (* Seed byte mutation: seal the record form in the checksummed envelope,
    then flip 1–3 bytes anywhere in the frame (header included). The
-   receiver side of [deliver_token] verifies and fail-closed-drops it. *)
+   receiver side of [deliver] verifies and fail-closed-drops it. *)
 let corrupt_bytes t record ~src ~dst =
   let sealed = Legion_wire.Envelope.seal record in
   let n = String.length sealed in

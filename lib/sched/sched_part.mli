@@ -39,19 +39,11 @@
     a [Split] event). Spare Magistrates must share the site's storage
     (the §2.2 non-disjoint case). *)
 
-module Impl := Legion_core.Impl
-
 val unit_random : string
 val unit_round_robin : string
 val unit_least_loaded : string
 val unit_live_load : string
 val unit_rebalance : string
-
-val factory_random : Impl.factory
-val factory_round_robin : Impl.factory
-val factory_least_loaded : Impl.factory
-val factory_live_load : Impl.factory
-val factory_rebalance : Impl.factory
 
 val register : unit -> unit
 (** Install all five units. *)

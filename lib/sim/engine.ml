@@ -10,7 +10,6 @@ type event = {
   mutable time : float;
   mutable seq : int;  (* tie-break: same-instant events fire in scheduling order *)
   mutable action : unit -> unit;
-  mutable token : int;  (* >= 0: dispatch this token instead of [action] *)
   mutable slot : int;  (* index in [eng.heap] while queued *)
   mutable gen : int;  (* bumped each time the record is recycled *)
   eng : t;
@@ -24,7 +23,6 @@ and t = {
   mutable fired : int;
   mutable heap : event array;
   mutable len : int;
-  mutable dispatch : (int -> unit) option;
   mutable pool : event array;  (* free-record stack *)
   mutable pool_len : int;
 }
@@ -38,7 +36,6 @@ let create () =
     fired = 0;
     heap = [||];
     len = 0;
-    dispatch = None;
     pool = [||];
     pool_len = 0;
   }
@@ -105,7 +102,7 @@ let remove t i =
 
 let no_action () = ()
 
-let alloc t ~time ~action ~token =
+let alloc t ~time ~action =
   if not (Float.is_finite time) then
     invalid_arg "Engine: event time is not finite";
   let seq = t.next_seq in
@@ -117,10 +114,9 @@ let alloc t ~time ~action ~token =
       ev.time <- time;
       ev.seq <- seq;
       ev.action <- action;
-      ev.token <- token;
       ev
     end
-    else { time; seq; action; token; slot = 0; gen = 0; eng = t }
+    else { time; seq; action; slot = 0; gen = 0; eng = t }
   in
   push t ev;
   ev
@@ -135,7 +131,7 @@ let recycle t ev =
 
 let schedule_at t ~time action =
   let time = Float.max time t.clock in
-  let ev = alloc t ~time ~action ~token:(-1) in
+  let ev = alloc t ~time ~action in
   { ev; hgen = ev.gen }
 
 let schedule t ~delay action =
@@ -143,19 +139,9 @@ let schedule t ~delay action =
 
 let post_at t ~time action =
   let time = Float.max time t.clock in
-  ignore (alloc t ~time ~action ~token:(-1))
+  ignore (alloc t ~time ~action)
 
 let post t ~delay action = post_at t ~time:(t.clock +. Float.max 0.0 delay) action
-
-let set_dispatch t f =
-  match t.dispatch with
-  | Some _ -> invalid_arg "Engine.set_dispatch: dispatcher already installed"
-  | None -> t.dispatch <- Some f
-
-let post_token t ~delay token =
-  if token < 0 then invalid_arg "Engine.post_token: negative token";
-  let time = t.clock +. Float.max 0.0 delay in
-  ignore (alloc t ~time ~action:no_action ~token)
 
 let cancel h =
   let ev = h.ev in
@@ -173,15 +159,11 @@ let step t =
        remove t 0;
        t.clock <- ev.time;
        t.fired <- t.fired + 1;
-       let action = ev.action and token = ev.token in
+       let action = ev.action in
        (* Recycle before running: the action may schedule, reusing this
           very record under a fresh generation. *)
        recycle t ev;
-       (if token >= 0 then
-          match t.dispatch with
-          | Some f -> f token
-          | None -> ()
-        else action ());
+       action ();
        true
      end
 

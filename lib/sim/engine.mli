@@ -36,8 +36,10 @@ val schedule_at : t -> time:float -> (unit -> unit) -> handle
 
 val post : t -> delay:float -> (unit -> unit) -> unit
 (** Fire-and-forget {!schedule}: no cancellation handle is built, so
-    hot paths that never cancel (workload arrivals, script ticks) skip
-    that allocation. *)
+    hot paths that never cancel skip that allocation. Workload arrivals
+    and script ticks post here, and so does the network: each pooled
+    in-flight message owns the closure that delivers it, made once
+    when the record is created, so a delivery allocates nothing. *)
 
 val cancel : handle -> unit
 (** Cancelling an already-fired or already-cancelled event is a no-op. *)
@@ -60,21 +62,3 @@ val pending : t -> int
 
 val events_fired : t -> int
 (** Total events fired since creation. *)
-
-(** {1 Token dispatch}
-
-    The zero-allocation delivery path. A subsystem that schedules very
-    many homogeneous events (the network's message deliveries) can
-    register one dispatch function and then schedule bare integer
-    tokens: no closure, no handle — the pooled event record is the
-    only storage, and the token typically indexes the subsystem's own
-    pool. One dispatcher per engine: the engine is single-owner by
-    construction (every [Network.create] builds its own engine). *)
-
-val set_dispatch : t -> (int -> unit) -> unit
-(** Install the token dispatcher.
-    @raise Invalid_argument if one is already installed. *)
-
-val post_token : t -> delay:float -> int -> unit
-(** Schedule the dispatcher to run with the given token (which must be
-    [>= 0]) after [delay] (clamped to [0.] like {!schedule}). *)

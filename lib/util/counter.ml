@@ -20,7 +20,6 @@ module Registry = struct
         r.order <- c :: r.order;
         c
 
-  let find r ~group ~name = Hashtbl.find_opt r.tbl (group, name)
   let all r = List.rev r.order
   let by_group r g = List.filter (fun c -> c.group = g) (all r)
   let group_total r g = List.fold_left (fun acc c -> acc + c.value) 0 (by_group r g)

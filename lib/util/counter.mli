@@ -26,9 +26,7 @@ module Registry : sig
   (** Create and register a counter. Registering the same (group, name)
       twice returns the existing counter. *)
 
-  val find : r -> group:string -> name:string -> t option
   val all : r -> t list
-  val by_group : r -> string -> t list
   val group_total : r -> string -> int
   val group_max : r -> string -> (string * int) option
   (** Counter name and value of the largest counter in a group. *)

@@ -44,7 +44,8 @@ let test_ty_check_compound () =
     (Ty.check rty
        (Value.Record [ ("a", Value.Int 1); ("b", Value.Str "s"); ("c", Value.Unit) ]))
 
-let ty_gen =
+(* Random types; MPL has no record type, so its generator draws none. *)
+let ty_gen_of ~records =
   QCheck.Gen.(
     sized
       (fix (fun self n ->
@@ -53,19 +54,23 @@ let ty_gen =
                [ Ty.Tunit; Ty.Tbool; Ty.Tint; Ty.Tfloat; Ty.Tstr; Ty.Tblob;
                  Ty.Tloid; Ty.Tbinding; Ty.Tany ]
            in
+           let record =
+             map
+               (fun ts ->
+                 Ty.Trecord (List.mapi (fun i t -> (Printf.sprintf "f%d" i, t)) ts))
+               (list_size (1 -- 3) (self (n / 2)))
+           in
            if n <= 1 then base
            else
              frequency
-               [
-                 (3, base);
-                 (1, map (fun t -> Ty.Tlist t) (self (n / 2)));
-                 (1, map (fun t -> Ty.Topt t) (self (n / 2)));
-                 ( 1,
-                   map
-                     (fun ts ->
-                       Ty.Trecord (List.mapi (fun i t -> (Printf.sprintf "f%d" i, t)) ts))
-                     (list_size (1 -- 3) (self (n / 2))) );
-               ])))
+               ([
+                  (3, base);
+                  (1, map (fun t -> Ty.Tlist t) (self (n / 2)));
+                  (1, map (fun t -> Ty.Topt t) (self (n / 2)));
+                ]
+               @ if records then [ (1, record) ] else []))))
+
+let ty_gen = ty_gen_of ~records:true
 
 let ty_roundtrip_value =
   QCheck.Test.make ~name:"ty wire roundtrip" ~count:300 (QCheck.make ty_gen)
@@ -208,6 +213,7 @@ let test_parse_rejects () =
       "interface A { M(x: list<int); }";
       "interface A { M(); M(); }";
       "interface A { 3(); }";
+      "interface A { M(); /* unterminated";
     ]
 
 let test_pp_parse_roundtrip () =
@@ -223,7 +229,7 @@ let test_pp_parse_roundtrip () =
   | Ok i' -> Alcotest.check iface_t "pp then parse" i i'
   | Error e -> Alcotest.failf "reparse of %S: %s" printed (Format.asprintf "%a" Parser.pp_error e)
 
-let iface_gen =
+let iface_gen_of ty_gen =
   QCheck.Gen.(
     let meth_name i = Printf.sprintf "M%d" i in
     map
@@ -238,6 +244,8 @@ let iface_gen =
                })
              sigs))
       (list_size (0 -- 5) (pair (list_size (0 -- 3) ty_gen) ty_gen)))
+
+let iface_gen = iface_gen_of ty_gen
 
 let interface_pp_parse_roundtrip =
   QCheck.Test.make ~name:"interface pp/parse roundtrip" ~count:100
@@ -255,16 +263,14 @@ let interface_wire_roundtrip_prop =
       | Ok i' -> Interface.equal i i'
       | Error _ -> false)
 
-(* --- MPL front-end (the paper's second IDL) --- *)
-
-module Mpl = Legion_idl.Mpl
+(* --- MPL declarations (the paper's second IDL), read by the same Parser --- *)
 
 let test_mpl_simple () =
   let src =
     "mentat class Counter {\n     \tint Increment(int d);\n     \tint Get();\n     \tvoid Reset();\n     };"
   in
-  match Mpl.interface src with
-  | Error e -> Alcotest.failf "mpl: %s" (Format.asprintf "%a" Mpl.pp_error e)
+  match Parser.interface src with
+  | Error e -> Alcotest.failf "mpl: %s" (Format.asprintf "%a" Parser.pp_error e)
   | Ok i ->
       Alcotest.(check string) "name" "Counter" (Interface.name i);
       Alcotest.(check (list string)) "methods" [ "Increment"; "Get"; "Reset" ]
@@ -283,8 +289,8 @@ let test_mpl_types_and_qualifiers () =
   let src =
     "mentat class Fancy {\n     /* concurrency qualifiers are Mentat compiler directives */\n     stateless sequence<string> Names(int k);\n     regular double Mean(sequence<float> xs);\n     optional<loid> Find(char * name);\n     any Raw(blob b);\n     }"
   in
-  match Mpl.interface src with
-  | Error e -> Alcotest.failf "mpl: %s" (Format.asprintf "%a" Mpl.pp_error e)
+  match Parser.interface src with
+  | Error e -> Alcotest.failf "mpl: %s" (Format.asprintf "%a" Parser.pp_error e)
   | Ok i ->
       let ret m =
         match Interface.find i m with
@@ -301,17 +307,17 @@ let test_mpl_types_and_qualifiers () =
 
 let test_mpl_file_multiple () =
   let src = "mentat class A { void M(); };\nmentat class B { int N(); }" in
-  match Mpl.file src with
+  match Parser.file src with
   | Ok [ a; b ] ->
       Alcotest.(check string) "A" "A" (Interface.name a);
       Alcotest.(check string) "B" "B" (Interface.name b)
   | Ok l -> Alcotest.failf "expected 2, got %d" (List.length l)
-  | Error e -> Alcotest.failf "mpl: %s" (Format.asprintf "%a" Mpl.pp_error e)
+  | Error e -> Alcotest.failf "mpl: %s" (Format.asprintf "%a" Parser.pp_error e)
 
 let test_mpl_rejects () =
   List.iter
     (fun src ->
-      match Mpl.interface src with
+      match Parser.interface src with
       | Ok _ -> Alcotest.failf "accepted %S" src
       | Error _ -> ())
     [
@@ -322,13 +328,15 @@ let test_mpl_rejects () =
       "mentat class A { void M(); } junk";
       "mentat class A { void M(); void M(); }";
       "mentat class A { /* unterminated";
+      "persistent interface A { M(); }";
+      "mentat interface A { }";
     ]
 
 let test_mpl_equivalent_to_idl () =
-  (* The two front-ends produce identical interfaces for equivalent
+  (* The two syntaxes produce identical interfaces for equivalent
      declarations. *)
   let from_mpl =
-    Mpl.interface
+    Parser.interface
       "mentat class Counter { int Increment(int d); int Get(); void Reset(); }"
   in
   let from_idl =
@@ -337,7 +345,99 @@ let test_mpl_equivalent_to_idl () =
   in
   match (from_mpl, from_idl) with
   | Ok a, Ok b -> Alcotest.check iface_t "same interface" b a
-  | _ -> Alcotest.fail "one front-end failed"
+  | _ -> Alcotest.fail "one syntax failed"
+
+(* Print an interface as a token list in either syntax, then join the
+   tokens with whitespace or a comment in either style. The MPL printer
+   draws Mentat qualifiers and the alternative C++ spellings. *)
+let rec corba_ty_toks = function
+  | Ty.Tlist t -> ("list" :: "<" :: corba_ty_toks t) @ [ ">" ]
+  | Ty.Topt t -> ("opt" :: "<" :: corba_ty_toks t) @ [ ">" ]
+  | t -> [ Ty.to_string t ]
+
+let rec mpl_ty_toks t =
+  let open QCheck.Gen in
+  match t with
+  | Ty.Tunit -> return [ "void" ]
+  | Ty.Tint -> oneofl [ [ "int" ]; [ "long" ]; [ "short" ] ]
+  | Ty.Tfloat -> oneofl [ [ "float" ]; [ "double" ] ]
+  | Ty.Tstr -> oneofl [ [ "string" ]; [ "char"; "*" ] ]
+  | Ty.Tblob -> oneofl [ [ "blob" ]; [ "bytes" ] ]
+  | Ty.Tlist t -> map (fun ts -> ("sequence" :: "<" :: ts) @ [ ">" ]) (mpl_ty_toks t)
+  | Ty.Topt t -> map (fun ts -> ("optional" :: "<" :: ts) @ [ ">" ]) (mpl_ty_toks t)
+  | Ty.Trecord _ -> invalid_arg "MPL has no record type"
+  | Ty.Tbool | Ty.Tloid | Ty.Tbinding | Ty.Tany -> return [ Ty.to_string t ]
+
+let qualifiers_gen =
+  QCheck.Gen.(
+    list_size (0 -- 2)
+      (oneofl [ "regular"; "sequential"; "select"; "stateless"; "persistent" ]))
+
+let optional_semi = QCheck.Gen.oneofl [ []; [ ";" ] ]
+let commas items =
+  List.concat (List.mapi (fun k x -> if k = 0 then x else "," :: x) items)
+
+let corba_toks i =
+  let open QCheck.Gen in
+  let meth (s : Interface.signature) =
+    let params = commas (List.map (fun (n, t) -> n :: ":" :: corba_ty_toks t) s.params) in
+    let+ ret =
+      if Ty.equal s.ret Ty.Tunit then oneofl [ []; [ ":"; "unit" ] ]
+      else return (":" :: corba_ty_toks s.ret)
+    in
+    (s.meth :: "(" :: params) @ (")" :: ret) @ [ ";" ]
+  in
+  let* methods = flatten_l (List.map meth (Interface.signatures i)) in
+  let+ semi = optional_semi in
+  ("interface" :: Interface.name i :: "{" :: List.concat methods) @ ("}" :: semi)
+
+let mpl_toks i =
+  let open QCheck.Gen in
+  let param (n, t) =
+    let* q = qualifiers_gen in
+    let+ ty = mpl_ty_toks t in
+    q @ ty @ [ n ]
+  in
+  let meth (s : Interface.signature) =
+    let* q = qualifiers_gen in
+    let* ret = mpl_ty_toks s.ret in
+    let+ params = flatten_l (List.map param s.params) in
+    q @ ret @ (s.meth :: "(" :: commas params) @ [ ")"; ";" ]
+  in
+  let* q = qualifiers_gen in
+  let* methods = flatten_l (List.map meth (Interface.signatures i)) in
+  let+ semi = optional_semi in
+  q @ ("mentat" :: "class" :: Interface.name i :: "{" :: List.concat methods)
+  @ ("}" :: semi)
+
+let render toks =
+  let open QCheck.Gen in
+  let gap =
+    oneofl [ " "; "\n  "; " // note\n"; " /* note */ "; "/**/"; "/* two\n lines */" ]
+  in
+  let+ gaps = list_repeat (List.length toks) gap in
+  String.concat "" (List.map2 ( ^ ) gaps toks)
+
+let two_syntaxes_agree =
+  let gen =
+    QCheck.Gen.(
+      let* i = iface_gen_of (ty_gen_of ~records:false) in
+      let* corba = corba_toks i >>= render in
+      let+ mpl = mpl_toks i >>= render in
+      (i, corba, mpl))
+  in
+  QCheck.Test.make ~name:"CORBA and MPL texts agree" ~count:300
+    (QCheck.make ~print:(fun (_, corba, mpl) -> corba ^ "\n----\n" ^ mpl) gen)
+    (fun (i, corba, mpl) ->
+      let one src =
+        match Parser.interface src with Ok i' -> Interface.equal i i' | Error _ -> false
+      in
+      let both src =
+        match Parser.file src with
+        | Ok [ a; b ] -> Interface.equal i a && Interface.equal i b
+        | Ok _ | Error _ -> false
+      in
+      one corba && one mpl && both (corba ^ "\n" ^ mpl) && both (mpl ^ "\n" ^ corba))
 
 let () =
   Alcotest.run "idl"
@@ -365,6 +465,7 @@ let () =
           Alcotest.test_case "multiple classes" `Quick test_mpl_file_multiple;
           Alcotest.test_case "rejects malformed input" `Quick test_mpl_rejects;
           Alcotest.test_case "front-ends agree" `Quick test_mpl_equivalent_to_idl;
+          QCheck_alcotest.to_alcotest two_syntaxes_agree;
         ] );
       ( "parser",
         [

@@ -388,8 +388,7 @@ let test_non_finite_time () =
   rejects "schedule_at inf" (fun () ->
       ignore (Engine.schedule_at sim ~time:Float.infinity ignore));
   rejects "post inf" (fun () -> Engine.post sim ~delay:Float.infinity ignore);
-  Engine.set_dispatch sim ignore;
-  rejects "post_token nan" (fun () -> Engine.post_token sim ~delay:Float.nan 0);
+  rejects "post nan" (fun () -> Engine.post sim ~delay:Float.nan ignore);
   Alcotest.(check int) "nothing queued by a rejected call" 1 (Engine.pending sim);
   Engine.run sim;
   Alcotest.(check int) "the valid event fired" 1 (Engine.events_fired sim)

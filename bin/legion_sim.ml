@@ -115,6 +115,7 @@ let int_conv what ok =
   Arg.conv (checked int_of_string_opt what ok, Format.pp_print_int)
 
 let positive_int = int_conv "a positive integer" (fun n -> n > 0)
+let non_negative_int = int_conv "a non-negative integer" (fun n -> n >= 0)
 
 let arg c name ~docv ~doc default =
   Arg.(value & opt c default & info [ name ] ~docv ~doc)
@@ -180,8 +181,9 @@ let cmd_drive =
     arg positive_int "calls" ~docv:"N" ~doc:"Invocations to issue." 1000
   in
   let tree_arg =
-    Arg.(value & opt int 0 & info [ "tree" ] ~docv:"K"
-           ~doc:"Arrange site Binding Agents under a combining tree of this fan-out (0 = flat).")
+    arg non_negative_int "tree" ~docv:"K"
+      ~doc:"Arrange site Binding Agents under a combining tree of this fan-out (0 = flat)."
+      0
   in
   let run sites seed objects calls tree =
     let sys = boot_system ~sites ~seed in
@@ -809,8 +811,7 @@ let cmd_replicate =
       $ arg
           (int_conv "a replication factor in 1..4" (fun r -> r >= 1 && r <= 4))
           "replicas" ~docv:"R" ~doc:"Replication factor (1 to 4)." d.R.replicas
-      $ arg (int_conv "a non-negative integer" (fun n -> n >= 0))
-          "kills" ~docv:"N"
+      $ arg non_negative_int "kills" ~docv:"N"
           ~doc:"Hosts to crash, one every $(b,--kill-every) seconds." d.R.kills
       $ arg positive "kill-every" ~docv:"S" ~doc:"Seconds between kills."
           d.R.kill_every

@@ -189,9 +189,14 @@ let run_cache cfg progress =
   in
   let site0 = System.site sys 0 in
   let loid = System.fresh_instance_loid sys ~of_class:Well_known.legion_object in
+  (* Off the site's infrastructure host when the site has another. *)
+  let client_host =
+    match site0.System.net_hosts with
+    | _ :: second :: _ -> second
+    | hosts -> List.hd hosts
+  in
   let client =
-    Runtime.spawn (System.rt sys)
-      ~host:(List.nth site0.System.net_hosts 1)
+    Runtime.spawn (System.rt sys) ~host:client_host
       ~loid ~kind:"bench_client" ?cache_capacity:cfg.cache_capacity
       ~binding_agent:site0.System.agent_address
       ~handler:(fun _ _ k -> k (Error (Err.Refused "client")))

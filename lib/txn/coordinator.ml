@@ -33,8 +33,7 @@ type state = {
   mutable seq : int;
   txns : (string, Wal.txn) Hashtbl.t;
       (* Every transaction this incarnation has run, finished ones
-         included: TxnStatus answers from it. [kick_all] walks it in
-         hash-table order, and that order reaches the network. *)
+         included: TxnStatus answers from it. *)
   mutable committed : int;
   mutable aborted : int;
   mutable compensations : int;
@@ -115,6 +114,11 @@ let factory (ctx : Runtime.ctx) : Impl.part =
           t.steps
   in
 
+  (* One drive per open transaction at a time. Three things start one:
+     its decision, its own redrive timer after a drive that left acks
+     missing, or [resume_txn] in a recovered incarnation. A drive ends
+     by finishing the transaction, by arming that timer, or on finding
+     a newer owner of the log; no call at the coordinator re-drives. *)
   let rec drive (t : Wal.txn) =
     match (t.phase, t.mode) with
     | Committing, _ -> commit_drive t
@@ -122,21 +126,19 @@ let factory (ctx : Runtime.ctx) : Impl.part =
     | Compensating, Saga -> comp_drive t
     | (Running | Committed | Compensated), _ -> ()
 
-  (* A drive pass that could not finish re-arms itself: one timer per
-     txn, far enough out (2× call timeout) that the in-flight retries
-     have resolved either way by the time it fires. *)
+  (* A drive pass that could not finish re-arms itself: the only retry
+     inside an incarnation, far enough out (2× call timeout) that the
+     runtime's own retransmissions have resolved either way by the time
+     it fires. A timer that fires on a dead incarnation does nothing;
+     its successor's recovery fold resumes the transaction. *)
   and schedule_redrive (t : Wal.txn) =
-    if not t.redrive_armed then begin
-      t.redrive_armed <- true;
-      let delay = 2.0 *. (Runtime.config rt).Runtime.call_timeout in
-      Script.at (Runtime.sim rt) ~time:(Runtime.now rt +. delay) (fun () ->
-          t.redrive_armed <- false;
-          if Runtime.is_live ctx.Runtime.self then drive t)
-    end
+    let delay = 2.0 *. (Runtime.config rt).Runtime.call_timeout in
+    Script.at (Runtime.sim rt) ~time:(Runtime.now rt +. delay) (fun () ->
+        if Runtime.is_live ctx.Runtime.self then drive t)
 
-  (* Overlapping drives of one transaction (a redrive, or the poke of
-     every TxnRun) each count their own acks and each reach the end of
-     them; only the first finishes the transaction. *)
+  (* A defence: with one drive per transaction only that drive reaches
+     the end of the acks, but the transaction finishes once whatever
+     calls this. *)
   and finish_commit (t : Wal.txn) =
     if t.phase = Committing then begin
       t.phase <- Committed;
@@ -405,33 +407,19 @@ let factory (ctx : Runtime.ctx) : Impl.part =
             Wal.claim wal ~seq:st.seq;
             Ok !n)
   in
-  (* Kick every in-doubt transaction. The redrive chain is a linked list
-     of timers — deactivation or a transient ownership loss can break a
-     link, and a Committing/Compensating txn would then hang silently.
-     Any poke at the coordinator re-drives them; [drive] is idempotent
-     and no-ops on finished phases. *)
-  let kick_all () =
-    Hashtbl.iter
-      (fun _ (t : Wal.txn) -> if not t.redrive_armed then drive t)
-      st.txns
-  in
   (* Every method but Configure runs only on a folded log; while the
      fold fails it answers the fold's error and writes nothing. *)
   let after_fold k f =
     match if st.needs_recovery then recover_from_wal () else Ok 0 with
     | Error msg -> k (Error (Err.Internal msg))
-    | Ok _ ->
-        kick_all ();
-        f ()
+    | Ok _ -> f ()
   in
 
   let txn_resume _ctx args _env k =
     match args with
     | [] -> (
         match recover_from_wal () with
-        | Ok n ->
-            kick_all ();
-            k (Ok (Value.Int n))
+        | Ok n -> k (Ok (Value.Int n))
         | Error msg -> k (Error (Err.Internal msg)))
     | _ -> Impl.bad_args k "TxnResume takes no arguments"
   in
@@ -474,16 +462,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
         | Ok (mode, steps) ->
             st.seq <- st.seq + 1;
             let id = Printf.sprintf "%s.%d" (Loid.to_string self) st.seq in
-            let t =
-              {
-                Wal.id;
-                mode;
-                steps;
-                phase = Running;
-                pending = [];
-                redrive_armed = false;
-              }
-            in
+            let t = { Wal.id; mode; steps; phase = Running; pending = [] } in
             t.pending <- all_idxs t;
             Hashtbl.replace st.txns id t;
             Wal.open_txn wal ~seq:st.seq t;

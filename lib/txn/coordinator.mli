@@ -28,9 +28,10 @@
     version history tagged with the transaction id — first [Staged] at
     prepare/apply, then flipped [Committed]/[Compensated] as the
     outcome lands. The E20 checker proves atomicity from these
-    histories alone. A transaction finishes once: overlapping drives
-    of one commit or rollback count [committed] or [aborted] and trace
-    [Txn_commit] only for the first.
+    histories alone. One drive at a time carries an open transaction
+    to its end: the decision's, then the redrive timer's while acks are
+    missing, or a recovered incarnation's resume. A transaction counts
+    [committed] or [aborted] and traces [Txn_commit] once.
 
     Crash recovery: {!register} hooks [TxnResume] into
     {!Legion_core.Impl.register_resume}, so the responsible class

@@ -44,7 +44,6 @@ type txn = {
   steps : step array;
   mutable phase : phase;
   mutable pending : int list;
-  mutable redrive_armed : bool;
 }
 
 let step_to_value s =
@@ -103,7 +102,7 @@ let txn_of_value v =
         |> Result.map (fun l -> Array.of_list (List.rev l))
     | _ -> Error "txn: missing steps"
   in
-  Ok { id; mode; steps; phase; pending; redrive_armed = false }
+  Ok { id; mode; steps; phase; pending }
 
 let head_key loid = "wal." ^ Loid.to_string loid
 let record_name head id = head ^ "/" ^ id

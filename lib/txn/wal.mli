@@ -56,7 +56,6 @@ type txn = {
           Committing: indices whose commit ack is outstanding.
           Compensating: indices still to roll back (saga: reverse
           application order). *)
-  mutable redrive_armed : bool;  (** Volatile: never logged. *)
 }
 
 val txn_to_value : txn -> Value.t

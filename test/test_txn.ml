@@ -98,6 +98,17 @@ let stat sys ctx co name =
       | _ -> Alcotest.failf "TxnStats: missing %s" name)
   | v -> Alcotest.failf "TxnStats: unexpected %s" (Value.to_string v)
 
+(* How many times the coordinator sent [meth] to each participant. *)
+let calls_to obs mark meth participants =
+  let events = Recorder.events_since obs mark in
+  List.map (fun dst -> Trace.count_of (Trace.call ~dst ~meth ()) events)
+    participants
+
+(* A call at the coordinator right after a decision, while that
+   decision's drive still waits for its acks. It must not drive the
+   transaction a second time. *)
+let poke sys ctx co = ignore (stat sys ctx co "indoubt")
+
 (* --- 2PC: all-or-nothing over distinct participants --- *)
 
 let test_two_phase_commit () =
@@ -139,7 +150,7 @@ let test_two_phase_commit () =
   Alcotest.(check bool) "commit traced" true
     (List.exists (Trace.txn_commit ~txn:id ()) events)
 
-let test_two_phase_abort () =
+let test_two_phase_abort ~poked () =
   let sys = boot ~seed:(Int64.add base_seed 1L) () in
   let ctx = System.client sys () in
   let obs = System.obs sys in
@@ -164,7 +175,10 @@ let test_two_phase_abort () =
     | Ok v -> Alcotest.failf "expected abort, got %s" (Value.to_string v)
     | Error e -> Alcotest.failf "expected Txn_aborted, got %s" (Err.to_string e)
   in
+  if poked then poke sys ctx co;
   System.run_for sys 3.0;
+  Alcotest.(check (list int)) "one TxnAbort per participant" [ 1; 1 ]
+    (calls_to obs mark "TxnAbort" [ a; b ]);
   Alcotest.(check int) "a untouched" 0 (get sys ctx a);
   Alcotest.(check int) "b untouched" 0 (get sys ctx b);
   Alcotest.(check (option string)) "a lock released" None (held sys ctx a);
@@ -327,10 +341,11 @@ let test_fenced_placement_heals_and_commits () =
   Alcotest.(check int) "b healed and applied" 7 (get sys ctx b);
   Alcotest.(check (option string)) "b lock free" None (held sys ctx b)
 
-(* Every TxnRun re-drives each Committing transaction, and each drive
-   counts its own acks, so overlapping drives of one transaction each
-   reach the end of their acks. The transaction must finish once. *)
-let test_commit_finishes_once () =
+(* The client holds Ok as soon as the decision falls, and its next
+   TxnRun arrives while the first commit's acks are still in flight.
+   Only each decision's own drive sends TxnCommit: every participant
+   gets one, and each transaction finishes once. *)
+let test_commit_drives_once () =
   let sys = boot ~seed:(Int64.add base_seed 10L) () in
   let ctx = System.client sys () in
   let obs = System.obs sys in
@@ -362,7 +377,87 @@ let test_commit_finishes_once () =
   Alcotest.(check int) "committed counter" 2 (stat sys ctx co "committed");
   List.iter
     (fun id -> Alcotest.(check int) (id ^ " commits once") 1 (commits id))
-    [ first; second ]
+    [ first; second ];
+  Alcotest.(check (list int)) "one TxnCommit per participant" [ 1; 1; 1; 1 ]
+    (calls_to obs mark "TxnCommit" (Array.to_list p))
+
+(* A participant's host power-fails after its vote, while its TxnCommit
+   is in flight, and comes back 25 s later. The client never calls the
+   coordinator meanwhile: the redrive timer, the only retry inside an
+   incarnation, must carry the commit through, once. With rebinds on,
+   the runtime would reactivate the participant elsewhere from its
+   prepare-time snapshot and finish the commit in the first drive; with
+   none, every TxnCommit fails until the host is back. *)
+let test_redrive_commits_after_outage () =
+  let sys =
+    boot_two_sites
+      ~seed:(Int64.add base_seed 11L)
+      ~rt_config:{ Runtime.default_config with max_rebinds = 0 }
+      ()
+  in
+  let ctx = System.client sys () in
+  let obs = System.obs sys in
+  let rt = System.rt sys in
+  let cls = derive_participant_class sys ctx in
+  let coord_cls = derive_coord_class sys ctx in
+  let co = Api.create_object_exn sys ctx ~cls:coord_cls ~eager:true () in
+  configure_store sys ctx co "uva";
+  let host o =
+    match Runtime.find_proc rt o with
+    | Some p -> Runtime.proc_host p
+    | None -> Alcotest.failf "%s is not active" (Loid.to_string o)
+  in
+  let a = Api.create_object_exn sys ctx ~cls ~eager:true () in
+  let spared =
+    Runtime.proc_host ctx.Runtime.self :: host co :: host a
+    :: System.infra_hosts sys
+  in
+  let rec pick n =
+    if n = 0 then Alcotest.fail "no participant landed on a spare host"
+    else
+      let o = Api.create_object_exn sys ctx ~cls ~eager:true () in
+      if List.mem (host o) spared then pick (n - 1) else (o, host o)
+  in
+  let b, victim = pick 12 in
+  let mark = Recorder.total obs in
+  let prepared = Recorder.count obs "Prepare" in
+  let reply = ref None in
+  Runtime.invoke ctx ~dst:co ~meth:"TxnRun"
+    ~args:
+      [
+        Value.Str "2pc";
+        Value.List
+          [ step a "Increment" [ Value.Int 5 ]; step b "Increment" [ Value.Int 7 ] ];
+      ]
+    (fun r -> reply := Some r);
+  (* The coordinator traces a prepare as each yes vote lands; at the
+     second the decision falls and its TxnCommits leave. *)
+  while Recorder.count obs "Prepare" < prepared + 2 do
+    if not (Legion_sim.Engine.step (System.sim sys)) then
+      Alcotest.fail "the simulation quiesced before both votes"
+  done;
+  Runtime.power_fail rt victim;
+  System.run_for sys 25.0;
+  Legion_net.Network.set_host_up (System.net sys) victim true;
+  let back = System.now sys in
+  System.run_for sys 30.0;
+  let id =
+    match !reply with
+    | Some (Ok (Value.Str id)) -> id
+    | Some (Ok v) -> Alcotest.failf "TxnRun: unexpected %s" (Value.to_string v)
+    | Some (Error e) -> Alcotest.failf "TxnRun failed: %s" (Err.to_string e)
+    | None -> Alcotest.fail "TxnRun never answered"
+  in
+  (match
+     List.filter (Trace.txn_commit ~txn:id ()) (Recorder.events_since obs mark)
+   with
+  | [ e ] ->
+      Alcotest.(check bool) "committed after the host came back" true
+        (e.Legion_obs.Event.time >= back)
+  | l -> Alcotest.failf "%d commits traced, expected one" (List.length l));
+  Alcotest.(check int) "a applied" 5 (get sys ctx a);
+  Alcotest.(check int) "b applied after its outage" 7 (get sys ctx b);
+  Alcotest.(check int) "nothing in doubt" 0 (stat sys ctx co "indoubt")
 
 (* --- sagas: immediate application, typed compensation --- *)
 
@@ -400,7 +495,7 @@ let test_saga_commit () =
   Alcotest.(check bool) "commit traced" true
     (List.exists (Trace.txn_commit ~txn:id ()) events)
 
-let test_saga_compensation () =
+let test_saga_compensation ~poked () =
   let sys = boot ~seed:(Int64.add base_seed 5L) () in
   let ctx = System.client sys () in
   let obs = System.obs sys in
@@ -426,6 +521,7 @@ let test_saga_compensation () =
     | Ok v -> Alcotest.failf "expected abort, got %s" (Value.to_string v)
     | Error e -> Alcotest.failf "expected Txn_aborted, got %s" (Err.to_string e)
   in
+  if poked then (poke sys ctx co; poke sys ctx co);
   System.run_for sys 3.0;
   Alcotest.(check int) "a compensated back to 0" 0 (get sys ctx a);
   Alcotest.(check int) "b untouched" 0 (get sys ctx b);
@@ -801,7 +897,6 @@ let mk_txn ~seq ~saga n =
     steps = Array.init n mk_step;
     phase = Running;
     pending = List.init n Fun.id;
-    redrive_armed = false;
   }
 
 type wal_op =
@@ -1097,21 +1192,27 @@ let () =
           Alcotest.test_case "commit applies everywhere" `Quick
             test_two_phase_commit;
           Alcotest.test_case "one no vote aborts everything" `Quick
-            test_two_phase_abort;
+            (test_two_phase_abort ~poked:false);
+          Alcotest.test_case "a call after an abort does not re-drive it"
+            `Quick (test_two_phase_abort ~poked:true);
           Alcotest.test_case "prepare locks contend and release" `Quick
             test_prepare_lock_contention;
           Alcotest.test_case "fenced participant is an abort vote" `Quick
             test_fenced_participant_aborts;
           Alcotest.test_case "fenced placement heals and commits" `Quick
             test_fenced_placement_heals_and_commits;
-          Alcotest.test_case "overlapping commit drives finish once" `Quick
-            test_commit_finishes_once;
+          Alcotest.test_case "back-to-back commits drive each participant once"
+            `Quick test_commit_drives_once;
+          Alcotest.test_case "a participant down across the decision commits"
+            `Quick test_redrive_commits_after_outage;
         ] );
       ( "saga",
         [
           Alcotest.test_case "saga commits in order" `Quick test_saga_commit;
           Alcotest.test_case "failed step compensates the prefix" `Quick
-            test_saga_compensation;
+            (test_saga_compensation ~poked:false);
+          Alcotest.test_case "calls during compensation do not repeat it"
+            `Quick (test_saga_compensation ~poked:true);
         ] );
       ( "recovery",
         [

@@ -28,10 +28,17 @@
     version history tagged with the transaction id — first [Staged] at
     prepare/apply, then flipped [Committed]/[Compensated] as the
     outcome lands. The E20 checker proves atomicity from these
-    histories alone. One drive at a time carries an open transaction
-    to its end: the decision's, then the redrive timer's while acks are
-    missing, or a recovered incarnation's resume. A transaction counts
-    [committed] or [aborted] and traces [Txn_commit] once.
+    histories alone.
+
+    Every decision is {!Protocol.step}, a pure transition function;
+    this unit performs the actions it returns. One drive at a time
+    carries an open transaction to its end: the decision's, then the
+    redrive timer's while acks are missing, or a recovered
+    incarnation's resume. Across coordinator crashes a transaction
+    counts [committed] or [aborted] and traces [Txn_commit] once. Not
+    under split brain: a fenced predecessor that is still running and
+    receives the last commit ack finishes the transaction too, so both
+    incarnations count it.
 
     Crash recovery: {!register} hooks [TxnResume] into
     {!Legion_core.Impl.register_resume}, so the responsible class
@@ -46,9 +53,11 @@
     answer [Err.Internal "corrupt transaction WAL"] and nothing writes
     the log.
 
-    Methods: [Configure {store}], [TxnRun(mode, steps)] (step records:
+    Methods: [Configure {store}] (a store no Jurisdiction registered
+    answers [Err.Bad_args]), [TxnRun(mode, steps)] (step records:
     [dst], [meth], [args], [cmeth], [cargs]; participants must be
-    distinct), [TxnResume()], [TxnStatus(txn)] (the authoritative
+    distinct; a field of the wrong type answers [Err.Bad_args]),
+    [TxnResume()], [TxnStatus(txn)] (the authoritative
     phase, ["unknown"] for a forgotten or never-seen id — how a
     reactivated participant re-validates a resurrected prepare lock),
     [TxnStats()] (committed / aborted / compensations / resumed /

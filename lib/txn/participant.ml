@@ -132,9 +132,10 @@ let factory (ctx : Runtime.ctx) : Impl.part =
   in
 
   (* TxnPrepare(txn, meth, args): take the prepare lock and vote. The
-     staged method is validated now (via the composite's own
+     staged method's name is validated now (via the composite's own
      GetMethodNames) so that the later TxnCommit cannot fail with
-     No_such_method — a yes vote is a promise the commit will apply.
+     No_such_method. Its arguments are not: a call the method rejects
+     still votes yes and fails at commit.
 
      Every lock with a named coordinator also arms the verification
      watchdog (below): the runtime's dedup cache is per-incarnation, so

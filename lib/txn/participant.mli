@@ -7,10 +7,13 @@
 
     - [TxnPrepare(txn, meth, args[, coord])] — stage the call and vote
       yes ([Ok Unit]). Votes no with [Err.Refused] when the method is
-      not in the composite's repertoire (so a later commit cannot
-      fail), and with the {e retryable} [Err.Txn_locked] when another
-      transaction holds the lock — contention is shed exactly like
-      overload, and clears when the holder resolves. A duplicate
+      not in the composite's repertoire. Only the name is checked: a
+      call whose arguments the method rejects votes yes and fails at
+      commit, after which the coordinator's redrive finds no lock, is
+      acknowledged, and the transaction commits with this participant
+      unchanged. Votes no with the {e retryable} [Err.Txn_locked] when
+      another transaction holds the lock — contention is shed exactly
+      like overload, and clears when the holder resolves. A duplicate
       prepare under the holding transaction is an idempotent yes. The
       optional fourth argument is the coordinator's LOID, remembered in
       the lock for crash-recovery ([TxnVerify]).

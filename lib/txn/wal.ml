@@ -42,8 +42,8 @@ type txn = {
   id : string;
   mode : mode;
   steps : step array;
-  mutable phase : phase;
-  mutable pending : int list;
+  phase : phase;
+  pending : int list;
 }
 
 let step_to_value s =
@@ -61,12 +61,20 @@ let step_of_value v =
   let* dst = C.loid_field v "dst" in
   let* meth = C.str_field v "meth" in
   let list_or name =
-    match Value.field_opt v name with Some (Value.List l) -> l | _ -> []
+    match Value.field_opt v name with
+    | None -> Ok []
+    | Some (Value.List l) -> Ok l
+    | Some _ -> Error (Printf.sprintf "field %s: not a list" name)
   in
-  let cmeth =
-    match Value.field_opt v "cmeth" with Some (Value.Str s) -> s | _ -> ""
+  let* args = list_or "args" in
+  let* cmeth =
+    match Value.field_opt v "cmeth" with
+    | None -> Ok ""
+    | Some (Value.Str s) -> Ok s
+    | Some _ -> Error "field cmeth: not a string"
   in
-  Ok { dst; meth; args = list_or "args"; cmeth; cargs = list_or "cargs" }
+  let* cargs = list_or "cargs" in
+  Ok { dst; meth; args; cmeth; cargs }
 
 let txn_to_value t =
   Value.Record

@@ -44,14 +44,16 @@ type step = {
 }
 
 val step_of_value : Value.t -> (step, string) result
-(** A [TxnRun] step record: [dst], [meth], [args], [cmeth], [cargs]. *)
+(** A [TxnRun] step record: [dst], [meth], [args], [cmeth], [cargs].
+    [args], [cmeth] and [cargs] may be absent ([[]], [""], [[]]); one
+    present with the wrong type is an error. *)
 
 type txn = {
   id : string;
   mode : mode;
   steps : step array;
-  mutable phase : phase;
-  mutable pending : int list;
+  phase : phase;
+  pending : int list;
       (** Running/saga: step indices not yet applied (ascending).
           Committing: indices whose commit ack is outstanding.
           Compensating: indices still to roll back (saga: reverse

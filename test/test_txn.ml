@@ -667,6 +667,76 @@ let test_unreadable_log_fails_loudly () =
     (Some "garbage")
     (Persistent.get_named store ~name:head)
 
+(* --- malformed input fails loudly and changes nothing --- *)
+
+(* Every malformed TxnRun answers Bad_args, and no participant and no
+   counter moves. A step field present with the wrong type used to be
+   read as its default: [args = Int 5] prepared Increment with no
+   argument, which voted yes, failed at commit, and left that
+   participant unchanged while the client got the commit id. *)
+let test_malformed_run_rejected () =
+  let sys = boot ~seed:(Int64.add base_seed 12L) () in
+  let ctx = System.client sys () in
+  let cls = derive_participant_class sys ctx in
+  let coord_cls = derive_coord_class sys ctx in
+  let a = Api.create_object_exn sys ctx ~cls ~eager:true () in
+  let b = Api.create_object_exn sys ctx ~cls ~eager:true () in
+  let co = Api.create_object_exn sys ctx ~cls:coord_cls ~eager:true () in
+  configure_store sys ctx co "uva";
+  let counters () =
+    List.map (stat sys ctx co) [ "committed"; "aborted"; "indoubt" ]
+  in
+  let before = counters () in
+  let inc dst d = step dst "Increment" [ Value.Int d ] in
+  let mistyped =
+    Value.Record
+      [
+        ("dst", Loid.to_value a);
+        ("meth", Value.Str "Increment");
+        ("args", Value.Int 5);
+      ]
+  in
+  List.iter
+    (fun (case, mode, steps) ->
+      (match txn_run sys ctx co ~mode steps with
+      | Error (Err.Bad_args msg) ->
+          Alcotest.(check bool) (case ^ ": a TxnRun error") true
+            (String.starts_with ~prefix:"TxnRun: " msg)
+      | Ok v -> Alcotest.failf "%s: accepted, answered %s" case (Value.to_string v)
+      | Error e ->
+          Alcotest.failf "%s: expected Bad_args, got %s" case (Err.to_string e));
+      System.run_for sys 3.0;
+      Alcotest.(check (list int)) (case ^ ": values unchanged") [ 0; 0 ]
+        [ get sys ctx a; get sys ctx b ];
+      Alcotest.(check (list int)) (case ^ ": counters unchanged") before
+        (counters ()))
+    [
+      ("no steps", "2pc", []);
+      ("duplicate participant", "2pc", [ inc a 1; inc a 2 ]);
+      ("unknown mode", "3pc", [ inc a 1; inc b 1 ]);
+      ("a step that is not a record", "2pc", [ inc a 1; Value.Int 7 ]);
+      ("saga step without compensation", "saga", [ inc a 1; inc b 1 ]);
+      ("mistyped args", "2pc", [ mistyped; inc b 1 ]);
+    ]
+
+(* A store name no Jurisdiction registered used to be taken, and turned
+   durability off without a word. *)
+let test_configure_unknown_store () =
+  let sys = boot ~seed:(Int64.add base_seed 13L) () in
+  let ctx = System.client sys () in
+  let coord_cls = derive_coord_class sys ctx in
+  let co = Api.create_object_exn sys ctx ~cls:coord_cls ~eager:true () in
+  (match
+     Api.call sys ctx ~dst:co ~meth:"Configure"
+       ~args:[ Value.Record [ ("store", Value.Str "nope") ] ]
+   with
+  | Error (Err.Bad_args msg) ->
+      Alcotest.(check string) "the error names the store"
+        {|Configure: no store named "nope"|} msg
+  | Ok v -> Alcotest.failf "an unknown store was taken: %s" (Value.to_string v)
+  | Error e -> Alcotest.failf "expected Bad_args, got %s" (Err.to_string e));
+  configure_store sys ctx co "uva"
+
 (* --- Persistent history: prune protection and event-sourced rewind --- *)
 
 let mk_store ?(keep = 2) ?(hist_cap = 8) () =
@@ -961,13 +1031,16 @@ let wal_matches_ref =
         match !live with
         | [] -> ()
         | l ->
-            let t = List.nth l (i mod List.length l) in
-            f t;
+            let old = List.nth l (i mod List.length l) in
+            let t = f old in
+            Hashtbl.replace table t.Wal.id t;
             (match t.Wal.phase with
             | Committed | Compensated ->
-                live := List.filter (fun u -> u != t) !live;
+                live := List.filter (fun u -> u != old) !live;
                 Wal.finish !wal t
-            | Running | Committing | Compensating -> Wal.update !wal t);
+            | Running | Committing | Compensating ->
+                live := List.map (fun u -> if u == old then t else u) !live;
+                Wal.update !wal t);
             ref_write ()
       in
       let canon txns =
@@ -984,13 +1057,16 @@ let wal_matches_ref =
               Wal.open_txn !wal ~seq:!seq t;
               ref_write ()
           | Set_phase (i, p) | Finish (i, p) ->
-              change i (fun t -> t.Wal.phase <- p)
+              change i (fun t -> { t with Wal.phase = p })
           | Set_pending (i, m) ->
               change i (fun t ->
-                  t.Wal.pending <-
-                    List.filter
-                      (fun j -> m land (1 lsl j) <> 0)
-                      (List.init (Array.length t.Wal.steps) Fun.id))
+                  {
+                    t with
+                    Wal.pending =
+                      List.filter
+                        (fun j -> m land (1 lsl j) <> 0)
+                        (List.init (Array.length t.Wal.steps) Fun.id);
+                  })
           | Crash -> (
               incr epoch;
               wal := Wal.create wal_loid ~epoch:!epoch (fun () -> Some s_new);
@@ -1051,10 +1127,8 @@ let test_wal_fencing () =
   Alcotest.(check bool) "superseded incarnation is not the owner" false
     (Wal.am_owner old);
   Alcotest.(check bool) "successor is the owner" true (Wal.am_owner successor);
-  t1.phase <- Committing;
-  Wal.update old t1;
-  t2.phase <- Compensated;
-  Wal.finish old t2;
+  Wal.update old { t1 with phase = Committing };
+  Wal.finish old { t2 with phase = Compensated };
   Wal.claim old ~seq:9;
   Wal.open_txn old ~seq:3 (mk_txn ~seq:3 ~saga:false 1);
   Alcotest.(check bool) "every WAL key keeps its bytes" true
@@ -1184,6 +1258,239 @@ let test_audit_detects_faults () =
     ]
     (audit ~acked:[ "t-commit"; "t-abort" ]).Legion.Txn.violations
 
+(* --- the core, explored exhaustively --- *)
+
+(* A model of everything around [Protocol.step], with no runtime: two
+   participants, their history under the transaction, the log's record,
+   the client and the redrive timer. [explore] runs the core from
+   [Begin] through every order in which in-flight requests are
+   answered, a refusal of any prepare or saga step, up to two requests
+   lost (before the participant acts, or after it: a lost reply), the
+   redrive timer firing whenever it is armed with nothing in flight, and
+   one coordinator crash at any point while the log holds the
+   transaction. At the crash each in-flight request of the dead
+   incarnation lands or is lost, and the successor resumes from the
+   logged record with the steps that have a history entry. Split brain,
+   where a fenced predecessor keeps running, is out of scope: the live
+   incarnation always owns the log. Every state with nothing left to
+   run is checked against [violations]. *)
+
+module Protocol = Legion_txn.Protocol
+
+type part = {
+  lock : bool;  (** holds the transaction's prepare lock *)
+  applied : int;  (** times the step's call ran *)
+  undone : int;  (** times its compensation ran *)
+  entry : bool;  (** its history has an entry under the transaction *)
+  verdict : Persistent.mark option;  (** the first verdict marked for it *)
+}
+
+type world = {
+  core : Protocol.t;
+  inflight : (Protocol.request * int) list;  (** sorted *)
+  armed : bool;
+  logged : Wal.txn option;
+  parts : part list;
+  losses : int;
+  crashed : bool;
+  replies : (Value.t, Err.t) result list;
+  early_ok : bool;  (** 2PC: Ok replied before a Committing record was logged *)
+  committing_logged : bool;
+  commits_traced : int;
+}
+
+let with_part i f w =
+  { w with parts = List.mapi (fun j p -> if j = i then f p else p) w.parts }
+
+(* Verdicts are one-way: the first one sticks. *)
+let resolve m p = if p.verdict = None then { p with verdict = Some m } else p
+
+(* A request lands at its participant. *)
+let arrive ((req : Protocol.request), i) =
+  with_part i (fun p ->
+      match req with
+      | Prepare -> { p with lock = true }
+      | Commit when p.lock -> { p with lock = false; applied = p.applied + 1 }
+      | Commit -> p
+      | Abort -> { p with lock = false }
+      | Apply -> { p with applied = p.applied + 1 }
+      | Undo -> { p with undone = p.undone + 1 })
+
+let perform w (action : Protocol.action) =
+  match action with
+  | Send (req, i) ->
+      { w with inflight = List.sort compare ((req, i) :: w.inflight) }
+  | Stage i -> with_part i (fun p -> { p with entry = true }) w
+  | Mark (i, m) -> with_part i (fun p -> resolve m { p with entry = true }) w
+  | Resolve m -> { w with parts = List.map (resolve m) w.parts }
+  | Log t ->
+      {
+        w with
+        logged = Some t;
+        committing_logged = w.committing_logged || t.phase = Committing;
+      }
+  | Close -> { w with logged = None }
+  | Emit (Txn_commit _) -> { w with commits_traced = w.commits_traced + 1 }
+  | Emit _ -> w
+  | Reply r ->
+      let early =
+        Result.is_ok r && w.core.txn.mode = Two_phase && not w.committing_logged
+      in
+      { w with replies = r :: w.replies; early_ok = w.early_ok || early }
+  | Arm_redrive -> { w with armed = true }
+
+let feed w input =
+  let core, actions = Protocol.step ~owner:(fun () -> true) w.core input in
+  List.fold_left perform { w with core } actions
+
+let violations w =
+  let t = w.core.txn in
+  let committed = t.phase = Committed and compensated = t.phase = Compensated in
+  let every f = List.for_all f w.parts in
+  let found = ref [] in
+  let check ok name = if not ok then found := name :: !found in
+  check (committed || compensated) "ended in doubt";
+  (match t.mode with
+  | Two_phase ->
+      check
+        ((not committed) || every (fun p -> p.applied = 1))
+        "committed without applying every participant once";
+      check
+        ((not compensated) || every (fun p -> p.applied = 0))
+        "compensated after a participant applied";
+      check (every (fun p -> not p.lock)) "a prepare lock outlived the transaction";
+      check
+        ((not w.committing_logged) || committed)
+        "a logged Committing record was rolled back";
+      check (not w.early_ok) "Ok replied before Committing was logged"
+  | Saga ->
+      check
+        ((not committed) || every (fun p -> p.applied = 1 && p.undone = 0))
+        "committed without applying every step once";
+      check
+        ((not compensated) || every (fun p -> p.applied <= p.undone))
+        "compensated while a step's effect remains";
+      check
+        ((not compensated) || every (fun p -> p.undone <= p.applied))
+        "a compensation ran twice");
+  check
+    (List.for_all (function Ok _ -> committed | Error _ -> true) w.replies)
+    "Ok replied for a transaction that did not commit";
+  check
+    (List.for_all
+       (function Error (Err.Txn_aborted _) -> compensated | _ -> true)
+       w.replies)
+    "Txn_aborted replied for a transaction that did not compensate";
+  check (List.length w.replies <= 1) "the client got more than one reply";
+  check
+    (w.commits_traced = if committed then 1 else 0)
+    "Txn_commit not traced exactly once per commit";
+  check
+    (every (fun p -> (not p.entry) || p.verdict <> None))
+    "a history entry left staged";
+  !found
+
+module Seen = Hashtbl.Make (struct
+  type t = world
+
+  let equal = ( = )
+  let hash = Hashtbl.hash_param 256 1024
+end)
+
+(* The violations found, sorted, and the final phases of the states
+   with nothing left to run. *)
+let explore ~saga =
+  let seen = Seen.create 1024 in
+  let classes = ref [] and finals = ref [] in
+  let rec visit w =
+    if not (Seen.mem seen w) then begin
+      Seen.add seen w ();
+      if w.inflight = [] && not w.armed then begin
+        finals := w.core.txn.phase :: !finals;
+        classes := violations w @ !classes
+      end;
+      List.iter
+        (fun ((req, i) as r) ->
+          let rec drop = function
+            | [] -> []
+            | x :: l -> if x = r then l else x :: drop l
+          in
+          let w = { w with inflight = drop w.inflight } in
+          let answer w res = visit (feed w (Protocol.Answer (req, i, res))) in
+          answer (arrive r w) (Ok Value.Unit);
+          if req = Prepare || req = Apply then answer w (Error (Err.Refused "no"));
+          if w.losses < 2 then begin
+            let w = { w with losses = w.losses + 1 } in
+            answer w (Error Err.Timeout);
+            answer (arrive r w) (Error Err.Timeout)
+          end)
+        (List.sort_uniq compare w.inflight);
+      if w.armed && w.inflight = [] then
+        visit (feed { w with armed = false } Redrive);
+      match w.logged with
+      | Some logged when not w.crashed ->
+          let rec crash w = function
+            | r :: rest ->
+                crash (arrive r w) rest;
+                crash w rest
+            | [] ->
+                let applied =
+                  List.filter (fun i -> (List.nth w.parts i).entry) [ 0; 1 ]
+                in
+                let core = Protocol.init logged in
+                let w =
+                  { w with core; inflight = []; armed = false; crashed = true }
+                in
+                visit (feed w (Resume applied))
+          in
+          crash w w.inflight
+      | _ -> ()
+    end
+  in
+  let txn = mk_txn ~seq:1 ~saga 2 in
+  let fresh =
+    { lock = false; applied = 0; undone = 0; entry = false; verdict = None }
+  in
+  visit
+    (feed
+       {
+         core = Protocol.init txn;
+         inflight = [];
+         armed = false;
+         logged = Some txn;
+         parts = [ fresh; fresh ];
+         losses = 0;
+         crashed = false;
+         replies = [];
+         early_ok = false;
+         committing_logged = false;
+         commits_traced = 0;
+       }
+       Begin);
+  (List.sort_uniq compare !classes, !finals)
+
+(* 2PC keeps every invariant. Sagas have two known gaps, pinned by name
+   so neither can grow or vanish silently; closing them changes the
+   protocol (ROADMAP item 12). A step's effect remains when its reply is
+   lost after it applied, or when the coordinator crashes after it
+   applied and before its answer was staged: the history entry is
+   written only after the answer, so the resume misses that step. A
+   compensation runs twice when its reply is lost after it ran (the
+   redrive sends it again), or when the coordinator crashes while it is
+   in flight and it lands (the successor's log still lists it). *)
+let test_core_explored () =
+  let both_ends finals =
+    List.mem Wal.Committed finals && List.mem Wal.Compensated finals
+  in
+  let classes, finals = explore ~saga:false in
+  Alcotest.(check (list string)) "2PC keeps every invariant" [] classes;
+  Alcotest.(check bool) "2PC commits and compensates" true (both_ends finals);
+  let classes, finals = explore ~saga:true in
+  Alcotest.(check (list string)) "sagas show their two known gaps"
+    [ "a compensation ran twice"; "compensated while a step's effect remains" ]
+    classes;
+  Alcotest.(check bool) "sagas commit and compensate" true (both_ends finals)
+
 let () =
   Alcotest.run "txn"
     [
@@ -1221,6 +1528,13 @@ let () =
           Alcotest.test_case "an unreadable log fails loudly" `Quick
             test_unreadable_log_fails_loudly;
         ] );
+      ( "input",
+        [
+          Alcotest.test_case "a malformed TxnRun changes nothing" `Quick
+            test_malformed_run_rejected;
+          Alcotest.test_case "Configure refuses an unknown store" `Quick
+            test_configure_unknown_store;
+        ] );
       ( "wal",
         [
           QCheck_alcotest.to_alcotest wal_matches_ref;
@@ -1240,6 +1554,11 @@ let () =
           Alcotest.test_case "WAL blobs ride beside version files" `Quick
             test_named_blobs;
           QCheck_alcotest.to_alcotest history_prune_prop;
+        ] );
+      ( "core",
+        [
+          Alcotest.test_case "every schedule in a small scope" `Quick
+            test_core_explored;
         ] );
       ( "audit",
         [

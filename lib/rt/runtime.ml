@@ -62,28 +62,6 @@ type incoming =
          typed error back instead of leaving the caller to time out. *)
   | In_garbage of string
 
-(* Exactly-once effects: one entry per (caller host, call id) the
-   runtime has started executing. [de_reply = None] while the handler
-   runs — a duplicate arriving then is absorbed (the original's reply
-   will reach the caller); [Some r] afterwards replays [r] for
-   retransmissions whose reply was lost. Retryable sheds (Overloaded,
-   Txn_locked, Quota_exceeded, No_quorum) are evicted instead of
-   recorded: the caller backs off and retries the {e same} id expecting
-   re-evaluation. *)
-type dedup_entry = {
-  de_key : int * int;  (* (caller host, call id) *)
-  de_loid : Loid.t;
-  de_meth : string;
-  mutable de_reply : reply option;
-}
-
-module Dedup = Legion_util.Lru.Make (struct
-  type t = int * int
-
-  let equal (h, i) (h', i') = h = h' && i = i'
-  let hash = Hashtbl.hash
-end)
-
 (* Admission wait lanes under deficit round robin (DRR). A budgeted
    process parks excess arrivals in a bounded lane: one per tenant when
    the runtime serves a tenant registry, otherwise one anonymous
@@ -113,7 +91,8 @@ type proc = {
   slot : int;
   kind : string;
   mutable epoch : int;  (* incarnation this placement belongs to *)
-  cache : Cache.t;
+  cache_capacity : int option;
+  mutable cache : Cache.t option;  (* comm-layer binding cache, made on first use *)
   counter : Counter.t;
   mutable drr : drr option;  (* admission wait lanes, made on first park *)
   mutable admission : admission option;
@@ -156,8 +135,7 @@ and t = {
   obs : Recorder.t;
   breakers : Breaker.t option;  (* per-destination circuit state *)
   mutable tenants : Tenant.t option;  (* principal registry; None = untenanted *)
-  dedup : dedup_entry Dedup.t option;
-      (* (caller host, call id) -> exactly-once entry; None = disabled *)
+  dedup : Dedup.t option;  (* the exactly-once table; None = disabled *)
   mutable next_slot : int;
   mutable next_call : int;
   mutable delivered : int;
@@ -308,7 +286,7 @@ let create ~sim ~net ~registry ~prng ?(config = default_config) ?obs () =
         Option.map
           (fun capacity ->
             if capacity <= 0 then invalid_arg "Runtime.create: dedup_capacity";
-            Dedup.create ~capacity ~key:(fun e -> e.de_key) ())
+            Dedup.create ~capacity)
           config.dedup_capacity;
       next_slot = 0;
       next_call = 0;
@@ -785,14 +763,14 @@ let on_receive rt host = function
           p.cont reply)
   | In_call { id; src_host; dst_loid; dst_slot; call; _ } -> (
       let reply_to r = send_reply rt ~host ~dst:src_host ~id r in
-      let dedup_key = (src_host, id) in
-      let dedup_seen =
+      let seen =
         match rt.dedup with
-        | None -> None
-        | Some c -> Dedup.find c dedup_key
+        | None -> Dedup.Absent
+        | Some d -> Dedup.find d ~host:src_host ~id
       in
-      match dedup_seen with
-      | Some entry -> (
+      match seen with
+      | (Dedup.Running { loid; meth } | Dedup.Replied { loid; meth; _ }) as hit
+        ->
           (* Exactly-once: this (caller, id) already started executing
              here — a retransmission or a network-injected duplicate.
              Replay the recorded reply (its original may have been
@@ -802,12 +780,9 @@ let on_receive rt host = function
              call replays even after its placement died or was
              superseded. *)
           rt.dedup_hits <- rt.dedup_hits + 1;
-          emit rt ~host
-            (Event.Dedup_hit { loid = entry.de_loid; id; meth = entry.de_meth });
-          match entry.de_reply with
-          | Some r -> reply_to r
-          | None -> ())
-      | None -> (
+          emit rt ~host (Event.Dedup_hit { loid; id; meth });
+          (match hit with Dedup.Replied { reply; _ } -> reply_to reply | _ -> ())
+      | Dedup.Absent -> (
           (* The zero LOID is a wildcard: calls routed purely by Object
              Address (e.g. an object talking to its Binding Agent, whose
              address — not LOID — is in its persistent state, §3.6). *)
@@ -834,27 +809,22 @@ let on_receive rt host = function
                 let reply_to =
                   match rt.dedup with
                   | None -> reply_to
-                  | Some c ->
+                  | Some d ->
                       (* Mark the call executing before admission so a
                          duplicate arriving while it is parked in an
                          admission queue cannot be enqueued a second
                          time. Retryable sheds un-mark: the caller
                          re-sends the same id expecting
                          re-evaluation. *)
-                      let entry =
-                        {
-                          de_key = dedup_key;
-                          de_loid = proc.loid;
-                          de_meth = call.meth;
-                          de_reply = None;
-                        }
+                      let serial =
+                        Dedup.add d ~host:src_host ~id ~loid:proc.loid
+                          ~meth:call.meth
                       in
-                      Dedup.add c entry;
                       fun r ->
                         (match r with
                         | Error e when Err.is_retryable e ->
-                            Dedup.remove c dedup_key
-                        | _ -> entry.de_reply <- Some r);
+                            Dedup.remove d ~host:src_host ~id
+                        | _ -> Dedup.record d ~host:src_host ~id ~serial r);
                         reply_to r
                 in
                 admit_call rt proc call reply_to
@@ -891,15 +861,18 @@ let spawn rt ~host ~loid ~kind ?epoch ?cache_capacity ?binding_agent ?admission
         e
     | None -> current_epoch rt loid
   in
+  (match cache_capacity with
+  | Some c when c < 0 -> invalid_arg "Runtime.spawn: negative cache_capacity"
+  | _ -> ());
   let slot = rt.next_slot in
   rt.next_slot <- rt.next_slot + 1;
   (* Replicas share a LOID but not a counter: the placement's slot
-     disambiguates, so per-process load stays measurable. *)
+     disambiguates, so per-process load stays measurable. Slots are
+     never reused, so no two counters share a name. *)
   let counter =
     Counter.Registry.make rt.registry ~group:kind
-      ~name:(Printf.sprintf "%s@%d.%d" (Loid.to_string loid) host slot)
+      ~name:(lazy (Printf.sprintf "%s@%d.%d" (Loid.to_string loid) host slot))
   in
-  let cache = Cache.create ?capacity:cache_capacity () in
   let proc =
     {
       loid;
@@ -907,7 +880,8 @@ let spawn rt ~host ~loid ~kind ?epoch ?cache_capacity ?binding_agent ?admission
       slot;
       kind;
       epoch;
-      cache;
+      cache_capacity;
+      cache = None;
       counter;
       drr = None;
       admission;
@@ -1006,8 +980,17 @@ let binding_of rt p =
   let expires = Option.map (fun ttl -> now rt +. ttl) rt.config.binding_ttl in
   Binding.make ?expires ~epoch:p.epoch ~loid:p.loid ~address:(address_of p) ()
 
-let seed_binding p b = Cache.add p.cache ~now:0.0 b
-let cache_of p = p.cache
+(* Most processes never call out: the many objects a placement burst
+   activates only answer, so their caches are never built. *)
+let cache_of p =
+  match p.cache with
+  | Some c -> c
+  | None ->
+      let c = Cache.create ?capacity:p.cache_capacity () in
+      p.cache <- Some c;
+      c
+
+let seed_binding p b = Cache.add (cache_of p) ~now:0.0 b
 
 (* ------------------------------------------------------------------ *)
 (* Invocation.                                                         *)
@@ -1280,8 +1263,9 @@ let invoke ctx ?timeout ?max_rebinds ~dst ~meth ~args ?env k =
   let c = { meth; args; env } in
   let self_loid = ctx.self.loid in
   let self_host = ctx.self.host in
+  let cache = cache_of ctx.self in
   let install fresh =
-    Cache.add ctx.self.cache ~now:(now rt) fresh;
+    Cache.add cache ~now:(now rt) fresh;
     emit rt ~host:self_host
       (Event.Binding_install { owner = self_loid; target = dst })
   in
@@ -1291,7 +1275,7 @@ let invoke ctx ?timeout ?max_rebinds ~dst ~meth ~args ?env k =
     invoke_binding ctx ?timeout ~binding ~meth:c.meth ~args:c.args ~env (fun r ->
         match r with
         | Error e when Err.is_delivery_failure e ->
-            Cache.invalidate_exact ctx.self.cache binding;
+            Cache.invalidate_exact cache binding;
             if rebinds_left <= 0 then k (Error e)
             else begin
               emit rt ~host:self_host
@@ -1311,7 +1295,7 @@ let invoke ctx ?timeout ?max_rebinds ~dst ~meth ~args ?env k =
             end
         | r -> k r)
   in
-  match Cache.find ctx.self.cache ~now:(now rt) dst with
+  match Cache.find cache ~now:(now rt) dst with
   | Some binding ->
       emit rt ~host:self_host
         (Event.Cache_hit { owner = self_loid; target = dst });

@@ -76,26 +76,36 @@ type config = {
           failures open the circuit, sends then fail fast until a
           cooldown admits a HalfOpen probe. *)
   dedup_capacity : int option;
-      (** Exactly-once effects: size of the runtime's (caller host,
-          call id) dedup cache, [None] to disable. A retransmitted or
-          network-duplicated request whose call already executed (or is
-          executing) is answered from the recorded reply — a
-          [DedupHit] event — instead of re-running the method, so
-          at-least-once transmission no longer means at-least-once
-          {e execution}. Entries are LRU-evicted past the capacity.
-          Retryable sheds ([Overloaded], [Txn_locked],
-          [Quota_exceeded], [No_quorum]) are never cached: their
-          protocol retries the same id expecting re-evaluation.
-          Scope: the cache keys on call ids, so it cannot recognise a
-          re-execution carrying a {e fresh} id — a rebind after a
-          delivery failure re-invokes under a new id, which is the
-          documented at-least-once residue ([max_rebinds = 0] closes
-          it for strictly-exactly-once workloads). *)
+      (** Exactly-once effects: how many (caller host, call id) entries
+          the runtime's exactly-once table ({!Dedup}) keeps, [None] to
+          disable; [Some n] with [n <= 0] is rejected by {!create}. A
+          retransmitted or network-duplicated request whose call
+          already executed (or is executing) is answered from the
+          recorded reply — a [DedupHit] event — instead of re-running
+          the method, so at-least-once transmission no longer means
+          at-least-once {e execution}. Past the capacity the least
+          recently touched entry is evicted; a duplicate's arrival
+          touches its entry. Retryable sheds ([Overloaded],
+          [Txn_locked], [Quota_exceeded], [No_quorum]) are never
+          recorded: their protocol retries the same id expecting
+          re-evaluation. The entries sit in flat arrays in touch order
+          under an open-addressing index, so keeping a call allocates
+          nothing: only the reply it records outlives the call.
+          Scope: there is one table for the whole runtime. It is
+          consulted before the destination slot and its epoch are
+          checked, and no crash, power failure or reactivation clears
+          it, so a copy of a completed call is answered from the table
+          even at a fresh placement. It keys on call ids, so it cannot
+          recognise a re-execution carrying a {e fresh} id — a rebind
+          after a delivery failure re-invokes under a new id, which is
+          the documented at-least-once residue ([max_rebinds = 0]
+          closes it for strictly-exactly-once workloads) — nor a copy
+          whose entry was evicted past the capacity. *)
 }
 
 val default_config : config
 (** 5 s timeout, 3 rebinds, no expiry, {!Retry.default} retransmission,
-    no admission budgets, no breakers, a 4096-entry dedup cache. *)
+    no admission budgets, no breakers, a 4096-entry dedup table. *)
 
 (** {1 Messages} *)
 
@@ -186,11 +196,14 @@ val spawn :
     {!bump_epoch} automatically belongs to the new incarnation while
     replica deployments of one incarnation share a number.
     [cache_capacity] bounds the comm-layer binding cache (default
-    unbounded). [binding_agent] is the Object Address of the object's
-    Binding Agent, "part of its persistent state" (§3.6). [admission]
-    overrides the config-wide default budget for this object —
-    [~admission:None] explicitly exempts it; omitting the argument
-    inherits [config.admission]. *)
+    unbounded), which is built when the object first calls out or
+    {!cache_of} reads it. [binding_agent] is the Object Address of the
+    object's Binding Agent, "part of its persistent state" (§3.6).
+    [admission] overrides the config-wide default budget for this
+    object — [~admission:None] explicitly exempts it; omitting the
+    argument inherits [config.admission]. The request counter's name,
+    ["<loid>@<host>.<slot>"], is formatted when first read.
+    @raise Invalid_argument on a negative [cache_capacity]. *)
 
 val kill : t -> proc -> unit
 (** Remove the instance; subsequent messages to its address are answered

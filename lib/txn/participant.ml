@@ -138,10 +138,11 @@ let factory (ctx : Runtime.ctx) : Impl.part =
      still votes yes and fails at commit.
 
      Every lock with a named coordinator also arms the verification
-     watchdog (below): the runtime's dedup cache is per-incarnation, so
-     a crash on this host can let a retransmitted prepare re-execute
-     after the transaction was already resolved — a lock nobody will
-     ever release unless this participant re-validates it itself. *)
+     watchdog (below): the runtime's exactly-once table forgets an entry
+     evicted past its capacity, and a rebind re-invokes under a fresh
+     call id it never saw, so a prepare can re-execute after the
+     transaction was already resolved — a lock nobody will ever release
+     unless this participant re-validates it itself. *)
   let do_prepare ~txn ~meth ~margs ~coord k =
     match !lock with
     | Some l when not (String.equal l.txn txn) ->

@@ -1,24 +1,20 @@
-type t = { group : string; name : string; mutable value : int }
+type t = { group : string; name : string Lazy.t; mutable value : int }
 
 let value t = t.value
 let incr t = t.value <- t.value + 1
 let add t n = t.value <- t.value + n
-let name t = t.name
+let name t = Lazy.force t.name
 let group t = t.group
 
 module Registry = struct
-  type r = { tbl : (string * string, t) Hashtbl.t; mutable order : t list }
+  type r = { mutable order : t list }  (* newest first *)
 
-  let create () = { tbl = Hashtbl.create 64; order = [] }
+  let create () = { order = [] }
 
   let make r ~group ~name =
-    match Hashtbl.find_opt r.tbl (group, name) with
-    | Some c -> c
-    | None ->
-        let c = { group; name; value = 0 } in
-        Hashtbl.add r.tbl (group, name) c;
-        r.order <- c :: r.order;
-        c
+    let c = { group; name; value = 0 } in
+    r.order <- c :: r.order;
+    c
 
   let all r = List.rev r.order
   let by_group r g = List.filter (fun c -> c.group = g) (all r)
@@ -29,13 +25,13 @@ module Registry = struct
       (fun acc c ->
         match acc with
         | Some (_, v) when v >= c.value -> acc
-        | _ -> Some (c.name, c.value))
+        | _ -> Some (name c, c.value))
       None (by_group r g)
 
   let reset r = List.iter (fun c -> c.value <- 0) (all r)
 
   let pp ppf r =
-    let pp_counter ppf c = Format.fprintf ppf "%s/%s=%d" c.group c.name c.value in
+    let pp_counter ppf c = Format.fprintf ppf "%s/%s=%d" c.group (name c) c.value in
     Format.pp_print_list
       ~pp_sep:(fun ppf () -> Format.fprintf ppf "@ ")
       pp_counter ppf (all r)

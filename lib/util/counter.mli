@@ -22,9 +22,11 @@ module Registry : sig
 
   val create : unit -> r
 
-  val make : r -> group:string -> name:string -> t
-  (** Create and register a counter. Registering the same (group, name)
-      twice returns the existing counter. *)
+  val make : r -> group:string -> name:string Lazy.t -> t
+  (** Create and register a counter. Every call registers a new one:
+      the runtime makes one per process, and no two of its names are
+      the same. [name] is forced when it is first read, so a counter
+      nobody reads by name never formats it. *)
 
   val all : r -> t list
   val group_total : r -> string -> int

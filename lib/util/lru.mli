@@ -1,8 +1,7 @@
 (** Keyed table with a recency order: the store behind the comm layer's
-    binding cache ({!Legion_naming.Cache}) and the runtime's exactly-once
-    dedup table, and, with no capacity, the ordered registries of the
-    placement path (a class's logical table, a Magistrate's records, a
-    Host Object's residents).
+    binding cache ({!Legion_naming.Cache}) and, with no capacity, the
+    ordered registries of the placement path (a class's logical table, a
+    Magistrate's records, a Host Object's residents).
 
     Each value carries its own key (the [key] function given to
     {!S.create}), so an entry is the value and its two recency links.

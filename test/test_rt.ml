@@ -477,11 +477,149 @@ let message_record_roundtrip =
       | Ok v -> message_equal (Runtime.codec.of_value v) m
       | Error _ -> false)
 
-(* The fixed cost of a call: minor words per bare two-host
-   invoke_address round trip (dedup off, no admission), counted by the
-   allocator, so the bound holds on any machine. *)
-let test_round_trip_words () =
-  let config = { Runtime.default_config with dedup_capacity = None } in
+(* --- The exactly-once table against the tuple-keyed one --- *)
+
+module Dedup = Legion_rt.Dedup
+
+(* An arrival is a find, then an add when the key is absent. Each add
+   starts an execution; [Reply] and [Shed] end the [k mod n]th of the
+   [n] still running, in start order, so a reply can land after its
+   entry was evicted and its key added again. *)
+type dedup_step =
+  | Arrive of { host : int; id : int; meth : string }
+  | Reply of { k : int; v : int }
+  | Shed of { k : int }
+
+let show_dedup_step = function
+  | Arrive { host; id; meth } -> Printf.sprintf "arrive %d/%d %s" host id meth
+  | Reply { k; v } -> Printf.sprintf "reply #%d %d" k v
+  | Shed { k } -> Printf.sprintf "shed #%d" k
+
+let show_lookup : Dedup.lookup -> string = function
+  | Absent -> "absent"
+  | Running { meth; _ } -> "running " ^ meth
+  | Replied { meth; reply = Ok v; _ } ->
+      Printf.sprintf "replied %s %s" meth (Value.to_string v)
+  | Replied { meth; reply = Error e; _ } ->
+      Printf.sprintf "replied %s %s" meth (Err.to_string e)
+
+let show_entries l =
+  String.concat "; "
+    (List.map (fun ((h, i), s) -> Printf.sprintf "%d/%d %s" h i (show_lookup s)) l)
+
+let dedup_step_gen ~hosts =
+  let open QCheck.Gen in
+  frequency
+    [
+      ( 5,
+        let+ host = 0 -- (hosts - 1)
+        and+ id = 0 -- 4
+        and+ meth = oneofl [ "A"; "B" ] in
+        Arrive { host; id; meth } );
+      ( 3,
+        let+ k = nat and+ v = 0 -- 9 in
+        Reply { k; v } );
+      (1, map (fun k -> Shed { k }) nat);
+    ]
+
+let dedup_matches_ref =
+  QCheck.Test.make ~name:"flat table answers as the tuple-keyed one" ~count:1000
+    QCheck.(
+      make
+        ~print:(fun (capacity, hosts, steps) ->
+          Printf.sprintf "capacity %d, %d hosts: %s" capacity hosts
+            (String.concat "; " (List.map show_dedup_step steps)))
+        Gen.(
+          let* capacity = 1 -- 6 and* hosts = 1 -- 3 in
+          let+ steps = list_size (0 -- 60) (dedup_step_gen ~hosts) in
+          (capacity, hosts, steps)))
+    (fun (capacity, _, steps) ->
+      let t = Dedup.create ~capacity and o = Dedup_ref.create ~capacity in
+      (* Executions still running: (host, id, serial, oracle entry). *)
+      let running = ref [] in
+      let take k =
+        let n = List.length !running in
+        let x = List.nth !running (k mod n) in
+        running := List.filteri (fun i _ -> i <> k mod n) !running;
+        x
+      in
+      let check what =
+        if Dedup.length t <> Dedup_ref.length o then
+          QCheck.Test.fail_reportf "after %s: length %d, reference %d" what
+            (Dedup.length t) (Dedup_ref.length o);
+        if Dedup.entries t <> Dedup_ref.entries o then
+          QCheck.Test.fail_reportf "after %s: entries %s, reference %s" what
+            (show_entries (Dedup.entries t))
+            (show_entries (Dedup_ref.entries o))
+      in
+      List.iter
+        (fun step ->
+          (match step with
+          | Arrive { host; id; meth } -> (
+              let got = Dedup.find t ~host ~id and want = Dedup_ref.find o ~host ~id in
+              if got <> want then
+                QCheck.Test.fail_reportf "find %d/%d: %s, reference %s" host id
+                  (show_lookup got) (show_lookup want);
+              match got with
+              | Absent ->
+                  let loid = loid ((10 * host) + id) in
+                  let serial = Dedup.add t ~host ~id ~loid ~meth in
+                  let e = Dedup_ref.add o ~host ~id ~loid ~meth in
+                  running := !running @ [ (host, id, serial, e) ]
+              | Running _ | Replied _ -> ())
+          | Reply { k; v } when !running <> [] ->
+              let host, id, serial, e = take k in
+              Dedup.record t ~host ~id ~serial (Ok (Value.Int v));
+              Dedup_ref.record e (Ok (Value.Int v))
+          | Shed { k } when !running <> [] ->
+              let host, id, _, _ = take k in
+              Dedup.remove t ~host ~id;
+              Dedup_ref.remove o ~host ~id
+          | Reply _ | Shed _ -> ());
+          check (show_dedup_step step))
+        steps;
+      true)
+
+(* The table is the runtime's, not a host's: a copy of a completed call
+   that arrives after its host crashed and came back is still answered
+   from the recorded reply, even at a fresh placement. *)
+let test_dedup_outlives_crash () =
+  let f = make_fixture () in
+  let h0 = List.hd f.hosts and h1 = List.nth f.hosts 1 in
+  let server = spawn_echo f ~host:h1 ~id:1 in
+  let client = spawn_client f ~host:h0 ~id:2 in
+  let ctx = { Runtime.rt = f.rt; self = client } in
+  let args = [ Value.Int 7 ] in
+  (match call f ctx ~dst_proc:server ~meth:"Echo" ~args with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "call 0 failed: %s" (Err.to_string e));
+  Runtime.crash_host f.rt h1;
+  Network.set_host_up f.net h1 true;
+  let fresh = spawn_echo f ~host:h1 ~id:1 in
+  let dst_slot =
+    match Runtime.element_of fresh with
+    | Address.Sim { slot; _ } -> slot
+    | _ -> Alcotest.fail "not a simulated element"
+  in
+  Network.send f.net Runtime.codec ~src:h0 ~dst:h1
+    (Runtime.In_call
+       {
+         id = 0;
+         src_loid = loid 2;
+         src_host = h0;
+         dst_loid = loid 1;
+         dst_slot;
+         call = { meth = "Echo"; args; env = Env.of_self (loid 2) };
+       });
+  Engine.run f.sim;
+  Alcotest.(check int) "handler did not run again" 0 (Runtime.requests_of fresh);
+  Alcotest.(check int) "copy answered from the table" 1 (Runtime.dedup_hits f.rt)
+
+(* The fixed cost of a call: minor and promoted words per bare
+   two-host invoke_address round trip (no admission), counted by the
+   allocator, so the bounds hold on any machine. *)
+let round_trip_words ~dedup_capacity =
+  let config = { Runtime.default_config with dedup_capacity } in
   let f = make_fixture ~config ~hosts_per_site:2 ~sites:1 () in
   let server = spawn_echo f ~host:(List.nth f.hosts 1) ~id:1 in
   let client = spawn_client f ~host:(List.hd f.hosts) ~id:2 in
@@ -498,14 +636,59 @@ let test_round_trip_words () =
     done
   in
   (* Warm up first, so the engine's record pool and the runtime's tables
-     have stopped growing. *)
+     have stopped growing: past 4,096 calls a default dedup table is
+     full, and every counted call evicts an entry. *)
   round_trips 6_000;
   let calls = 4_000 in
-  let w0 = Gc.minor_words () in
+  Gc.minor ();
+  let minor0, promoted0, _ = Gc.counters () in
   round_trips calls;
-  let per_call = (Gc.minor_words () -. w0) /. float_of_int calls in
-  if per_call > 300.0 then
-    Alcotest.failf "%.1f minor words per round trip, bound 300" per_call
+  Gc.minor ();
+  let minor1, promoted1, _ = Gc.counters () in
+  let per x0 x1 = (x1 -. x0) /. float_of_int calls in
+  (per minor0 minor1, per promoted0 promoted1)
+
+let test_round_trip_words () =
+  let minor, _ = round_trip_words ~dedup_capacity:None in
+  if minor > 300.0 then
+    Alcotest.failf "%.1f minor words per round trip, bound 300" minor
+
+(* Keeping a call in the exactly-once table costs the continuation that
+   records its reply, and the reply itself outlives the call: no key,
+   entry or node per call. Both counts are against the same round trip
+   with the table off, warmed past 4,096 calls so that every counted
+   call evicts an entry. *)
+let test_dedup_words () =
+  let bare_minor, bare_promoted = round_trip_words ~dedup_capacity:None in
+  let minor, promoted = round_trip_words ~dedup_capacity:(Some 4096) in
+  if minor -. bare_minor > 12.0 then
+    Alcotest.failf "the table adds %.1f minor words per round trip, bound 12"
+      (minor -. bare_minor);
+  if promoted -. bare_promoted > 8.0 then
+    Alcotest.failf "the table adds %.1f promoted words per round trip, bound 8"
+      (promoted -. bare_promoted)
+
+(* A spawn builds the process and registers its counter. The comm cache
+   and the counter's name wait until something reads them. *)
+let test_spawn_words () =
+  let f = make_fixture () in
+  let host = List.hd f.hosts in
+  let n = 2_000 in
+  let loids = Array.init (2 * n) loid in
+  let spawn i =
+    ignore
+      (Runtime.spawn f.rt ~host ~loid:loids.(i) ~kind:"app" ~handler:echo_handler ())
+  in
+  for i = 0 to n - 1 do
+    spawn i
+  done;
+  let w0 = Gc.minor_words () in
+  for i = n to (2 * n) - 1 do
+    spawn i
+  done;
+  let per_spawn = (Gc.minor_words () -. w0) /. float_of_int n in
+  if per_spawn > 120.0 then
+    Alcotest.failf "%.1f minor words per spawn, bound 120" per_spawn
 
 let () =
   Alcotest.run "rt"
@@ -519,6 +702,8 @@ let () =
             test_kill_and_no_such_object;
           Alcotest.test_case "loid mismatch rejected" `Quick
             test_loid_mismatch_rejected;
+          Alcotest.test_case "a spawn builds no cache and no name" `Quick
+            test_spawn_words;
         ] );
       ( "addressing",
         [
@@ -548,5 +733,13 @@ let () =
           QCheck_alcotest.to_alcotest message_record_roundtrip;
           Alcotest.test_case "round trip allocates at most 300 words" `Quick
             test_round_trip_words;
+          Alcotest.test_case "deduplicating a call promotes only its reply"
+            `Quick test_dedup_words;
+        ] );
+      ( "dedup",
+        [
+          QCheck_alcotest.to_alcotest dedup_matches_ref;
+          Alcotest.test_case "the table outlives a host crash" `Quick
+            test_dedup_outlives_crash;
         ] );
     ]

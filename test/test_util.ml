@@ -491,15 +491,15 @@ let test_pp_smoke () =
   Alcotest.(check bool) "histogram renders" true
     (String.length (Format.asprintf "%a" Stats.Histogram.pp h) > 0);
   let r = Counter.Registry.create () in
-  Counter.incr (Counter.Registry.make r ~group:"g" ~name:"n");
+  Counter.incr (Counter.Registry.make r ~group:"g" ~name:(lazy "n"));
   Alcotest.(check string) "registry renders" "g/n=1"
     (Format.asprintf "%a" Counter.Registry.pp r)
 
 let test_counter_registry () =
   let r = Counter.Registry.create () in
-  let a = Counter.Registry.make r ~group:"g1" ~name:"a" in
-  let b = Counter.Registry.make r ~group:"g1" ~name:"b" in
-  let c = Counter.Registry.make r ~group:"g2" ~name:"c" in
+  let a = Counter.Registry.make r ~group:"g1" ~name:(lazy "a") in
+  let b = Counter.Registry.make r ~group:"g1" ~name:(lazy "b") in
+  let c = Counter.Registry.make r ~group:"g2" ~name:(lazy "c") in
   Counter.incr a;
   Counter.add b 5;
   Counter.incr c;
@@ -512,13 +512,26 @@ let test_counter_registry () =
         (match other with
         | Some (n, v) -> Printf.sprintf "%s=%d" n v
         | None -> "none"));
-  (* Re-registration returns the same counter. *)
-  let a' = Counter.Registry.make r ~group:"g1" ~name:"a" in
+  (* Every make registers a new counter, even under a name in use. *)
+  let a' = Counter.Registry.make r ~group:"g1" ~name:(lazy "a") in
   Counter.incr a';
-  Alcotest.(check int) "same counter" 2 (Counter.value a);
+  Alcotest.(check int) "separate counter" 1 (Counter.value a);
+  (* A name is formatted when first read, and only then. *)
+  let formatted = ref 0 in
+  let d =
+    Counter.Registry.make r ~group:"g3"
+      ~name:
+        (lazy
+          (incr formatted;
+           "d"))
+  in
+  Alcotest.(check int) "not formatted by make" 0 !formatted;
+  Alcotest.(check string) "name" "d" (Counter.name d);
+  Alcotest.(check string) "name again" "d" (Counter.name d);
+  Alcotest.(check int) "formatted once" 1 !formatted;
   Counter.Registry.reset r;
   Alcotest.(check int) "reset" 0 (Counter.Registry.group_total r "g1");
-  Alcotest.(check int) "all registered" 3 (List.length (Counter.Registry.all r))
+  Alcotest.(check int) "all registered" 5 (List.length (Counter.Registry.all r))
 
 let () =
   Alcotest.run "util"

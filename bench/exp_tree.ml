@@ -39,7 +39,6 @@ let run_config ~label ~fanout ~levels =
         make_counter_class sys ctx ~name:(Printf.sprintf "C%d" i) ())
   in
   let leaves = build_tree sys ~fanout ~levels in
-  let wildcard = Loid.make ~class_id:0L ~class_specific:0L () in
   let before = snapshot sys in
   let msgs0 = Legion_net.Network.messages_sent (System.net sys) in
   (* Every leaf resolves every class, cold. *)
@@ -51,7 +50,7 @@ let run_config ~label ~fanout ~levels =
             Api.sync sys (fun k ->
                 Runtime.invoke_address ctx
                   ~address:(Runtime.address_of leaf)
-                  ~dst:wildcard ~meth:"GetBinding" ~args:[ Loid.to_value cls ]
+                  ~dst:Loid.wildcard ~meth:"GetBinding" ~args:[ Loid.to_value cls ]
                   ~env:(Legion_sec.Env.of_self (Runtime.proc_loid ctx.Runtime.self))
                   k)
           in

@@ -179,8 +179,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
           | Some b -> Binding.to_value b
           | None -> Loid.to_value target
         in
-        let wildcard = Loid.make ~class_id:0L ~class_specific:0L () in
-        Runtime.invoke_address ctx ~address:parent_addr ~dst:wildcard
+        Runtime.invoke_address ctx ~address:parent_addr ~dst:Loid.wildcard
           ~meth:"GetBinding" ~args:[ arg ] ~env:renv (fun r ->
             match r with
             | Error e -> k (Error e)

@@ -27,6 +27,7 @@ let rec check ty (v : Value.t) =
   | Tblob, Value.Blob _ -> true
   | Tloid, v -> Result.is_ok (Loid.of_value v)
   | Tbinding, v -> Result.is_ok (Binding.of_value v)
+  | _, Value.Native n -> check ty (n.record ())
   | Tlist ty, Value.List vs -> List.for_all (check ty) vs
   | Topt _, Value.List [] -> true
   | Topt ty, Value.List [ v ] -> check ty v

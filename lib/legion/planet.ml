@@ -244,7 +244,6 @@ let run_tree cfg progress =
       ~levels:cfg.tree_levels ~n_leaves:cfg.tree_leaves
   in
   let leaves = tree.Agent_tree.leaves in
-  let wildcard = Loid.make ~class_id:0L ~class_specific:0L () in
   let lc_prefix = Loid.to_string Well_known.legion_class ^ "@" in
   let lc_total () =
     List.fold_left
@@ -269,7 +268,7 @@ let run_tree cfg progress =
             Api.sync sys (fun k ->
                 Runtime.invoke_address ctx
                   ~address:(Runtime.address_of leaf)
-                  ~dst:wildcard ~meth:"GetBinding" ~args:[ Loid.to_value cls ]
+                  ~dst:Loid.wildcard ~meth:"GetBinding" ~args:[ Loid.to_value cls ]
                   ~env k)
           in
           match r with

@@ -550,7 +550,7 @@ let wire_agent_tree t ~fanout k =
   Array.iteri
     (fun i s ->
       Runtime.invoke_address ctx ~address:s.agent_address
-        ~dst:(Loid.make ~class_id:0L ~class_specific:0L ())
+        ~dst:Loid.wildcard
         ~meth:"SetParent"
         ~args:
           [ Value.List [ Address.to_value (Runtime.address_of roots.(i / fanout)) ] ]

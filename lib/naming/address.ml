@@ -155,13 +155,20 @@ let element_of_value v =
       Ok (Raw { addr_type = Int64.to_int32 a; payload = b })
   | n -> Error (Printf.sprintf "address: unknown element tag %d" n)
 
-let semantic_to_value = function
-  | All -> Value.Record [ ("k", Value.Str "all") ]
-  | Any_random -> Value.Record [ ("k", Value.Str "any") ]
-  | First_k k -> Value.Record [ ("k", Value.Str "first"); ("n", Value.Int k) ]
-  | K_random k -> Value.Record [ ("k", Value.Str "krand"); ("n", Value.Int k) ]
-  | Ordered_failover -> Value.Record [ ("k", Value.Str "failover") ]
-  | Custom s -> Value.Record [ ("k", Value.Str "custom"); ("n2", Value.Str s) ]
+let semantic_kind = function
+  | All -> "all"
+  | Any_random -> "any"
+  | First_k _ -> "first"
+  | K_random _ -> "krand"
+  | Ordered_failover -> "failover"
+  | Custom _ -> "custom"
+
+let semantic_to_value sem =
+  let k = ("k", Value.Str (semantic_kind sem)) in
+  match sem with
+  | All | Any_random | Ordered_failover -> Value.Record [ k ]
+  | First_k n | K_random n -> Value.Record [ k; ("n", Value.Int n) ]
+  | Custom s -> Value.Record [ k; ("n2", Value.Str s) ]
 
 let semantic_of_value v =
   let* kind =
@@ -184,14 +191,52 @@ let semantic_of_value v =
       Ok (Custom s)
   | s -> Error (Printf.sprintf "address: unknown semantic %S" s)
 
-let to_value t =
+let record t =
   Value.Record
     [
       ("sem", semantic_to_value t.semantic);
       ("els", Value.List (List.map element_to_value t.elements));
     ]
 
-let of_value v =
+(* [Value.size_bytes (record t)] by formula, field by field as the
+   encoders above lay them out: a record is 5 bytes, a field 4 plus its
+   name plus its value, an Int or an I64 9, a Str, a Blob or a List 5
+   plus its body. *)
+let field name v = 4 + String.length name + v
+let int_size = 9
+
+let element_size = function
+  | Ip _ -> 5 + field "t" int_size + field "h" int_size + field "p" int_size
+  | Ip_node _ ->
+      5 + field "t" int_size + field "h" int_size + field "p" int_size
+      + field "n" int_size
+  | Sim _ -> 5 + field "t" int_size + field "h" int_size + field "s" int_size
+  | Raw { payload; _ } ->
+      5 + field "t" int_size + field "a" int_size
+      + field "b" (5 + String.length payload)
+
+let semantic_size sem =
+  5
+  + field "k" (5 + String.length (semantic_kind sem))
+  +
+  match sem with
+  | All | Any_random | Ordered_failover -> 0
+  | First_k _ | K_random _ -> field "n" int_size
+  | Custom s -> field "n2" (5 + String.length s)
+
+let size_bytes t =
+  5
+  + field "sem" (semantic_size t.semantic)
+  + field "els"
+      (List.fold_left (fun n e -> n + element_size e) 5 t.elements)
+
+type Value.native += Address of t
+
+let to_value t =
+  Value.Native
+    { native = Address t; size = size_bytes t; record = (fun () -> record t) }
+
+let of_record v =
   let* sem_v = Result.map_error err_of (Value.field v "sem") in
   let* sem = semantic_of_value sem_v in
   let* els_v = Result.map_error err_of (Value.field v "els") in
@@ -209,3 +254,7 @@ let of_value v =
   in
   if els = [] then Error "address: empty element list"
   else Ok { elements = els; semantic = sem }
+
+let of_value = function
+  | Value.Native { native = Address t; _ } -> Ok t
+  | v -> of_record v

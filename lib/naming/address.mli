@@ -62,4 +62,12 @@ val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
 val to_value : t -> Legion_wire.Value.t
+(** A [Value.Native] that stands for the address's record
+    [{sem; els}]; see {!Legion_wire.Value.Native}. *)
+
 val of_value : Legion_wire.Value.t -> (t, string) result
+(** Takes back the address [to_value] made without parsing; parses any
+    other value as the record. *)
+
+val size_bytes : t -> int
+(** [Value.size_bytes] of the address's record, by formula. *)

@@ -34,7 +34,7 @@ let pp ppf t =
   Format.fprintf ppf "%a->%a(exp:%a;e%d)" Loid.pp t.loid Address.pp t.address
     pp_exp t.expires t.epoch
 
-let to_value t =
+let record t =
   Value.Record
     [
       ("loid", Loid.to_value t.loid);
@@ -46,7 +46,24 @@ let to_value t =
       ("epo", Value.Int t.epoch);
     ]
 
-let of_value v =
+(* [Value.size_bytes (record t)]: a record is 5 bytes, a field 4 plus
+   its name plus its value; "exp" is a List of 5 bytes plus an optional
+   9-byte Float, "epo" a 9-byte Int. *)
+let size_bytes t =
+  let field name v = 4 + String.length name + v in
+  5
+  + field "loid" (Loid.size_bytes t.loid)
+  + field "addr" (Address.size_bytes t.address)
+  + field "exp" (match t.expires with None -> 5 | Some _ -> 14)
+  + field "epo" 9
+
+type Value.native += Binding of t
+
+let to_value t =
+  Value.Native
+    { native = Binding t; size = size_bytes t; record = (fun () -> record t) }
+
+let of_record v =
   let ( let* ) r f = Result.bind r f in
   let err e = Format.asprintf "binding: %a" Value.pp_error e in
   let* loid_v = Result.map_error err (Value.field v "loid") in
@@ -61,7 +78,14 @@ let of_value v =
     | _ -> Error "binding: bad expiry"
   in
   (* Bindings minted before epochs existed decode as epoch 0. *)
-  let epoch =
-    match Value.field v "epo" with Ok (Value.Int e) -> e | _ -> 0
+  let* epoch =
+    match Value.field_opt v "epo" with
+    | None -> Ok 0
+    | Some (Value.Int e) -> Ok e
+    | Some _ -> Error "binding: bad epoch"
   in
   Ok { loid; address; expires; epoch }
+
+let of_value = function
+  | Value.Native { native = Binding t; _ } -> Ok t
+  | v -> of_record v

@@ -31,4 +31,11 @@ val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
 val to_value : t -> Legion_wire.Value.t
+(** A [Value.Native] that stands for the binding's record
+    [{loid; addr; exp; epo}]; see {!Legion_wire.Value.Native}. *)
+
 val of_value : Legion_wire.Value.t -> (t, string) result
+(** Takes back the binding [to_value] made without parsing; parses any
+    other value as the record. A missing [epo] field reads as epoch 0
+    (bindings minted before epochs existed); a present one that is not
+    an [Int] is an error. *)

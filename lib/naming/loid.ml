@@ -9,6 +9,10 @@ let class_id t = t.class_id
 let class_specific t = t.class_specific
 let public_key t = t.public_key
 let is_class t = Int64.equal t.class_specific 0L
+let wildcard = { class_id = 0L; class_specific = 0L; public_key = "" }
+
+let is_wildcard t =
+  Int64.equal t.class_id 0L && Int64.equal t.class_specific 0L
 
 let responsible_class t =
   { class_id = t.class_id; class_specific = 0L; public_key = "" }
@@ -36,7 +40,7 @@ let to_string t =
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
-let to_value t =
+let record t =
   Value.Record
     [
       ("cid", Value.I64 t.class_id);
@@ -48,13 +52,23 @@ let to_value t =
    "key" (4 + name + a Blob's 5 + its bytes). *)
 let size_bytes t = 5 + 16 + 17 + 12 + String.length t.public_key
 
-let of_value v =
+type Value.native += Loid of t
+
+let to_value t =
+  Value.Native
+    { native = Loid t; size = size_bytes t; record = (fun () -> record t) }
+
+let of_record v =
   let ( let* ) r f = Result.bind r f in
   let err e = Format.asprintf "loid: %a" Value.pp_error e in
   let* cid = Result.map_error err (Result.bind (Value.field v "cid") Value.to_i64) in
   let* spec = Result.map_error err (Result.bind (Value.field v "spec") Value.to_i64) in
   let* key = Result.map_error err (Result.bind (Value.field v "key") Value.to_blob) in
   Ok { class_id = cid; class_specific = spec; public_key = key }
+
+let of_value = function
+  | Value.Native { native = Loid t; _ } -> Ok t
+  | v -> of_record v
 
 module Ord = struct
   type nonrec t = t

@@ -20,6 +20,16 @@ val public_key : t -> string
 val is_class : t -> bool
 (** True iff the Class Specific field is zero. *)
 
+val wildcard : t
+(** The all-zero LOID, no key (PROTOCOL §3). As a call's destination it
+    matches whatever process holds the addressed slot: an object reaches
+    its Binding Agent by Object Address alone, since §3.6 keeps only the
+    Agent's address in persistent state. *)
+
+val is_wildcard : t -> bool
+(** True iff the Class Identifier and Class Specific fields are both
+    zero, whatever the key. *)
+
 val responsible_class : t -> t
 (** The LOID of the class responsible for locating this object: same
     Class Identifier, Class Specific zeroed, no public key (paper
@@ -37,10 +47,15 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val to_value : t -> Legion_wire.Value.t
+(** A [Value.Native] that stands for the LOID's record
+    [{cid; spec; key}]; see {!Legion_wire.Value.Native}. *)
+
 val of_value : Legion_wire.Value.t -> (t, string) result
+(** Takes back the LOID [to_value] made without parsing; parses any
+    other value as the record. *)
 
 val size_bytes : t -> int
-(** [Value.size_bytes (to_value t)], without building the record. *)
+(** [Value.size_bytes] of the LOID's record, by formula. *)
 
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t

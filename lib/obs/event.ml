@@ -309,6 +309,7 @@ let rec json_of_value = function
       ^ String.concat ","
           (List.map (fun (k, v) -> json_quote k ^ ":" ^ json_of_value v) fs)
       ^ "}"
+  | Value.Native n -> json_of_value (n.record ())
 
 and json_quote s =
   let b = Buffer.create (String.length s + 2) in

@@ -786,14 +786,10 @@ let on_receive rt host = function
           (* The zero LOID is a wildcard: calls routed purely by Object
              Address (e.g. an object talking to its Binding Agent, whose
              address — not LOID — is in its persistent state, §3.6). *)
-          let is_wildcard =
-            Int64.equal (Loid.class_id dst_loid) 0L
-            && Int64.equal (Loid.class_specific dst_loid) 0L
-          in
           match slot_get rt dst_slot with
           | Some proc
             when proc.live && proc.host = host
-                 && (is_wildcard || Loid.equal proc.loid dst_loid) ->
+                 && (Loid.is_wildcard dst_loid || Loid.equal proc.loid dst_loid) ->
               let cur = current_epoch rt proc.loid in
               if proc.epoch < cur then begin
                 (* A superseded incarnation must never answer: fence it
@@ -1245,8 +1241,7 @@ let resolve_via_agent ctx ?timeout ~dst ~env ~stale k =
       (* The Binding Agent's own LOID is unknown here; addressing is by
          Object Address, which is what the persistent state stores. The
          dst LOID in the message is a wildcard the agent accepts. *)
-      let ba_loid = Loid.make ~class_id:0L ~class_specific:0L () in
-      invoke_address ctx ?timeout ~address:ba_address ~dst:ba_loid
+      invoke_address ctx ?timeout ~address:ba_address ~dst:Loid.wildcard
         ~meth:"GetBinding" ~args ~env
         (fun r ->
           match r with

@@ -132,7 +132,10 @@ type incoming =
 
 val codec : incoming Legion_net.Network.codec
 (** The record form of a call or reply (PROTOCOL §3): what the
-    corruption fault seals and the tap sees. [codec.size] is its
+    corruption fault seals and the tap sees. Its LOIDs, and any
+    binding, LOID or address among the arguments or the result, stay
+    [Value.Native]s inside it, whose own records are built only when
+    the frame is encoded or read as fields. [codec.size] is its
     [Value.size_bytes], by formula. [codec.of_value] parses a record
     back, salvaging a damaged one into [In_reply] with [Err.Corrupt],
     [In_bounce] or [In_garbage]. [codec.to_value] and [codec.size]

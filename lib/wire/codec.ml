@@ -66,6 +66,7 @@ let rec encode_into buf (v : Value.t) =
           Buffer.add_string buf n;
           encode_into buf v)
         fs
+  | Native n -> encode_into buf (n.record ())
 
 let encode v =
   let buf = Buffer.create (Value.size_bytes v) in

@@ -1,3 +1,5 @@
+type native = ..
+
 type t =
   | Unit
   | Bool of bool
@@ -8,6 +10,7 @@ type t =
   | Blob of string
   | List of t list
   | Record of (string * t) list
+  | Native of { native : native; size : int; record : unit -> t }
 
 type error = [ `Wrong_type of string | `Missing_field of string ]
 
@@ -15,8 +18,11 @@ let pp_error ppf = function
   | `Wrong_type s -> Format.fprintf ppf "wrong type: expected %s" s
   | `Missing_field s -> Format.fprintf ppf "missing field: %s" s
 
+(* A [Native] is its record to every reader below but [size_bytes]. *)
 let rec equal a b =
   match (a, b) with
+  | Native n, _ -> equal (n.record ()) b
+  | _, Native n -> equal a (n.record ())
   | Unit, Unit -> true
   | Bool x, Bool y -> x = y
   | Int x, Int y -> x = y
@@ -39,10 +45,12 @@ let constructor_rank = function
   | Str _ -> 5
   | Blob _ -> 6
   | List _ -> 7
-  | Record _ -> 8
+  | Record _ | Native _ -> 8
 
 let rec compare a b =
   match (a, b) with
+  | Native n, _ -> compare (n.record ()) b
+  | _, Native n -> compare a (n.record ())
   | Unit, Unit -> 0
   | Bool x, Bool y -> Bool.compare x y
   | Int x, Int y -> Stdlib.compare x y
@@ -79,6 +87,7 @@ let rec pp ppf = function
            ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
            pp_field)
         fs
+  | Native n -> pp ppf (n.record ())
 
 let to_string v = Format.asprintf "%a" pp v
 
@@ -122,21 +131,27 @@ let rec assoc name = function
   | [] -> None
   | (n, v) :: rest -> if String.equal n name then Some v else assoc name rest
 
-let field v name =
+let rec field v name =
   match v with
   | Record fs -> (
       match assoc name fs with
       | Some x -> Ok x
       | None -> Error (`Missing_field name))
+  | Native n -> field (n.record ()) name
   | _ -> Error (`Wrong_type "record")
 
-let field_opt v name = match v with Record fs -> assoc name fs | _ -> None
+let rec field_opt v name =
+  match v with
+  | Record fs -> assoc name fs
+  | Native n -> field_opt (n.record ()) name
+  | _ -> None
 
 let rec depth = function
   | Unit | Bool _ | Int _ | I64 _ | Float _ | Str _ | Blob _ -> 1
   | List vs -> 1 + List.fold_left (fun acc v -> Stdlib.max acc (depth v)) 0 vs
   | Record fs ->
       1 + List.fold_left (fun acc (_, v) -> Stdlib.max acc (depth v)) 0 fs
+  | Native n -> depth (n.record ())
 
 (* Mirrors the layout produced by Codec.encode: 1 tag byte, then fixed
    8-byte scalars or a 4-byte length prefix for variable parts. *)
@@ -151,3 +166,4 @@ let rec size_bytes = function
       + List.fold_left
           (fun acc (n, v) -> acc + 4 + String.length n + size_bytes v)
           0 fs
+  | Native n -> n.size

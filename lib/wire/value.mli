@@ -5,7 +5,16 @@
     data model: every method argument, return value, Object Persistent
     Representation, and saved object state is a [Value.t], so it can be
     marshalled across the simulated network and onto simulated disks with
-    one codec (see {!Codec}). *)
+    one codec (see {!Codec}).
+
+    A naming value (a binding, LOID or address) travels as itself, in
+    a {!Native}: the callee takes the caller's typed value back without
+    parsing, and its record is built only for whatever reads it as
+    fields or bytes. *)
+
+type native = ..
+(** The typed payloads a {!Native} carries. [Legion_naming] extends it
+    with its [Binding], [Loid] and [Address] cases. *)
 
 type t =
   | Unit
@@ -18,6 +27,16 @@ type t =
   | List of t list
   | Record of (string * t) list
       (** Ordered field list; field names must be distinct. *)
+  | Native of { native : native; size : int; record : unit -> t }
+      (** A typed value that stands for [record ()], which builds its
+          record form (never itself a [Native]; its fields may be).
+          [size] is [size_bytes (record ())], computed by formula when
+          the value is made. {!Codec.encode}, {!equal}, {!compare},
+          {!pp}, {!depth} and the accessors read the record, so a
+          [Native] and its record are interchangeable everywhere but
+          in memory; decoding never yields a [Native]. Polymorphic
+          comparison raises on it ([record] is a closure): use
+          {!equal} and {!compare}. *)
 
 type error = [ `Wrong_type of string | `Missing_field of string ]
 
@@ -65,4 +84,5 @@ val depth : t -> int
 
 val size_bytes : t -> int
 (** Encoded size in bytes under {!Codec}; used for message-size
-    accounting in the network model without actually encoding. *)
+    accounting in the network model without actually encoding. A
+    [Native] answers its [size] without building its record. *)

@@ -1,7 +1,8 @@
 (* The wire path as it was before it moved to native ints: the codec
    boxed an Int64 per Int, and the CRC-32 kept its state in an Int32.
    The wire tests check [Legion_wire.Codec] and [Legion_wire.Envelope]
-   against it byte for byte. The logic is unchanged. *)
+   against it byte for byte. The logic is unchanged; a typed naming
+   value, which came later, is encoded as its record. *)
 
 module Value = Legion_wire.Value
 
@@ -64,6 +65,7 @@ let rec encode_into buf (v : Value.t) =
           Buffer.add_string buf n;
           encode_into buf v)
         fs
+  | Native n -> encode_into buf (n.record ())
 
 let encode v =
   let buf = Buffer.create (Value.size_bytes v) in

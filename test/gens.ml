@@ -1,12 +1,67 @@
 (* QCheck generators shared by the suites: every [Value.t] shape, every
-   [Err.t] constructor, LOIDs with and without public keys, and every
-   trace [Event.kind] constructor. *)
+   [Err.t] constructor, LOIDs with and without public keys, every
+   address element and semantic, bindings, and every trace
+   [Event.kind] constructor. *)
 
 module Value = Legion_wire.Value
 module Loid = Legion_naming.Loid
+module Address = Legion_naming.Address
+module Binding = Legion_naming.Binding
 module Err = Legion_rt.Err
 
-(* A sized generator of arbitrary values. *)
+let loid : Loid.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let+ class_id = int64
+  and+ class_specific = int64
+  and+ public_key = oneof [ return ""; string_size (1 -- 24) ] in
+  Loid.make ~public_key ~class_id ~class_specific ()
+
+let element : Address.element QCheck.Gen.t =
+  let open QCheck.Gen in
+  oneof
+    [
+      map2 (fun h p -> Address.Ip { host = h; port = p land 0xFFFF }) int32 int;
+      map3
+        (fun h p n ->
+          Address.Ip_node { host = h; port = p land 0xFFFF; node = n land 0xFF })
+        int32 int int;
+      map2
+        (fun h s -> Address.Sim { host = h land 0xFFFF; slot = s land 0xFFFF })
+        int int;
+      map2
+        (fun t payload -> Address.Raw { addr_type = t; payload })
+        int32 (string_size (0 -- 8));
+    ]
+
+let semantic : Address.semantic QCheck.Gen.t =
+  let open QCheck.Gen in
+  oneof
+    [
+      return Address.All;
+      return Address.Any_random;
+      map (fun k -> Address.First_k (abs k mod 5)) int;
+      map (fun k -> Address.K_random (abs k mod 5)) int;
+      return Address.Ordered_failover;
+      map (fun s -> Address.Custom s) (string_size (1 -- 6));
+    ]
+
+let address : Address.t QCheck.Gen.t =
+  QCheck.Gen.map2
+    (fun els semantic -> Address.make ~semantic els)
+    (QCheck.Gen.list_size QCheck.Gen.(1 -- 5) element)
+    semantic
+
+(* Expiry [None] or finite, epoch 0 (the default) or any other. *)
+let binding : Binding.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let+ loid = loid
+  and+ address = address
+  and+ expires = opt (float_range 0.0 100.0)
+  and+ epoch = oneof [ return 0; small_nat; int ] in
+  Binding.make ?expires ~epoch ~loid ~address ()
+
+(* A sized generator of arbitrary values, the typed naming values among
+   its leaves. *)
 let value : Value.t QCheck.Gen.t =
   let open QCheck.Gen in
   sized (fun n ->
@@ -23,6 +78,9 @@ let value : Value.t QCheck.Gen.t =
                 map (fun f -> Value.Float f) (float_bound_exclusive 1e12);
                 map (fun s -> Value.Str s) (string_size (0 -- 12));
                 map (fun s -> Value.Blob s) (string_size (0 -- 12));
+                map Loid.to_value loid;
+                map Address.to_value address;
+                map Binding.to_value binding;
               ]
           in
           if n <= 1 then scalar
@@ -72,13 +130,6 @@ let err : Err.t QCheck.Gen.t =
       map (fun d -> Err.Corrupt d) s;
       map (fun d -> Err.Internal d) s;
     ]
-
-let loid : Loid.t QCheck.Gen.t =
-  let open QCheck.Gen in
-  let+ class_id = int64
-  and+ class_specific = int64
-  and+ public_key = oneof [ return ""; string_size (1 -- 24) ] in
-  Loid.make ~public_key ~class_id ~class_specific ()
 
 module Event = Legion_obs.Event
 

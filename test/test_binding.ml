@@ -122,6 +122,29 @@ let test_get_binding_refresh_form () =
           Alcotest.(check bool) "address changed" false
             (Address.equal (Binding.address b1) (Binding.address b2)))
 
+(* The runtime's exactly-once table keeps each served call's reply
+   until the entry is evicted, 4,096 calls later, so what a reply holds
+   reaches the major heap. A binding crosses the network typed: a warm
+   GetBinding answer holds the agent's cached [Binding.t] and a few
+   words around it, where its record form reached 148 words. *)
+let test_warm_answer_words () =
+  let sys = H.boot_two_sites () in
+  let ctx = System.client sys () in
+  let cls = H.make_counter_class sys ctx () in
+  let loid = Api.create_object_exn sys ctx ~cls ~eager:true () in
+  let agent = (System.site sys 0).System.agent in
+  let get_binding () =
+    match
+      Api.call sys ctx ~dst:agent ~meth:"GetBinding" ~args:[ Loid.to_value loid ]
+    with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "GetBinding: %s" (Err.to_string e)
+  in
+  ignore (get_binding ());
+  let words = Obj.reachable_words (Obj.repr (get_binding ())) in
+  if words > 60 then
+    Alcotest.failf "a warm GetBinding answer reaches %d words (bound 60)" words
+
 (* --- Combining tree (§5.2.2) --- *)
 
 (* Build a chain of extra agents: leaf -> mid -> root(site agent). Class
@@ -139,10 +162,9 @@ let test_tree_forwarding () =
   in
   (* Ask the leaf for a class binding: it must forward, not resolve. *)
   let leaf_addr = Runtime.address_of leaf_proc in
-  let wildcard = Loid.make ~class_id:0L ~class_specific:0L () in
   let reply =
     Api.sync sys (fun k ->
-        Runtime.invoke_address ctx ~address:leaf_addr ~dst:wildcard
+        Runtime.invoke_address ctx ~address:leaf_addr ~dst:Loid.wildcard
           ~meth:"GetBinding" ~args:[ Loid.to_value cls ]
           ~env:(Legion_sec.Env.of_self (Runtime.proc_loid ctx.Runtime.self))
           k)
@@ -157,7 +179,7 @@ let test_tree_forwarding () =
   ignore leaf_ctx;
   let leaf_stats =
     Api.sync sys (fun k ->
-        Runtime.invoke_address ctx ~address:leaf_addr ~dst:wildcard
+        Runtime.invoke_address ctx ~address:leaf_addr ~dst:Loid.wildcard
           ~meth:"GetStats" ~args:[]
           ~env:(Legion_sec.Env.of_self (Runtime.proc_loid ctx.Runtime.self))
           k)
@@ -181,14 +203,13 @@ let test_agent_tree_builder () =
   Alcotest.(check int) "1 root" 1 (List.length tree.Legion.Agent_tree.roots);
   Alcotest.(check int) "3 layers" 3 (List.length tree.Legion.Agent_tree.levels);
   (* Every leaf resolves a class through the tree. *)
-  let wildcard = Loid.make ~class_id:0L ~class_specific:0L () in
   List.iter
     (fun leaf ->
       let r =
         Api.sync sys (fun k ->
             Runtime.invoke_address ctx
               ~address:(Runtime.address_of leaf)
-              ~dst:wildcard ~meth:"GetBinding" ~args:[ Loid.to_value cls ]
+              ~dst:Loid.wildcard ~meth:"GetBinding" ~args:[ Loid.to_value cls ]
               ~env:(Legion_sec.Env.of_self (Runtime.proc_loid ctx.Runtime.self))
               k)
       in
@@ -200,7 +221,7 @@ let test_agent_tree_builder () =
   let stats_of proc =
     Api.sync sys (fun k ->
         Runtime.invoke_address ctx ~address:(Runtime.address_of proc)
-          ~dst:wildcard ~meth:"GetStats" ~args:[]
+          ~dst:Loid.wildcard ~meth:"GetStats" ~args:[]
           ~env:(Legion_sec.Env.of_self (Runtime.proc_loid ctx.Runtime.self))
           k)
   in
@@ -454,6 +475,8 @@ let () =
           Alcotest.test_case "resolves a class via pairs" `Quick
             test_agent_resolves_class;
           Alcotest.test_case "caches bindings" `Quick test_agent_caches;
+          Alcotest.test_case "a warm answer keeps no record" `Quick
+            test_warm_answer_words;
           Alcotest.test_case "AddBinding / InvalidateBinding" `Quick
             test_add_and_invalidate_binding;
           Alcotest.test_case "GetBinding(binding) refreshes" `Quick

@@ -191,6 +191,11 @@ let reply_str = function
 
 let vloids is = Value.List (List.map (fun i -> Loid.to_value (obj_loid i)) is)
 
+(* Replies are compared with [Value.equal]: a LOID or an address in
+   them is a typed value whose record is built on demand, which
+   polymorphic equality cannot compare. *)
+let answers r v = match r with Ok x -> Value.equal x v | Error _ -> false
+
 (* Run one step on the Host Object and on the model; fail on the first
    reply or event that differs. *)
 let step f m op =
@@ -207,14 +212,15 @@ let step f m op =
           | Some c, _, Error (Err.Refused _) when List.length m.residents >= c -> true
           | Some c, _, _ when List.length m.residents >= c -> false
           | _, Some p, Ok v ->
-              v = Value.Record [ ("addr", Address.to_value (Runtime.address_of p)) ]
+              Value.equal v
+                (Value.Record [ ("addr", Address.to_value (Runtime.address_of p)) ])
           | _, None, Ok v -> (
               match Runtime.placements f.rt (obj_loid i) with
               | p :: _
                 when Runtime.proc_host p = f.host
-                     && v
-                        = Value.Record
-                            [ ("addr", Address.to_value (Runtime.address_of p)) ] ->
+                     && Value.equal v
+                          (Value.Record
+                             [ ("addr", Address.to_value (Runtime.address_of p)) ]) ->
                   m.residents <- (i, p) :: m.residents;
                   m.activations <- m.activations + 1;
                   true
@@ -248,7 +254,7 @@ let step f m op =
     | Is_alive i ->
         let ev = sweep f.rt m in
         let r = call f "IsAlive" [ Loid.to_value (obj_loid i) ] in
-        (ev, Some (r = Ok (Value.Bool (placed m i <> None)), r))
+        (ev, Some (answers r (Value.Bool (placed m i <> None)), r))
     | Get_state ->
         let ev = sweep f.rt m in
         let r = call f "GetState" [] in
@@ -262,22 +268,22 @@ let step f m op =
               ("exceptions", Value.Int 0);
             ]
         in
-        (ev, Some (r = Ok expected, r))
+        (ev, Some (answers r expected, r))
     | List_processes ->
         let ev = sweep f.rt m in
         let r = call f "ListProcesses" [] in
-        (ev, Some (r = Ok (vloids (List.map fst m.residents)), r))
+        (ev, Some (answers r (vloids (List.map fst m.residents)), r))
     | Idle_processes all ->
         let ev = sweep f.rt m in
         let threshold = if all then 0.0 else 1e9 in
         let r = call f "IdleProcesses" [ Value.Float threshold ] in
         let expected = if all then List.map fst m.residents else [] in
-        (ev, Some (r = Ok (vloids expected), r))
+        (ev, Some (answers r (vloids expected), r))
     | Reap ->
         let before = List.length m.residents in
         let ev = sweep f.rt m in
         let r = call f "Reap" [] in
-        (ev, Some (r = Ok (Value.Int (before - List.length m.residents)), r))
+        (ev, Some (answers r (Value.Int (before - List.length m.residents)), r))
     | Set_cap n ->
         m.cap <- (if n <= 0 then None else Some n);
         let r = call f "SetCPUload" [ Value.Int n ] in

@@ -23,7 +23,14 @@ let test_ty_check_scalars () =
 let test_ty_check_loid_binding () =
   let l = Loid.make ~class_id:1L ~class_specific:2L () in
   Alcotest.(check bool) "loid" true (Ty.check Ty.Tloid (Loid.to_value l));
-  Alcotest.(check bool) "not loid" false (Ty.check Ty.Tloid (Value.Int 1))
+  Alcotest.(check bool) "not loid" false (Ty.check Ty.Tloid (Value.Int 1));
+  (* A typed LOID checks as the record it stands for. *)
+  Alcotest.(check bool) "loid as its record" true
+    (Ty.check
+       (Ty.Trecord [ ("cid", Ty.Tint); ("spec", Ty.Tint); ("key", Ty.Tblob) ])
+       (Loid.to_value l));
+  Alcotest.(check bool) "loid is no list" false
+    (Ty.check (Ty.Tlist Ty.Tint) (Loid.to_value l))
 
 let test_ty_check_compound () =
   Alcotest.(check bool) "list" true

@@ -1,5 +1,7 @@
 (* Tests for LOIDs, Object Addresses, Bindings and the binding cache. *)
 
+module Value = Legion_wire.Value
+module Codec = Legion_wire.Codec
 module Loid = Legion_naming.Loid
 module Address = Legion_naming.Address
 module Binding = Legion_naming.Binding
@@ -48,20 +50,26 @@ let test_loid_table () =
   Loid.Table.remove tbl l1;
   Alcotest.(check bool) "removed" false (Loid.Table.mem tbl l1)
 
-let loid_gen =
-  QCheck.Gen.(
-    map3
-      (fun cid spec key -> Loid.make ~public_key:key ~class_id:cid ~class_specific:spec ())
-      int64 int64 (string_size (0 -- 8)))
+let arbitrary_loid = QCheck.make ~print:Loid.to_string Gens.loid
 
-let arbitrary_loid = QCheck.make ~print:Loid.to_string loid_gen
+(* A naming value crosses the network typed and its record is built
+   only to be read as fields or bytes. Each type must come back from
+   its typed value as itself, and from the bytes of its record (what a
+   sealed frame or a store write carries) as the same value, and its
+   formula size must be the length of those bytes. *)
+let typed_roundtrip (type a) ~name ~count arbitrary ~(to_value : a -> Value.t)
+    ~(of_value : Value.t -> (a, string) result) ~(equal : a -> a -> bool) =
+  QCheck.Test.make ~name ~count arbitrary (fun x ->
+      let v = to_value x in
+      let bytes = Codec.encode v in
+      let back = function Ok y -> equal x y | Error _ -> false in
+      back (of_value v)
+      && Value.size_bytes v = String.length bytes
+      && back (Result.bind (Codec.decode bytes) of_value))
 
 let loid_roundtrip =
-  QCheck.Test.make ~name:"loid wire roundtrip" ~count:300 arbitrary_loid
-    (fun l ->
-      match Loid.of_value (Loid.to_value l) with
-      | Ok l' -> Loid.equal l l'
-      | Error _ -> false)
+  typed_roundtrip ~name:"loid wire roundtrip" ~count:300 arbitrary_loid
+    ~to_value:Loid.to_value ~of_value:Loid.of_value ~equal:Loid.equal
 
 (* [hash] and [to_string] once built a tuple and went through
    [Format.asprintf]. The cheaper forms must give the same values:
@@ -83,48 +91,12 @@ let loid_hash_and_print_unchanged =
 
 (* --- Addresses (§3.4) --- *)
 
-let element_gen =
-  QCheck.Gen.(
-    oneof
-      [
-        map2 (fun h p -> Address.Ip { host = h; port = p land 0xFFFF }) int32 int;
-        map3
-          (fun h p n -> Address.Ip_node { host = h; port = p land 0xFFFF; node = n land 0xFF })
-          int32 int int;
-        map2 (fun h s -> Address.Sim { host = h land 0xFFFF; slot = s land 0xFFFF }) int int;
-        map2
-          (fun t payload -> Address.Raw { addr_type = t; payload })
-          int32 (string_size (0 -- 8));
-      ])
-
-let semantic_gen =
-  QCheck.Gen.(
-    oneof
-      [
-        return Address.All;
-        return Address.Any_random;
-        map (fun k -> Address.First_k (abs k mod 5)) int;
-        map (fun k -> Address.K_random (abs k mod 5)) int;
-        return Address.Ordered_failover;
-        map (fun s -> Address.Custom s) (string_size (1 -- 6));
-      ])
-
-let address_gen =
-  QCheck.Gen.(
-    map2
-      (fun els sem -> Address.make ~semantic:sem els)
-      (list_size (1 -- 5) element_gen)
-      semantic_gen)
-
 let arbitrary_address =
-  QCheck.make ~print:(Format.asprintf "%a" Address.pp) address_gen
+  QCheck.make ~print:(Format.asprintf "%a" Address.pp) Gens.address
 
 let address_roundtrip =
-  QCheck.Test.make ~name:"address wire roundtrip" ~count:300 arbitrary_address
-    (fun a ->
-      match Address.of_value (Address.to_value a) with
-      | Ok a' -> Address.equal a a'
-      | Error _ -> false)
+  typed_roundtrip ~name:"address wire roundtrip" ~count:300 arbitrary_address
+    ~to_value:Address.to_value ~of_value:Address.of_value ~equal:Address.equal
 
 let test_address_empty_rejected () =
   Alcotest.check_raises "empty" (Invalid_argument "Address.make: empty element list")
@@ -186,22 +158,39 @@ let test_binding_validity () =
   let refreshed = Binding.with_expiry till5 None in
   Alcotest.(check bool) "expiry cleared" true (Binding.is_valid ~now:1e12 refreshed)
 
-let binding_gen =
-  QCheck.Gen.(
-    map3
-      (fun l a e ->
-        Binding.make ?expires:(if e < 0.0 then None else Some e) ~loid:l ~address:a ())
-      loid_gen address_gen (float_range (-1.0) 100.0))
-
 let arbitrary_binding =
-  QCheck.make ~print:(Format.asprintf "%a" Binding.pp) binding_gen
+  QCheck.make ~print:(Format.asprintf "%a" Binding.pp) Gens.binding
 
 let binding_roundtrip =
-  QCheck.Test.make ~name:"binding wire roundtrip" ~count:300 arbitrary_binding
-    (fun b ->
-      match Binding.of_value (Binding.to_value b) with
-      | Ok b' -> Binding.equal b b'
-      | Error _ -> false)
+  typed_roundtrip ~name:"binding wire roundtrip" ~count:300 arbitrary_binding
+    ~to_value:Binding.to_value ~of_value:Binding.of_value ~equal:Binding.equal
+
+(* A binding's record with its [epo] field replaced, or dropped. *)
+let with_epoch b epo =
+  match Codec.decode (Codec.encode (Binding.to_value b)) with
+  | Ok (Value.Record fs) ->
+      let fs = List.filter (fun (n, _) -> not (String.equal n "epo")) fs in
+      Value.Record (match epo with None -> fs | Some e -> fs @ [ ("epo", e) ])
+  | _ -> Alcotest.fail "a binding's bytes decode to a record"
+
+let test_binding_epoch_field () =
+  let b = Binding.make ~epoch:3 ~loid:sample_loid ~address:sample_addr () in
+  (match Binding.of_value (with_epoch b (Some (Value.Int 3))) with
+  | Ok b' -> Alcotest.check binding_t "epoch read" b b'
+  | Error e -> Alcotest.failf "epo = 3: %s" e);
+  (* Bindings minted before epochs existed have no [epo] field. *)
+  (match Binding.of_value (with_epoch b None) with
+  | Ok b' -> Alcotest.(check int) "absent epoch is 0" 0 (Binding.epoch b')
+  | Error e -> Alcotest.failf "no epo: %s" e);
+  (* A damaged one must not lose its incarnation silently. *)
+  List.iter
+    (fun bad ->
+      match Binding.of_value (with_epoch b (Some bad)) with
+      | Error e -> Alcotest.(check string) "mistyped epoch" "binding: bad epoch" e
+      | Ok b' ->
+          Alcotest.failf "epo = %s read as epoch %d" (Value.to_string bad)
+            (Binding.epoch b'))
+    [ Value.Str "3"; Value.Float 3.0; Value.I64 3L; Value.List [] ]
 
 (* --- Cache --- *)
 
@@ -545,6 +534,7 @@ let () =
       ( "binding",
         [
           Alcotest.test_case "validity and expiry" `Quick test_binding_validity;
+          Alcotest.test_case "epoch field" `Quick test_binding_epoch_field;
           QCheck_alcotest.to_alcotest binding_roundtrip;
         ] );
       ( "cache",

@@ -48,6 +48,35 @@ let compare_consistent_with_equal =
     QCheck.(pair arbitrary_value arbitrary_value)
     (fun (a, b) -> Value.equal a b = (Value.compare a b = 0))
 
+(* A typed naming value stands for its record: every reader but
+   [size_bytes] sees the record, so a value and what its bytes decode
+   to (records all through) must read alike, against any other value
+   too. *)
+let reads_as_its_bytes =
+  QCheck.Test.make ~name:"a value reads as the record its bytes decode to"
+    ~count:500
+    QCheck.(pair arbitrary_value arbitrary_value)
+    (fun (v, w) ->
+      match Codec.decode (Codec.encode v) with
+      | Error _ -> false
+      | Ok r ->
+          let names =
+            match r with Value.Record fs -> List.map fst fs | _ -> [ "x" ]
+          in
+          Value.equal v r && Value.equal r v
+          && Value.compare v r = 0
+          && Int.equal (Value.compare v w) (Value.compare r w)
+          && Int.equal (Value.compare w v) (Value.compare w r)
+          && Bool.equal (Value.equal v w) (Value.equal r w)
+          && String.equal (Value.to_string v) (Value.to_string r)
+          && Value.depth v = Value.depth r
+          && List.for_all
+               (fun n ->
+                 Option.equal Value.equal (Value.field_opt v n) (Value.field_opt r n)
+                 && Result.equal ~ok:Value.equal ~error:( = ) (Value.field v n)
+                      (Value.field r n))
+               names)
+
 let test_scalar_roundtrips () =
   List.iter
     (fun v ->
@@ -356,6 +385,7 @@ let () =
           Alcotest.test_case "depth" `Quick test_depth;
           QCheck_alcotest.to_alcotest compare_consistent_with_equal;
           QCheck_alcotest.to_alcotest pp_total;
+          QCheck_alcotest.to_alcotest reads_as_its_bytes;
         ] );
       ( "envelope",
         [

@@ -70,143 +70,102 @@ let factory (ctx : Runtime.ctx) : Impl.part =
     Runtime.invoke_binding ctx ~binding:b ~meth ~args ~env:renv k
   in
 
-  (* Obtain a binding for a class object [cls], recursing up the class
-     hierarchy. [depth] guards against corrupted pair tables. *)
-  let rec class_binding renv cls depth k =
+  (* Decode and cache an answer to GetBinding. *)
+  let answer k r =
+    match r with
+    | Error e -> k (Error e)
+    | Ok bv -> (
+        match Binding.of_value bv with
+        | Error msg -> k (Error (Err.Internal msg))
+        | Ok b ->
+            Cache.add st.cache ~now:(now ()) b;
+            k (Ok b))
+  in
+
+  (* The one lookup (§4.1.2–4.1.3): a request is answered by its
+     target's owner — for a class, the creator LegionClass's
+     responsibility pair names; for an instance, the class found by
+     zeroing the Class Specific field. [depth] counts the class
+     hierarchy climbed and guards against corrupted pair tables. *)
+  let rec lookup renv req depth k =
+    let target = Binding.request_loid req in
+    if Loid.is_class target then
+      match st.legion_class with
+      | None -> k (Error (Err.Not_bound "agent has no LegionClass binding"))
+      | Some lc ->
+          call_binding renv lc "LocateClass" [ Loid.to_value target ] (fun r ->
+              match r with
+              | Error e -> k (Error e)
+              | Ok reply -> (
+                  match C.loid_field reply "creator" with
+                  | Error msg -> k (Error (Err.Internal msg))
+                  | Ok creator -> ask_owner renv creator (depth + 1) req k))
+    else ask_owner renv (Loid.responsible_class target) depth req k
+
+  (* The owner's binding comes from the seeded LegionClass binding (the
+     recursion's base case), from the cache, or from the same lookup. *)
+  and ask_owner renv owner depth req k =
     if depth > max_resolution_depth then
       k (Error (Err.Not_bound "class resolution depth exceeded"))
     else
       match st.legion_class with
-      | Some lc when Loid.equal cls (Binding.loid lc) -> k (Ok lc)
+      | Some lc when Loid.equal owner (Binding.loid lc) ->
+          ask renv owner lc depth req k
       | _ -> (
-          match Cache.find st.cache ~now:(now ()) cls with
-          | Some b -> k (Ok b)
-          | None -> resolve_class renv cls ~stale:None depth k)
+          match Cache.find st.cache ~now:(now ()) owner with
+          | Some b -> ask renv owner b depth req k
+          | None ->
+              lookup renv (Binding.Lookup owner) depth (fun r ->
+                  match r with
+                  | Error e -> k (Error e)
+                  | Ok b -> ask renv owner b depth req k))
 
-  (* A class target: ask LegionClass who is responsible, then ask the
-     responsible class for the binding. [stale] (the refresh form) is
-     forwarded to the creator so it can drop its own stale table entry. *)
-  and resolve_class renv cls ~stale depth k =
-    match st.legion_class with
-    | None -> k (Error (Err.Not_bound "agent has no LegionClass binding"))
-    | Some lc ->
-        call_binding renv lc "LocateClass" [ Loid.to_value cls ] (fun r ->
-            match r with
-            | Error e -> k (Error e)
-            | Ok reply -> (
-                match C.loid_field reply "creator" with
-                | Error msg -> k (Error (Err.Internal msg))
-                | Ok creator ->
-                    class_binding renv creator (depth + 1) (fun r ->
-                        match r with
-                        | Error e -> k (Error e)
-                        | Ok creator_b ->
-                            let arg =
-                              match stale with
-                              | Some b -> Binding.to_value b
-                              | None -> Loid.to_value cls
-                            in
-                            ask_class renv ~owner:creator ~owner_b:creator_b
-                              ~depth:(depth + 1) arg (fun r ->
-                                match r with
-                                | Error e -> k (Error e)
-                                | Ok bv -> (
-                                    match Binding.of_value bv with
-                                    | Error msg -> k (Error (Err.Internal msg))
-                                    | Ok b ->
-                                        Cache.add st.cache ~now:(now ()) b;
-                                        k (Ok b))))))
-
-  (* GetBinding on a class object whose own binding [owner_b] came from
-     this agent's cache. Bindings are invoked directly (no rebind
-     machinery up here), so if the placement [owner_b] names is gone —
-     the class object crashed and has not been reactivated — the cached
-     entry would pin every resolution that routes through it to the
-     same dead address forever. On a delivery failure: drop the entry,
-     re-resolve the class through the stale-binding refresh path (which
-     reaches its creator and can reactivate the crashed class object
-     via its Magistrates), and retry the lookup once. *)
-  and ask_class renv ~owner ~owner_b ~depth arg k =
+  (* The owner is asked once. Bindings are invoked directly (no rebind
+     machinery up here), so if the placement a cached owner binding
+     names is gone — the class object crashed and has not been
+     reactivated — the entry would pin every lookup that routes through
+     it to the same dead address. On a delivery failure: drop the entry,
+     refresh the owner through its own owner (which can reactivate it
+     via its Magistrates), and ask again once. *)
+  and ask renv owner owner_b depth req k =
+    let arg = Binding.request_to_value req in
     call_binding renv owner_b "GetBinding" [ arg ] (fun r ->
         match r with
         | Error e
           when Err.is_delivery_failure e
                && not (Loid.equal owner Well_known.legion_class) ->
             Cache.invalidate_exact st.cache owner_b;
-            resolve_class renv owner ~stale:(Some owner_b) depth (fun r ->
+            lookup renv (Binding.Refresh owner_b) depth (fun r ->
                 match r with
                 | Error _ ->
                     (* Report the original failure: the refresh is a
                        repair attempt, not the caller's question. *)
                     k (Error e)
                 | Ok owner_b' ->
-                    call_binding renv owner_b' "GetBinding" [ arg ] k)
-        | r -> k r)
-
-  (* An instance target: the responsible class is the LOID with the
-     Class Specific field zeroed (§4.1.3). [stale] is passed through to
-     the class so it can refresh its own table entry. *)
-  and resolve_instance renv target ~stale k =
-    let cls = Loid.responsible_class target in
-    class_binding renv cls 0 (fun r ->
-        match r with
-        | Error e -> k (Error e)
-        | Ok cls_b ->
-            let arg =
-              match stale with
-              | Some b -> Binding.to_value b
-              | None -> Loid.to_value target
-            in
-            ask_class renv ~owner:cls ~owner_b:cls_b ~depth:0 arg (fun r ->
-                match r with
-                | Error e -> k (Error e)
-                | Ok bv -> (
-                    match Binding.of_value bv with
-                    | Error msg -> k (Error (Err.Internal msg))
-                    | Ok b ->
-                        Cache.add st.cache ~now:(now ()) b;
-                        k (Ok b))))
+                    call_binding renv owner_b' "GetBinding" [ arg ] (answer k))
+        | r -> answer k r)
   in
 
-  (* Cache miss on a class target: forward up the combining tree when a
-     parent is configured (§5.2.2), else resolve through LegionClass. *)
-  let resolve_class_target renv target ~stale k =
+  (* The single miss point. A class target is forwarded up the
+     combining tree when a parent is configured (§5.2.2); LegionClass
+     is answered from its seeded binding; everything else is looked
+     up. *)
+  let resolve renv req k =
+    let target = Binding.request_loid req in
+    let stale = match req with Binding.Refresh _ -> true | Lookup _ -> false in
+    emit (Legion_obs.Event.Resolve { owner = self; target; stale });
     match st.parent with
-    | Some parent_addr ->
+    | Some parent_addr when Loid.is_class target ->
         st.forwarded <- st.forwarded + 1;
-        let arg =
-          match stale with
-          | Some b -> Binding.to_value b
-          | None -> Loid.to_value target
-        in
         Runtime.invoke_address ctx ~address:parent_addr ~dst:Loid.wildcard
-          ~meth:"GetBinding" ~args:[ arg ] ~env:renv (fun r ->
-            match r with
-            | Error e -> k (Error e)
-            | Ok bv -> (
-                match Binding.of_value bv with
-                | Error msg -> k (Error (Err.Internal msg))
-                | Ok b ->
-                    Cache.add st.cache ~now:(now ()) b;
-                    k (Ok b)))
-    | None ->
+          ~meth:"GetBinding"
+          ~args:[ Binding.request_to_value req ]
+          ~env:renv (answer k)
+    | _ -> (
         st.resolved <- st.resolved + 1;
-        if Loid.equal target Well_known.legion_class then
-          match st.legion_class with
-          | Some lc -> k (Ok lc)
-          | None -> k (Error (Err.Not_bound "agent has no LegionClass binding"))
-        else resolve_class renv target ~stale 0 k
-  in
-
-  let resolve renv target ~stale k =
-    emit
-      (Legion_obs.Event.Resolve
-         { owner = self; target; stale = stale <> None });
-    if Loid.is_class target then resolve_class_target renv target ~stale k
-    else begin
-      st.resolved <- st.resolved + 1;
-      resolve_instance renv target ~stale k
-    end
+        match st.legion_class with
+        | Some lc when Loid.equal target Well_known.legion_class -> k (Ok lc)
+        | _ -> lookup renv req 0 k)
   in
 
   let get_binding _ctx args env k =
@@ -220,30 +179,28 @@ let factory (ctx : Runtime.ctx) : Impl.part =
               k (Ok (Binding.to_value b))
           | Error e -> k (Error e)
         in
-        match C.loid_arg arg with
-        | Ok target -> (
-            match Cache.find st.cache ~now:(now ()) target with
+        match Binding.request_of_value arg with
+        | None -> Impl.bad_args k "GetBinding expects a loid or a binding"
+        | Some req -> (
+            let target = Binding.request_loid req in
+            (* A refresh never serves the cache if it still holds the
+               failing binding. [find_refresh] decides in one counted
+               lookup, so each request moves the hit-rate statistics by
+               exactly one. *)
+            let cached =
+              match req with
+              | Lookup loid -> Cache.find st.cache ~now:(now ()) loid
+              | Refresh stale -> Cache.find_refresh st.cache ~now:(now ()) ~stale
+            in
+            match cached with
             | Some b ->
                 emit (Legion_obs.Event.Cache_hit { owner = self; target });
                 finish (Ok b)
-            | None ->
+            | None -> (
                 emit (Legion_obs.Event.Cache_miss { owner = self; target });
-                resolve renv target ~stale:None finish)
-        | Error _ -> (
-            match C.binding_arg arg with
-            | Error _ -> Impl.bad_args k "GetBinding expects a loid or a binding"
-            | Ok stale -> (
-                (* Refresh request: never serve the cache if it still
-                   holds the failing binding. [find_refresh] decides in
-                   one counted lookup, so each refresh request moves the
-                   hit-rate statistics by exactly one. *)
-                let target = Binding.loid stale in
-                match Cache.find_refresh st.cache ~now:(now ()) ~stale with
-                | Some fresh ->
-                    emit (Legion_obs.Event.Cache_hit { owner = self; target });
-                    finish (Ok fresh)
-                | None ->
-                    emit (Legion_obs.Event.Cache_miss { owner = self; target });
+                match req with
+                | Lookup _ -> resolve renv req finish
+                | Refresh stale ->
                     (* Graceful degradation (§5.2.2 spirit): if the
                        upstream resolver — parent agent or class — is
                        shedding load, a stale-but-unexpired binding the
@@ -253,7 +210,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                        back after the resolver drains. The binding goes
                        back in the cache: it remains our best answer
                        until a refresh can actually run. *)
-                    resolve renv target ~stale:(Some stale) (fun r ->
+                    resolve renv req (fun r ->
                         match r with
                         | Error e
                           when Err.is_overload e
@@ -270,17 +227,14 @@ let factory (ctx : Runtime.ctx) : Impl.part =
   let invalidate_binding _ctx args _env k =
     match args with
     | [ arg ] -> (
-        match C.loid_arg arg with
-        | Ok loid ->
+        match Binding.request_of_value arg with
+        | Some (Lookup loid) ->
             Cache.invalidate st.cache loid;
             k Impl.ok_unit
-        | Error _ -> (
-            match C.binding_arg arg with
-            | Ok b ->
-                Cache.invalidate_exact st.cache b;
-                k Impl.ok_unit
-            | Error _ ->
-                Impl.bad_args k "InvalidateBinding expects a loid or a binding"))
+        | Some (Refresh b) ->
+            Cache.invalidate_exact st.cache b;
+            k Impl.ok_unit
+        | None -> Impl.bad_args k "InvalidateBinding expects a loid or a binding")
     | _ -> Impl.bad_args k "InvalidateBinding expects one argument"
   in
 

@@ -4,20 +4,27 @@
     objects. This implementation follows the typical procedure of
     §4.1.2:
 
-    + answer from its own cache when possible;
-    + for {e class} targets, optionally forward to a parent Binding
-      Agent — chains of parents form the k-ary software combining tree
-      of §5.2.2 that shields LegionClass;
-    + otherwise consult the class responsible for the target: for an
-      instance, the class is found by zeroing the Class Specific field
-      (§4.1.3); for a class, by asking LegionClass for the recorded
-      responsibility pair. Finding the class's own binding recurses the
-      same way, terminating at the seeded LegionClass binding — "the
-      process can end when the responsible class is LegionClass".
+    + answer from its own cache when possible (a refresh only with a
+      binding other than the stale one);
+    + on a miss, for a {e class} target, optionally forward to a parent
+      Binding Agent — chains of parents form the k-ary software
+      combining tree of §5.2.2 that shields LegionClass;
+    + otherwise look the target up through its owner, the class that
+      answers for it: for an instance, the class found by zeroing the
+      Class Specific field (§4.1.3); for a class, the creator named by
+      LegionClass's recorded responsibility pair. The owner's own
+      binding comes from the seeded LegionClass binding, the cache, or
+      the same lookup — "the process can end when the responsible class
+      is LegionClass". The owner is asked once; if its cached binding
+      fails to deliver, it is refreshed through the lookup and asked
+      once more.
 
-    Methods (§3.6): [GetBinding(loid|binding): binding] (the binding
-    form requests a refresh of a stale binding),
-    [InvalidateBinding(loid|binding): unit], [AddBinding(binding): unit],
+    Every answer is decoded and cached in one place. Methods (§3.6):
+    [GetBinding(loid|binding): binding] and
+    [InvalidateBinding(loid|binding): unit], whose argument is a
+    {!Legion_naming.Binding.request} (the binding form requests a
+    refresh of a stale binding, or drops exactly that binding),
+    [AddBinding(binding): unit],
     plus [SetParent(opt<address>): unit], [GetStats(): record], and
     [SetPrice(p: int): unit] — §5.2.1's "charge rate": each served
     lookup accrues [p] to the agent's revenue (visible in GetStats),

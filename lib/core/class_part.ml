@@ -213,10 +213,16 @@ let dedup_units units =
    stay reachable while new-object churn is pushed back. *)
 let create_shed_threshold = 0.5
 
-let mint_binding rt loid address =
-  let ttl = (Runtime.config rt).Runtime.binding_ttl in
-  let expires = Option.map (fun d -> Runtime.now rt +. d) ttl in
-  Binding.make ?expires ~loid ~address ()
+(* The StartElastic loop's settings. *)
+let clone_hi = 0.5 (* load factor past which a sample counts hot *)
+let clone_sustain = 2 (* consecutive hot samples before cloning *)
+
+(* Creates per period per clone that keep the ring growing (and, with
+   no clones yet, the per-period demand that bootstraps it). *)
+let clone_grow_rate = 15.0
+let clone_lo_rate = 8.0 (* demand per clone below which it cools *)
+let clone_merge_sustain = 3 (* cool periods before a clone retires *)
+let max_clones = 2
 
 let factory (ctx : Runtime.ctx) : Impl.part =
   let rt = ctx.Runtime.rt in
@@ -335,53 +341,82 @@ let factory (ctx : Runtime.ctx) : Impl.part =
     try_mags (row.magistrates @ candidates)
   in
 
-  (* GetBinding(LOID): Fig. 17's class step — answer from the logical
-     table, or consult a Current Magistrate, activating on demand.
-     [skip_table_address] marks a refresh request: the recorded address
-     is reported stale, so do not serve it — but do not erase it either
-     until a Magistrate confirms a replacement. Objects with an empty
-     Current Magistrate List (externally-started infrastructure, §4.2.1,
-     and replicas registered via RegisterInstance) have nothing to
+  (* GetBinding: Fig. 17's class step — answer from the logical table,
+     or consult a Current Magistrate, activating on demand. A refresh
+     (the binding form) that reports exactly the recorded address
+     disproves it: do not serve it, but do not erase it either until a
+     Magistrate confirms a replacement. Objects with an empty Current
+     Magistrate List (externally-started infrastructure, §4.2.1, and
+     replicas registered via RegisterInstance) have nothing to
      reactivate from: their registered address is the best information
-     there is, and the caller's failure may be a transient partition. *)
-  let get_binding_by_loid ~env ?(skip_table_address = false) ?stale loid k =
-    match find_row st loid with
-    | None -> k (Error (Err.Not_bound "object not created by this class"))
-    | Some row -> (
-        match row.address with
-        | Some address when (not skip_table_address) || row.magistrates = [] ->
-            k (Ok (Binding.to_value (mint_binding rt loid address)))
-        | _ -> activate_via_magistrates ~env row loid ~stale ~host_hint:None k)
-  in
-
+     there is, and the caller's failure may be a transient partition.
+     Table answers carry epoch 0: a row keeps only the address. *)
   let get_binding _ctx args env k =
     policy_gate ~meth:"GetBinding" env k @@ fun () ->
     match args with
     | [ arg ] -> (
-        match C.loid_arg arg with
-        | Ok loid -> get_binding_by_loid ~env loid k
-        | Error _ -> (
-            (* GetBinding(binding): the caller's binding is stale. If our
-               table agrees with the stale address, drop it and
-               re-activate; otherwise serve the (different) table
-               binding. *)
-            match C.binding_arg arg with
-            | Error _ -> Impl.bad_args k "GetBinding expects a loid or a binding"
-            | Ok stale -> (
-                let loid = Binding.loid stale in
-                match find_row st loid with
-                | None -> k (Error (Err.Not_bound "object not created by this class"))
-                | Some row -> (
-                    let stale_addr = Binding.address stale in
-                    match row.address with
-                    | Some a when Address.equal a stale_addr ->
-                        get_binding_by_loid ~env ~skip_table_address:true
-                          ~stale:stale_addr loid k
-                    | Some a -> k (Ok (Binding.to_value (mint_binding rt loid a)))
-                    | None ->
-                        get_binding_by_loid ~env ~skip_table_address:true
-                          ~stale:stale_addr loid k))))
+        match Binding.request_of_value arg with
+        | None -> Impl.bad_args k "GetBinding expects a loid or a binding"
+        | Some req -> (
+            let loid = Binding.request_loid req in
+            match find_row st loid with
+            | None -> k (Error (Err.Not_bound "object not created by this class"))
+            | Some row -> (
+                let stale =
+                  match req with
+                  | Refresh b -> Some (Binding.address b)
+                  | Lookup _ -> None
+                in
+                match row.address with
+                | Some a
+                  when row.magistrates = []
+                       || not (Option.equal Address.equal stale (Some a)) ->
+                    let b = Runtime.mint_binding rt ~epoch:0 ~loid a in
+                    k (Ok (Binding.to_value b))
+                | _ -> activate_via_magistrates ~env row loid ~stale ~host_hint:None k)))
     | _ -> Impl.bad_args k "GetBinding expects one argument"
+  in
+
+  (* The placement tail of Create and Derive: store the new object's
+     OPR with its Magistrate, add its table row (a class LOID is a
+     subclass; with no Scheduling Agent of its own the row takes the
+     class default current at that moment), and reply with the LOID —
+     activated first when [eager]. *)
+  let place ~env ~magistrate ~loid ~opr ~sched ~candidates ~eager ~host_hint k =
+    invoke_for env magistrate "StoreObject"
+      [ Loid.to_value loid; Value.Blob (Opr.to_blob opr) ]
+      (fun r ->
+        match r with
+        | Error e -> k (Error e)
+        | Ok _ -> (
+            let row =
+              {
+                loid;
+                address = None;
+                magistrates = [ magistrate ];
+                sched =
+                  (match sched with Some _ -> sched | None -> st.default_scheduler);
+                candidates;
+                is_subclass = Loid.is_class loid;
+              }
+            in
+            Loid.Lru.add st.table row;
+            let reply_with binding =
+              k
+                (Ok
+                   (Value.Record
+                      [
+                        ("loid", Loid.to_value loid);
+                        ("binding", C.vopt Fun.id binding);
+                      ]))
+            in
+            if not eager then reply_with None
+            else
+              activate_via_magistrates ~env row loid ~stale:None ~host_hint
+                (fun r ->
+                  match r with
+                  | Ok bv -> reply_with (Some bv)
+                  | Error e -> k (Error e))))
   in
 
   (* Create arrivals seen by this incarnation — redirected and shed
@@ -461,42 +496,8 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                       ?cache_capacity:st.instance_cache_capacity
                       ~kind:st.instance_kind ~units:st.instance_units ()
                   in
-                  invoke_for env magistrate "StoreObject"
-                    [ Loid.to_value loid; Value.Blob (Opr.to_blob opr) ]
-                    (fun r ->
-                      match r with
-                      | Error e -> k (Error e)
-                      | Ok _ -> (
-                          let row =
-                            {
-                              loid;
-                              address = None;
-                              magistrates = [ magistrate ];
-                              sched =
-                                (match sched with
-                                | Some _ -> sched
-                                | None -> st.default_scheduler);
-                              candidates;
-                              is_subclass = false;
-                            }
-                          in
-                          Loid.Lru.add st.table row;
-                          let reply_with binding_opt =
-                            k
-                              (Ok
-                                 (Value.Record
-                                    [
-                                      ("loid", Loid.to_value loid);
-                                      ("binding", C.vopt (fun b -> b) binding_opt);
-                                    ]))
-                          in
-                          if not eager then reply_with None
-                          else
-                            activate_via_magistrates ~env row loid ~stale:None
-                              ~host_hint (fun r ->
-                                match r with
-                                | Ok bv -> reply_with (Some bv)
-                                | Error e -> k (Error e))))))
+                  place ~env ~magistrate ~loid ~opr ~sched ~candidates ~eager
+                    ~host_hint k))
     | _ -> Impl.bad_args k "Create expects (init_states, hints)"
   in
 
@@ -607,39 +608,8 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                                    @ [ unit_name; Well_known.unit_object ]))
                               ()
                           in
-                          invoke_for env magistrate "StoreObject"
-                            [ Loid.to_value child; Value.Blob (Opr.to_blob opr) ]
-                            (fun r ->
-                              match r with
-                              | Error e -> k (Error e)
-                              | Ok _ -> (
-                                  let row =
-                                    {
-                                      loid = child;
-                                      address = None;
-                                      magistrates = [ magistrate ];
-                                      sched = st.default_scheduler;
-                                      candidates = [];
-                                      is_subclass = true;
-                                    }
-                                  in
-                                  Loid.Lru.add st.table row;
-                                  let reply_with b =
-                                    k
-                                      (Ok
-                                         (Value.Record
-                                            [
-                                              ("loid", Loid.to_value child);
-                                              ("binding", C.vopt (fun x -> x) b);
-                                            ]))
-                                  in
-                                  if not eager then reply_with None
-                                  else
-                                    activate_via_magistrates ~env row child
-                                      ~stale:None ~host_hint:None (fun r ->
-                                        match r with
-                                        | Ok bv -> reply_with (Some bv)
-                                        | Error e -> k (Error e)))))))
+                          place ~env ~magistrate ~loid:child ~opr ~sched:None
+                            ~candidates:[] ~eager ~host_hint:None k)))
   in
 
   let derive _ctx args env k =
@@ -943,147 +913,122 @@ let factory (ctx : Runtime.ctx) : Impl.part =
     | _ -> Impl.bad_args k "GetClassInfo takes no arguments"
   in
 
-  (* StartElastic(cfg): E4 made automatic. Every [period] the class
-     samples its own admission load factor. [sustain] consecutive hot
-     samples derive a clone (via [do_derive ~internal], since the
-     trigger fires exactly when ordinary Derives are being shed) and
-     push it onto the redirect ring, up to [max_clones]; with a ring in
-     place, further growth is demand-driven ([grow_rate] Creates per
-     period per clone). Cool-down also watches demand, not load — a
-     redirecting parent idles by construction: when the per-period
-     Create rate per clone stays below [lo_rate] for [merge_sustain]
+  (* StartElastic(period, until): E4 made automatic, until the absolute
+     virtual time [until]. Every [period] the class samples its own
+     admission load factor. [clone_sustain] consecutive hot samples
+     derive a clone (via [do_derive ~internal], since the trigger fires
+     exactly when ordinary Derives are being shed) and push it onto the
+     redirect ring, up to [max_clones]; with a ring in place, further
+     growth is demand-driven ([clone_grow_rate] Creates per period per
+     clone). Cool-down also watches demand, not load — a redirecting
+     parent idles by construction: when the per-period Create rate per
+     clone stays below [clone_lo_rate] for [clone_merge_sustain]
      periods, the newest clone is retired from the ring. Retired ≠
      deleted: the clone stays the responsible class for every instance
      it minted (§3.7); it just receives no new redirections. *)
   let start_elastic _ctx args env k =
-    let float_field v name ~default =
-      match C.field v name with
-      | Ok (Value.Float f) -> Ok f
-      | Ok (Value.Int i) -> Ok (float_of_int i)
-      | Ok _ -> Error (name ^ " must be numeric")
-      | Error _ -> Ok default
-    in
-    let int_field v name ~default =
-      match C.int_field v name with Ok n -> Ok n | Error _ -> Ok default
-    in
     match args with
-    | [ cfg ] -> (
-        let decoded =
-          let* period = float_field cfg "period" ~default:0.0 in
-          let* until = float_field cfg "until" ~default:0.0 in
-          let* hi = float_field cfg "hi" ~default:create_shed_threshold in
-          let* sustain = int_field cfg "sustain" ~default:3 in
-          let* grow_rate = float_field cfg "grow_rate" ~default:infinity in
-          let* lo_rate = float_field cfg "lo_rate" ~default:1.0 in
-          let* merge_sustain = int_field cfg "merge_sustain" ~default:5 in
-          let* max_clones = int_field cfg "max_clones" ~default:3 in
-          Ok (period, until, hi, sustain, grow_rate, lo_rate, merge_sustain,
-              max_clones)
-        in
-        match decoded with
-        | Error msg -> Impl.bad_args k msg
-        | Ok (period, until, hi, sustain, grow_rate, lo_rate, merge_sustain,
-              max_clones) ->
-            if period <= 0.0 then
-              Impl.bad_args k "StartElastic: period must be positive"
-            else begin
-              let eng = Runtime.sim rt in
-              let denv = Env.delegate env ~calling:self in
-              let hot = ref 0 in
-              let cool = ref 0 in
-              let last_creates = ref !creates_seen in
-              let cloning = ref false in
-              let self_clone () =
-                cloning := true;
-                let spec =
-                  Value.Record
-                    [
-                      ( "name",
-                        Value.Str
-                          (Printf.sprintf "%s~auto%d"
-                             (Interface.name st.interface)
-                             (List.length st.clones + 1)) );
-                    ]
-                in
-                do_derive ~internal:true ~env:denv spec (fun r ->
-                    cloning := false;
-                    match r with
-                    | Ok reply -> (
-                        match C.loid_field reply "loid" with
-                        | Ok clone ->
-                            st.clones <- st.clones @ [ clone ];
-                            Runtime.emit rt
-                              ~host:(Runtime.proc_host ctx.Runtime.self)
-                              (Legion_obs.Event.Clone { cls = self; clone })
-                        | Error _ -> ())
+    | [ Value.Float period; Value.Float until ] ->
+        if period <= 0.0 then
+          Impl.bad_args k "StartElastic: period must be positive"
+        else begin
+          let eng = Runtime.sim rt in
+          let denv = Env.delegate env ~calling:self in
+          let hot = ref 0 in
+          let cool = ref 0 in
+          let last_creates = ref !creates_seen in
+          let cloning = ref false in
+          let self_clone () =
+            cloning := true;
+            let spec =
+              Value.Record
+                [
+                  ( "name",
+                    Value.Str
+                      (Printf.sprintf "%s~auto%d"
+                         (Interface.name st.interface)
+                         (List.length st.clones + 1)) );
+                ]
+            in
+            do_derive ~internal:true ~env:denv spec (fun r ->
+                cloning := false;
+                match r with
+                | Ok reply -> (
+                    match C.loid_field reply "loid" with
+                    | Ok clone ->
+                        st.clones <- st.clones @ [ clone ];
+                        Runtime.emit rt
+                          ~host:(Runtime.proc_host ctx.Runtime.self)
+                          (Legion_obs.Event.Clone { cls = self; clone })
                     | Error _ -> ())
-              in
-              let retire_newest () =
-                let rec split_last acc = function
-                  | [] -> None
-                  | [ last ] -> Some (List.rev acc, last)
-                  | x :: rest -> split_last (x :: acc) rest
-                in
-                match split_last [] st.clones with
-                | None -> ()
-                | Some (keep, retired) ->
-                    st.clones <- keep;
-                    Runtime.emit rt
-                      ~host:(Runtime.proc_host ctx.Runtime.self)
-                      (Legion_obs.Event.Merge { cls = self; clone = retired })
-              in
-              let rec tick time =
-                if time <= until then
-                  ignore
-                    (Legion_sim.Engine.schedule_at eng ~time (fun () ->
-                         if Runtime.is_live ctx.Runtime.self then begin
-                           let demand = !creates_seen - !last_creates in
-                           last_creates := !creates_seen;
-                           let n = List.length st.clones in
-                           (* With no clones yet, either signal starts
-                              the ring: a sampled load factor past [hi],
-                              or a whole period's Create demand already
-                              clearing [grow_rate] (the sampled factor
-                              can miss a burst that lands between
-                              ticks). *)
-                           let hot_now =
-                             if n = 0 then
-                               Runtime.load_factor ctx.Runtime.self >= hi
-                               || float_of_int demand >= grow_rate
-                             else
-                               float_of_int demand /. float_of_int n
-                               >= grow_rate
-                           in
-                           let cool_now =
-                             n > 0
-                             && float_of_int demand /. float_of_int n < lo_rate
-                           in
-                           if hot_now then begin
-                             incr hot;
-                             cool := 0
-                           end
-                           else begin
-                             hot := 0;
-                             if cool_now then incr cool else cool := 0
-                           end;
-                           if
-                             !hot >= sustain && (not !cloning)
-                             && List.length st.clones < max_clones
-                           then begin
-                             hot := 0;
-                             self_clone ()
-                           end;
-                           if !cool >= merge_sustain then begin
-                             cool := 0;
-                             retire_newest ()
-                           end;
-                           tick (time +. period)
-                         end))
-              in
-              tick (Runtime.now rt +. period);
-              k Impl.ok_unit
-            end)
-    | _ -> Impl.bad_args k "StartElastic expects one config record"
+                | Error _ -> ())
+          in
+          let retire_newest () =
+            let rec split_last acc = function
+              | [] -> None
+              | [ last ] -> Some (List.rev acc, last)
+              | x :: rest -> split_last (x :: acc) rest
+            in
+            match split_last [] st.clones with
+            | None -> ()
+            | Some (keep, retired) ->
+                st.clones <- keep;
+                Runtime.emit rt
+                  ~host:(Runtime.proc_host ctx.Runtime.self)
+                  (Legion_obs.Event.Merge { cls = self; clone = retired })
+          in
+          let rec tick time =
+            if time <= until then
+              ignore
+                (Legion_sim.Engine.schedule_at eng ~time (fun () ->
+                     if Runtime.is_live ctx.Runtime.self then begin
+                       let demand = !creates_seen - !last_creates in
+                       last_creates := !creates_seen;
+                       let n = List.length st.clones in
+                       (* With no clones yet, either signal starts
+                          the ring: a sampled load factor past
+                          [clone_hi], or a whole period's Create
+                          demand already clearing [clone_grow_rate]
+                          (the sampled factor can miss a burst that
+                          lands between ticks). *)
+                       let hot_now =
+                         if n = 0 then
+                           Runtime.load_factor ctx.Runtime.self >= clone_hi
+                           || float_of_int demand >= clone_grow_rate
+                         else
+                           float_of_int demand /. float_of_int n
+                           >= clone_grow_rate
+                       in
+                       let cool_now =
+                         n > 0
+                         && float_of_int demand /. float_of_int n < clone_lo_rate
+                       in
+                       if hot_now then begin
+                         incr hot;
+                         cool := 0
+                       end
+                       else begin
+                         hot := 0;
+                         if cool_now then incr cool else cool := 0
+                       end;
+                       if
+                         !hot >= clone_sustain && (not !cloning)
+                         && List.length st.clones < max_clones
+                       then begin
+                         hot := 0;
+                         self_clone ()
+                       end;
+                       if !cool >= clone_merge_sustain then begin
+                         cool := 0;
+                         retire_newest ()
+                       end;
+                       tick (time +. period)
+                     end))
+          in
+          tick (Runtime.now rt +. period);
+          k Impl.ok_unit
+        end
+    | _ -> Impl.bad_args k "StartElastic expects (period, until)"
   in
 
   Impl.part

@@ -167,11 +167,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
         k (Error (Err.Refused reason))
   in
   let mint_binding loid address =
-    let ttl = (Runtime.config rt).Runtime.binding_ttl in
-    let expires = Option.map (fun d -> Runtime.now rt +. d) ttl in
-    Binding.make ?expires
-      ~epoch:(Runtime.current_epoch rt loid)
-      ~loid ~address ()
+    Runtime.mint_binding rt ~epoch:(Runtime.current_epoch rt loid) ~loid address
   in
   (* Tell the responsible class about magistrate-set changes so its
      Current Magistrate List stays accurate. The continuation fires once

@@ -45,15 +45,6 @@ let class_admission =
   { Runtime.max_inflight = 16; max_queue = 64; retry_after_hint = 0.05 }
 
 let clone_period = 2.0 (* StartElastic sampling period *)
-let clone_hi = 0.5 (* load factor past which a sample counts hot *)
-let clone_sustain = 2 (* consecutive hot samples before cloning *)
-
-(* Creates per period per clone that keep the ring growing (and, with
-   no clones yet, the per-period demand that bootstraps it). *)
-let clone_grow_rate = 15.0
-let clone_lo_rate = 8.0 (* demand per clone below which it cools *)
-let clone_merge_sustain = 3 (* cool periods before a clone retires *)
-let max_clones = 2
 let rebalance_period = 2.0 (* rebalancer wakeup period *)
 let hot_calls = 12 (* fresh per-period calls that make an object hot *)
 let split_objects = 200 (* Jurisdiction size that triggers a split *)
@@ -120,20 +111,9 @@ let enable t ctx ~classes ~until =
       (match Runtime.find_proc rt cls with
       | Some p -> Runtime.set_admission p (Some class_admission)
       | None -> ());
-      let v =
-        Value.Record
-          [
-            ("period", Value.Float clone_period);
-            ("until", Value.Float until);
-            ("hi", Value.Float clone_hi);
-            ("sustain", Value.Int clone_sustain);
-            ("grow_rate", Value.Float clone_grow_rate);
-            ("lo_rate", Value.Float clone_lo_rate);
-            ("merge_sustain", Value.Int clone_merge_sustain);
-            ("max_clones", Value.Int max_clones);
-          ]
-      in
-      ignore (Api.call_exn t ctx ~dst:cls ~meth:"StartElastic" ~args:[ v ]))
+      ignore
+        (Api.call_exn t ctx ~dst:cls ~meth:"StartElastic"
+           ~args:[ Value.Float clone_period; Value.Float until ]))
     classes;
   (* Spare Magistrates, then the rebalancing Scheduling Agent. *)
   let spares =

@@ -112,7 +112,7 @@ let class_idl =
   \  NotifyDead(obj: loid);\n\
   \  SetDefaults(defaults: any);\n\
   \  SetBindingPolicy(policy: any);\n\
-  \  StartElastic(cfg: any);\n\
+  \  StartElastic(period: float, until: float);\n\
   \  ListInstances(): list<loid>;\n\
   \  ListSubclasses(): list<loid>;\n\
   \  GetClassInfo(): any;\n\

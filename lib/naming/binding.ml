@@ -89,3 +89,17 @@ let of_record v =
 let of_value = function
   | Value.Native { native = Binding t; _ } -> Ok t
   | v -> of_record v
+
+type request = Lookup of Loid.t | Refresh of t
+
+let request_loid = function Lookup loid -> loid | Refresh t -> t.loid
+
+let request_to_value = function
+  | Lookup loid -> Loid.to_value loid
+  | Refresh t -> to_value t
+
+let request_of_value v =
+  match Loid.of_value v with
+  | Ok loid -> Some (Lookup loid)
+  | Error _ -> (
+      match of_value v with Ok t -> Some (Refresh t) | Error _ -> None)

@@ -972,9 +972,11 @@ let load_factor p =
 let element_of p = Address.Sim { host = p.host; slot = p.slot }
 let address_of p = Address.singleton (element_of p)
 
-let binding_of rt p =
+let mint_binding rt ~epoch ~loid address =
   let expires = Option.map (fun ttl -> now rt +. ttl) rt.config.binding_ttl in
-  Binding.make ?expires ~epoch:p.epoch ~loid:p.loid ~address:(address_of p) ()
+  Binding.make ?expires ~epoch ~loid ~address ()
+
+let binding_of rt p = mint_binding rt ~epoch:p.epoch ~loid:p.loid (address_of p)
 
 (* Most processes never call out: the many objects a placement burst
    activates only answer, so their caches are never built. *)
@@ -1217,32 +1219,28 @@ let invoke_binding ctx ?timeout ~binding ~meth ~args ~env k =
   invoke_address ctx ?timeout ~address:(Binding.address binding)
     ~dst:(Binding.loid binding) ~meth ~args ~env k
 
-(* Ask the caller's Binding Agent for a binding. [stale] carries the
-   binding we believe is bad, making the Agent refresh rather than serve
-   its cache (GetBinding(binding) form of §3.6). *)
-let resolve_via_agent ctx ?timeout ~dst ~env ~stale k =
+(* Ask the caller's Binding Agent for a binding. A [Refresh] carries
+   the binding we believe is bad, making the Agent refresh rather than
+   serve its cache (GetBinding(binding) form of §3.6). *)
+let resolve_via_agent ctx ?timeout ~env req k =
   match ctx.self.ba with
   | None -> k (Error (Err.Unreachable "object has no binding agent"))
   | Some ba_address ->
       let rt = ctx.rt in
+      let stale = match req with Binding.Refresh _ -> true | Lookup _ -> false in
       emit rt ~host:ctx.self.host
         (Event.Resolve
-           { owner = ctx.self.loid; target = dst; stale = stale <> None });
+           { owner = ctx.self.loid; target = Binding.request_loid req; stale });
       let t0 = now rt in
       let k r =
         Recorder.observe rt.obs ~component:"rt.resolve" (now rt -. t0);
         k r
       in
-      let args =
-        match stale with
-        | None -> [ Loid.to_value dst ]
-        | Some b -> [ Binding.to_value b ]
-      in
       (* The Binding Agent's own LOID is unknown here; addressing is by
          Object Address, which is what the persistent state stores. The
          dst LOID in the message is a wildcard the agent accepts. *)
       invoke_address ctx ?timeout ~address:ba_address ~dst:Loid.wildcard
-        ~meth:"GetBinding" ~args ~env
+        ~meth:"GetBinding" ~args:[ Binding.request_to_value req ] ~env
         (fun r ->
           match r with
           | Error e -> k (Error e)
@@ -1280,7 +1278,7 @@ let invoke ctx ?timeout ?max_rebinds ~dst ~meth ~args ?env k =
                      target = dst;
                      attempt = rebind_budget - rebinds_left + 1;
                    });
-              resolve_via_agent ctx ?timeout ~dst ~env ~stale:(Some binding)
+              resolve_via_agent ctx ?timeout ~env (Binding.Refresh binding)
                 (fun rb ->
                   match rb with
                   | Error e' -> k (Error e')
@@ -1298,7 +1296,7 @@ let invoke ctx ?timeout ?max_rebinds ~dst ~meth ~args ?env k =
   | None ->
       emit rt ~host:self_host
         (Event.Cache_miss { owner = self_loid; target = dst });
-      resolve_via_agent ctx ?timeout ~dst ~env ~stale:None (fun rb ->
+      resolve_via_agent ctx ?timeout ~env (Binding.Lookup dst) (fun rb ->
           match rb with
           | Error e -> k (Error e)
           | Ok binding ->

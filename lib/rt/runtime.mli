@@ -374,9 +374,13 @@ val element_of : proc -> Address.element
 val address_of : proc -> Address.t
 (** Singleton address of this instance. *)
 
+val mint_binding : t -> epoch:int -> loid:Loid.t -> Address.t -> Binding.t
+(** A binding of [loid] to the address at [epoch], expiring the
+    configured [binding_ttl] from now (never when it is [None]). Every
+    binding the system answers with is stamped here. *)
+
 val binding_of : t -> proc -> Binding.t
-(** Mint a binding for this single instance, stamped with the
-    configured TTL. *)
+(** [mint_binding] for this single instance at its epoch. *)
 
 val seed_binding : proc -> Binding.t -> unit
 (** Prime the instance's comm-layer cache (bootstrap, or explicit

@@ -297,7 +297,12 @@ module C = Legion_core.Convert
 
 (* A bare runtime (no System boot) so the test controls every object the
    agent talks to, including a scripted stand-in for LegionClass. *)
-type rt_fixture = { sim : Engine.t; rt : Runtime.t; hosts : Network.host_id list }
+type rt_fixture = {
+  sim : Engine.t;
+  rt : Runtime.t;
+  net : Runtime.incoming Network.t;
+  hosts : Network.host_id list;
+}
 
 let make_rt_fixture ?(sites = 2) ?(hosts_per_site = 2) () =
   let sim = Engine.create () in
@@ -314,7 +319,7 @@ let make_rt_fixture ?(sites = 2) ?(hosts_per_site = 2) () =
       (List.init sites (fun s -> s))
   in
   let rt = Runtime.create ~sim ~net ~registry ~prng:(Prng.split prng) ~obs () in
-  { sim; rt; hosts }
+  { sim; rt; net; hosts }
 
 (* Two GetBinding resolutions interleave inside one agent: the first
    request's upward call to the creator class fires only after a WAN
@@ -413,6 +418,211 @@ let test_interleaved_resolutions_keep_envs () =
   Alcotest.check H.loid_t "second resolution keeps its requester's RA"
     (Runtime.proc_loid c2) (responsible_for cls2)
 
+(* The agent's resolution sequence, message by message (§4.1.2–4.1.4,
+   §5.2.2). LegionClass, the classes and a parent agent are scripted
+   processes; a network tap records every call the agent sends as
+   (callee, method, argument form), and GetStats gives its
+   resolved/forwarded counts. Class [c] was created by LegionClass,
+   class [d] by [c]; [inst n] is an instance of [c]. *)
+type scripted = {
+  fx : rt_fixture;
+  agent : Runtime.proc;
+  sent : string list ref;  (* newest first *)
+  respawn_c : unit -> unit;  (* kill [c]'s process, restart it elsewhere *)
+}
+
+let lc = Well_known.legion_class
+let c = Loid.make ~class_id:100L ~class_specific:0L ()
+let d = Loid.make ~class_id:101L ~class_specific:0L ()
+let inst n = Loid.make ~class_id:100L ~class_specific:(Int64.of_int n) ()
+let parent_loid = Loid.make ~class_id:61L ~class_specific:1L ()
+
+let name l =
+  let names =
+    [ (lc, "LegionClass"); (c, "C"); (d, "D"); (Loid.wildcard, "parent") ]
+  in
+  match List.find_opt (fun (x, _) -> Loid.equal x l) names with
+  | Some (_, n) -> n
+  | None -> Loid.to_string l
+
+(* A GetBinding or LocateClass argument: a LOID, else a binding. *)
+let form v =
+  match Loid.of_value v with
+  | Ok l -> "loid " ^ name l
+  | Error _ -> (
+      match Binding.of_value v with
+      | Ok b -> "binding " ^ name (Binding.loid b)
+      | Error _ -> "?")
+
+let scripted ?(with_parent = false) () =
+  Agent_part.register ();
+  let fx = make_rt_fixture () in
+  let procs = Hashtbl.create 8 in
+  let fake = Address.singleton (Address.Sim { host = 0; slot = 500 }) in
+  let bind l =
+    let address =
+      match Hashtbl.find_opt procs l with
+      | Some p -> Runtime.address_of p
+      | None -> fake
+    in
+    Binding.to_value (Binding.make ~loid:l ~address ())
+  in
+  let handler : Runtime.handler =
+   fun _ctx call k ->
+    match (call.Runtime.meth, call.Runtime.args) with
+    | "LocateClass", [ v ] ->
+        let creator = if Loid.equal (Result.get_ok (Loid.of_value v)) d then c else lc in
+        k (Ok (Value.Record [ ("creator", Loid.to_value creator) ]))
+    | "GetBinding", [ v ] -> (
+        match Loid.of_value v with
+        | Ok l -> k (Ok (bind l))
+        | Error _ -> k (Ok (bind (Binding.loid (Result.get_ok (Binding.of_value v))))))
+    | m, _ -> k (Error (Err.No_such_method m))
+  in
+  let start l host =
+    Hashtbl.replace procs l
+      (Runtime.spawn fx.rt ~host:(List.nth fx.hosts host) ~loid:l ~kind:"class"
+         ~handler ())
+  in
+  start lc 2;
+  start c 3;
+  start parent_loid 3;
+  let agent_loid = Loid.make ~class_id:60L ~class_specific:1L () in
+  let parent =
+    if with_parent then Some (Runtime.address_of (Hashtbl.find procs parent_loid))
+    else None
+  in
+  let opr =
+    Opr.make
+      ~states:
+        [
+          ( Agent_part.unit_name,
+            Agent_part.state_value ?parent
+              ~legion_class:(Runtime.binding_of fx.rt (Hashtbl.find procs lc))
+              () );
+        ]
+      ~kind:Well_known.kind_binding_agent
+      ~units:[ Agent_part.unit_name ] ()
+  in
+  let agent =
+    match Impl.activate fx.rt ~host:(List.hd fx.hosts) ~loid:agent_loid opr with
+    | Ok p -> p
+    | Error msg -> Alcotest.failf "activate agent: %s" msg
+  in
+  let sent = ref [] in
+  Network.set_tap fx.net
+    (Some
+       (fun ~src:_ ~dst:_ v ->
+         match Runtime.codec.Network.of_value v with
+         | Runtime.In_call { src_loid; dst_loid; call; _ }
+           when Loid.equal src_loid agent_loid ->
+             let arg =
+               match call.Runtime.args with [ a ] -> form a | _ -> "?"
+             in
+             sent :=
+               Printf.sprintf "%s %s(%s)" (name dst_loid) call.Runtime.meth arg
+               :: !sent
+         | _ -> ()));
+  let respawn_c () =
+    Runtime.kill fx.rt (Hashtbl.find procs c);
+    start c 1
+  in
+  { fx; agent; sent; respawn_c }
+
+(* A client on host 1 asks the agent, and the simulation runs dry. The
+   upward calls this caused are returned, oldest first. *)
+let ask t arg =
+  let client =
+    Runtime.spawn t.fx.rt ~host:(List.nth t.fx.hosts 1)
+      ~loid:(Loid.make ~class_id:50L ~class_specific:1L ())
+      ~kind:"client"
+      ~handler:(fun _ _ k -> k (Error (Err.Refused "client")))
+      ()
+  in
+  let result = ref None in
+  let call meth args =
+    Runtime.invoke_address
+      { Runtime.rt = t.fx.rt; self = client }
+      ~address:(Runtime.address_of t.agent) ~dst:Loid.wildcard ~meth ~args
+      ~env:(Env.of_self (Runtime.proc_loid client))
+      (fun r -> result := Some r);
+    Engine.run t.fx.sim;
+    match !result with
+    | Some (Ok v) -> v
+    | Some (Error e) -> Alcotest.failf "%s: %s" meth (Err.to_string e)
+    | None -> Alcotest.failf "%s: no reply" meth
+  in
+  t.sent := [];
+  let b = call "GetBinding" [ arg ] in
+  let seq = List.rev !(t.sent) in
+  let stats = call "GetStats" [] in
+  Runtime.kill t.fx.rt client;
+  let counts = (stat stats "resolved", stat stats "forwarded") in
+  (Result.get_ok (Binding.of_value b), seq, counts)
+
+let check_sequence what expected (_, seq, _) =
+  Alcotest.(check (list string)) what expected seq
+
+let check_stats what expected (_, _, stats) =
+  Alcotest.(check (pair int int)) (what ^ ": resolved, forwarded") expected stats
+
+let test_resolution_sequence () =
+  (* A cold instance lookup: the class's binding first, through
+     LegionClass, then the class. *)
+  let t = scripted () in
+  let r = ask t (Loid.to_value (inst 1)) in
+  check_sequence "cold instance"
+    [
+      "LegionClass LocateClass(loid C)";
+      "LegionClass GetBinding(loid C)";
+      "C GetBinding(loid L64.1)";
+    ]
+    r;
+  check_stats "cold instance" (1, 0) r;
+  (* A class lookup: LocateClass, then the creator, whose binding is now
+     cached. *)
+  let r = ask t (Loid.to_value d) in
+  check_sequence "class" [ "LegionClass LocateClass(loid D)"; "C GetBinding(loid D)" ] r;
+  check_stats "class" (2, 0) r;
+  (* A refresh: the binding form reaches the class. *)
+  let b1, _, _ = ask t (Loid.to_value (inst 1)) in
+  let r = ask t (Binding.to_value b1) in
+  check_sequence "refresh" [ "C GetBinding(binding L64.1)" ] r;
+  check_stats "refresh" (3, 0) r;
+  (* A dead class object: the delivery failure drops the cached binding
+     of C, C is refreshed through its creator, and the lookup is asked
+     again exactly once. The next lookup goes straight to the new C. *)
+  t.respawn_c ();
+  let r = ask t (Loid.to_value (inst 2)) in
+  check_sequence "dead class"
+    [
+      "C GetBinding(loid L64.2)";
+      "LegionClass LocateClass(loid C)";
+      "LegionClass GetBinding(binding C)";
+      "C GetBinding(loid L64.2)";
+    ]
+    r;
+  check_stats "dead class" (4, 0) r;
+  let r = ask t (Loid.to_value (inst 3)) in
+  check_sequence "after the repair" [ "C GetBinding(loid L64.3)" ] r
+
+let test_parent_sequence () =
+  (* With a parent: an instance lookup is resolved here, class bindings
+     included; a class lookup is forwarded. *)
+  let t = scripted ~with_parent:true () in
+  let r = ask t (Loid.to_value (inst 1)) in
+  check_sequence "instance, parent set"
+    [
+      "LegionClass LocateClass(loid C)";
+      "LegionClass GetBinding(loid C)";
+      "C GetBinding(loid L64.1)";
+    ]
+    r;
+  check_stats "instance, parent set" (1, 0) r;
+  let r = ask t (Loid.to_value d) in
+  check_sequence "class, parent set" [ "parent GetBinding(loid D)" ] r;
+  check_stats "class, parent set" (1, 1) r
+
 (* An unconfigured agent must save an *absent* LegionClass binding — not
    a fabricated host-0 placeholder — and a configured one must
    round-trip its binding exactly. *)
@@ -496,5 +706,12 @@ let () =
             `Quick test_interleaved_resolutions_keep_envs;
           Alcotest.test_case "save/restore is honest about configuration" `Quick
             test_save_restore_honest;
+        ] );
+      ( "sequence",
+        [
+          Alcotest.test_case "cold, class, refresh and dead-class lookups" `Quick
+            test_resolution_sequence;
+          Alcotest.test_case "a parent gets class lookups only" `Quick
+            test_parent_sequence;
         ] );
     ]

@@ -767,20 +767,8 @@ let factory (ctx : Runtime.ctx) : Impl.part =
     | [ loid_v; add_v; remove_v ] -> (
         let decoded =
           let* loid = C.loid_arg loid_v in
-          let to_loids v =
-            match v with
-            | Value.List vs ->
-                let rec loop acc = function
-                  | [] -> Ok (List.rev acc)
-                  | x :: rest ->
-                      let* l = C.loid_arg x in
-                      loop (l :: acc) rest
-                in
-                loop [] vs
-            | _ -> Error "expected a list of loids"
-          in
-          let* add = to_loids add_v in
-          let* remove = to_loids remove_v in
+          let* add = C.loid_list add_v in
+          let* remove = C.loid_list remove_v in
           Ok (loid, add, remove)
         in
         match decoded with

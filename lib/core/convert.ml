@@ -28,9 +28,8 @@ let str_list_field ?default v name =
   | Error _, Some d -> Ok d
   | Error e, None -> Error (verr e)
 
-let loid_list_field ?default v name =
-  match (Value.field v name, default) with
-  | Ok (Value.List vs), _ ->
+let loid_list = function
+  | Value.List vs ->
       let rec loop acc = function
         | [] -> Ok (List.rev acc)
         | x :: rest ->
@@ -38,6 +37,11 @@ let loid_list_field ?default v name =
             loop (l :: acc) rest
       in
       loop [] vs
+  | _ -> Error "expected a list of loids"
+
+let loid_list_field ?default v name =
+  match (Value.field v name, default) with
+  | Ok (Value.List _ as fv), _ -> loid_list fv
   | Ok _, _ -> Error (Printf.sprintf "field %s: not a list" name)
   | Error _, Some d -> Ok d
   | Error e, None -> Error (verr e)

@@ -20,6 +20,9 @@ val bool_field : ?default:bool -> Value.t -> string -> (bool, string) result
 
 val loid_field : Value.t -> string -> (Loid.t, string) result
 val str_list_field : ?default:string list -> Value.t -> string -> (string list, string) result
+val loid_list : Value.t -> (Loid.t list, string) result
+(** A list of LOIDs; anything else is "expected a list of loids". *)
+
 val loid_list_field : ?default:Loid.t list -> Value.t -> string -> (Loid.t list, string) result
 
 val opt_field :

@@ -21,30 +21,33 @@ let storages : (string, Persistent.t) Hashtbl.t = Hashtbl.create 8
 let register_storage name store = Hashtbl.replace storages name store
 let find_storage name = Hashtbl.find_opt storages name
 
+(* The one operation a record may have in flight: an activation, or a
+   transfer (Move, TransferObjects) to the destination Magistrate. *)
+type op = Activation | Transfer of Loid.t
+
+type busy = {
+  op : op;
+  mutable joined : (Runtime.reply -> unit) list;
+      (* repeats of [op], newest first: they share its outcome *)
+  mutable waiting : (unit -> unit) list;
+      (* other requests on the record, newest first: each is replayed
+         whole once [op] settles *)
+}
+
 type record = {
   loid : Loid.t;
   mutable opa : Opa.t option;
   mutable active : (Loid.t * Address.t) option;  (* (host object, address) *)
-  (* A Move/TransferObjects in flight: destination Magistrate, plus the
-     Activate requests held until the transfer settles. Answering an
-     Activate locally mid-transfer would re-activate the object here
-     right before the record is removed, stranding a live placement
-     under a Magistrate that no longer manages it. Soft state — never
-     persisted (a restored Magistrate has no transfer in flight). *)
-  mutable moving : Loid.t option;
-  mutable held : (Loid.t option -> unit) list;
-  (* At-least-once delivery can hand us the same Move twice: the
-     duplicate must join the in-flight transfer and share its outcome —
-     refusing it would answer the caller's call id early, letting the
-     caller act while the transfer is still mutating both record
-     tables. *)
-  mutable movers : ((Value.t, Err.t) result -> unit) list;
-  (* Reactivation in flight: later Activate requests join it instead of
-     starting their own. Two racing reactivations each bump the epoch
-     but only one spawn wins, leaving a live placement that is fenced
-     on every call — permanently, because rebinding just finds the same
-     placement again. Soft state, like [moving]. *)
-  mutable activating : ((Value.t, Err.t) result -> unit) list option;
+  (* The operation in flight. A repeat joins it: at-least-once delivery
+     hands us the same Move twice, and two racing reactivations would
+     each bump the epoch while only one spawn wins, leaving a placement
+     fenced on every call. Anything else waits: an Activate answered
+     mid-transfer, or a Move run mid-activation, strands a live
+     placement under a Magistrate that no longer manages it, and a
+     Delete run mid-activation leaves the deleted object running. Soft
+     state, never persisted (a restored Magistrate has nothing in
+     flight). *)
+  mutable busy : busy option;
 }
 
 type state = {
@@ -57,24 +60,16 @@ type state = {
          Records are only [peek]ed, and a LOID is added once
          (StoreObject and AdoptObject update its record in place), so
          the order is insertion order. *)
-  mutable host_load : int Loid.Table.t;  (* local activation counts *)
+  host_load : int Loid.Table.t;  (* local activation counts *)
   mutable activations : int;
   mutable migrations : int;
-  (* Failure-detector soft state: re-derived by heartbeats after a
-     restore, so deliberately not persisted. *)
-  mutable dead_hosts : Loid.t list;
-  mutable missed : (Loid.t * int) list;  (* consecutive missed beats *)
+  (* Failure-detector soft state, re-derived by heartbeats after a
+     restore and so deliberately not persisted: consecutive missed beats
+     per host. A host is dead while its count is at or past the
+     heartbeat threshold. *)
+  missed : int Loid.Table.t;
+  mutable threshold : int;
 }
-
-let state_value ?(hosts = []) ?(activation_policy = Policy.Allow_all)
-    ~jurisdiction () =
-  Value.Record
-    [
-      ("jur", Value.Str jurisdiction);
-      ("hosts", C.vloids hosts);
-      ("policy", Policy.to_value activation_policy);
-      ("records", Value.List []);
-    ]
 
 let record_to_value r =
   Value.Record
@@ -90,8 +85,20 @@ let record_to_value r =
       );
     ]
 
-let fresh_record loid opa =
-  { loid; opa; active = None; moving = None; held = []; movers = []; activating = None }
+let encode_state ~jurisdiction ~hosts ~policy records =
+  Value.Record
+    [
+      ("jur", Value.Str jurisdiction);
+      ("hosts", C.vloids hosts);
+      ("policy", Policy.to_value policy);
+      ("records", Value.List (List.map record_to_value records));
+    ]
+
+let state_value ?(hosts = []) ?(activation_policy = Policy.Allow_all)
+    ~jurisdiction () =
+  encode_state ~jurisdiction ~hosts ~policy:activation_policy []
+
+let fresh_record loid opa = { loid; opa; active = None; busy = None }
 
 let ( let* ) r f = Result.bind r f
 
@@ -119,8 +126,8 @@ let factory (ctx : Runtime.ctx) : Impl.part =
       host_load = Loid.Table.create ();
       activations = 0;
       migrations = 0;
-      dead_hosts = [];
-      missed = [];
+      missed = Loid.Table.create ();
+      threshold = max_int;
     }
   in
   let env = Env.of_self self in
@@ -129,6 +136,8 @@ let factory (ctx : Runtime.ctx) : Impl.part =
     Runtime.invoke ctx ~dst ~meth ~args
       ~env:(Env.delegate call_env ~calling:self) k
   in
+  (* The deadline of a single-attempt probe of a Host Object. *)
+  let probe_timeout = (Runtime.config rt).Runtime.call_timeout /. 10.0 in
 
   let storage () =
     match find_storage st.jurisdiction with
@@ -146,12 +155,33 @@ let factory (ctx : Runtime.ctx) : Impl.part =
     Option.value ~default:0 (Loid.Table.find st.host_load host)
   in
   let bump_load host = Loid.Table.set st.host_load host (load_of host + 1) in
-  let is_dead h = List.exists (Loid.equal h) st.dead_hosts in
+  let missed_of h = Option.value ~default:0 (Loid.Table.find st.missed h) in
   (* Hosts the failure detector has confirmed dead are skipped by
      placement decisions until a heartbeat reaches them again. *)
-  let live_hosts () = List.filter (fun h -> not (is_dead h)) st.hosts in
+  let live_hosts () = List.filter (fun h -> missed_of h < st.threshold) st.hosts in
   let emit_ev kind =
     Runtime.emit rt ~host:(Runtime.proc_host ctx.Runtime.self) kind
+  in
+  (* Run [f] on each element in turn, each once the previous one has
+     called back, then [k]. *)
+  let rec each f xs k =
+    match xs with
+    | [] -> k ()
+    | x :: rest -> f x (fun () -> each f rest k)
+  in
+  (* Run [round] every [period] virtual seconds while this Magistrate
+     lives, each round once the previous one has called back, until the
+     absolute horizon [until]. The horizon is explicit so a simulation
+     that runs to quiescence still terminates. *)
+  let every ~period ~until round =
+    let sim = Runtime.sim rt in
+    let rec tick () =
+      if Runtime.is_live ctx.Runtime.self then
+        round (fun () ->
+            if Engine.now sim +. period <= until then
+              ignore (Engine.schedule sim ~delay:period tick))
+    in
+    ignore (Engine.schedule sim ~delay:period tick)
   in
   let check_policy ~meth call_env k yes =
     match Policy.check st.activation_policy ~meth ~env:call_env with
@@ -204,46 +234,100 @@ let factory (ctx : Runtime.ctx) : Impl.part =
      else the locally least-loaded host (§3.8: Magistrates have "some
      default scheduling behavior" while real policies live in
      Scheduling Agents). *)
-  let pick_host ~env:call_env ~host_hint ~sched k =
-    match host_hint with
-    | Some h -> k (Ok h)
-    | None -> (
-        match live_hosts () with
-        | [] -> k (Error (Err.Refused "jurisdiction has no hosts"))
-        | hosts -> (
-            match sched with
-            | Some agent ->
-                ignore call_env;
-                let candidates =
-                  Value.List
-                    (List.map
-                       (fun h ->
-                         Value.Record
-                           [ ("host", Loid.to_value h); ("load", Value.Int (load_of h)) ])
-                       hosts)
-                in
-                invoke agent "PickHost" [ candidates ] (fun r ->
-                    match r with
-                    | Ok v -> (
-                        match C.loid_arg v with
-                        | Ok h -> k (Ok h)
-                        | Error msg -> k (Error (Err.Internal msg)))
-                    | Error e -> k (Error e))
-            | None ->
-                let best =
-                  List.fold_left
-                    (fun acc h ->
-                      match acc with
-                      | Some (_, l) when l <= load_of h -> acc
-                      | _ -> Some (h, load_of h))
-                    None hosts
-                in
-                (match best with
-                | Some (h, _) -> k (Ok h)
-                | None -> k (Error (Err.Refused "jurisdiction has no hosts")))))
+  let pick_host ~host_hint ~sched k =
+    match (host_hint, live_hosts ()) with
+    | Some h, _ -> k (Ok h)
+    | None, [] -> k (Error (Err.Refused "jurisdiction has no hosts"))
+    | None, (first :: rest as hosts) -> (
+        match sched with
+        | Some agent ->
+            let candidates =
+              Value.List
+                (List.map
+                   (fun h ->
+                     Value.Record
+                       [ ("host", Loid.to_value h); ("load", Value.Int (load_of h)) ])
+                   hosts)
+            in
+            invoke agent "PickHost" [ candidates ] (fun r ->
+                match r with
+                | Ok v -> (
+                    match C.loid_arg v with
+                    | Ok h -> k (Ok h)
+                    | Error msg -> k (Error (Err.Internal msg)))
+                | Error e -> k (Error e))
+        | None ->
+            (* The first of the least-loaded hosts. *)
+            let best, _ =
+              List.fold_left
+                (fun (b, l) h -> if load_of h < l then (h, load_of h) else (b, l))
+                (first, load_of first) rest
+            in
+            k (Ok best))
   in
 
-  let do_activate_leader ~env:call_env loid record ~host_hint ~sched k =
+  let unknown k = k (Error (Err.Not_bound "object unknown to this magistrate")) in
+  (* Persist [blob] as [record]'s OPR and drop the version it
+     supersedes. *)
+  let persist store record blob =
+    let opa = Persistent.put store ~loid:record.loid blob in
+    (match record.opa with
+    | Some old when not (Opa.equal old opa) -> Persistent.remove store old
+    | _ -> ());
+    record.opa <- Some opa
+  in
+  (* Forget [record] and its OPR. *)
+  let discard record =
+    (match (record.opa, storage ()) with
+    | Some opa, Ok store -> Persistent.remove store opa
+    | _ -> ());
+    Loid.Lru.remove st.records record.loid
+  in
+  (* Decode a request on one object, check it against the activation
+     policy and run [f] on the object's record. [f] also gets [retry],
+     which replays the lookup: a request that meets a busy record waits
+     by handing [retry] to the operation in flight. *)
+  let on_record ~meth call_env k decoded f =
+    match decoded with
+    | Error msg -> Impl.bad_args k msg
+    | Ok (loid, req) ->
+        check_policy ~meth call_env k (fun () ->
+            let rec retry () =
+              match find_record loid with
+              | None -> unknown k
+              | Some record -> f req record retry
+            in
+            retry ())
+  in
+  let one_loid v = Result.map (fun loid -> (loid, ())) (C.loid_arg v) in
+  (* Run [f] on an idle [record]; on a busy one, wait and [retry]. *)
+  let when_idle record retry f =
+    match record.busy with
+    | None -> f ()
+    | Some b -> b.waiting <- retry :: b.waiting
+  in
+  let start record op = record.busy <- Some { op; joined = []; waiting = [] } in
+  (* Settle [record]'s operation with [outcome]: replay the requests
+     that waited on it, then answer the repeats that joined it, each in
+     arrival order. The operation's own caller is answered after. *)
+  let settle record outcome =
+    match record.busy with
+    | None -> ()
+    | Some b ->
+        record.busy <- None;
+        List.iter (fun retry -> retry ()) (List.rev b.waiting);
+        List.iter (fun k -> k outcome) (List.rev b.joined)
+  in
+
+  (* Lead an activation of [record]; Activates that arrive meanwhile
+     join it and share its reply. *)
+  let lead_activation ~env:call_env record ~host_hint ~sched k =
+    let loid = record.loid in
+    start record Activation;
+    let k r =
+      settle record r;
+      k r
+    in
     match record.opa with
     | None -> k (Error (Err.Not_bound "no persistent representation held here"))
     | Some opa -> (
@@ -261,132 +345,100 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                 (* On a delivery failure (the chosen Host Object is dead
                    or unreachable) fall over to the remaining hosts — a
                    crashed host must not wedge its whole Jurisdiction. *)
-                let try_host host ~fallbacks =
-                  let probe = (Runtime.config rt).Runtime.call_timeout /. 10.0 in
-                  let rec attempt host fallbacks =
-                    Runtime.invoke ctx ~timeout:probe ~dst:host ~meth:"Activate"
-                      ~args:[ Loid.to_value loid; Value.Blob blob ]
-                      ~env:(Env.delegate call_env ~calling:self)
-                      (fun r ->
-                        (* Fall over on delivery failures (dead host)
-                           and on refusals (a Host Object at capacity or
-                           exercising its own access policy, §3.9). *)
-                        let should_fall_over = function
-                          | Err.Refused _ -> true
-                          | e -> Err.is_delivery_failure e
-                        in
-                        match r with
-                        | Error e when should_fall_over e -> (
-                            match fallbacks with
-                            | [] -> k (Error e)
-                            | h :: rest -> attempt h rest)
-                        | Error e -> k (Error e)
-                        | Ok reply -> (
-                            let addr =
-                              let* av = C.field reply "addr" in
-                              Address.of_value av
-                            in
-                            match addr with
-                            | Error msg -> k (Error (Err.Internal msg))
-                            | Ok address ->
-                                record.active <- Some (host, address);
-                                st.activations <- st.activations + 1;
-                                bump_load host;
-                                k (Ok (Binding.to_value (mint_binding loid address)))))
-                  in
-                  attempt host fallbacks
+                let rec attempt host fallbacks =
+                  Runtime.invoke ctx ~timeout:probe_timeout ~dst:host ~meth:"Activate"
+                    ~args:[ Loid.to_value loid; Value.Blob blob ]
+                    ~env:(Env.delegate call_env ~calling:self)
+                    (fun r ->
+                      (* Fall over on delivery failures (dead host) and
+                         on refusals (a Host Object at capacity or
+                         exercising its own access policy, §3.9). *)
+                      let should_fall_over = function
+                        | Err.Refused _ -> true
+                        | e -> Err.is_delivery_failure e
+                      in
+                      match r with
+                      | Error e when should_fall_over e -> (
+                          match fallbacks with
+                          | [] -> k (Error e)
+                          | h :: rest -> attempt h rest)
+                      | Error e -> k (Error e)
+                      | Ok reply -> (
+                          let addr =
+                            let* av = C.field reply "addr" in
+                            Address.of_value av
+                          in
+                          match addr with
+                          | Error msg -> k (Error (Err.Internal msg))
+                          | Ok address ->
+                              record.active <- Some (host, address);
+                              st.activations <- st.activations + 1;
+                              bump_load host;
+                              k (Ok (Binding.to_value (mint_binding loid address)))))
                 in
-                pick_host ~env:call_env ~host_hint ~sched (fun r ->
+                pick_host ~host_hint ~sched (fun r ->
                     match r with
                     | Error e -> k (Error e)
                     | Ok host ->
-                        let fallbacks =
-                          List.filter
-                            (fun h -> not (Loid.equal h host))
-                            (live_hosts ())
-                        in
-                        try_host host ~fallbacks)))
-  in
-
-  (* Coalesce concurrent reactivations of one object: the first request
-     leads, the rest join and share its outcome. Racing leaders would
-     each bump the epoch while only one spawn wins — every call to the
-     survivor then fences against the higher epoch, and rebinding never
-     repairs it because resolution keeps finding the same placement. *)
-  let do_activate ~env:call_env loid record ~host_hint ~sched k =
-    match record.activating with
-    | Some waiters -> record.activating <- Some (k :: waiters)
-    | None ->
-        record.activating <- Some [];
-        do_activate_leader ~env:call_env loid record ~host_hint ~sched (fun r ->
-            let waiters = Option.value ~default:[] record.activating in
-            record.activating <- None;
-            List.iter (fun w -> w r) (List.rev (k :: waiters)))
+                        attempt host
+                          (List.filter
+                             (fun h -> not (Loid.equal h host))
+                             (live_hosts ())))))
   in
 
   let activate _ctx args call_env k =
     match args with
-    | [ loid_v; hints ] -> (
+    | [ loid_v; hints ] ->
         let decoded =
           let* loid = C.loid_arg loid_v in
           let* stale = C.opt_address_field hints "stale" in
           let* host_hint = C.opt_loid_field hints "host" in
           let* sched = C.opt_loid_field hints "sched" in
-          Ok (loid, stale, host_hint, sched)
+          Ok (loid, (stale, host_hint, sched))
         in
-        match decoded with
-        | Error msg -> Impl.bad_args k msg
-        | Ok (loid, stale, host_hint, sched) ->
-            check_policy ~meth:"Activate" call_env k (fun () ->
-                match find_record loid with
-                | None -> k (Error (Err.Not_bound "object unknown to this magistrate"))
-                | Some record ->
-                    let serve () =
-                      match record.active with
-                      | Some (_, address)
-                        when not
-                               (match stale with
-                               | Some s -> Address.equal s address
-                               | None -> false) ->
-                          k (Ok (Binding.to_value (mint_binding loid address)))
-                      | Some (host, address) ->
-                          (* The caller believes the recorded address is
-                             dead — but its timeout may have been
-                             transient. Ask the Host Object before
-                             restarting: blind reactivation would fork the
-                             object and roll its state back to the OPR. *)
-                          let probe = (Runtime.config rt).Runtime.call_timeout /. 10.0 in
-                          Runtime.invoke ctx ~timeout:probe ~dst:host ~meth:"IsAlive"
-                            ~args:[ Loid.to_value loid ]
-                            ~env:(Env.delegate call_env ~calling:self)
-                            (fun r ->
-                              match r with
-                              | Ok (Value.Bool true) ->
-                                  k (Ok (Binding.to_value (mint_binding loid address)))
-                              | Ok _ | Error _ ->
-                                  record.active <- None;
-                                  do_activate ~env:call_env loid record ~host_hint
-                                    ~sched k)
-                      | None -> do_activate ~env:call_env loid record ~host_hint ~sched k
-                    in
-                    (match record.moving with
-                    | None -> serve ()
-                    | Some _ ->
-                        (* The OPR is mid-transfer to another Magistrate.
-                           Re-activating here would strand a live
-                           placement under a Magistrate about to drop
-                           the record — hold the request and, once the
-                           transfer commits, forward it to the object's
-                           new home (or serve locally if it aborts). *)
-                        record.held <-
-                          record.held
-                          @ [
-                              (function
-                              | Some dst ->
-                                  invoke_for call_env dst "Activate"
-                                    [ loid_v; hints ] k
-                              | None -> serve ());
-                            ])))
+        on_record ~meth:"Activate" call_env k decoded
+          (fun (stale, host_hint, sched) record retry ->
+            let loid = record.loid in
+            let answer address =
+              k (Ok (Binding.to_value (mint_binding loid address)))
+            in
+            match record.busy with
+            | Some ({ op = Activation; _ } as b) -> b.joined <- k :: b.joined
+            | Some ({ op = Transfer dst; _ } as b) ->
+                (* Forward to the object's new home once the transfer
+                   commits; replay here if it aborts. *)
+                b.waiting <-
+                  (fun () ->
+                    if Option.is_none (find_record loid) then
+                      invoke_for call_env dst "Activate" [ loid_v; hints ] k
+                    else retry ())
+                  :: b.waiting
+            | None -> (
+                match record.active with
+                | Some (_, address)
+                  when not
+                         (match stale with
+                         | Some s -> Address.equal s address
+                         | None -> false) ->
+                    answer address
+                | Some (host, address) ->
+                    (* The caller believes the recorded address is dead —
+                       but its timeout may have been transient. Ask the
+                       Host Object before restarting: blind reactivation
+                       would fork the object and roll its state back to
+                       the OPR. *)
+                    Runtime.invoke ctx ~timeout:probe_timeout ~dst:host ~meth:"IsAlive"
+                      ~args:[ Loid.to_value loid ]
+                      ~env:(Env.delegate call_env ~calling:self)
+                      (fun r ->
+                        match (r, find_record loid) with
+                        | Ok (Value.Bool true), _ -> answer address
+                        | _, Some current
+                          when current == record && Option.is_none record.busy ->
+                            record.active <- None;
+                            lead_activation ~env:call_env record ~host_hint ~sched k
+                        | _ -> retry ())
+                | None -> lead_activation ~env:call_env record ~host_hint ~sched k))
     | _ -> Impl.bad_args k "Activate expects (loid, hints)"
   in
 
@@ -400,15 +452,15 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                 match storage () with
                 | Error e -> k (Error e)
                 | Ok store ->
-                    let opa = Persistent.put store ~loid blob in
-                    (match find_record loid with
-                    | Some record ->
-                        (match record.opa with
-                        | Some old when not (Opa.equal old opa) ->
-                            Persistent.remove store old
-                        | _ -> ());
-                        record.opa <- Some opa
-                    | None -> Loid.Lru.add st.records (fresh_record loid (Some opa)));
+                    let record =
+                      match find_record loid with
+                      | Some record -> record
+                      | None ->
+                          let record = fresh_record loid None in
+                          Loid.Lru.add st.records record;
+                          record
+                    in
+                    persist store record blob;
                     k Impl.ok_unit))
     | _ -> Impl.bad_args k "StoreObject expects (loid, opr: blob)"
   in
@@ -416,137 +468,94 @@ let factory (ctx : Runtime.ctx) : Impl.part =
   (* Deactivate: host captures state, we persist the refreshed OPR and
      (best effort) tell the class the address is gone (§4.1.4's "news of
      an object's migration or removal"). Shared with Copy/Move. *)
-  let do_deactivate ~env:call_env loid record k =
+  let do_deactivate ~env:call_env record k =
     match record.active with
-    | None -> k (Ok ())
+    | None -> k Impl.ok_unit
     | Some (host, _) ->
-        invoke_for call_env host "Deactivate" [ Loid.to_value loid ] (fun r ->
+        invoke_for call_env host "Deactivate" [ Loid.to_value record.loid ] (fun r ->
             match r with
             | Error e -> k (Error e)
             | Ok (Value.Blob blob) -> (
                 match storage () with
                 | Error e -> k (Error e)
                 | Ok store ->
-                    let opa = Persistent.put store ~loid blob in
-                    (match record.opa with
-                    | Some old when not (Opa.equal old opa) ->
-                        Persistent.remove store old
-                    | _ -> ());
-                    record.opa <- Some opa;
+                    persist store record blob;
                     record.active <- None;
-                    invoke (Loid.responsible_class loid) "NotifyAddress"
-                      [ Loid.to_value loid; Value.List [] ]
+                    invoke (Loid.responsible_class record.loid) "NotifyAddress"
+                      [ Loid.to_value record.loid; Value.List [] ]
                       (fun _ -> ());
-                    k (Ok ()))
+                    k Impl.ok_unit)
             | Ok _ -> k (Error (Err.Internal "Deactivate returned non-blob")))
   in
 
   let deactivate _ctx args call_env k =
     match args with
-    | [ loid_v ] -> (
-        match C.loid_arg loid_v with
-        | Error msg -> Impl.bad_args k msg
-        | Ok loid ->
-            check_policy ~meth:"Deactivate" call_env k (fun () ->
-                match find_record loid with
-                | None -> k (Error (Err.Not_bound "object unknown to this magistrate"))
-                | Some record ->
-                    do_deactivate ~env:call_env loid record (fun r ->
-                        match r with Ok () -> k Impl.ok_unit | Error e -> k (Error e))))
+    | [ loid_v ] ->
+        on_record ~meth:"Deactivate" call_env k (one_loid loid_v)
+          (fun () record retry ->
+            when_idle record retry (fun () ->
+                do_deactivate ~env:call_env record k))
     | _ -> Impl.bad_args k "Deactivate expects one loid"
   in
 
   let delete _ctx args call_env k =
     match args with
-    | [ loid_v ] -> (
-        match C.loid_arg loid_v with
-        | Error msg -> Impl.bad_args k msg
-        | Ok loid ->
-            check_policy ~meth:"Delete" call_env k (fun () ->
-                match find_record loid with
-                | None -> k (Error (Err.Not_bound "object unknown to this magistrate"))
-                | Some record ->
-                    let finish () =
-                      (match (record.opa, storage ()) with
-                      | Some opa, Ok store -> Persistent.remove store opa
-                      | _ -> ());
-                      Loid.Lru.remove st.records loid;
-                      notify_class loid ~add:[] ~remove:[ self ] (fun () ->
-                          k Impl.ok_unit)
-                    in
-                    (match record.active with
-                    | Some (host, _) ->
-                        invoke_for call_env host "Kill" [ Loid.to_value loid ]
-                          (fun _ -> finish ())
-                    | None -> finish ())))
+    | [ loid_v ] ->
+        on_record ~meth:"Delete" call_env k (one_loid loid_v)
+          (fun () record retry ->
+            when_idle record retry (fun () ->
+                let finish () =
+                  discard record;
+                  notify_class record.loid ~add:[] ~remove:[ self ] (fun () ->
+                      k Impl.ok_unit)
+                in
+                match record.active with
+                | Some (host, _) ->
+                    invoke_for call_env host "Kill" [ Loid.to_value record.loid ]
+                      (fun _ -> finish ())
+                | None -> finish ()))
     | _ -> Impl.bad_args k "Delete expects one loid"
-  in
-
-  (* Settle an in-flight transfer: release the [moving] marker and
-     replay the Activate requests held meanwhile — toward the new home
-     when the transfer committed ([Some dst]), locally when it aborted
-     ([None]). *)
-  let finish_transfer record outcome =
-    let held = record.held in
-    let movers = record.movers in
-    record.held <- [];
-    record.movers <- [];
-    record.moving <- None;
-    List.iter (fun resume -> resume outcome) held;
-    let reply =
-      match outcome with
-      | Some _ -> Impl.ok_unit
-      | None -> Error (Err.Refused "object transfer aborted")
-    in
-    List.iter (fun k -> k reply) movers
   in
 
   (* Copy (§3.8): deactivate, then ship the OPR to the other
      Magistrate. The object ends up Inert in both Jurisdictions, which
      is why the Current Magistrate List is a list. *)
-  let do_copy ~env:call_env loid dst k =
-    match find_record loid with
-    | None -> k (Error (Err.Not_bound "object unknown to this magistrate"))
-    | Some record ->
-        do_deactivate ~env:call_env loid record (fun r ->
-            match r with
-            | Error e -> k (Error e)
-            | Ok () -> (
-                match (record.opa, storage ()) with
-                | Some opa, Ok store -> (
-                    match Persistent.get store opa with
-                    | None -> k (Error (Err.Internal "persistent representation missing"))
-                    | Some blob ->
-                        invoke_for call_env dst "StoreObject"
-                          [ Loid.to_value loid; Value.Blob blob ]
-                          (fun r ->
-                            match r with
-                            | Error e -> k (Error e)
-                            | Ok _ ->
-                                st.migrations <- st.migrations + 1;
-                                Runtime.emit rt
-                                  ~host:(Runtime.proc_host ctx.Runtime.self)
-                                  (Legion_obs.Event.Migrate { loid; dst });
-                                notify_class loid ~add:[ dst ] ~remove:[]
-                                  (fun () -> k (Ok ()))))
-                | None, _ -> k (Error (Err.Not_bound "no persistent representation"))
-                | _, Error e -> k (Error e)))
+  let copy_to ~env:call_env record dst k =
+    let loid = record.loid in
+    do_deactivate ~env:call_env record (fun r ->
+        match r with
+        | Error e -> k (Error e)
+        | Ok _ -> (
+            match (record.opa, storage ()) with
+            | Some opa, Ok store -> (
+                match Persistent.get store opa with
+                | None -> k (Error (Err.Internal "persistent representation missing"))
+                | Some blob ->
+                    invoke_for call_env dst "StoreObject"
+                      [ Loid.to_value loid; Value.Blob blob ]
+                      (fun r ->
+                        match r with
+                        | Error e -> k (Error e)
+                        | Ok _ ->
+                            st.migrations <- st.migrations + 1;
+                            emit_ev (Event.Migrate { loid; dst });
+                            notify_class loid ~add:[ dst ] ~remove:[] (fun () ->
+                                k Impl.ok_unit)))
+            | None, _ -> k (Error (Err.Not_bound "no persistent representation"))
+            | _, Error e -> k (Error e)))
+  in
+  let decode_transfer loid_v dst_v =
+    let* loid = C.loid_arg loid_v in
+    let* dst = C.loid_arg dst_v in
+    Ok (loid, dst)
   in
 
   let copy _ctx args call_env k =
     match args with
-    | [ loid_v; dst_v ] -> (
-        let decoded =
-          let* loid = C.loid_arg loid_v in
-          let* dst = C.loid_arg dst_v in
-          Ok (loid, dst)
-        in
-        match decoded with
-        | Error msg -> Impl.bad_args k msg
-        | Ok (loid, dst) ->
-            check_policy ~meth:"Copy" call_env k (fun () ->
-                do_copy ~env:call_env loid dst (fun r ->
-                    match r with Ok () -> k Impl.ok_unit | Error e -> k (Error e))))
+    | [ loid_v; dst_v ] ->
+        on_record ~meth:"Copy" call_env k (decode_transfer loid_v dst_v)
+          (fun dst record retry ->
+            when_idle record retry (fun () -> copy_to ~env:call_env record dst k))
     | _ -> Impl.bad_args k "Copy expects (loid, magistrate)"
   in
 
@@ -554,47 +563,25 @@ let factory (ctx : Runtime.ctx) : Impl.part =
      Delete()", where the Delete is of the local copy only). *)
   let move _ctx args call_env k =
     match args with
-    | [ loid_v; dst_v ] -> (
-        let decoded =
-          let* loid = C.loid_arg loid_v in
-          let* dst = C.loid_arg dst_v in
-          Ok (loid, dst)
-        in
-        match decoded with
-        | Error msg -> Impl.bad_args k msg
-        | Ok (loid, dst) ->
-            check_policy ~meth:"Move" call_env k (fun () ->
-                match find_record loid with
-                | None ->
-                    k (Error (Err.Not_bound "object unknown to this magistrate"))
-                | Some record when record.moving <> None ->
-                    (* A duplicate delivery (same destination) joins the
-                       transfer; a genuinely different transfer is
-                       refused. *)
-                    if
-                      match record.moving with
-                      | Some d -> Loid.equal d dst
-                      | None -> false
-                    then record.movers <- k :: record.movers
-                    else
-                      k
-                        (Error
-                           (Err.Refused "conflicting object transfer in flight"))
-                | Some record ->
-                    record.moving <- Some dst;
-                    do_copy ~env:call_env loid dst (fun r ->
-                        match r with
-                        | Error e ->
-                            finish_transfer record None;
-                            k (Error e)
-                        | Ok () ->
-                            (match (record.opa, storage ()) with
-                            | Some opa, Ok store -> Persistent.remove store opa
-                            | _ -> ());
-                            Loid.Lru.remove st.records loid;
-                            finish_transfer record (Some dst);
-                            notify_class loid ~add:[] ~remove:[ self ] (fun () ->
-                                k Impl.ok_unit))))
+    | [ loid_v; dst_v ] ->
+        on_record ~meth:"Move" call_env k (decode_transfer loid_v dst_v)
+          (fun dst record retry ->
+            match record.busy with
+            | Some ({ op = Transfer d; _ } as b) when Loid.equal d dst ->
+                b.joined <- k :: b.joined
+            | Some b -> b.waiting <- retry :: b.waiting
+            | None ->
+                start record (Transfer dst);
+                copy_to ~env:call_env record dst (fun r ->
+                    match r with
+                    | Error _ ->
+                        settle record r;
+                        k r
+                    | Ok _ ->
+                        discard record;
+                        settle record r;
+                        notify_class record.loid ~add:[] ~remove:[ self ] (fun () ->
+                            k r)))
     | _ -> Impl.bad_args k "Move expects (loid, magistrate)"
   in
 
@@ -612,45 +599,34 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                 (List.filter_map (fun r -> Option.map fst r.active) (records ()))
             in
             let swept = ref 0 in
-            let rec per_host = function
-              | [] -> k (Ok (Value.Int !swept))
-              | h :: rest ->
-                  invoke_for call_env h "IdleProcesses" [ Value.Float threshold ]
-                    (fun r ->
+            each
+              (fun h next ->
+                invoke_for call_env h "IdleProcesses" [ Value.Float threshold ]
+                  (fun r ->
+                    let idle =
                       match r with
-                      | Error _ -> per_host rest
-                      | Ok idle_v ->
-                          let idle =
-                            match C.loid_list_field
-                                    (Value.Record [ ("l", idle_v) ]) "l"
-                            with
-                            | Ok ls -> ls
-                            | Error _ -> []
-                          in
-                          let mine =
-                            List.filter
-                              (fun l ->
-                                match find_record l with
-                                | Some { active = Some (host, _); _ } ->
-                                    Loid.equal host h
-                                | _ -> false)
-                              idle
-                          in
-                          let rec deact = function
-                            | [] -> per_host rest
-                            | l :: more -> (
-                                match find_record l with
-                                | Some record ->
-                                    do_deactivate ~env:call_env l record (fun r ->
-                                        (match r with
-                                        | Ok () -> incr swept
-                                        | Error _ -> ());
-                                        deact more)
-                                | None -> deact more)
-                          in
-                          deact mine)
-            in
-            per_host active_hosts)
+                      | Ok v -> Result.value ~default:[] (C.loid_list v)
+                      | Error _ -> []
+                    in
+                    let mine =
+                      List.filter
+                        (fun l ->
+                          match find_record l with
+                          | Some { active = Some (host, _); _ } -> Loid.equal host h
+                          | _ -> false)
+                        idle
+                    in
+                    each
+                      (fun l next ->
+                        match find_record l with
+                        | Some ({ busy = None; _ } as record) ->
+                            do_deactivate ~env:call_env record (fun r ->
+                                if Result.is_ok r then incr swept;
+                                next ())
+                        | _ -> next ())
+                      mine next))
+              active_hosts
+              (fun () -> k (Ok (Value.Int !swept))))
     | _ -> Impl.bad_args k "SweepIdle expects one float"
   in
 
@@ -661,37 +637,35 @@ let factory (ctx : Runtime.ctx) : Impl.part =
      most one checkpoint interval of state instead of everything since
      the last explicit Deactivate. Best effort: any failure leaves the
      previous OPR in place for the next sweep. *)
-  let checkpoint_record loid record k =
-    match (record.active, record.opa, storage ()) with
-    | Some (_, address), Some opa, Ok store -> (
+  let checkpoint_record record k =
+    match (record.busy, record.active, record.opa, storage ()) with
+    | None, Some (_, address), Some opa, Ok store -> (
         match Option.map Opr.of_blob (Persistent.get store opa) with
         | None | Some (Error _) -> k false
         | Some (Ok opr) ->
             let budget = (Runtime.config rt).Runtime.call_timeout /. 4.0 in
-            Runtime.invoke_address ctx ~timeout:budget ~address ~dst:loid
+            Runtime.invoke_address ctx ~timeout:budget ~address ~dst:record.loid
               ~meth:"SaveState" ~args:[] ~env (fun r ->
                 match r with
                 | Ok (Value.Record states) -> (
                     let blob = Opr.to_blob { opr with states } in
                     match Persistent.put_at store opa blob with
                     | Ok () ->
-                        emit_ev (Event.Checkpoint { loid });
+                        emit_ev (Event.Checkpoint { loid = record.loid });
                         k true
                     | Error _ -> k false)
                 | Ok _ | Error _ -> k false))
     | _ -> k false
   in
   let checkpoint_all k =
-    let snapshot = records () in
     let count = ref 0 in
-    let rec go = function
-      | [] -> k !count
-      | record :: rest ->
-          checkpoint_record record.loid record (fun ok ->
-              if ok then incr count;
-              go rest)
-    in
-    go snapshot
+    each
+      (fun record next ->
+        checkpoint_record record (fun ok ->
+            if ok then incr count;
+            next ()))
+      (records ())
+      (fun () -> k !count)
   in
   let sweep_checkpoint _ctx args call_env k =
     match args with
@@ -701,8 +675,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
     | _ -> Impl.bad_args k "SweepCheckpoint takes no arguments"
   in
   (* StartCheckpointing: arm a periodic SweepCheckpoint until the given
-     absolute virtual time. The horizon is explicit so a simulation
-     that runs to quiescence still terminates. *)
+     absolute virtual time. *)
   let start_checkpointing _ctx args call_env k =
     match args with
     | [ Value.Float period; Value.Float until ] ->
@@ -710,14 +683,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
             if period <= 0.0 then
               Impl.bad_args k "StartCheckpointing: period must be positive"
             else begin
-              let sim = Runtime.sim rt in
-              let rec sweep () =
-                if Runtime.is_live ctx.Runtime.self then
-                  checkpoint_all (fun _ ->
-                      if Engine.now sim +. period <= until then
-                        ignore (Engine.schedule sim ~delay:period sweep))
-              in
-              ignore (Engine.schedule sim ~delay:period sweep);
+              every ~period ~until (fun next -> checkpoint_all (fun _ -> next ()));
               k Impl.ok_unit
             end)
     | _ -> Impl.bad_args k "StartCheckpointing expects (period, until)"
@@ -730,56 +696,39 @@ let factory (ctx : Runtime.ctx) : Impl.part =
      its responsible class told to reactivate it (NotifyDead) on a
      surviving host. No caller has to trip over the corpse first. A
      later successful probe revives the host for placement. *)
-  let missed_of h =
-    match List.find_opt (fun (l, _) -> Loid.equal l h) st.missed with
-    | Some (_, n) -> n
-    | None -> 0
-  in
-  let set_missed h n =
-    st.missed <-
-      (h, n) :: List.filter (fun (l, _) -> not (Loid.equal l h)) st.missed
-  in
   let confirm_dead h =
-    if not (is_dead h) then begin
-      st.dead_hosts <- h :: st.dead_hosts;
-      let victims =
-        List.filter
-          (fun r ->
-            match r.active with
-            | Some (hh, _) -> Loid.equal hh h
-            | None -> false)
-          (records ())
-      in
-      emit_ev
-        (Event.Confirm_dead { host_obj = h; objects = List.length victims });
-      List.iter
-        (fun ({ loid; _ } as record) ->
-          record.active <- None;
-          Runtime.mark_dead rt loid;
-          (* Classes recover lazily through the agent chain; only
-             instances get the proactive push. *)
-          if not (Loid.is_class loid) then
-            invoke (Loid.responsible_class loid) "NotifyDead"
-              [ Loid.to_value loid ]
-              (fun _ -> ()))
-        victims
-    end
+    let victims =
+      List.filter
+        (fun r ->
+          match r.active with
+          | Some (hh, _) -> Loid.equal hh h
+          | None -> false)
+        (records ())
+    in
+    emit_ev (Event.Confirm_dead { host_obj = h; objects = List.length victims });
+    List.iter
+      (fun ({ loid; _ } as record) ->
+        record.active <- None;
+        Runtime.mark_dead rt loid;
+        (* Classes recover lazily through the agent chain; only
+           instances get the proactive push. *)
+        if not (Loid.is_class loid) then
+          invoke (Loid.responsible_class loid) "NotifyDead"
+            [ Loid.to_value loid ]
+            (fun _ -> ()))
+      victims
   in
-  let probe_host ~threshold h k =
-    let probe = (Runtime.config rt).Runtime.call_timeout /. 10.0 in
-    Runtime.invoke ctx ~timeout:probe ~max_rebinds:0 ~dst:h ~meth:"GetState"
+  let probe_host h k =
+    Runtime.invoke ctx ~timeout:probe_timeout ~max_rebinds:0 ~dst:h ~meth:"GetState"
       ~args:[] ~env (fun r ->
         (match r with
-        | Ok _ ->
-            if is_dead h then
-              st.dead_hosts <-
-                List.filter (fun l -> not (Loid.equal l h)) st.dead_hosts;
-            set_missed h 0
+        | Ok _ -> Loid.Table.remove st.missed h
         | Error _ ->
             let n = missed_of h + 1 in
-            set_missed h n;
+            Loid.Table.set st.missed h n;
             emit_ev (Event.Suspect { host_obj = h; missed = n });
-            if n >= threshold then confirm_dead h);
+            (* The miss that reaches the threshold confirms the death. *)
+            if n = st.threshold then confirm_dead h);
         k ())
   in
   let start_heartbeat _ctx args call_env k =
@@ -789,19 +738,8 @@ let factory (ctx : Runtime.ctx) : Impl.part =
             if period <= 0.0 || threshold < 1 then
               Impl.bad_args k "StartHeartbeat: bad period/threshold"
             else begin
-              let sim = Runtime.sim rt in
-              let rec beat () =
-                if Runtime.is_live ctx.Runtime.self then begin
-                  let rec per_host = function
-                    | [] ->
-                        if Engine.now sim +. period <= until then
-                          ignore (Engine.schedule sim ~delay:period beat)
-                    | h :: rest -> probe_host ~threshold h (fun () -> per_host rest)
-                  in
-                  per_host st.hosts
-                end
-              in
-              ignore (Engine.schedule sim ~delay:period beat);
+              st.threshold <- threshold;
+              every ~period ~until (fun next -> each probe_host st.hosts next);
               k Impl.ok_unit
             end)
     | _ -> Impl.bad_args k "StartHeartbeat expects (period, threshold, until)"
@@ -861,38 +799,35 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                     (List.filter (fun r -> not (Loid.is_class r.loid)) (records ()))
                 in
                 let moved = ref 0 in
-                let rec transfer = function
-                  | [] -> k (Ok (Value.Int !moved))
-                  | record :: rest when record.moving <> None -> transfer rest
-                  | ({ loid; _ } as record) :: rest ->
-                      record.moving <- Some dst;
-                      do_deactivate ~env:call_env loid record (fun r ->
-                          match r with
-                          | Error _ ->
-                              finish_transfer record None;
-                              transfer rest
-                          | Ok () -> (
-                              match record.opa with
-                              | None ->
-                                  finish_transfer record None;
-                                  transfer rest
-                              | Some opa ->
-                                  invoke_for call_env dst "AdoptObject"
-                                    [ Loid.to_value loid; Opa.to_value opa ]
-                                    (fun r ->
-                                      match r with
-                                      | Error _ ->
-                                          finish_transfer record None;
-                                          transfer rest
-                                      | Ok _ ->
-                                          Loid.Lru.remove st.records loid;
-                                          incr moved;
-                                          finish_transfer record (Some dst);
-                                          notify_class loid ~add:[ dst ]
-                                            ~remove:[ self ] (fun () ->
-                                              transfer rest))))
-                in
-                transfer candidates))
+                each
+                  (fun ({ loid; _ } as record) next ->
+                    if Option.is_some record.busy then next ()
+                    else begin
+                      start record (Transfer dst);
+                      let abort e =
+                        settle record (Error e);
+                        next ()
+                      in
+                      do_deactivate ~env:call_env record (fun r ->
+                          match (r, record.opa) with
+                          | Error e, _ -> abort e
+                          | Ok _, None ->
+                              abort (Err.Not_bound "no persistent representation")
+                          | Ok _, Some opa ->
+                              invoke_for call_env dst "AdoptObject"
+                                [ Loid.to_value loid; Opa.to_value opa ]
+                                (fun r ->
+                                  match r with
+                                  | Error e -> abort e
+                                  | Ok _ ->
+                                      Loid.Lru.remove st.records loid;
+                                      incr moved;
+                                      settle record Impl.ok_unit;
+                                      notify_class loid ~add:[ dst ] ~remove:[ self ]
+                                        next))
+                    end)
+                  candidates
+                  (fun () -> k (Ok (Value.Int !moved)))))
     | _ -> Impl.bad_args k "TransferObjects expects (magistrate, max: int)"
   in
 
@@ -957,13 +892,8 @@ let factory (ctx : Runtime.ctx) : Impl.part =
   in
 
   let save () =
-    Value.Record
-      [
-        ("jur", Value.Str st.jurisdiction);
-        ("hosts", C.vloids st.hosts);
-        ("policy", Policy.to_value st.activation_policy);
-        ("records", Value.List (List.map record_to_value (records ())));
-      ]
+    encode_state ~jurisdiction:st.jurisdiction ~hosts:st.hosts
+      ~policy:st.activation_policy (records ())
   in
   let restore v =
     let* jur = C.str_field v "jur" in

@@ -27,6 +27,18 @@
     administration ([AddHost]/[RemoveHost]/[SetActivationPolicy]) and
     introspection ([ListObjects]/[GetJurisdictionInfo]).
 
+    Each record has at most one operation in flight: an activation, or
+    a transfer ([Move], [TransferObjects]) to another Magistrate. A
+    repeat of it (a second [Activate], a [Move] to the same
+    destination) joins it and shares its reply. An [Activate] during a
+    transfer is held, then forwarded to the new home once the transfer
+    commits or served here if it aborts. Any other request on the
+    record ([Move] elsewhere, [Copy], [Deactivate], [Delete]) waits
+    until the operation settles and is then replayed whole, so none of
+    them can strand the placement an activation creates. The sweeps
+    ([SweepIdle], the checkpoint sweep, [TransferObjects]) skip a busy
+    record (PROTOCOL §5.4).
+
     Storage is site infrastructure: a Jurisdiction's disks are
     registered under the jurisdiction's name with {!register_storage}
     and referenced by name from the Magistrate's persistent state —

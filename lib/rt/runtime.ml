@@ -166,10 +166,10 @@ let slot_set rt slot proc =
 
 (* A Host Object's resident sweep (drop dead placements, reap those
    whose epoch trails their LOID's) can change its result on a host in
-   four ways only: a placement there is killed, a LOID placed there has
-   its epoch bumped, a placement there has its epoch refreshed, or one
-   is spawned there below its LOID's current epoch. Each bumps the
-   host's count, and a Host Object re-sweeps only when it has moved. *)
+   three ways only: a placement there is killed, a LOID placed there has
+   its epoch bumped, or a placement there has its epoch refreshed. Each
+   bumps the host's count, and a Host Object re-sweeps only when it has
+   moved. *)
 let note_host_change rt host =
   let n = Array.length rt.host_changes in
   if host >= n then begin
@@ -836,7 +836,7 @@ let attach_host rt host =
 (* ------------------------------------------------------------------ *)
 (* Lifecycle.                                                          *)
 
-let spawn rt ~host ~loid ~kind ?epoch ?cache_capacity ?binding_agent ?admission
+let spawn rt ~host ~loid ~kind ?cache_capacity ?binding_agent ?admission
     ~handler () =
   attach_host rt host;
   (* [config.admission] is the default budget for application objects
@@ -850,13 +850,7 @@ let spawn rt ~host ~loid ~kind ?epoch ?cache_capacity ?binding_agent ?admission
     | Some a -> a
     | None -> if String.equal kind "app" then rt.config.admission else None
   in
-  let epoch =
-    match epoch with
-    | Some e ->
-        if e < current_epoch rt loid then note_host_change rt host;
-        e
-    | None -> current_epoch rt loid
-  in
+  let epoch = current_epoch rt loid in
   (match cache_capacity with
   | Some c when c < 0 -> invalid_arg "Runtime.spawn: negative cache_capacity"
   | _ -> ());

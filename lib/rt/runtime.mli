@@ -185,7 +185,6 @@ val spawn :
   host:Legion_net.Network.host_id ->
   loid:Loid.t ->
   kind:string ->
-  ?epoch:int ->
   ?cache_capacity:int ->
   ?binding_agent:Address.t ->
   ?admission:admission option ->
@@ -194,10 +193,9 @@ val spawn :
   proc
 (** Start an active object instance on [host]. [kind] groups the
     object's request counter (e.g. ["class"], ["binding_agent"],
-    ["app"]). [epoch] stamps the placement's incarnation; it defaults
-    to the LOID's {!current_epoch}, so a spawn following a
-    {!bump_epoch} automatically belongs to the new incarnation while
-    replica deployments of one incarnation share a number.
+    ["app"]). The placement belongs to the LOID's {!current_epoch}, so
+    a spawn following a {!bump_epoch} belongs to the new incarnation
+    while replica deployments of one incarnation share a number.
     [cache_capacity] bounds the comm-layer binding cache (default
     unbounded), which is built when the object first calls out or
     {!cache_of} reads it. [binding_agent] is the Object Address of the
@@ -262,10 +260,9 @@ val refresh_epoch : t -> proc -> unit
 val host_changes : t -> Legion_net.Network.host_id -> int
 (** How many times a change that could alter the host's resident sweep
     has happened there: a {!kill} of a placement on the host, a
-    {!bump_epoch} of a LOID with a live placement there, a
-    {!refresh_epoch} of a placement there, or a {!spawn} there below the
-    LOID's {!current_epoch}. The Host Object re-runs its zombie sweep
-    only when this count has moved since its last sweep. *)
+    {!bump_epoch} of a LOID with a live placement there, or a
+    {!refresh_epoch} of a placement there. The Host Object re-runs its
+    zombie sweep only when this count has moved since its last sweep. *)
 
 val mark_dead : t -> Loid.t -> unit
 (** Start the MTTR clock for a LOID (idempotent until recovery): the

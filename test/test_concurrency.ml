@@ -8,6 +8,9 @@ module Value = Legion_wire.Value
 module Loid = Legion_naming.Loid
 module Runtime = Legion_rt.Runtime
 module Err = Legion_rt.Err
+module Engine = Legion_sim.Engine
+module Impl = Legion_core.Impl
+module Well_known = Legion_core.Well_known
 module System = Legion.System
 module Api = Legion.Api
 module H = Helpers
@@ -142,6 +145,96 @@ let test_interleaved_deactivation_stream () =
   done;
   Alcotest.(check int) "final count" 12 !last
 
+(* A Scheduling Agent that answers PickHost with the first candidate
+   50 ms late: an activation placed through it is still in flight at
+   its Magistrate when a request sent 10 ms after the cold call lands. *)
+let slow_sched_unit = "test.sched.slow"
+
+let register_slow_sched () =
+  Impl.register slow_sched_unit (fun ctx ->
+      let pick_host _ctx args _env k =
+        match args with
+        | [ Value.List (c :: _) ] -> (
+            match Legion_core.Convert.loid_field c "host" with
+            | Ok host ->
+                ignore
+                  (Engine.schedule (Runtime.sim ctx.Runtime.rt) ~delay:0.05
+                     (fun () -> k (Ok (Loid.to_value host))))
+            | Error msg -> Impl.bad_args k msg)
+        | _ -> Impl.bad_args k "PickHost expects a non-empty candidate list"
+      in
+      Impl.part ~methods:[ ("PickHost", pick_host) ] slow_sched_unit)
+
+(* An inert counter at m0 placed through the slow agent. A cold
+   Increment(5) starts its activation; 10 ms later [meth] is sent to
+   [dst]. Returns both replies once the simulation is quiescent. *)
+let race_activation ~request =
+  register_slow_sched ();
+  let sys = H.boot_two_sites () in
+  let ctx = System.client sys () in
+  let cls = H.make_counter_class sys ctx () in
+  let sched_cls =
+    Api.derive_class_exn sys ctx ~parent:Well_known.legion_object
+      ~name:"SlowSched" ~units:[ slow_sched_unit ] ~kind:Well_known.kind_sched ()
+  in
+  let sched = Api.create_object_exn sys ctx ~cls:sched_cls ~eager:true () in
+  let m0 = (System.site sys 0).System.magistrate in
+  let m1 = (System.site sys 1).System.magistrate in
+  let obj = Api.create_object_exn sys ctx ~cls ~magistrate:m0 ~sched () in
+  let dst, meth, args = request ~cls ~obj ~m0 ~m1 in
+  let cold = ref None and reply = ref None in
+  Runtime.invoke ctx ~dst:obj ~meth:"Increment" ~args:[ Value.Int 5 ] (fun r ->
+      cold := Some r);
+  ignore
+    (Engine.schedule (System.sim sys) ~delay:0.01 (fun () ->
+         Runtime.invoke ctx ~dst ~meth ~args (fun r -> reply := Some r)));
+  System.run sys;
+  (sys, ctx, obj, m0, m1, !reply)
+
+let lists sys ctx mag obj =
+  match Api.call sys ctx ~dst:mag ~meth:"ListObjects" ~args:[] with
+  | Ok (Value.List vs) ->
+      List.exists
+        (fun v -> match Loid.of_value v with Ok l -> Loid.equal l obj | _ -> false)
+        vs
+  | _ -> Alcotest.fail "ListObjects"
+
+let answered_ok what = function
+  | Some (Ok _) -> ()
+  | Some (Error e) -> Alcotest.failf "%s: %s" what (Err.to_string e)
+  | None -> Alcotest.failf "%s: no reply" what
+
+let test_move_during_activation () =
+  (* A Move that lands while the object's activation is in flight waits
+     for it, then moves the object it created: the placement must not
+     outlive m0's record, unmanaged by either Magistrate. *)
+  let sys, ctx, obj, m0, m1, reply =
+    race_activation ~request:(fun ~cls:_ ~obj ~m0 ~m1 ->
+        (m0, "Move", [ Loid.to_value obj; Loid.to_value m1 ]))
+  in
+  answered_ok "Move" reply;
+  Alcotest.(check bool) "m0 dropped the object" false (lists sys ctx m0 obj);
+  Alcotest.(check bool) "m1 lists the object" true (lists sys ctx m1 obj);
+  ignore (System.checkpoint_all sys);
+  Alcotest.(check bool) "no placement outlives the sweep" true
+    (Runtime.find_proc (System.rt sys) obj = None)
+
+let test_delete_during_activation () =
+  (* A class Delete that lands while the object's activation is in
+     flight waits for it, then kills what it created: a deleted object
+     must not keep answering calls. *)
+  let sys, ctx, obj, _, _, reply =
+    race_activation ~request:(fun ~cls ~obj ~m0:_ ~m1:_ ->
+        (cls, "Delete", [ Loid.to_value obj ]))
+  in
+  answered_ok "Delete" reply;
+  Alcotest.(check bool) "no live placement" true
+    (Runtime.find_proc (System.rt sys) obj = None);
+  match Api.call sys ctx ~dst:obj ~meth:"Get" ~args:[] with
+  | Error (Err.Not_bound _) -> ()
+  | Ok v -> Alcotest.failf "deleted object answered Get with %s" (Value.to_string v)
+  | Error e -> Alcotest.failf "expected Not_bound, got %s" (Err.to_string e)
+
 let () =
   Alcotest.run "concurrency"
     [
@@ -155,5 +248,9 @@ let () =
           Alcotest.test_case "calls race a Move" `Quick test_calls_race_migration;
           Alcotest.test_case "calls through deactivation churn" `Quick
             test_interleaved_deactivation_stream;
+          Alcotest.test_case "a Move waits out an activation" `Quick
+            test_move_during_activation;
+          Alcotest.test_case "a Delete waits out an activation" `Quick
+            test_delete_during_activation;
         ] );
     ]

@@ -29,9 +29,17 @@ let compare a b =
     let c = Int64.compare a.class_specific b.class_specific in
     if c <> 0 then c else String.compare a.public_key b.public_key
 
-(* The record has the layout of the tuple (class_id, class_specific,
-   public_key), so this is that tuple's hash without building it. *)
-let hash (t : t) = Hashtbl.hash t
+(* Integer arithmetic on the two fields: splitmix64's finaliser, cut to
+   a native int, spreads every field bit into the low bits a
+   [Stdlib.Hashtbl] masks. Only a LOID with a key hashes a string. *)
+let hash t =
+  let h = (Int64.to_int t.class_id * 0x1E3779B97F4A7C15) + Int64.to_int t.class_specific in
+  let h =
+    if String.length t.public_key = 0 then h else h lxor Hashtbl.hash t.public_key
+  in
+  let h = (h lxor (h lsr 30)) * 0x3F58476D1CE4E5B9 in
+  let h = (h lxor (h lsr 27)) * 0x14D049BB133111EB in
+  (h lxor (h lsr 31)) land max_int
 
 let to_string t =
   if String.length t.public_key = 0 then

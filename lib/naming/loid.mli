@@ -38,7 +38,12 @@ val responsible_class : t -> t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+
 val hash : t -> int
+(** A non-negative hash, equal for {!equal} LOIDs: integer arithmetic on
+    the two 64-bit fields, plus [Hashtbl.hash] of the public key when
+    there is one. It places a LOID in {!Table} and {!Lru} only; no
+    iteration order the simulation reads depends on its value. *)
 
 val pp : Format.formatter -> t -> unit
 (** Renders as ["L<class>.<specific>"] (hex), with ["+key"] appended when

@@ -340,7 +340,7 @@ let add_partition_watcher t f =
   Partition_watcher id
 
 let is_partitioned t a b =
-  List.mem (norm_pair a b) t.partitions
+  match t.partitions with [] -> false | ps -> List.mem (norm_pair a b) ps
 
 let set_receiver t h f =
   check_host t h;

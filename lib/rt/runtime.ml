@@ -90,6 +90,7 @@ type proc = {
   host : Network.host_id;
   slot : int;
   kind : string;
+  place : place;  (* its LOID's record *)
   mutable epoch : int;  (* incarnation this placement belongs to *)
   cache_capacity : int option;
   mutable cache : Cache.t option;  (* comm-layer binding cache, made on first use *)
@@ -105,6 +106,20 @@ type proc = {
       (* site -> cumulative calls received from it; the locality signal
          the elastic rebalancer reads to migrate objects toward their
          callers *)
+}
+
+(* The runtime's record of one LOID, kept while the LOID has a placement,
+   has had its epoch bumped, or carries a ConfirmDead mark, and dropped
+   when it is back to none of these. A placement points at its LOID's
+   record from [spawn] on, so delivery reads the epoch fence and the
+   recovery mark without looking the LOID up. [procs] holds the live
+   placements only (a power-failed one stays until it is killed). *)
+and place = {
+  mutable current : int;  (* the LOID's incarnation, 0 until bumped *)
+  mutable procs : proc list;  (* newest first *)
+  mutable dead_since : float;
+      (* ConfirmDead time, until the first post-recovery delivery; nan
+         when unmarked *)
 }
 
 and ctx = { rt : t; self : proc }
@@ -126,12 +141,9 @@ and t = {
   config : config;
   mutable slot_tbl : proc option array;  (* slot -> instance; O(1) delivery routing *)
   mutable host_changes : int array;  (* host -> resident changes, see [note_host_change] *)
-  places : proc list Loid.Table.t;  (* loid -> active placements *)
+  places : place Loid.Table.t;
   pending : (int, pending) Hashtbl.t;
   attached : (int, unit) Hashtbl.t;  (* hosts with a receiver installed *)
-  epochs : int Loid.Table.t;  (* loid -> current incarnation, absent = 0 *)
-  dead_since : float Loid.Table.t;
-      (* loid -> ConfirmDead time, until the first post-recovery delivery *)
   obs : Recorder.t;
   breakers : Breaker.t option;  (* per-destination circuit state *)
   mutable tenants : Tenant.t option;  (* principal registry; None = untenanted *)
@@ -185,16 +197,26 @@ let host_changes rt host =
 (* ------------------------------------------------------------------ *)
 (* Epochs (incarnation numbers).                                       *)
 
+let place_of rt loid =
+  match Loid.Table.find rt.places loid with
+  | Some pl -> pl
+  | None ->
+      let pl = { current = 0; procs = []; dead_since = Float.nan } in
+      Loid.Table.set rt.places loid pl;
+      pl
+
+let release rt loid pl =
+  if pl.procs = [] && pl.current = 0 && Float.is_nan pl.dead_since then
+    Loid.Table.remove rt.places loid
+
 let current_epoch rt loid =
-  Option.value ~default:0 (Loid.Table.find rt.epochs loid)
+  match Loid.Table.find rt.places loid with Some pl -> pl.current | None -> 0
 
 let bump_epoch rt loid =
-  let e = current_epoch rt loid + 1 in
-  Loid.Table.set rt.epochs loid e;
-  (match Loid.Table.find rt.places loid with
-  | Some ps -> List.iter (fun p -> note_host_change rt p.host) ps
-  | None -> ());
-  e
+  let pl = place_of rt loid in
+  pl.current <- pl.current + 1;
+  List.iter (fun p -> note_host_change rt p.host) pl.procs;
+  pl.current
 
 let kill rt proc =
   if proc.live then begin
@@ -221,16 +243,16 @@ let kill rt proc =
         d.d_count <- 0
     | None -> ());
     rt.slot_tbl.(proc.slot) <- None;
-    let remaining =
-      List.filter
-        (fun p -> not (p.host = proc.host && p.slot = proc.slot))
-        (Option.value ~default:[] (Loid.Table.find rt.places proc.loid))
-    in
-    if remaining = [] then Loid.Table.remove rt.places proc.loid
-    else Loid.Table.set rt.places proc.loid remaining
+    (* A live placement is in its record's list, so the record is still
+       the LOID's. *)
+    let pl = proc.place in
+    pl.procs <-
+      List.filter (fun p -> not (p.host = proc.host && p.slot = proc.slot)) pl.procs;
+    release rt proc.loid pl
   end
 
-let placements rt loid = Option.value ~default:[] (Loid.Table.find rt.places loid)
+let placements rt loid =
+  match Loid.Table.find rt.places loid with Some pl -> pl.procs | None -> []
 
 let kill_loid rt loid = List.iter (kill rt) (placements rt loid)
 
@@ -251,7 +273,7 @@ let procs_on_host rt host =
 let reap_rebooted rt host =
   List.iter
     (fun p ->
-      let cur = current_epoch rt p.loid in
+      let cur = p.place.current in
       if p.epoch < cur then begin
         emit rt ~host
           (Event.Fence { loid = p.loid; epoch = p.epoch; current = cur });
@@ -277,8 +299,6 @@ let create ~sim ~net ~registry ~prng ?(config = default_config) ?obs () =
       places = Loid.Table.create ();
       pending = Hashtbl.create 256;
       attached = Hashtbl.create 64;
-      epochs = Loid.Table.create ();
-      dead_since = Loid.Table.create ();
       obs;
       breakers = Option.map Breaker.create config.breaker;
       tenants = None;
@@ -308,8 +328,8 @@ let now rt = Engine.now rt.sim
 let obs rt = rt.obs
 
 let mark_dead rt loid =
-  if not (Loid.Table.mem rt.dead_since loid) then
-    Loid.Table.set rt.dead_since loid (now rt)
+  let pl = place_of rt loid in
+  if Float.is_nan pl.dead_since then pl.dead_since <- now rt
 
 (* ------------------------------------------------------------------ *)
 (* The record form of calls and replies (PROTOCOL §3): what a corrupted
@@ -557,11 +577,13 @@ let rec deliver_call rt proc ~queued ~tn call reply_to =
   proc.counter |> Counter.incr;
   proc.last_delivery <- Engine.now rt.sim;
   rt.delivered <- rt.delivered + 1;
-  (match Loid.Table.find rt.dead_since proc.loid with
-  | Some t0 ->
-      Loid.Table.remove rt.dead_since proc.loid;
-      Recorder.observe rt.obs ~component:"rt.mttr" (Engine.now rt.sim -. t0)
-  | None -> ());
+  (* Only a live placement is delivered to, so its record is the
+     LOID's. *)
+  let pl = proc.place in
+  if not (Float.is_nan pl.dead_since) then begin
+    Recorder.observe rt.obs ~component:"rt.mttr" (Engine.now rt.sim -. pl.dead_since);
+    pl.dead_since <- Float.nan
+  end;
   (match proc.admission with
   | Some _ ->
       emit rt ~host:proc.host
@@ -790,7 +812,7 @@ let on_receive rt host = function
           | Some proc
             when proc.live && proc.host = host
                  && (Loid.is_wildcard dst_loid || Loid.equal proc.loid dst_loid) ->
-              let cur = current_epoch rt proc.loid in
+              let cur = proc.place.current in
               if proc.epoch < cur then begin
                 (* A superseded incarnation must never answer: fence it
                    so the caller's rebind machinery finds the current
@@ -850,10 +872,10 @@ let spawn rt ~host ~loid ~kind ?cache_capacity ?binding_agent ?admission
     | Some a -> a
     | None -> if String.equal kind "app" then rt.config.admission else None
   in
-  let epoch = current_epoch rt loid in
   (match cache_capacity with
   | Some c when c < 0 -> invalid_arg "Runtime.spawn: negative cache_capacity"
   | _ -> ());
+  let place = place_of rt loid in
   let slot = rt.next_slot in
   rt.next_slot <- rt.next_slot + 1;
   (* Replicas share a LOID but not a counter: the placement's slot
@@ -869,7 +891,8 @@ let spawn rt ~host ~loid ~kind ?cache_capacity ?binding_agent ?admission
       host;
       slot;
       kind;
-      epoch;
+      place;
+      epoch = place.current;
       cache_capacity;
       cache = None;
       counter;
@@ -884,8 +907,7 @@ let spawn rt ~host ~loid ~kind ?cache_capacity ?binding_agent ?admission
     }
   in
   slot_set rt slot proc;
-  let existing = Option.value ~default:[] (Loid.Table.find rt.places loid) in
-  Loid.Table.set rt.places loid (proc :: existing);
+  place.procs <- proc :: place.procs;
   emit rt ~host (Event.Activate { loid });
   proc
 

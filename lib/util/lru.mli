@@ -4,9 +4,12 @@
     Magistrate's records, a Host Object's residents).
 
     Each value carries its own key (the [key] function given to
-    {!S.create}), so an entry is the value and its two recency links.
-    A touch relinks in place and allocates nothing, and eviction takes
-    the least recently used entry without scanning. A table that only
+    {!S.create}). The entries sit in flat arrays in touch order, each
+    beside its key's hash, under an open-addressing index: there is no
+    per-entry node and no bucket. A hit returns the stored option and
+    allocates nothing, and an insert allocates only that option, apart
+    from the arrays doubling as the table grows. Eviction takes the
+    least recently used entry without scanning. A table that only
     {!S.peek}s and never {!S.add}s a key already present keeps its
     entries in insertion order, newest first. *)
 
@@ -27,7 +30,7 @@ module type S = sig
   val add : 'v t -> 'v -> unit
   (** Insert or replace the entry under [key v], as the most recently
       used. Inserting a new key at capacity first evicts the least
-      recently used entry. *)
+      recently used entry; replacing a key never evicts. *)
 
   val remove : 'v t -> key -> unit
   (** Idempotent removal. *)

@@ -1,26 +1,34 @@
-type t = { mutable state : int64 }
+(* The 64-bit state, read and written in place: a draw stores no boxed
+   [int64]. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = seed }
+let create ~seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 seed;
+  t
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
-(* splitmix64 output function: advance by the golden gamma, then mix. *)
-let next_int64 t =
-  let z = Int64.add t.state golden_gamma in
-  t.state <- z;
+(* splitmix64 output function: advance by the golden gamma, then mix.
+   Inlined into [int] and [float], so their draws box nothing. *)
+let[@inline] next t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t = create ~seed:(next_int64 t)
+let next_int64 t = next t
+
+let split t = create ~seed:(next t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   (* Take the top bits (better distributed) and reduce; the modulo bias is
      negligible for the bounds used in the simulator (<< 2^32). *)
-  let r = Int64.shift_right_logical (next_int64 t) 1 in
+  let r = Int64.shift_right_logical (next t) 1 in
   Int64.to_int (Int64.rem r (Int64.of_int bound))
 
 let int_in t ~lo ~hi =
@@ -29,7 +37,7 @@ let int_in t ~lo ~hi =
 
 let float t bound =
   (* 53 uniform bits, as in the standard double construction. *)
-  let bits = Int64.shift_right_logical (next_int64 t) 11 in
+  let bits = Int64.shift_right_logical (next t) 11 in
   Int64.to_float bits /. 9007199254740992.0 *. bound
 
 let bernoulli t ~p =

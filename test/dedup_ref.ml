@@ -1,7 +1,7 @@
 (* The runtime's exactly-once table as it was before it kept its
-   entries in flat arrays: a [Legion_util.Lru] of one record per
-   (caller host, call id), whose reply a continuation writes into that
-   record. Kept as the oracle for [Legion_rt.Dedup]. *)
+   entries in flat arrays: an LRU of one record per (caller host, call
+   id), whose reply a continuation writes into that record. Kept as the
+   oracle for [Legion_rt.Dedup], on the old LRU ([Lru_ref]). *)
 
 module Loid = Legion_naming.Loid
 
@@ -12,7 +12,7 @@ type entry = {
   mutable reply : Legion_rt.Dedup.reply option;
 }
 
-module Tbl = Legion_util.Lru.Make (struct
+module Tbl = Lru_ref.Make (struct
   type t = int * int
 
   let equal (h, i) (h', i') = h = h' && i = i'

@@ -1,7 +1,7 @@
 (* Unit and property tests for Legion_util: PRNG, statistics and
-   counters, the ordered keyed table, plus the binary heap
-   (test/heap.ml) that serves as the event engine's oracle in
-   test_sim.ml. *)
+   counters, the ordered keyed table (against its old form,
+   test/lru_ref.ml), plus the binary heap (test/heap.ml) that serves as
+   the event engine's oracle in test_sim.ml. *)
 
 module Prng = Legion_util.Prng
 module Stats = Legion_util.Stats
@@ -39,6 +39,37 @@ let test_prng_split_independent () =
   (* Splitting must not replay the parent stream. *)
   let x = Prng.next_int64 a and y = Prng.next_int64 child in
   Alcotest.(check bool) "split streams differ" false (Int64.equal x y)
+
+(* splitmix64 (Steele, Lea and Flood) written out on [Int64]: the
+   stream [Prng] must keep however it stores its state. *)
+let splitmix64 seed =
+  let state = ref seed in
+  fun () ->
+    state := Int64.add !state 0x9E3779B97F4A7C15L;
+    let z = !state in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+let test_prng_stream_pinned () =
+  let same name t next =
+    for i = 1 to 10_000 do
+      let want = next () and got = Prng.next_int64 t in
+      if not (Int64.equal got want) then
+        Alcotest.failf "%s: output %d is %Ld, want %Ld" name i got want
+    done
+  in
+  List.iter
+    (fun seed -> same (Printf.sprintf "seed %Ld" seed) (Prng.create ~seed) (splitmix64 seed))
+    [ 0L; 1L; -1L; Int64.shift_left 1L 62 ];
+  (* A split is seeded by its parent's next output; a copy continues its
+     original's stream and leaves the original where it was. *)
+  let parent = Prng.create ~seed:42L and parent_ref = splitmix64 42L in
+  same "split" (Prng.split parent) (splitmix64 (parent_ref ()));
+  let copy_ref = splitmix64 42L in
+  ignore (copy_ref ());
+  same "copy" (Prng.copy parent) copy_ref;
+  same "original after copy" parent parent_ref
 
 let test_prng_int_bounds () =
   let t = Prng.create ~seed:3L in
@@ -378,12 +409,14 @@ let heap_model_interleaved =
 
 (* --- Lru as an ordered registry --- *)
 
-module Lru_int = Legion_util.Lru.Make (struct
+module Int_key = struct
   type t = int
 
   let equal = Int.equal
   let hash = Hashtbl.hash
-end)
+end
+
+module Lru_int = Legion_util.Lru.Make (Int_key)
 
 (* With no capacity, adds of absent keys only and [peek] lookups, the
    table must behave like the newest-first list it replaces in the
@@ -415,6 +448,103 @@ let lru_matches_list_model =
           | _ -> ignore (Lru_int.peek t k));
           agrees ())
         (List.mapi (fun i op -> (i, op)) ops))
+
+(* The table against its old form, a hashtable to the nodes of a
+   recency list: any sequence of operations, at any capacity, must give
+   the same results, lengths, eviction counts and newest-first order.
+   An entry is its key and the step that added it, so a replacement
+   shows. *)
+module Lru_old = Lru_ref.Make (Int_key)
+
+type lru_op = Add of int | Find of int | Peek of int | Remove of int | Clear
+
+let lru_op_print = function
+  | Add k -> Printf.sprintf "add %d" k
+  | Find k -> Printf.sprintf "find %d" k
+  | Peek k -> Printf.sprintf "peek %d" k
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Clear -> "clear"
+
+let lru_op_gen =
+  let open QCheck.Gen in
+  let key = int_bound 9 in
+  frequency
+    [
+      (8, map (fun k -> Add k) key);
+      (5, map (fun k -> Find k) key);
+      (3, map (fun k -> Peek k) key);
+      (3, map (fun k -> Remove k) key);
+      (1, return Clear);
+    ]
+
+let lru_matches_reference =
+  QCheck.Test.make ~name:"lru matches the reference lru" ~count:1000
+    QCheck.(
+      pair
+        (make ~print:Print.(option int) Gen.(opt (int_bound 6)))
+        (make ~print:Print.(list lru_op_print) Gen.(list_size (0 -- 120) lru_op_gen)))
+    (fun (capacity, ops) ->
+      let t = Lru_int.create ?capacity ~key:fst ()
+      and o = Lru_old.create ?capacity ~key:fst () in
+      List.for_all
+        (fun (step, op) ->
+          let result_agrees =
+            match op with
+            | Add k ->
+                Lru_int.add t (k, step);
+                Lru_old.add o (k, step);
+                true
+            | Find k -> Lru_int.find t k = Lru_old.find o k
+            | Peek k -> Lru_int.peek t k = Lru_old.peek o k
+            | Remove k ->
+                Lru_int.remove t k;
+                Lru_old.remove o k;
+                true
+            | Clear ->
+                Lru_int.clear t;
+                Lru_old.clear o;
+                true
+          in
+          result_agrees
+          && Lru_int.length t = Lru_old.length o
+          && Lru_int.evictions t = Lru_old.evictions o
+          && Lru_int.fold List.cons t [] = Lru_old.fold List.cons o [])
+        (List.mapi (fun i op -> (i, op)) ops))
+
+(* A hit returns the stored option, so it allocates nothing; an insert
+   allocates only the option it stores. Measured over many operations
+   less the cost of measuring, once the arrays have grown to their
+   steady length. *)
+let test_lru_allocation () =
+  let n = 10_000 in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let overhead = words ignore in
+  let per_op f = (words f -. overhead) /. float_of_int n in
+  let t = Lru_int.create ~capacity:8 ~key:fst () in
+  for k = 0 to 7 do
+    Lru_int.add t (k, 0)
+  done;
+  let find_hit () =
+    for i = 1 to n do
+      ignore (Sys.opaque_identity (Lru_int.find t (i land 7)))
+    done
+  and peek_hit () =
+    for i = 1 to n do
+      ignore (Sys.opaque_identity (Lru_int.peek t (i land 7)))
+    done
+  in
+  find_hit ();
+  Alcotest.(check (float 0.0)) "find hit" 0.0 (per_op find_hit);
+  Alcotest.(check (float 0.0)) "peek hit" 0.0 (per_op peek_hit);
+  let fresh = Array.init n (fun i -> (100 + i, i)) in
+  let insert () = Array.iter (Lru_int.add t) fresh in
+  let w = per_op insert in
+  if w > 4.0 then Alcotest.failf "an insert at capacity allocates %.2f words" w;
+  Alcotest.(check int) "every insert evicted" n (Lru_int.evictions t)
 
 let stats_percentile_bounded =
   QCheck.Test.make ~name:"percentiles lie within min/max" ~count:200
@@ -541,6 +671,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_prng_deterministic;
           Alcotest.test_case "seed matters" `Quick test_prng_seed_matters;
           Alcotest.test_case "copy" `Quick test_prng_copy;
+          Alcotest.test_case "stream is splitmix64" `Quick test_prng_stream_pinned;
           Alcotest.test_case "split independent" `Quick test_prng_split_independent;
           Alcotest.test_case "int bounds" `Quick test_prng_int_bounds;
           Alcotest.test_case "int_in bounds" `Quick test_prng_int_in;
@@ -578,7 +709,12 @@ let () =
           QCheck_alcotest.to_alcotest heap_sorts_any_list;
           QCheck_alcotest.to_alcotest heap_model_interleaved;
         ] );
-      ("lru", [ QCheck_alcotest.to_alcotest lru_matches_list_model ]);
+      ( "lru",
+        [
+          QCheck_alcotest.to_alcotest lru_matches_list_model;
+          QCheck_alcotest.to_alcotest lru_matches_reference;
+          Alcotest.test_case "hits allocate nothing" `Quick test_lru_allocation;
+        ] );
       ( "sampler",
         [
           Alcotest.test_case "zipf bounds and skew" `Slow test_zipf_bounds_and_skew;
